@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     InsufficientDataError,
     LevelNotReachedError,
+    QuiverFlowError,
     RefinementFailedError,
 )
 from .flow import FlowTrace, IntegratorConfig, integrate
@@ -37,7 +38,7 @@ from .moment import (
     hessian_fd,
     hessian_matrix,
 )
-from .quiver import Representation, infinitesimal_action, rho_matrix
+from .quiver import Representation, flatten_blocks, infinitesimal_action, rho_matrix
 
 __all__ = [
     "CriticalRecord",
@@ -227,22 +228,21 @@ def negative_slice(rec: CriticalRecord, wd: WeightDecomposition, tol: float = 1e
     """
     x = rec.x
     q, dims = x.quiver, x.dims
+    shapes = q.block_shapes(dims)
     cols = []
-    for a in range(q.n_edges):
-        uh = wd.vertex_frames[q.head[a]]
-        ut = wd.vertex_frames[q.tail[a]]
-        shapes = [q.block_shape(e, dims) for e in range(q.n_edges)]
-        for (p, qq) in wd.negative[a]:
-            for part in (1.0, 1.0j):
-                e_frame = np.zeros(shapes[a], dtype=complex)
-                e_frame[p, qq] = part
-                blocks = [np.zeros(s, dtype=complex) for s in shapes]
-                blocks[a] = uh @ e_frame @ ut.conj().T
-                cols.append(x.replace_blocks(blocks).flatten())
-    n = q.rep_real_dim(dims)
+    for a, pairs in enumerate(wd.negative):
+        if not pairs:
+            continue
+        m, n = shapes[a]
+        # unit blocks at the negative frame coordinates, Re then Im per pair
+        units = np.eye(m * n)[np.ravel_multi_index(np.transpose(pairs), (m, n))]
+        e_frame = np.stack([units, 1j * units], axis=1).reshape(-1, m, n)
+        blocks = [np.zeros((len(e_frame),) + sh, dtype=complex) for sh in shapes]
+        blocks[a] = wd.vertex_frames[q.head[a]] @ e_frame @ wd.vertex_frames[q.tail[a]].conj().T
+        cols.append(flatten_blocks(blocks))
     if not cols:
-        return SliceFiber(basis=np.zeros((n, 0)), dim=0)
-    b = np.stack(cols, axis=1)
+        return SliceFiber(basis=np.zeros((q.rep_real_dim(dims), 0)), dim=0)
+    b = np.concatenate(cols).T
     orbit = _orbit_basis(x, tol=tol)
     proj = b - orbit @ (orbit.T @ b) if orbit.shape[1] else b
     u, s, _ = np.linalg.svd(proj, full_matrices=False)
@@ -371,7 +371,7 @@ def unstable_boundedness_check(rec: CriticalRecord, fiber: SliceFiber,
             if trace.status != "exited_level":
                 raise LevelNotReachedError(
                     f"seed stopped with status {trace.status}", limit_value=float(trace.fs[-1]))
-        except Exception as exc:  # per-seed failure is reported, not fatal
+        except (QuiverFlowError, np.linalg.LinAlgError) as exc:  # reported per seed
             report["reached"].append(False)
             report["endpoint_distances"].append(None)
             report["failures"].append({"seed": i, "error": str(exc)})

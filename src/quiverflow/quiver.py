@@ -24,6 +24,10 @@ for Lie-algebra elements), each block column-major, all real parts of a
 block followed by all imaginary parts.  The Euclidean inner product of the
 flattened vectors then equals ``Re sum_a tr(A_a^dagger B_a)``, which is the
 real inner product every formula in this package is written against.
+
+``flatten_blocks`` and ``unflatten_blocks`` are the only place that defines
+this order.  They accept leading batch axes, as do the raw block formulas,
+so ``real_matrix`` builds each Jacobian by one call on the unit basis.
 """
 
 from __future__ import annotations
@@ -114,6 +118,9 @@ class Quiver:
     def block_shape(self, a, dims):
         return (dims[self.head[a]], dims[self.tail[a]])
 
+    def block_shapes(self, dims):
+        return [self.block_shape(a, dims) for a in range(self.n_edges)]
+
     def rep_real_dim(self, dims):
         """Total real dimension 2 * sum_a v_head(a) * v_tail(a)."""
         return 2 * sum(dims[self.head[a]] * dims[self.tail[a]] for a in range(self.n_edges))
@@ -175,8 +182,7 @@ class Representation:
     @staticmethod
     def unflatten(quiver, dims, vec):
         dims = quiver.check_dims(dims)
-        shapes = [quiver.block_shape(a, dims) for a in range(quiver.n_edges)]
-        return Representation(quiver, dims, unflatten_blocks(vec, shapes))
+        return Representation(quiver, dims, unflatten_blocks(vec, quiver.block_shapes(dims)))
 
     def replace_blocks(self, blocks):
         return Representation(self.quiver, self.dims, tuple(blocks))
@@ -193,29 +199,38 @@ class Representation:
 
 
 def flatten_blocks(blocks):
-    """Flatten complex blocks to reals: list order, column-major, Re then Im."""
+    """Flatten blocks (*batch, m, n) to reals (*batch, N): list order, column-major, Re then Im."""
     parts = []
     for b in blocks:
-        v = np.asarray(b).flatten(order="F")
-        parts.append(v.real)
-        parts.append(v.imag)
+        v = b.swapaxes(-1, -2).reshape(b.shape[:-2] + (b.shape[-2] * b.shape[-1],))
+        parts += (v.real, v.imag)
     if not parts:
         return np.zeros(0)
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
 
 
 def unflatten_blocks(vec, shapes):
+    """Inverse of ``flatten_blocks``; leading axes of ``vec`` become batch axes."""
     vec = np.asarray(vec, dtype=float)
+    batch = vec.shape[:-1]
     blocks, pos = [], 0
     for (m, n) in shapes:
         k = m * n
-        re = vec[pos:pos + k]
-        im = vec[pos + k:pos + 2 * k]
+        z = vec[..., pos:pos + k] + 1j * vec[..., pos + k:pos + 2 * k]
+        blocks.append(z.reshape(batch + (n, m)).swapaxes(-1, -2))
         pos += 2 * k
-        blocks.append((re + 1j * im).reshape((m, n), order="F"))
-    if pos != vec.size:
+    if pos != vec.shape[-1]:
         raise ShapeError("flattened vector length does not match block shapes")
     return tuple(blocks)
+
+
+def real_matrix(linear, in_shapes, out_shapes):
+    """Matrix of a real-linear block map in flat coordinates; ``linear`` is
+    applied once to the whole unit basis, stacked on a leading batch axis."""
+    n_in = 2 * sum(m * n for m, n in in_shapes)
+    n_out = 2 * sum(m * n for m, n in out_shapes)
+    images = linear(unflatten_blocks(np.eye(n_in), in_shapes))
+    return flatten_blocks(images).reshape(n_in, n_out).T
 
 
 @dataclass(frozen=True)
@@ -314,11 +329,6 @@ class LieAlgebraElement:
     def flatten(self):
         return flatten_blocks(self.blocks)
 
-    @staticmethod
-    def unflatten(quiver, dims, vec):
-        dims = quiver.check_dims(dims)
-        return LieAlgebraElement(quiver, dims, unflatten_blocks(vec, [(d, d) for d in dims]))
-
     def scaled(self, c):
         return LieAlgebraElement(self.quiver, self.dims, tuple(c * b for b in self.blocks))
 
@@ -411,12 +421,15 @@ def act(g: GroupElement, x: Representation) -> Representation:
     return x.replace_blocks(blocks)
 
 
+def action_blocks(quiver, u, x):
+    """Raw infinitesimal action u_head(a) x_a - x_a u_tail(a) on vertex blocks u
+    and edge blocks x, either of which may carry leading batch axes."""
+    return [u[h] @ xa - xa @ u[t] for xa, h, t in zip(x, quiver.head, quiver.tail)]
+
+
 def infinitesimal_action(u: LieAlgebraElement, x: Representation) -> Representation:
     """Derivative of the action at the identity: u_head x_a - x_a u_tail."""
-    q = x.quiver
-    blocks = [u.blocks[q.head[a]] @ x.blocks[a] - x.blocks[a] @ u.blocks[q.tail[a]]
-              for a in range(q.n_edges)]
-    return x.replace_blocks(blocks)
+    return x.replace_blocks(action_blocks(x.quiver, u.blocks, x.blocks))
 
 
 def group_exp(u: LieAlgebraElement, t=1.0) -> GroupElement:
@@ -436,32 +449,8 @@ def rho_matrix(x: Representation) -> np.ndarray:
     rank/orthocomplement work.
     """
     q, dims = x.quiver, x.dims
-    ncols = q.group_real_dim(dims)
-    nrows = q.rep_real_dim(dims)
-    out = np.zeros((nrows, ncols))
-    col = 0
-    for i in range(q.n_vertices):
-        d = dims[i]
-        for qq in range(d):          # column-major over the vertex block
-            for p in range(d):
-                for part in (1.0, 1.0j):
-                    u_blocks = [np.zeros((dd, dd), dtype=complex) for dd in dims]
-                    u_blocks[i][p, qq] = part
-                    u = LieAlgebraElement(q, dims, tuple(u_blocks))
-                    out[:, col] = infinitesimal_action(u, x).flatten()
-                    col += 1
-    # real-then-imaginary ordering within the vertex block
-    # (columns above interleave; reorder to match flatten_blocks)
-    perm = []
-    col = 0
-    for i in range(q.n_vertices):
-        d = dims[i]
-        k = d * d
-        re_cols = [col + 2 * j for j in range(k)]
-        im_cols = [col + 2 * j + 1 for j in range(k)]
-        perm.extend(re_cols + im_cols)
-        col += 2 * k
-    return out[:, perm]
+    return real_matrix(lambda u: action_blocks(q, u, x.blocks),
+                       [(d, d) for d in dims], q.block_shapes(dims))
 
 
 def rho_rank(x: Representation, tol: float = 1e-9) -> int:

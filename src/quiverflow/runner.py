@@ -49,8 +49,9 @@ def run_experiment(model, out_dir, threads: int = 1):
     started = time.time()
     os.makedirs(os.path.join(out_dir, "outputs"), exist_ok=True)
     runner = _RUNNERS[model.doc["experiment"]]
-    summary = runner(model, out_dir, max(1, int(threads)))
+    # the snapshot comes first so that a failed run can still be reproduced
     write_json(os.path.join(out_dir, "config.json"), model.doc)
+    summary = runner(model, out_dir, max(1, int(threads)))
     write_json(os.path.join(out_dir, "meta.json"), {
         "tool": "quiverflow",
         "version": __version__,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical import CriticalRecord, SliceFiber
-from .errors import ProjectionFailedError, ShapeError
+from .errors import ProjectionFailedError, QuiverFlowError, ShapeError
 from .flow import IntegratorConfig, monitors_for
 from .moment import CentralShift
 from .quiver import (
@@ -24,6 +24,7 @@ from .quiver import (
     Representation,
     act,
     flatten_blocks,
+    real_matrix,
     relation_residual,
 )
 
@@ -50,8 +51,7 @@ class SubvarietySpec:
 
     def residuals(self, x: Representation) -> np.ndarray:
         """All relation values stacked into one real vector."""
-        parts = [flatten_blocks([r.evaluate(x)]) for r in self.relations]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return flatten_blocks([r.evaluate(x) for r in self.relations])
 
     def max_residual(self, x: Representation) -> float:
         return max((relation_residual(x, r) for r in self.relations), default=0.0)
@@ -110,47 +110,27 @@ def integrate_on_variety(x0: Representation, spec: SubvarietySpec, alpha,
     return trace, drift
 
 
-def _relation_jacobian(x: Representation, spec: SubvarietySpec) -> np.ndarray:
-    """Real Jacobian of the stacked residual vector at x.
-
-    The derivative of a path product along a coordinate direction is the
-    sum over occurrences of the perturbed edge of prefix @ E @ suffix.
-    """
-    q, dims = x.quiver, x.dims
-    shapes = [q.block_shape(a, dims) for a in range(q.n_edges)]
-    ncols = q.rep_real_dim(dims)
-    cols = []
-    for a in range(q.n_edges):
-        m, n = shapes[a]
-        basis = []
-        for qq in range(n):
-            for p in range(m):
-                basis.append((p, qq))
-        # real parts first, then imaginary, matching flatten_blocks
-        for part in (1.0, 1.0j):
-            for (p, qq) in basis:
-                pert = np.zeros(shapes[a], dtype=complex)
-                pert[p, qq] = part
-                rows = []
-                for rel in spec.relations:
-                    drel = np.zeros((dims[rel.target], dims[rel.source]), dtype=complex)
-                    for coef, path in rel.terms:
-                        for pos, edge in enumerate(path):
-                            if edge != a:
-                                continue
-                            pre = None
-                            for e in path[:pos]:
-                                pre = x.blocks[e] if pre is None else x.blocks[e] @ pre
-                            seg = pert if pre is None else pert @ pre
-                            for e in path[pos + 1:]:
-                                seg = x.blocks[e] @ seg
-                            drel = drel + coef * seg
-                    rows.append(flatten_blocks([drel]))
-                cols.append(np.concatenate(rows) if rows else np.zeros(0))
-    out = np.stack(cols, axis=1) if cols else np.zeros((0, ncols))
-    # stack order above is edge-major with re-block then im-block per edge,
-    # matching the package flattening, so columns already align
+def _relation_derivative(rel, xs, ts):
+    """Derivative of a relation at edge blocks xs along ts (batch-aware): per
+    path, the sum over positions of suffix @ t_edge @ prefix."""
+    out = 0.0
+    for coef, path in rel.terms:
+        pre = None
+        for pos, edge in enumerate(path):
+            seg = ts[edge] if pre is None else ts[edge] @ pre
+            for e in path[pos + 1:]:
+                seg = xs[e] @ seg
+            out = out + coef * seg
+            pre = xs[edge] if pre is None else xs[edge] @ pre
     return out
+
+
+def _relation_jacobian(x: Representation, spec: SubvarietySpec) -> np.ndarray:
+    """Real Jacobian of the stacked residual vector at x."""
+    q, dims = x.quiver, x.dims
+    return real_matrix(lambda ts: [_relation_derivative(r, x.blocks, ts) for r in spec.relations],
+                       q.block_shapes(dims),
+                       [(dims[r.target], dims[r.source]) for r in spec.relations])
 
 
 def project_to_variety(x: Representation, spec: SubvarietySpec,
@@ -255,7 +235,7 @@ def slice_variety_probe(rec: CriticalRecord, fiber: SliceFiber, spec: Subvariety
                          endpoint_residual=float(spec.max_residual(trace.final)),
                          residual_ok=bool(np.max(hist) < drift_tol),
                          error=None)
-        except Exception as exc:
+        except (QuiverFlowError, np.linalg.LinAlgError) as exc:
             entry.update(time=None, max_residual=None, endpoint_residual=None,
                          residual_ok=None, error=str(exc))
         report["seeds"].append(entry)

@@ -190,3 +190,17 @@ def test_strict_escalates_census_instability(tmp_path):
     res2 = run_cli("retract", "--config", str(coarse), "--out", str(tmp_path / "b"),
                    "--strict")
     assert res2.returncode == 1
+
+
+def test_failed_run_keeps_config_snapshot(tmp_path):
+    # too short a time cap for the broken-line family: the run fails, and the
+    # archive still holds the snapshot that reproduces the failure
+    doc = json.load(open(config_path("product_broken.json")))
+    doc["integrator"]["max_time"] = 1e-3
+    bad = tmp_path / "short.json"
+    bad.write_text(json.dumps(doc))
+    arch = tmp_path / "arch"
+    res = run_cli("broken", "--config", str(bad), "--out", str(arch))
+    assert res.returncode == 1
+    assert json.loads((arch / "config.json").read_text()) == doc
+    assert (arch / "outputs" / "failure.json").exists()

@@ -313,3 +313,16 @@ def test_positive_weights_are_excluded(a2_model):
     fib = negative_slice(rec, wd)
     rep = morse_index_check(rec, fib, alpha_flip)
     assert (rep.slice_dim, rep.hessian_index, rep.agree) == (0, 0, True)
+
+
+def test_unstable_boundedness_propagates_programming_errors(a2_model, tight_cfg, monkeypatch):
+    q, dims, alpha = a2_model
+    saddle = refine_critical(scalar_rep(q, dims, [0.0]), alpha, tol=1e-10)
+    fib = negative_slice(saddle, weight_decomposition(saddle))
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the integrator")
+
+    monkeypatch.setattr("quiverflow.critical.integrate", broken)
+    with pytest.raises(TypeError, match="bug in the integrator"):
+        unstable_boundedness_check(saddle, fib, alpha, eps=1.0, seeds=2, cfg=tight_cfg)

@@ -5,6 +5,7 @@ from quiverflow import (
     CentralShift,
     GroupElement,
     IntegratorConfig,
+    Relation,
     Representation,
     act,
     integrate,
@@ -23,7 +24,7 @@ from quiverflow.presets import (
     jordan_two_loops,
     scalar_rep,
 )
-from quiverflow.subvariety import SubvarietySpec
+from quiverflow.subvariety import SubvarietySpec, _relation_jacobian
 
 
 @pytest.fixture
@@ -188,3 +189,48 @@ def test_a3_origin_index_matches_slice(tight_cfg):
 
     rep = morse_index_check(rec, fib, alpha)
     assert (rep.slice_dim, rep.hessian_index, rep.agree) == (4, 4, True)
+
+
+def _relation_cases():
+    q3, d3, ba = a3_chain()
+    cases = {"a3_ba": (q3, d3, (ba,))}
+    for dim in (2, 3):
+        qj, dj = jordan_two_loops(dim)
+        cases[f"comm{dim}"] = (qj, dj, (commutator_relation(qj),))
+    # x x + 0.5i y x y repeats edges within one path and across terms
+    qj, dj = jordan_two_loops(2)
+    ix, iy = qj.edge_index("x"), qj.edge_index("y")
+    rep = Relation(qj, ((1.0, (ix, ix)), (0.5j, (iy, ix, iy))), name="rep")
+    cases["repeat"] = (qj, dj, (rep, commutator_relation(qj)))
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_relation_cases()))
+def test_relation_jacobian_matches_fd(case, rng):
+    q, dims, rels = _relation_cases()[case]
+    spec = SubvarietySpec(rels)
+    x = Representation.random(q, dims, rng)
+    y0, h = x.flatten(), 1e-5
+    fd = np.empty((spec.residuals(x).size, y0.size))
+    for i in range(y0.size):
+        e = np.zeros_like(y0)
+        e[i] = h
+        fd[:, i] = (spec.residuals(Representation.unflatten(q, dims, y0 + e))
+                    - spec.residuals(Representation.unflatten(q, dims, y0 - e))) / (2 * h)
+    jac = _relation_jacobian(x, spec)
+    assert jac.shape == fd.shape
+    assert np.linalg.norm(jac - fd) < 1e-7 * (1.0 + np.linalg.norm(fd))
+
+
+def test_probe_propagates_programming_errors(a2_model, tight_cfg, monkeypatch):
+    q, dims, alpha = a2_model
+    saddle = refine_critical(scalar_rep(q, dims, [0.0]), alpha, tol=1e-10)
+    fib = negative_slice(saddle, weight_decomposition(saddle))
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the integrator")
+
+    monkeypatch.setattr("quiverflow.flow.integrate", broken)
+    with pytest.raises(TypeError, match="bug in the integrator"):
+        slice_variety_probe(saddle, fib, SubvarietySpec(()), alpha, eps=1.0,
+                            cfg=tight_cfg, n_seeds=2)
