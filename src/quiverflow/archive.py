@@ -149,16 +149,10 @@ def trace_csv(tr_json) -> str:
 
 def census_csv(census_json) -> str:
     lines = ["rho,theta,in_set,component_id"]
-    rho = census_json["rho"]
-    theta = census_json["theta"]
-    labels = census_json["labels"]
-    for i in range(len(rho)):
-        for j in range(len(theta)):
-            lab = labels[i][j]
-            lines.append(",".join([
-                csv_float(rho[i]), csv_float(theta[j]),
-                "1" if lab >= 0 else "0", str(lab),
-            ]))
+    theta = [csv_float(t) for t in census_json["theta"]]
+    for r, row in zip(map(csv_float, census_json["rho"]), census_json["labels"]):
+        lines.extend(f"{r},{t},{'1' if lab >= 0 else '0'},{lab}"
+                     for t, lab in zip(theta, row))
     return "\n".join(lines) + "\n"
 
 

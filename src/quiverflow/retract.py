@@ -39,7 +39,6 @@ unstable set.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +49,8 @@ __all__ = [
     "SaddleScene",
     "SlitScene",
     "ScenePoint",
-    "scene_sigma",
-    "scene_g_and_Y",
-    "scene_retract_R",
     "connectivity_census",
     "condition4_probe",
-    "UnionFind",
 ]
 
 
@@ -66,9 +61,6 @@ class ScenePoint:
 
     u: float
     v: float
-
-    def as_tuple(self):
-        return (self.u, self.v)
 
 
 class SaddleScene:
@@ -261,39 +253,9 @@ class SlitScene:
     def on_stable_set(self, p: ScenePoint) -> bool:
         return p.u == 0.0 or abs(math.cos(p.v)) == 0.0
 
-    def on_unstable_set(self, p: ScenePoint) -> bool:
-        return p.u == 0.0 or math.sin(p.v) == 0.0
-
     def theta_distance_to_unstable(self, theta: float) -> float:
         """Arc distance to {0, pi} without wrapping across 2 pi <-> 0."""
         return min(abs(theta - 0.0), abs(theta - math.pi))
-
-
-class UnionFind:
-    """Array union-find with path compression and union by size."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.n_components = n
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.n_components -= 1
 
 
 def _slit_grid_masks(scene: SlitScene, sublevel: float, include_unstable: bool,
@@ -314,71 +276,59 @@ def _slit_grid_masks(scene: SlitScene, sublevel: float, include_unstable: bool,
 
 
 def connectivity_census(scene: SlitScene, sublevel: float, include_unstable: bool,
-                        n_rho: int = 400, n_theta: int = 400, rho_max: float = 3.0,
-                        check_stability: bool = True):
+                        n_rho: int = 400, n_theta: int = 400, rho_max: float = 3.0):
     """Connected components of a sampled sublevel set on the slit quotient.
 
     Adjacency is purely combinatorial: radial and angular grid neighbors,
     never wrapping theta across 2 pi <-> 0, and all rho = 0 nodes identified
     to one point.  Returns (component_count, labels, grid) with labels -1
-    outside the set.  When check_stability is set, the census is repeated
-    at doubled resolution and a warning is raised if the counts disagree.
+    outside the set and components numbered in row-major order of their
+    first in-set cell.  The census runs at one resolution; comparing it
+    with a refined grid is the caller's policy.
     """
     rho, theta, mask = _slit_grid_masks(scene, sublevel, include_unstable,
                                         n_rho, n_theta, rho_max)
     count, labels = _census_count(mask)
-    if check_stability:
-        _, _, mask2 = _slit_grid_masks(scene, sublevel, include_unstable,
-                                       2 * n_rho, 2 * n_theta, rho_max)
-        count2, _ = _census_count(mask2)
-        if count2 != count:
-            warnings.warn(
-                f"census unstable under refinement: {count} components at "
-                f"{n_rho}x{n_theta} but {count2} at {2*n_rho}x{2*n_theta}",
-                stacklevel=2)
     return count, labels, (rho, theta, mask)
 
 
 def _census_count(mask: np.ndarray):
-    """Union-find over the grid mask with glued origin row, slit preserved."""
-    n_rho, n_theta = mask.shape
-    idx = lambda i, j: i * n_theta + j
-    uf = UnionFind(n_rho * n_theta)
-    # glue the origin row into one node
-    for j in range(1, n_theta):
-        uf.union(idx(0, 0), idx(0, j))
-    in_set = mask
-    # radial edges
-    for i in range(n_rho - 1):
-        row0, row1 = in_set[i], in_set[i + 1]
-        for j in np.nonzero(row0 & row1)[0]:
-            uf.union(idx(i, j), idx(i + 1, j))
-    # angular edges, no wrap from n_theta-1 back to 0 (the slit)
-    for i in range(1, n_rho):
-        row = in_set[i]
-        for j in np.nonzero(row[:-1] & row[1:])[0]:
-            uf.union(idx(i, j), idx(i, j + 1))
-    labels = -np.ones(mask.shape, dtype=int)
-    roots = {}
-    for i in range(n_rho):
-        for j in range(n_theta):
-            if in_set[i, j]:
-                r = uf.find(idx(i, j))
-                labels[i, j] = roots.setdefault(r, len(roots))
+    """Label the components of the grid mask with glued origin row, slit preserved.
+
+    Min-label hooking with pointer jumping: each round hooks every root onto
+    the smallest root it shares an edge with, then flattens the trees.  A
+    root never points at a larger index, so each root is the smallest cell
+    of its tree, and sorting the roots numbers the components in row-major
+    order of their first in-set cell (the glued row's root, 0, comes first).
+    """
+    n_theta = mask.shape[1]
+    itype = np.int32 if mask.size < 2 ** 31 else np.int64
+    radial = np.flatnonzero(mask[:-1] & mask[1:]).astype(itype)
+    # angular edges, no wrap from n_theta-1 back to 0 (the slit); the glued
+    # row needs none
+    right = np.zeros_like(mask)
+    right[1:, :-1] = mask[1:, :-1] & mask[1:, 1:]
+    angular = np.flatnonzero(right).astype(itype)
+    u = np.concatenate([radial, angular])
+    v = np.concatenate([radial + n_theta, angular + 1])
+    parent = np.arange(mask.size, dtype=itype)
+    parent[:n_theta] = 0               # the origin row is one point
+    while True:
+        ru, rv = parent[u], parent[v]
+        cross = ru != rv
+        if not cross.any():
+            break
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    roots, inverse = np.unique(parent[mask.ravel()], return_inverse=True)
+    labels = np.full(mask.shape, -1, dtype=int)
+    labels[mask] = inverse
     return len(roots), labels
-
-
-def scene_sigma(p: ScenePoint, scene: SaddleScene) -> float:
-    """Gauge value in [0, 1]; module-level alias of SaddleScene.sigma."""
-    return scene.sigma(p)
-
-
-def scene_g_and_Y(p: ScenePoint, scene: SaddleScene):
-    return scene.g(p), scene.in_Y(p)
-
-
-def scene_retract_R(p: ScenePoint, s: float, scene: SaddleScene) -> ScenePoint:
-    return scene.retract_R(p, s)
 
 
 def condition4_probe(scene, u_width: float = None, samples: int = 64,

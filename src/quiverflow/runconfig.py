@@ -228,6 +228,14 @@ def validate_config(doc):
             raise ConfigError(
                 f"config field params.{key}: required for experiment {exp!r}",
                 field=f"params.{key}")
+    for key in ("grid", "refine"):
+        grid = doc.get("params", {}).get(key)
+        if grid is not None and not (
+                isinstance(grid, list) and len(grid) == 2
+                and all(type(n) is int and n > 0 for n in grid) and grid[1] % 2 == 0):
+            raise ConfigError(
+                f"config field params.{key}: expected [n_rho, n_theta], two positive "
+                f"integers with n_theta even, got {grid!r}", field=f"params.{key}")
     if exp in ("flow", "critical", "strata", "lines") and "points" not in doc:
         raise ConfigError(f"config field points: required for experiment {exp!r}",
                           field="points")

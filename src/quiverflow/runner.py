@@ -226,13 +226,12 @@ def _run_broken(model, out_dir, threads):
 
 def _census_jsonable(scene, sublevel, include_unstable, n_rho, n_theta, rho_max):
     count, labels, (rho, theta, mask) = connectivity_census(
-        scene, sublevel, include_unstable, n_rho=n_rho, n_theta=n_theta,
-        rho_max=rho_max, check_stability=False)
+        scene, sublevel, include_unstable, n_rho=n_rho, n_theta=n_theta, rho_max=rho_max)
     return count, {
         "count": count,
-        "rho": [float(v) for v in rho],
-        "theta": [float(v) for v in theta],
-        "labels": [[int(v) for v in row] for row in labels],
+        "rho": rho.tolist(),
+        "theta": theta.tolist(),
+        "labels": labels.tolist(),
     }
 
 

@@ -211,14 +211,10 @@ def test_07_level_crossing_contract():
 def test_08_slit_quotient_reproduction():
     with Budget("8 slit-quotient scene", 30):
         slit = SlitScene(eps=0.1)
-        low4, _, _ = connectivity_census(slit, -0.1, True, n_rho=400, n_theta=400,
-                                         check_stability=False)
-        high4, _, _ = connectivity_census(slit, 0.1, False, n_rho=400, n_theta=400,
-                                          check_stability=False)
-        low8, _, _ = connectivity_census(slit, -0.1, True, n_rho=800, n_theta=800,
-                                         check_stability=False)
-        high8, _, _ = connectivity_census(slit, 0.1, False, n_rho=800, n_theta=800,
-                                          check_stability=False)
+        low4, _, _ = connectivity_census(slit, -0.1, True, n_rho=400, n_theta=400)
+        high4, _, _ = connectivity_census(slit, 0.1, False, n_rho=400, n_theta=400)
+        low8, _, _ = connectivity_census(slit, -0.1, True, n_rho=800, n_theta=800)
+        high8, _, _ = connectivity_census(slit, 0.1, False, n_rho=800, n_theta=800)
         assert (low4, high4) == (2, 1)
         assert (low8, high8) == (2, 1)
 

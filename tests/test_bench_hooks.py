@@ -26,10 +26,15 @@ doc["points"]["count"] = 1
 doc["integrator"]["grad_stop"] = 1e-4
 with tempfile.TemporaryDirectory() as out:
     runner.run_experiment(runconfig.build_model(doc), out)
+doc = runconfig.load_config(root + "/src/quiverflow/configs/slit_retract.json")
+doc["params"]["grid"] = [8, 16]
+doc["params"]["refine"] = [16, 32]
+with tempfile.TemporaryDirectory() as out:
+    runner.run_experiment(runconfig.build_model(doc), out)
 calls = {}
 for nid in spans.span_name:
     calls[spans.names[nid]] = calls.get(spans.names[nid], 0) + 1
-print(json.dumps(calls))
+print(json.dumps({"calls": calls, "counters": spans.counters}))
 """
 
 
@@ -37,7 +42,10 @@ def test_tracer_hooks_see_the_kernel():
     proc = subprocess.run([sys.executable, "-c", SCRIPT, ROOT],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    calls = out["calls"]
     for name in ("moment.velocity_flat", "moment.f_flat", "quiver.unflatten",
-                 "moment.hessian_matrix"):
+                 "moment.hessian_matrix", "retract.connectivity_census"):
         assert calls.get(name, 0) > 0, name
+    # two sublevels on the base and the refined grid
+    assert out["counters"]["retract.census_cells"] == 2 * (8 * 16 + 16 * 32)

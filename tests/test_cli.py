@@ -192,6 +192,17 @@ def test_strict_escalates_census_instability(tmp_path):
     assert res2.returncode == 1
 
 
+def test_bad_retract_grid_is_a_config_error(tmp_path):
+    for key, grid in (("grid", [40, 41]), ("grid", [0, 40]), ("refine", [80, 80.0])):
+        doc = json.load(open(config_path("slit_retract.json")))
+        doc["params"][key] = grid
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        res = run_cli("retract", "--config", str(bad), "--out", str(tmp_path / "arch"))
+        assert res.returncode == 2, (grid, res.stderr)
+        assert f"params.{key}" in res.stderr
+
+
 def test_failed_run_keeps_config_snapshot(tmp_path):
     # too short a time cap for the broken-line family: the run fails, and the
     # archive still holds the snapshot that reproduces the failure

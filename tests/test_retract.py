@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,12 +9,9 @@ from quiverflow.retract import (
     SaddleScene,
     ScenePoint,
     SlitScene,
-    UnionFind,
+    _census_count,
     condition4_probe,
     connectivity_census,
-    scene_g_and_Y,
-    scene_retract_R,
-    scene_sigma,
 )
 
 from conftest import philox
@@ -63,16 +61,16 @@ def test_flow_and_tau_closed_forms(saddle):
 
 def test_sigma_values(saddle):
     r = math.sqrt(2.0 * EPS)
-    assert scene_sigma(ScenePoint(r, 0.0), saddle) == pytest.approx(1.0)
-    assert scene_sigma(ScenePoint(-r, 0.0), saddle) == pytest.approx(1.0)
-    assert scene_sigma(bottom_point(saddle, DELTA), saddle) == pytest.approx(0.0, abs=1e-12)
-    assert scene_sigma(bottom_point(saddle, 0.8), saddle) == 0.0
-    assert scene_sigma(bottom_point(saddle, DELTA / 2), saddle) == pytest.approx(0.5)
-    assert scene_sigma(ScenePoint(0.0, 0.0), saddle) == 1.0
+    assert saddle.sigma(ScenePoint(r, 0.0)) == pytest.approx(1.0)
+    assert saddle.sigma(ScenePoint(-r, 0.0)) == pytest.approx(1.0)
+    assert saddle.sigma(bottom_point(saddle, DELTA)) == pytest.approx(0.0, abs=1e-12)
+    assert saddle.sigma(bottom_point(saddle, 0.8)) == 0.0
+    assert saddle.sigma(bottom_point(saddle, DELTA / 2)) == pytest.approx(0.5)
+    assert saddle.sigma(ScenePoint(0.0, 0.0)) == 1.0
     with pytest.raises(UndefinedDomainError):
-        scene_sigma(ScenePoint(0.0, 0.3), saddle)       # stable set, above c - eps
+        saddle.sigma(ScenePoint(0.0, 0.3))       # stable set, above c - eps
     with pytest.raises(UndefinedDomainError):
-        scene_sigma(ScenePoint(2.0, 0.0), saddle)       # below the band
+        saddle.sigma(ScenePoint(2.0, 0.0))       # below the band
 
 
 def test_sigma_constant_on_flow_lines(saddle, rng):
@@ -80,11 +78,11 @@ def test_sigma_constant_on_flow_lines(saddle, rng):
         p = ScenePoint(1.6 * rng.random() - 0.8, 1.6 * rng.random() - 0.8)
         if not (-EPS <= saddle.f(p) <= EPS) or p.u == 0.0:
             continue
-        s0 = scene_sigma(p, saddle)
+        s0 = saddle.sigma(p)
         for t in (-0.1, 0.07):
             q = saddle.flow(p, t)
             if -EPS <= saddle.f(q) <= EPS:
-                assert abs(scene_sigma(q, saddle) - s0) < 1e-10
+                assert abs(saddle.sigma(q) - s0) < 1e-10
 
 
 def test_sigma_trichotomy(saddle, rng):
@@ -94,7 +92,7 @@ def test_sigma_trichotomy(saddle, rng):
         y = 1.4 * (rng.random() - 0.5)
         s = rng.random() * 0.98 + 0.01
         p = bottom_point(saddle, y, branch=+1 if rng.random() < 0.5 else -1)
-        sig = scene_sigma(p, saddle)
+        sig = saddle.sigma(p)
         inside = saddle.in_E(p, s)
         closure = saddle.in_E_closure(p, s)
         if sig > s:
@@ -111,16 +109,17 @@ def test_sigma_trichotomy(saddle, rng):
 
 def test_g_and_Y_values(saddle):
     c = 0.0
-    g0, in_y0 = scene_g_and_Y(ScenePoint(0.0, 0.0), saddle)
+    p0 = ScenePoint(0.0, 0.0)
+    g0, in_y0 = saddle.g(p0), saddle.in_Y(p0)
     assert g0 == pytest.approx(c - 2.0 * EPS)
     assert in_y0
     p_out = bottom_point(saddle, 0.9)
-    g1, in_y1 = scene_g_and_Y(p_out, saddle)
+    g1, in_y1 = saddle.g(p_out), saddle.in_Y(p_out)
     assert g1 == pytest.approx(c - EPS)
     assert in_y1                                         # boundary of Y
     # far from the unstable set on the critical level: sigma = 0, g = c
     p_far = ScenePoint(3.0, 3.0)
-    g2, in_y2 = scene_g_and_Y(p_far, saddle)
+    g2, in_y2 = saddle.g(p_far), saddle.in_Y(p_far)
     assert g2 == pytest.approx(c, abs=1e-12)
     assert not in_y2
 
@@ -132,7 +131,7 @@ def test_g_has_no_stationary_points_in_upper_band(saddle, rng):
         p = ScenePoint(3.0 * (rng.random() - 0.5), 3.0 * (rng.random() - 0.5))
         if not (-EPS <= saddle.f(p) <= 0.0) or p.u == 0.0:
             continue
-        g, _ = scene_g_and_Y(p, saddle)
+        g = saddle.g(p)
         if -EPS <= g <= 0.0:
             speeds.append(math.hypot(*saddle.velocity(p)))
     assert len(speeds) > 50
@@ -142,19 +141,19 @@ def test_g_has_no_stationary_points_in_upper_band(saddle, rng):
 def test_retract_identity_at_s0_and_on_targets(saddle, rng):
     pts = sample_Y(saddle, 60, rng)
     for p in pts:
-        r0 = scene_retract_R(p, 0.0, saddle)
+        r0 = saddle.retract_R(p, 0.0)
         assert math.hypot(r0.u - p.u, r0.v - p.v) < 1e-12
     # critical point and unstable bottom points are fixed for every s
     for p in (ScenePoint(0.0, 0.0), *saddle.unstable_bottom_points()):
         for s in (0.0, 0.37, 1.0):
-            r = scene_retract_R(p, s, saddle)
+            r = saddle.retract_R(p, s)
             assert math.hypot(r.u - p.u, r.v - p.v) < 1e-12
 
 
 def test_retract_final_level_and_target(saddle, rng):
     pts = sample_Y(saddle, 200, rng)
     for p in pts:
-        r1 = scene_retract_R(p, 1.0, saddle)
+        r1 = saddle.retract_R(p, 1.0)
         assert abs(saddle.f(r1) - saddle.f_final(p)) < 1e-10
         on_bottom = abs(saddle.f(r1) + EPS) < 1e-8
         on_unstable = abs(r1.v) < 1e-8
@@ -165,7 +164,7 @@ def test_retract_bottom_level_fixed(saddle):
     # sigma < 1 on the bottom level gives s_final = 0: the map fixes it
     p = bottom_point(saddle, DELTA / 2)
     for s in (0.0, 0.5, 1.0):
-        r = scene_retract_R(p, s, saddle)
+        r = saddle.retract_R(p, s)
         assert math.hypot(r.u - p.u, r.v - p.v) < 1e-13
 
 
@@ -177,7 +176,7 @@ def test_retract_continuity_modulus(saddle):
         xs = [math.sqrt(y * y + 1.8 * EPS) for y in ys]
         pts = [ScenePoint(x, y) for x, y in zip(xs, ys)]
         pts = [p for p in pts if saddle.in_Y(p)]
-        imgs = [scene_retract_R(p, 0.7, saddle) for p in pts]
+        imgs = [saddle.retract_R(p, 0.7) for p in pts]
         ratios = []
         for a, b, ia, ib in zip(pts, pts[1:], imgs, imgs[1:]):
             d0 = math.hypot(a.u - b.u, a.v - b.v)
@@ -186,16 +185,6 @@ def test_retract_continuity_modulus(saddle):
         return max(ratios)
     m1, m2 = max_local_ratio(200), max_local_ratio(400)
     assert m2 < 10.0 * max(m1, 1.0)
-
-
-def test_union_find_basics():
-    uf = UnionFind(5)
-    uf.union(0, 1)
-    uf.union(3, 4)
-    assert uf.n_components == 3
-    uf.union(1, 0)
-    assert uf.n_components == 3
-    assert uf.find(0) == uf.find(1)
 
 
 def test_slit_flow_preserves_fourth_quadrant(slit):
@@ -207,21 +196,64 @@ def test_slit_flow_preserves_fourth_quadrant(slit):
 
 def test_census_full_space_and_sublevels(slit):
     count_full, _, _ = connectivity_census(slit, sublevel=1e9, include_unstable=False,
-                                           n_rho=80, n_theta=80, check_stability=False)
+                                           n_rho=80, n_theta=80)
     assert count_full == 1
     low, _, _ = connectivity_census(slit, sublevel=-EPS, include_unstable=True,
-                                    n_rho=400, n_theta=400, check_stability=False)
+                                    n_rho=400, n_theta=400)
     assert low == 2
     high, _, _ = connectivity_census(slit, sublevel=EPS, include_unstable=False,
-                                     n_rho=400, n_theta=400, check_stability=False)
+                                     n_rho=400, n_theta=400)
     assert high == 1
 
 
-def test_census_warns_when_unstable(slit):
-    # a grid too coarse to resolve the wedges flips the count under refinement
-    with pytest.warns(UserWarning):
-        connectivity_census(slit, sublevel=-EPS, include_unstable=True,
-                            n_rho=4, n_theta=8, rho_max=3.0, check_stability=True)
+def bfs_components(mask, glue_origin):
+    """Reference labelling by breadth-first search from cells in row-major order.
+
+    Cells join their four grid neighbours, never wrapping around; with
+    glue_origin every in-set cell of row 0 also joins every other one.
+    """
+    n_rho, n_theta = mask.shape
+    inside = mask.tolist()
+    labels = [[-1] * n_theta for _ in range(n_rho)]
+    origin = [(0, j) for j in range(n_theta) if inside[0][j]] if glue_origin else []
+    count = 0
+    for i in range(n_rho):
+        for j in range(n_theta):
+            if not inside[i][j] or labels[i][j] >= 0:
+                continue
+            labels[i][j] = count
+            queue = deque([(i, j)])
+            while queue:
+                a, b = queue.popleft()
+                nbrs = [(a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)]
+                for c, d in (nbrs + origin if a == 0 else nbrs):
+                    if (0 <= c < n_rho and 0 <= d < n_theta and inside[c][d]
+                            and labels[c][d] < 0):
+                        labels[c][d] = count
+                        queue.append((c, d))
+            count += 1
+    return count, np.array(labels, dtype=int).reshape(mask.shape)
+
+
+def test_census_count_matches_breadth_first_oracle(slit):
+    # the glued origin joins the two columns; the slit keeps them apart
+    assert _census_count(np.array([[1, 0, 0, 1], [1, 0, 0, 1]], dtype=bool))[0] == 1
+    assert _census_count(np.array([[0, 0, 0, 0], [1, 0, 0, 1]], dtype=bool))[0] == 2
+    rng = philox(2024)
+    masks = [np.zeros((5, 6), dtype=bool), np.ones((5, 6), dtype=bool),
+             np.ones((1, 7), dtype=bool), np.ones((7, 1), dtype=bool)]
+    for k in range(200):
+        n_rho, n_theta = rng.integers(1, 13, size=2)
+        shape = ((1, n_theta), (n_rho, 1), (n_rho, n_theta))[min(k % 10, 2)]
+        masks.append(rng.random(shape) < rng.random())
+    for sublevel, include_unstable in ((-EPS, True), (EPS, False)):
+        masks.append(connectivity_census(slit, sublevel, include_unstable)[2][2])
+    for mask in masks:
+        count, labels = _census_count(mask)
+        ref_count, ref_labels = bfs_components(mask, glue_origin=True)
+        assert count == ref_count
+        assert labels.dtype == ref_labels.dtype
+        assert np.array_equal(labels, ref_labels)
 
 
 def test_saddle_sublevel_components_match_across_the_level(saddle):
@@ -236,22 +268,8 @@ def test_saddle_sublevel_components_match_across_the_level(saddle):
     low = (f <= -EPS) | (np.abs(yy) < 1e-12)
     high = f <= EPS
 
-    def plane_components(mask):
-        uf = UnionFind(mask.size)
-        idx = lambda i, j: i * n + j
-        for i in range(n):
-            for j in range(n):
-                if not mask[i, j]:
-                    continue
-                if i + 1 < n and mask[i + 1, j]:
-                    uf.union(idx(i, j), idx(i + 1, j))
-                if j + 1 < n and mask[i, j + 1]:
-                    uf.union(idx(i, j), idx(i, j + 1))
-        roots = {uf.find(idx(i, j)) for i in range(n) for j in range(n) if mask[i, j]}
-        return len(roots)
-
-    assert plane_components(low) == 1
-    assert plane_components(high) == 1
+    assert bfs_components(low, glue_origin=False)[0] == 1
+    assert bfs_components(high, glue_origin=False)[0] == 1
 
 
 def test_condition4_saddle_holds(saddle):
@@ -283,10 +301,8 @@ def test_conclusions_stable_under_halved_parameters():
             r1 = sc.retract_R(p, 1.0)
             assert abs(sc.f(r1) - sc.f_final(p)) < 1e-10
         sl = SlitScene(eps=eps)
-        low, _, _ = connectivity_census(sl, -eps, True, n_rho=400, n_theta=400,
-                                        check_stability=False)
-        high, _, _ = connectivity_census(sl, eps, False, n_rho=400, n_theta=400,
-                                         check_stability=False)
+        low, _, _ = connectivity_census(sl, -eps, True, n_rho=400, n_theta=400)
+        high, _, _ = connectivity_census(sl, eps, False, n_rho=400, n_theta=400)
         assert (low, high) == (2, 1)
 
 
@@ -298,7 +314,7 @@ def test_retract_continuous_across_unstable_seam(saddle):
         imgs = []
         for y in (1e-6, -1e-6):
             p = ScenePoint(math.sqrt(y * y - 2.0 * level), y)
-            imgs.append(scene_retract_R(p, s, saddle))
+            imgs.append(saddle.retract_R(p, s))
         d = math.hypot(imgs[0].u - imgs[1].u, imgs[0].v - imgs[1].v)
         assert d < 1e-4
 
@@ -310,7 +326,7 @@ def test_retract_continuous_toward_critical_point(saddle):
     for r in (1e-2, 1e-3, 1e-4):
         p = ScenePoint(r, 0.5 * r)          # f < 0, near the origin, in Y
         assert saddle.in_Y(p)
-        img = scene_retract_R(p, 0.5, saddle)
+        img = saddle.retract_R(p, 0.5)
         dist = math.hypot(img.u, img.v)
         if prev is not None:
             assert dist < prev + 1e-12
