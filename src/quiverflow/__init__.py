@@ -36,6 +36,7 @@ from .flow import (
     FlowTrace,
     integrate,
     tau_level,
+    trace_crossing,
     level_set_map,
     energy_identity_defect,
     condition2_probe,

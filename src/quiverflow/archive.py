@@ -112,7 +112,7 @@ def trace_jsonable(trace, state_stride: int = 1):
     if idx and idx[-1] != trace.n_samples - 1:
         idx.append(trace.n_samples - 1)
     out["state_indices"] = idx
-    out["states"] = [rep_jsonable(trace.xs[i]) for i in idx]
+    out["states"] = [rep_jsonable(trace.point(i)) for i in idx]
     return out
 
 

@@ -167,14 +167,13 @@ def run_checks(model, trials: int = 3) -> list:
     tr = integrate(x, alpha, cfg)
     tr_k = integrate(act(k, x), alpha, cfg, replay_steps=list(tr.steps))
     n = min(tr.n_samples, tr_k.n_samples)
-    worst = max(act(k, tr.xs[i]).distance(tr_k.xs[i]) / (1.0 + tr.xs[i].norm())
-                for i in range(n))
+    worst = max(act(k, x_i).distance(tr_k.point(i)) / (1.0 + x_i.norm())
+                for i, x_i in enumerate(map(tr.point, range(n))))
     out.append(_check("flow_equivariance", worst < 1e-8, f"max scaled defect {worst:.3e}"))
 
     # refined records are critical and slice dim matches the Hessian index
     try:
-        end = integrate(x, alpha, cfg).final
-        rec = refine_critical(end, alpha, tol=1e-9, cfg=cfg)
+        rec = refine_critical(tr.final, alpha, tol=1e-9, cfg=cfg)
         wd = weight_decomposition(rec)
         fib = negative_slice(rec, wd)
         rep = morse_index_check(rec, fib, alpha)

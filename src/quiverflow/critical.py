@@ -111,7 +111,7 @@ def refine_critical(x_approx: Representation, alpha: CentralShift, tol: float = 
         # approach, since the flow escapes saddle-type points again
         flow_cfg = (cfg or IntegratorConfig()).with_(grad_stop=tol, max_time=50.0)
         trace = integrate(x, alpha, flow_cfg)
-        x = trace.xs[int(np.argmin(trace.gradnorms))]
+        x = trace.point(int(np.argmin(trace.gradnorms)))
         g = grad_f(x, alpha).flatten()
         gn = float(np.linalg.norm(g))
 

@@ -8,10 +8,13 @@ backward trajectories.  Alongside the state we co-integrate the dissipation
 column ``energy`` and makes the energy-identity defect measurable at the
 integrator's own order instead of being limited by sample quadrature.
 
-Level crossings f(x(t)) = level are located inside the bracketing accepted
-step by a safeguarded Newton iteration in time; f is strictly monotone
-along nonconstant trajectories, so the bracket always contains exactly one
-root.
+Traces store flat real states and build a ``Representation`` only on
+demand.  Level crossings f(x(t)) = level are located inside the bracketing
+accepted step by a safeguarded Newton iteration in time; f is strictly
+monotone along nonconstant trajectories, so the bracket always contains
+exactly one root.  Up to a crossing, integration accepts the same steps
+with or without a stop level, so ``trace_crossing`` on a recorded trace
+gives the same state as ``tau_level``, which integrates again.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import LevelNotReachedError, QuiverFlowError
 from .moment import VelocityKernel, f_value, flow_velocity
-from .quiver import Representation, cycle_trace, relation_residual
+from .quiver import Quiver, Representation, cycle_trace, relation_residual
 
 __all__ = [
     "IntegratorConfig",
@@ -33,6 +36,7 @@ __all__ = [
     "Condition2Report",
     "integrate",
     "tau_level",
+    "trace_crossing",
     "level_set_map",
     "energy_identity_defect",
     "quadrature_dissipation",
@@ -90,20 +94,26 @@ class IntegratorConfig:
 class FlowTrace:
     """Accepted-step samples of one trajectory.
 
-    ``monitors`` always contains the key ``energy`` (twice the accumulated
-    dissipation); registered cycle traces and relation residuals appear
-    under their registration names.  ``steps`` holds the accepted step
-    sizes so a run can be replayed on an identical time grid.
+    ``states`` holds one flat real state per sample, an
+    ``(n_samples, dim)`` array in the column order of
+    ``quiver.flatten_blocks``; ``point(i)`` and ``final`` build a validated
+    ``Representation`` from a row only when asked.  ``monitors`` always
+    contains the key ``energy`` (twice the accumulated dissipation);
+    registered cycle traces and relation residuals appear under their
+    registration names.  ``steps[i]`` is the accepted step from sample i
+    to sample i + 1, so a run can be replayed on an identical time grid.
     """
 
     ts: np.ndarray
-    xs: tuple
+    states: np.ndarray
     fs: np.ndarray
     gradnorms: np.ndarray
     monitors: dict
     status: str                 # converged | exited_level | step_limit | blow_up
     direction: int = 1
     steps: tuple = ()
+    quiver: Quiver = None
+    dims: tuple = None
 
     def __post_init__(self):
         if np.any(np.diff(self.ts) <= 0):
@@ -117,9 +127,12 @@ class FlowTrace:
     def n_samples(self):
         return len(self.ts)
 
+    def point(self, i) -> Representation:
+        return Representation.unflatten(self.quiver, self.dims, self.states[i])
+
     @property
     def final(self) -> Representation:
-        return self.xs[-1]
+        return self.point(-1)
 
 
 def monitors_for(cycles=(), relations=()):
@@ -138,18 +151,10 @@ def monitors_for(cycles=(), relations=()):
 class _Stepper:
     """Dormand-Prince 5(4) on the flattened state plus dissipation scalar."""
 
-    def __init__(self, x0: Representation, alpha, direction, rel_tol, abs_tol):
-        self.quiver = x0.quiver
-        self.dims = x0.dims
-        self.alpha = alpha
+    def __init__(self, quiver, dims, alpha, direction):
         self.direction = direction
-        self.rel_tol = rel_tol
-        self.abs_tol = abs_tol
-        self.dim = x0.flatten().size
-        self.kernel = VelocityKernel(x0.quiver, x0.dims, alpha)
-
-    def rep(self, y):
-        return Representation.unflatten(self.quiver, self.dims, y[:self.dim])
+        self.dim = quiver.rep_real_dim(dims)
+        self.kernel = VelocityKernel(quiver, dims, alpha)
 
     def f_of(self, y):
         return self.kernel.f_flat(y[:self.dim])
@@ -161,19 +166,23 @@ class _Stepper:
         out[self.dim] = float(v @ v)
         return out
 
-    def step(self, y, k1, h):
-        """One embedded step; returns (y_new, k_new, err_norm)."""
+    def stages(self, y, k1, h):
+        """The six stage slopes of one step from y; returns (y5, slopes)."""
         ks = [k1]
         for i in range(1, 6):
             yi = y + h * sum(a * k for a, k in zip(_A[i], ks))
             ks.append(self.field(yi))
-        y5 = y + h * sum(b * k for b, k in zip(_B, ks))
+        return y + h * sum(b * k for b, k in zip(_B, ks)), ks
+
+    def step(self, y, k1, h, cfg):
+        """One embedded step; returns (y_new, k_new, err_norm)."""
+        y5, ks = self.stages(y, k1, h)
         k7 = self.field(y5)
         ks.append(k7)
         err_vec = h * sum(e * k for e, k in zip(_E, ks))
         if not np.all(np.isfinite(y5)):
             return y5, k7, math.inf
-        scale = self.abs_tol + self.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         return y5, k7, err
 
@@ -188,11 +197,7 @@ class _Stepper:
             return y.copy()
         h = dt / nsub
         for _ in range(nsub):
-            ks = [self.field(y)]
-            for i in range(1, 6):
-                yi = y + h * sum(a * k for a, k in zip(_A[i], ks))
-                ks.append(self.field(yi))
-            y = y + h * sum(b * k for b, k in zip(_B, ks))
+            y = self.stages(y, self.field(y), h)[0]
         return y
 
 
@@ -227,56 +232,54 @@ def integrate(x0: Representation, alpha, cfg: IntegratorConfig,
         raise ValueError("direction must be +1 or -1")
     if any(name == "energy" for name, _ in monitors):
         raise ValueError("monitor name 'energy' is reserved for the dissipation column")
-    st = _Stepper(x0, alpha, direction, cfg.rel_tol, cfg.abs_tol)
+    st = _Stepper(x0.quiver, x0.dims, alpha, direction)
     dim = st.dim
 
     y = np.concatenate([x0.flatten(), [0.0]])
     k = st.field(y)
     blow_bound = BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(y[:dim])))
 
-    ts, xs, fs, gns = [0.0], [x0], [st.f_of(y)], [2.0 * float(np.linalg.norm(k[:dim]))]
-    mon_vals = {name: [fn(x0)] for name, fn in monitors}
-    mon_vals.setdefault("energy", [0.0])
+    f0, gn0 = st.f_of(y), 2.0 * float(np.linalg.norm(k[:dim]))
+    samples = [(0.0, y, f0, gn0)]         # (t, state + dissipation, f, gradnorm)
     steps = []
 
-    def record(t, yv, gradnorm):
-        x = st.rep(yv)
-        ts.append(t)
-        xs.append(x)
-        fs.append(st.f_of(yv))
-        gns.append(gradnorm)
-        for name, fn in monitors:
-            mon_vals[name].append(fn(x))
-        mon_vals["energy"].append(2.0 * yv[dim])
-
     def finish(status):
+        ts, ys, fs, gns = (np.array(col) for col in zip(*samples))
+        states = ys[:, :dim]
+        reps = [Representation.unflatten(x0.quiver, x0.dims, s) for s in states] if monitors else ()
+        mon_vals = {name: np.asarray([fn(x) for x in reps]) for name, fn in monitors}
+        mon_vals["energy"] = 2.0 * ys[:, dim]
         return FlowTrace(
-            ts=np.asarray(ts), xs=tuple(xs), fs=np.asarray(fs),
-            gradnorms=np.asarray(gns), monitors={k2: np.asarray(v) for k2, v in mon_vals.items()},
-            status=status, direction=direction, steps=tuple(steps),
+            ts=ts, states=states, fs=fs, gradnorms=gns, monitors=mon_vals, status=status,
+            direction=direction, steps=tuple(steps), quiver=x0.quiver, dims=x0.dims,
         )
 
     # immediate convergence only well inside the threshold (a stationary
     # start); marginal starts must sustain the stall window like everyone
-    if gns[0] < 1e-3 * cfg.grad_stop:
+    if gn0 < 1e-3 * cfg.grad_stop:
         return finish("converged")
-    if stop_level is not None and (fs[0] - stop_level) * direction <= 0.0:
+    if stop_level is not None and (f0 - stop_level) * direction <= 0.0:
         raise LevelNotReachedError(
-            "initial point is already past the requested level", limit_value=fs[0])
+            "initial point is already past the requested level", limit_value=f0)
 
     t = 0.0
     err_prev = 1.0
     streak = 0
-    replay = list(replay_steps) if replay_steps is not None else None
-    h = replay.pop(0) if replay else _initial_step(st, y, k, cfg)
+    replay = iter(replay_steps) if replay_steps is not None else None
+    h = _initial_step(st, y, k, cfg) if replay is None else None
 
     for _ in range(cfg.max_steps):
+        if replay is not None:
+            # every replayed step is accepted or ends the run
+            h = next(replay, None)
+            if h is None:
+                return finish("step_limit")
         if t >= cfg.max_time:
             return finish("step_limit")
         h = min(h, cfg.max_time - t, cfg.max_step)
         if h < 1e-15 * max(1.0, t):
             return finish("step_limit")
-        y_new, k_new, err = st.step(y, k, h)
+        y_new, k_new, err = st.step(y, k, h, cfg)
 
         if replay is None and err > 1.0:
             if not math.isfinite(err):
@@ -303,23 +306,19 @@ def integrate(x0: Representation, alpha, cfg: IntegratorConfig,
             tau, y_evt = _locate_level(st, y, t, h, stop_level)
             gn = 2.0 * float(np.linalg.norm(st.field(y_evt)[:dim]))
             steps.append(tau - t)
-            record(tau, y_evt, gn)
+            samples.append((tau, y_evt, st.f_of(y_evt), gn))
             return finish("exited_level")
 
         gradnorm = 2.0 * float(np.linalg.norm(k_new[:dim]))
         steps.append(h)
-        record(t_new, y_new, gradnorm)
+        samples.append((t_new, y_new, f_new, gradnorm))
         y, k, t = y_new, k_new, t_new
 
         streak = streak + 1 if gradnorm < cfg.grad_stop else 0
         if streak >= cfg.stall_window:
             return finish("converged")
 
-        if replay is not None:
-            if not replay:
-                return finish("step_limit")
-            h = replay.pop(0)
-        else:
+        if replay is None:
             err = max(err, 1e-12)
             fac = 0.9 * err ** -0.14 * err_prev ** 0.08
             h = min(cfg.max_step, max(cfg.min_step, h * min(5.0, max(0.2, fac))))
@@ -369,7 +368,7 @@ def _locate_level(st, y_base, t_base, h, level):
 
 
 def tau_level(x: Representation, alpha, ell: float, cfg: IntegratorConfig,
-              direction: int = 1, monitors=()):
+              direction: int = 1):
     """First time t with f(x(t)) = ell, and the state there.
 
     Raises LevelNotReachedError, carrying the limiting critical value, when
@@ -381,7 +380,7 @@ def tau_level(x: Representation, alpha, ell: float, cfg: IntegratorConfig,
         return 0.0, x
     if (f0 - ell) * direction < 0.0:
         raise ValueError("level is on the wrong side of f(x) for this flow direction")
-    trace = integrate(x, alpha, cfg, direction=direction, stop_level=ell, monitors=monitors)
+    trace = integrate(x, alpha, cfg, direction=direction, stop_level=ell)
     if trace.status == "exited_level":
         return float(trace.ts[-1]), trace.final
     if trace.status == "converged":
@@ -391,6 +390,34 @@ def tau_level(x: Representation, alpha, ell: float, cfg: IntegratorConfig,
     raise LevelNotReachedError(
         f"flow stopped with status {trace.status} before reaching {ell:.12g}",
         limit_value=None)
+
+
+def trace_crossing(trace: FlowTrace, level: float, alpha):
+    """The state where a recorded trajectory first reaches f = level.
+
+    Solves the first accepted step whose f passes the level, from the
+    stored state at its start.  Before that step ``integrate`` accepts the
+    same steps with or without ``stop_level``, so the result equals
+    ``tau_level``'s state bit for bit.  Returns the start when it lies on
+    the level, raises ValueError for a level on the wrong side, and returns
+    None where ``tau_level`` raises LevelNotReachedError.
+    """
+    f0, direction = trace.fs[0], trace.direction
+    if abs(f0 - level) <= 1e-14 * (1.0 + abs(level)):
+        return trace.point(0)
+    if (f0 - level) * direction < 0.0:
+        raise ValueError("level is on the wrong side of f(x) for this flow direction")
+    passed = np.flatnonzero((trace.fs[1:] - level) * direction <= 0.0)
+    if passed.size == 0:
+        return None
+    j = int(passed[0])
+    st = _Stepper(trace.quiver, trace.dims, alpha, direction)
+    y_base = np.append(trace.states[j], 0.5 * trace.monitors["energy"][j])
+    try:
+        _, y = _locate_level(st, y_base, trace.ts[j], trace.steps[j], level)
+    except LevelNotReachedError:
+        return None
+    return Representation.unflatten(trace.quiver, trace.dims, y[:st.dim])
 
 
 @dataclass(frozen=True)
@@ -440,19 +467,11 @@ def quadrature_dissipation(trace: FlowTrace, alpha) -> float:
     """
     if trace.n_samples < 2:
         return 0.0
-    total = 0.0
-    for i in range(trace.n_samples - 1):
-        h = trace.ts[i + 1] - trace.ts[i]
-        g0 = (trace.gradnorms[i] / 2.0) ** 2
-        g1 = (trace.gradnorms[i + 1] / 2.0) ** 2
-        xm = trace.xs[i].add_scaled(
-            trace.xs[i + 1].replace_blocks(
-                b1 - b0 for b0, b1 in zip(trace.xs[i].blocks, trace.xs[i + 1].blocks)),
-            0.5)
-        vm = flow_velocity(xm, alpha).flatten()
-        gm = float(vm @ vm)
-        total += h / 6.0 * (g0 + 4.0 * gm + g1)
-    return 2.0 * total
+    g = (trace.gradnorms / 2.0) ** 2
+    vms = [flow_velocity(Representation.unflatten(trace.quiver, trace.dims, m), alpha).flatten()
+           for m in 0.5 * (trace.states[:-1] + trace.states[1:])]
+    gm = np.array([float(vm @ vm) for vm in vms])
+    return 2.0 * float(np.sum(np.diff(trace.ts) / 6.0 * (g[:-1] + 4.0 * gm + g[1:])))
 
 
 @dataclass(frozen=True)

@@ -224,17 +224,6 @@ def _run_broken(model, out_dir, threads):
             "single_line": rep.single_line}
 
 
-def _census_jsonable(scene, sublevel, include_unstable, n_rho, n_theta, rho_max):
-    count, labels, (rho, theta, mask) = connectivity_census(
-        scene, sublevel, include_unstable, n_rho=n_rho, n_theta=n_theta, rho_max=rho_max)
-    return count, {
-        "count": count,
-        "rho": rho.tolist(),
-        "theta": theta.tolist(),
-        "labels": labels.tolist(),
-    }
-
-
 def _run_retract(model, out_dir, threads):
     p = model.params
     eps = float(p.get("eps", 0.1))
@@ -248,13 +237,18 @@ def _run_retract(model, out_dir, threads):
     counts = {}
     grids = {}
     for tag, (nr, nt) in (("base", grid), ("refined", refined)):
-        c_low, js_low = _census_jsonable(slit, -eps, True, nr, nt, rho_max)
-        c_high, js_high = _census_jsonable(slit, eps, False, nr, nt, rho_max)
-        counts[tag] = {"low_with_unstable": c_low, "high": c_high,
-                       "grid": [nr, nt]}
-        if tag == "base":
-            grids["low_with_unstable"] = js_low
-            grids["high"] = js_high
+        counts[tag] = {}
+        for name, level, with_unstable in (("low_with_unstable", -eps, True),
+                                           ("high", eps, False)):
+            count, labels, (rho, theta, _) = connectivity_census(
+                slit, level, with_unstable, n_rho=nr, n_theta=nt, rho_max=rho_max)
+            counts[tag][name] = count
+            # only the base grids are archived; the refined ones give counts
+            if tag == "base":
+                grids[name] = {"count": count, "rho": rho.tolist(),
+                               "theta": theta.tolist(), "labels": labels.tolist()}
+            del labels, rho, theta      # free them before the next, finer census
+        counts[tag]["grid"] = [nr, nt]
 
     probe_slit = condition4_probe(slit, u_width=float(p.get("probe_width", np.pi / 3)))
     probe_saddle = condition4_probe(saddle, u_width=float(p.get("saddle_probe_width", delta)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .critical import CriticalRecord, SliceFiber, fiber_directions, refine_critical
 from .errors import QuiverFlowError
-from .flow import IntegratorConfig, integrate, level_set_map, tau_level
+from .flow import IntegratorConfig, integrate, level_set_map, trace_crossing
 from .moment import CentralShift, f_value, grad_f
 from .quiver import Representation
 
@@ -183,10 +183,10 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
     (finite) sequence approaching the degenerate member, and limit_param,
     when given, is integrated separately to expose the intermediate
     critical point the family breaks through.  Every member is flowed
-    backward to identify the common upper record and forward through each
-    checkpoint level down to its lower record.  If the limiting member
-    converges straight to the bottom value, the family does not break and
-    a single-line report (empty intermediate chain) is returned.
+    backward to the common upper record and forward to its lower record;
+    its checkpoints are read off the forward trace.  If the limiting
+    member converges straight to the bottom value, the family does not
+    break and a single-line report (empty intermediate chain) is returned.
     """
     levels = tuple(float(r) for r in levels)
     members = []
@@ -203,23 +203,10 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
     upper = refine_critical(members[0][2].final, alpha, tol=refine_tol, cfg=cfg)
     lower = refine_critical(members[0][3].final, alpha, tol=refine_tol, cfg=cfg)
 
-    # checkpoints
-    checkpoints = [[] for _ in levels]
-    for s, seed, _, _ in members:
-        for k, r in enumerate(levels):
-            try:
-                _, y = tau_level(seed, alpha, r, cfg)
-            except QuiverFlowError:
-                y = None
-            checkpoints[k].append(y)
+    checkpoints = [[trace_crossing(fwd, r, alpha) for *_, fwd in members] for r in levels]
 
-    successive = []
-    for k in range(len(levels)):
-        ds = []
-        for n in range(len(members) - 1):
-            y0, y1 = checkpoints[k][n], checkpoints[k][n + 1]
-            ds.append(float(y0.distance(y1)) if (y0 is not None and y1 is not None) else None)
-        successive.append(tuple(ds))
+    successive = [tuple(None if y0 is None or y1 is None else float(y0.distance(y1))
+                        for y0, y1 in zip(col, col[1:])) for col in checkpoints]
 
     # intermediate critical point from the degenerate member
     intermediates = []

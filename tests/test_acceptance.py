@@ -171,7 +171,7 @@ def test_05_equivariance():
             tr = integrate(x, alpha, cfg)
             tr_k = integrate(act(k, x), alpha, cfg, replay_steps=list(tr.steps))
             n = min(tr.n_samples, tr_k.n_samples)
-            assert max(act(k, tr.xs[i]).distance(tr_k.xs[i]) for i in range(n)) < 1e-8
+            assert max(act(k, tr.point(i)).distance(tr_k.point(i)) for i in range(n)) < 1e-8
             # stratum labels
             lab, lab_k = stratum_label(x, alpha, cfg), stratum_label(act(k, x), alpha, cfg)
             assert lab.matches(lab_k)

@@ -31,6 +31,11 @@ doc["params"]["grid"] = [8, 16]
 doc["params"]["refine"] = [16, 32]
 with tempfile.TemporaryDirectory() as out:
     runner.run_experiment(runconfig.build_model(doc), out)
+doc = runconfig.load_config(root + "/src/quiverflow/configs/product_broken.json")
+doc["params"]["scales"] = doc["params"]["scales"][:2]
+doc["params"]["levels"] = doc["params"]["levels"][:1]
+with tempfile.TemporaryDirectory() as out:
+    runner.run_experiment(runconfig.build_model(doc), out)
 calls = {}
 for nid in spans.span_name:
     calls[spans.names[nid]] = calls.get(spans.names[nid], 0) + 1
@@ -45,7 +50,8 @@ def test_tracer_hooks_see_the_kernel():
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     calls = out["calls"]
     for name in ("moment.velocity_flat", "moment.f_flat", "quiver.unflatten",
-                 "moment.hessian_matrix", "retract.connectivity_census"):
+                 "moment.hessian_matrix", "retract.connectivity_census",
+                 "flow.trace_crossing"):
         assert calls.get(name, 0) > 0, name
     # two sublevels on the base and the refined grid
     assert out["counters"]["retract.census_cells"] == 2 * (8 * 16 + 16 * 32)

@@ -164,7 +164,7 @@ def test_lojasiewicz_synthetic_exact():
     f_crit = 0.25
     tr = FlowTrace(
         ts=np.linspace(0.0, 39.0, 40),
-        xs=(None,) * 40,
+        states=(None,) * 40,
         fs=f_crit + gaps,
         gradnorms=c * gaps ** (1.0 - theta),
         monitors={"energy": np.zeros(40)},
@@ -177,7 +177,7 @@ def test_lojasiewicz_synthetic_exact():
 
 
 def test_lojasiewicz_insufficient_data():
-    tr = FlowTrace(ts=np.array([0.0, 1.0]), xs=(None, None),
+    tr = FlowTrace(ts=np.array([0.0, 1.0]), states=(None, None),
                    fs=np.array([1.0, 0.5]), gradnorms=np.array([1.0, 0.5]),
                    monitors={"energy": np.zeros(2)}, status="converged")
     with pytest.raises(InsufficientDataError):

@@ -14,6 +14,7 @@ from quiverflow import (
     level_set_map,
     monitors_for,
     tau_level,
+    trace_crossing,
 )
 from quiverflow.errors import LevelNotReachedError
 from quiverflow.flow import quadrature_dissipation
@@ -48,7 +49,7 @@ def test_trace_matches_scalar_ode_oracle(a2_model, tight_cfg):
     tr = integrate(scalar_rep(q, dims, [1.0]), alpha, tight_cfg)
     assert tr.status == "converged"
     for i in range(tr.n_samples):
-        s_num = abs(tr.xs[i].blocks[0][0, 0]) ** 2
+        s_num = abs(tr.point(i).blocks[0][0, 0]) ** 2
         assert abs(s_num - a2_logistic(1.0, tr.ts[i])) < 1e-9
     assert abs(abs(tr.final.blocks[0][0, 0]) ** 2 - 2.0) < 1e-6
 
@@ -66,7 +67,7 @@ def test_phase_is_conserved_along_flow(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     c0 = 0.4 + 0.9j
     tr = integrate(scalar_rep(q, dims, [c0]), alpha, tight_cfg)
-    angles = [np.angle(x.blocks[0][0, 0]) for x in tr.xs]
+    angles = [np.angle(tr.point(i).blocks[0][0, 0]) for i in range(tr.n_samples)]
     assert max(abs(a - np.angle(c0)) for a in angles) < 1e-9
 
 
@@ -147,7 +148,7 @@ def test_flow_equivariance_replay(a2_model, tight_cfg, rng):
     tr = integrate(x0, alpha, tight_cfg)
     tr_k = integrate(act(k, x0), alpha, tight_cfg, replay_steps=list(tr.steps))
     assert tr_k.n_samples == tr.n_samples
-    worst = max(act(k, tr.xs[i]).distance(tr_k.xs[i]) for i in range(tr.n_samples))
+    worst = max(act(k, tr.point(i)).distance(tr_k.point(i)) for i in range(tr.n_samples))
     assert worst < 1e-8
 
 
@@ -254,3 +255,82 @@ def test_conftest_oracle_satisfies_its_ode():
             lhs = (a2_logistic(s0, t + h) - a2_logistic(s0, t - h)) / (2 * h)
             s = a2_logistic(s0, t)
             assert abs(lhs + 2.0 * s * (s - 2.0)) < 1e-6 * (1.0 + abs(lhs))
+
+
+def test_empty_replay_returns_the_start(a2_model, tight_cfg):
+    q, dims, alpha = a2_model
+    x0 = scalar_rep(q, dims, [1.0])
+    tr = integrate(x0, alpha, tight_cfg, replay_steps=[])
+    assert tr.status == "step_limit"
+    assert tr.n_samples == 1 and tr.steps == ()
+    assert tr.final.distance(x0) == 0.0
+
+
+def _star():
+    from quiverflow.quiver import Quiver
+
+    q = Quiver.from_lists(["c", "1", "2", "3"],
+                          [("a", "1", "c"), ("b", "2", "c"), ("d", "3", "c")])
+    return q, (2, 1, 1, 1), CentralShift((0.9, -0.7, -0.5, -0.3))
+
+
+def test_trace_crossing_equals_tau_level(a2_model, tight_cfg):
+    # oracle: tau_level integrates again with a stop level; reading the
+    # crossing off the full trace must give the same state bit for bit
+    from quiverflow.presets import A2_PAIR_ALPHA, a2_pair
+
+    rng = np.random.default_rng(20)
+    models = [a2_model, (*a2_pair(), A2_PAIR_ALPHA), _star()]
+    checked = 0
+    for q, dims, alpha in models:
+        for _ in range(2):
+            x = Representation.random(q, dims, rng, scale=0.8)
+            for direction in (1, -1):
+                tr = integrate(x, alpha, tight_cfg, direction=direction)
+                assert tr.n_samples > 2
+                for u in (0.3, 0.7):
+                    ell = tr.fs[0] + u * (tr.fs[-1] - tr.fs[0])
+                    y = trace_crossing(tr, ell, alpha)
+                    _, y_ref = tau_level(x, alpha, ell, tight_cfg, direction=direction)
+                    assert np.array_equal(y.flatten(), y_ref.flatten()), (q.edges, direction, u)
+                    checked += 1
+    assert checked == 24
+
+
+def test_trace_crossing_edge_cases(a2_model, tight_cfg):
+    q, dims, alpha = a2_model
+    x0 = scalar_rep(q, dims, [0.5])              # f = 1.53125, backward limit f = 2
+    fwd = integrate(x0, alpha, tight_cfg)
+    bwd = integrate(x0, alpha, tight_cfg, direction=-1)
+    assert bwd.status == "converged"
+    # a level past the backward limit is never reached
+    assert trace_crossing(bwd, 2.5, alpha) is None
+    with pytest.raises(LevelNotReachedError):
+        tau_level(x0, alpha, 2.5, tight_cfg, direction=-1)
+    # a stationary start reaches no other level
+    still = integrate(scalar_rep(q, dims, [0.0]), alpha, tight_cfg)
+    assert trace_crossing(still, 1.0, alpha) is None
+    # the start's own level gives the start
+    assert trace_crossing(fwd, f_value(x0, alpha), alpha).distance(x0) == 0.0
+    # a level on the wrong side is a caller error, as for tau_level
+    with pytest.raises(ValueError):
+        trace_crossing(fwd, 1.8, alpha)
+    with pytest.raises(ValueError):
+        trace_crossing(bwd, 0.5, alpha)
+
+
+def test_integrate_builds_no_representation_per_step(a2_model, tight_cfg, monkeypatch):
+    q, dims, alpha = a2_model
+    x0 = scalar_rep(q, dims, [1.0])
+    unflatten = Representation.unflatten
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return unflatten(*args)
+
+    monkeypatch.setattr(Representation, "unflatten", staticmethod(counted))
+    tr = integrate(x0, alpha, tight_cfg)
+    assert tr.n_samples > 50
+    tr.final
+    assert len(calls) <= 1
