@@ -41,8 +41,8 @@ def _to_jsonable(obj):
         return [_to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return _to_jsonable(np.stack([obj.real, obj.imag], axis=-1))
-        return _to_jsonable(obj.tolist())
+            obj = np.stack([obj.real, obj.imag], axis=-1)
+        return obj.tolist()
     if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, (np.floating,)):
@@ -148,9 +148,11 @@ def trace_csv(tr_json) -> str:
 
 
 def census_csv(census_json) -> str:
+    """One row per grid cell; the grid's rho, theta and labels may be arrays or lists."""
     lines = ["rho,theta,in_set,component_id"]
     theta = [csv_float(t) for t in census_json["theta"]]
-    for r, row in zip(map(csv_float, census_json["rho"]), census_json["labels"]):
+    labels = np.asarray(census_json["labels"]).tolist()
+    for r, row in zip(map(csv_float, census_json["rho"]), labels):
         lines.extend(f"{r},{t},{'1' if lab >= 0 else '0'},{lab}"
                      for t, lab in zip(theta, row))
     return "\n".join(lines) + "\n"

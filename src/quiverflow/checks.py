@@ -14,8 +14,8 @@ import numpy as np
 
 from .critical import morse_index_check, negative_slice, refine_critical, weight_decomposition
 from .errors import QuiverFlowError
-from .flow import energy_identity_defect, integrate, monitors_for, tau_level
-from .moment import f_value, grad_f, moment, moment_map_equation_check
+from .flow import energy_identity_defect, integrate, monitors_for, trace_crossing
+from .moment import VelocityKernel, f_value, moment, moment_map_equation_check
 from .quiver import (
     GroupElement,
     LieAlgebraElement,
@@ -147,15 +147,13 @@ def run_checks(model, trials: int = 3) -> list:
     worst = 0.0
     tried = 0
     for i in range(trials * 4):
-        p = Representation.random(q, dims, rng)
-        f0 = f_value(p, alpha)
-        lim = integrate(p, alpha, cfg).fs[-1]
+        tr = integrate(Representation.random(q, dims, rng), alpha, cfg)
+        f0, lim = tr.fs[0], tr.fs[-1]
         if f0 - lim < 1e-6:
             continue
         ell = lim + (0.2 + 0.6 * rng.random()) * (f0 - lim)
-        try:
-            _, y = tau_level(p, alpha, ell, cfg)
-        except QuiverFlowError:
+        y = trace_crossing(tr, ell, alpha)
+        if y is None:
             continue
         tried += 1
         worst = max(worst, abs(f_value(y, alpha) - ell) / (1.0 + abs(ell)))
@@ -193,15 +191,14 @@ def run_checks(model, trials: int = 3) -> list:
 
 
 def _grad_fd_relerr(x, alpha, step=None):
-    g = grad_f(x, alpha).flatten()
+    kernel = VelocityKernel(x.quiver, x.dims, alpha)
     y0 = x.flatten()
+    g = -2.0 * kernel.velocity_flat(y0)
     h = step or 1e-6 * (1.0 + float(np.linalg.norm(y0)))
     fd = np.empty_like(g)
     for i in range(y0.size):
         e = np.zeros_like(y0); e[i] = h
-        fp = f_value(Representation.unflatten(x.quiver, x.dims, y0 + e), alpha)
-        fm = f_value(Representation.unflatten(x.quiver, x.dims, y0 - e), alpha)
-        fd[i] = (fp - fm) / (2.0 * h)
+        fd[i] = (kernel.f_flat(y0 + e) - kernel.f_flat(y0 - e)) / (2.0 * h)
     denom = float(np.linalg.norm(fd))
     if denom == 0.0:
         return float(np.linalg.norm(g))

@@ -32,6 +32,7 @@ from .flow import FlowTrace, IntegratorConfig, integrate
 from .moment import (
     CentralShift,
     HermitianCollection,
+    VelocityKernel,
     beta_of,
     f_value,
     grad_f,
@@ -97,48 +98,49 @@ def refine_critical(x_approx: Representation, alpha: CentralShift, tol: float = 
     """Polish an approximate critical point until ||grad f|| < tol.
 
     Strategy: continue the flow while it still makes fast progress, then
-    switch to Gauss-Newton on grad f.  The Newton system is solved with
-    an SVD pseudo-inverse because grad f is degenerate along the compact
+    switch to Gauss-Newton on grad f in flat coordinates, solved with an
+    SVD pseudo-inverse because grad f is degenerate along the compact
     group orbit through x; the least-norm step moves transversally to it.
     """
     q, dims = x_approx.quiver, x_approx.dims
-    x = x_approx
-    g = grad_f(x, alpha).flatten()
+    kernel = VelocityKernel(q, dims, alpha)
+    y = x_approx.flatten()
+    g = -2.0 * kernel.velocity_flat(y)
     gn = float(np.linalg.norm(g))
 
     if gn >= 1e-3:
         # flow continuation toward the critical set; keep the closest
         # approach, since the flow escapes saddle-type points again
         flow_cfg = (cfg or IntegratorConfig()).with_(grad_stop=tol, max_time=50.0)
-        trace = integrate(x, alpha, flow_cfg)
-        x = trace.point(int(np.argmin(trace.gradnorms)))
-        g = grad_f(x, alpha).flatten()
+        trace = integrate(x_approx, alpha, flow_cfg)
+        y = trace.states[int(np.argmin(trace.gradnorms))]
+        g = -2.0 * kernel.velocity_flat(y)
         gn = float(np.linalg.norm(g))
 
-    best_x, best_gn = x, gn
+    best_y, best_gn = y, gn
     for _ in range(max_newton):
         if gn < tol:
             break
-        hess = hessian_matrix(x, alpha)
+        hess = hessian_matrix(Representation.unflatten(q, dims, y), alpha)
         step = -np.linalg.pinv(hess, rcond=1e-12) @ g
         scale = 1.0
         for _ in range(40):
-            x_try = Representation.unflatten(q, dims, x.flatten() + scale * step)
-            g_try = grad_f(x_try, alpha).flatten()
+            y_try = y + scale * step
+            g_try = -2.0 * kernel.velocity_flat(y_try)
             gn_try = float(np.linalg.norm(g_try))
             if gn_try < gn:
-                x, g, gn = x_try, g_try, gn_try
+                y, g, gn = y_try, g_try, gn_try
                 break
             scale *= 0.5
         else:
             break
         if gn < best_gn:
-            best_x, best_gn = x, gn
+            best_y, best_gn = y, gn
     if best_gn >= tol:
         raise RefinementFailedError(
             f"refinement stalled at ||grad f|| = {best_gn:.3e} (tol {tol:.3e})",
             best_residual=best_gn)
-    return _make_record(best_x, alpha)
+    return _make_record(Representation.unflatten(q, dims, best_y), alpha)
 
 
 @dataclass(frozen=True)
@@ -312,7 +314,9 @@ def fiber_directions(dim: int, n: int) -> np.ndarray:
     """n quasi-uniform unit directions in R^dim (deterministic).
 
     dim 1 alternates signs, dim 2 uses equal angles, higher dimensions map
-    a Sobol sequence through the normal quantile and normalize.
+    the R_d Kronecker sequence (fractional parts of 1/2 + k g, with
+    g_j = phi^-j and phi^(dim+1) = phi + 1) through the normal quantile
+    and normalize.
     """
     if n <= 0 or dim <= 0:
         return np.zeros((0, max(dim, 0)))
@@ -321,14 +325,13 @@ def fiber_directions(dim: int, n: int) -> np.ndarray:
     if dim == 2:
         th = 2.0 * np.pi * np.arange(n) / n
         return np.stack([np.cos(th), np.sin(th)], axis=1)
-    from scipy.stats import norm, qmc
+    from scipy.special import ndtri
 
-    eng = qmc.Sobol(d=dim, scramble=True, seed=20240901)
-    m = 1
-    while 2 ** m < n:
-        m += 1
-    pts = eng.random_base2(m)[:n]
-    z = norm.ppf(np.clip(pts, 1e-12, 1 - 1e-12))
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    pts = (0.5 + np.outer(np.arange(1, n + 1), phi ** -np.arange(1, dim + 1))) % 1.0
+    z = ndtri(np.clip(pts, 1e-12, 1 - 1e-12))
     nrm = np.linalg.norm(z, axis=1, keepdims=True)
     nrm[nrm < 1e-12] = 1.0
     return z / nrm

@@ -468,9 +468,9 @@ def quadrature_dissipation(trace: FlowTrace, alpha) -> float:
     if trace.n_samples < 2:
         return 0.0
     g = (trace.gradnorms / 2.0) ** 2
-    vms = [flow_velocity(Representation.unflatten(trace.quiver, trace.dims, m), alpha).flatten()
-           for m in 0.5 * (trace.states[:-1] + trace.states[1:])]
-    gm = np.array([float(vm @ vm) for vm in vms])
+    kernel = VelocityKernel(trace.quiver, trace.dims, alpha)
+    vm = kernel.velocity_flat(0.5 * (trace.states[:-1] + trace.states[1:]))
+    gm = np.einsum("ij,ij->i", vm, vm)
     return 2.0 * float(np.sum(np.diff(trace.ts) / 6.0 * (g[:-1] + 4.0 * gm + g[1:])))
 
 

@@ -31,11 +31,12 @@ by the 1/2.  The overall sign is pinned by the finite-difference gradient
 consistency test in the suite.
 
 All of it is evaluated by two raw block formulas that broadcast over batch
-axes, ``_moment_form`` and ``quiver.action_blocks``: on ``Representation``
-values by the public functions, on flat vectors by ``VelocityKernel``, and
-on the whole unit basis by ``hessian_matrix``.  ``hessian_fd`` and
-``moment_map_equation_check`` check the derivatives by finite differences
-of values, never through ``_dmoment``.
+axes, ``_moment_form`` and ``quiver.action_blocks``.  ``VelocityKernel`` is
+the one implementation of f and the flow field, on flat real vectors; the
+wrappers ``f_value``, ``flow_velocity``, ``grad_f`` and the inner loops call
+it.  ``beta_of`` gives Hermitian blocks to records, checks and
+``hessian_matrix``; ``hessian_fd`` and ``moment_map_equation_check`` check
+the derivatives by finite differences of values, never through ``_dmoment``.
 """
 
 from __future__ import annotations
@@ -157,28 +158,59 @@ def moment(x: Representation) -> HermitianCollection:
 
 
 def beta_of(x: Representation, alpha: CentralShift) -> HermitianCollection:
-    """Shifted moment value H(x) - alpha, the residual that drives the flow.
-
-    alpha is subtracted last, so f is exactly constant where H vanishes (a lone loop).
-    """
+    """Shifted moment value H(x) - alpha, the residual that drives the flow."""
     return moment(x).sub_scalars(alpha.alpha)
+
+
+class VelocityKernel:
+    """The flow field and f on flat real vectors: their one implementation.
+
+    Evaluates the block formulas on the coordinates of
+    ``quiver.flatten_blocks`` without building a validated
+    ``Representation`` per call.  The integrator calls it several times per
+    step, and the finite-difference and Newton loops once per evaluation;
+    ``f_value``, ``flow_velocity`` and ``grad_f`` are its boundary wrappers.
+    """
+
+    def __init__(self, quiver, dims, alpha: CentralShift):
+        self.quiver = quiver
+        self.shapes = quiver.block_shapes(dims)
+        self._start = [np.diag(np.full(d, -a + 0.0j)) for d, a in zip(dims, alpha.alpha)]
+        self._zeros = _zeros(dims)
+        self._shift = [a * np.eye(d) for d, a in zip(dims, alpha.alpha)]
+
+    def velocity_flat(self, y):
+        """Velocity field -rho_x(H - alpha) at the flat state y (batch-aware), flattened."""
+        x = unflatten_blocks(y, self.shapes)
+        b = _moment_form(self.quiver, x, x, self._start)
+        return flatten_blocks([-v for v in action_blocks(self.quiver, b, x)])
+
+    def f_flat(self, y):
+        """Energy f at the flat state y.
+
+        The edge terms are summed from zero and alpha is subtracted last, so
+        f is exactly constant where H vanishes (a lone loop).
+        """
+        x = unflatten_blocks(y, self.shapes)
+        h = _moment_form(self.quiver, x, x, self._zeros)
+        return float(sum(np.linalg.norm(m - s) ** 2 for m, s in zip(h, self._shift)))
 
 
 def f_value(x: Representation, alpha: CentralShift) -> float:
     """Energy f(x) = sum_i ||H_i(x) - alpha_i Id||_F^2 >= 0."""
-    return beta_of(x, alpha).norm_sq()
+    return VelocityKernel(x.quiver, x.dims, alpha).f_flat(x.flatten())
 
 
 def flow_velocity(x: Representation, alpha: CentralShift) -> Representation:
     """Downward flow field -rho_x(H - alpha); equals -(1/2) grad f."""
-    b = beta_of(x, alpha)
-    return x.replace_blocks(-v for v in action_blocks(x.quiver, b.blocks, x.blocks))
+    v = VelocityKernel(x.quiver, x.dims, alpha).velocity_flat(x.flatten())
+    return Representation.unflatten(x.quiver, x.dims, v)
 
 
 def grad_f(x: Representation, alpha: CentralShift) -> Representation:
     """Gradient of f for the real inner product: 2 rho_x(H - alpha)."""
-    v = flow_velocity(x, alpha)
-    return v.replace_blocks(-2.0 * blk for blk in v.blocks)
+    v = VelocityKernel(x.quiver, x.dims, alpha).velocity_flat(x.flatten())
+    return Representation.unflatten(x.quiver, x.dims, -2.0 * v)
 
 
 def _hermitian_part(u: LieAlgebraElement):
@@ -242,9 +274,8 @@ def hessian_fd(x: Representation, alpha: CentralShift, step: float = 1e-4) -> np
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    q, dims = x.quiver, x.dims
     y0 = x.flatten()
-    fun = lambda y: f_value(Representation.unflatten(q, dims, y), alpha)
+    fun = VelocityKernel(x.quiver, x.dims, alpha).f_flat
     h1 = _fd_hessian(fun, y0, step)
     h2 = _fd_hessian(fun, y0, 2.0 * step)
     out = (4.0 * h1 - h2) / 3.0
@@ -254,33 +285,6 @@ def hessian_fd(x: Representation, alpha: CentralShift, step: float = 1e-4) -> np
             "hessian_fd: step-size sensitivity detected (possible cancellation); "
             "consider a larger step", stacklevel=2)
     return 0.5 * (out + out.T)
-
-
-class VelocityKernel:
-    """The flow field and f on flat real vectors, for the integrator's inner loop.
-
-    Evaluates the same block formulas as ``flow_velocity`` and ``f_value``
-    on the coordinates of ``quiver.flatten_blocks``, without building a
-    validated ``Representation`` per call; the integrator calls it several
-    times per step, which dominates the runtime at desk scale.
-    """
-
-    def __init__(self, quiver, dims, alpha: CentralShift):
-        self.quiver = quiver
-        self.shapes = quiver.block_shapes(dims)
-        self._start = [np.diag(np.full(d, -a + 0.0j)) for d, a in zip(dims, alpha.alpha)]
-
-    def velocity_flat(self, y):
-        """Velocity field -rho_x(H - alpha) at the flat state y, flattened."""
-        x = unflatten_blocks(y, self.shapes)
-        b = _moment_form(self.quiver, x, x, self._start)
-        return flatten_blocks([-v for v in action_blocks(self.quiver, b, x)])
-
-    def f_flat(self, y):
-        """Energy f at the flat state y."""
-        x = unflatten_blocks(y, self.shapes)
-        b = _moment_form(self.quiver, x, x, self._start)
-        return float(sum(np.linalg.norm(m) ** 2 for m in b))
 
 
 def _dmoment(x: Representation, ts):

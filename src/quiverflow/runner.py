@@ -245,8 +245,7 @@ def _run_retract(model, out_dir, threads):
             counts[tag][name] = count
             # only the base grids are archived; the refined ones give counts
             if tag == "base":
-                grids[name] = {"count": count, "rho": rho.tolist(),
-                               "theta": theta.tolist(), "labels": labels.tolist()}
+                grids[name] = {"count": count, "rho": rho, "theta": theta, "labels": labels}
             del labels, rho, theta      # free them before the next, finer census
         counts[tag]["grid"] = [nr, nt]
 

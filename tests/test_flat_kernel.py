@@ -1,0 +1,105 @@
+"""f and the flow field have one implementation, ``VelocityKernel``.
+
+The Hermitian-block route (``beta_of`` and ``infinitesimal_action``) stays
+here as the reference the kernel is checked against, and the inner loops
+of ``hessian_fd`` and ``refine_critical`` are checked to run on flat
+vectors rather than on validated ``Representation`` values.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import quiverflow
+from quiverflow import CentralShift, Representation, f_value, flow_velocity, hessian_fd
+from quiverflow.critical import refine_critical
+from quiverflow.moment import beta_of
+from quiverflow.presets import a2, a3_chain, jordan_two_loops, scalar_rep
+from quiverflow.quiver import Quiver, infinitesimal_action
+
+from conftest import philox
+
+
+def star():
+    q = Quiver.from_lists(["c", "1", "2", "3"],
+                          [("a", "1", "c"), ("b", "2", "c"), ("d", "3", "c")])
+    return q, (2, 1, 1, 1), CentralShift((0.9, -0.7, -0.5, -0.3))
+
+
+def two_loops():
+    q, dims = jordan_two_loops(2)
+    return q, dims, CentralShift((0.5,))
+
+
+def a3():
+    q, dims, _ = a3_chain()
+    return q, dims, CentralShift((-1.0, 0.2, 0.8))
+
+
+def count_representations(monkeypatch):
+    """Patch Representation.__post_init__ to count every validated build."""
+    calls = []
+    post_init = Representation.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Representation, "__post_init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("maker", [star, two_loops, a3])
+def test_kernel_wrappers_match_hermitian_route(maker):
+    q, dims, alpha = maker()
+    rng = philox(2718)
+    for _ in range(10):
+        x = Representation.random(q, dims, rng)
+        beta = beta_of(x, alpha)
+        ref_f = beta.norm_sq()
+        assert abs(f_value(x, alpha) - ref_f) <= 1e-14 * ref_f
+        ref_v = -infinitesimal_action(beta.as_algebra_element(), x).flatten()
+        v = flow_velocity(x, alpha).flatten()
+        assert np.linalg.norm(v - ref_v) <= 1e-14 * np.linalg.norm(ref_v)
+
+
+def test_f_is_exactly_constant_where_the_moment_vanishes():
+    # one vertex with two rank-one loops: H = 0 everywhere, so f = alpha^2
+    q, dims = jordan_two_loops(1)
+    alpha = CentralShift((0.37,))
+    rng = philox(31)
+    values = {f_value(Representation.random(q, dims, rng, scale=2.0), alpha) for _ in range(20)}
+    assert values == {0.37 ** 2}
+    x = Representation.random(q, dims, rng)
+    assert not np.any(hessian_fd(x, alpha))
+
+
+def test_hessian_fd_builds_no_representation_per_evaluation(monkeypatch):
+    q, dims, alpha = star()
+    x = Representation.random(q, dims, philox(5))
+    calls = count_representations(monkeypatch)
+    hessian_fd(x, alpha)
+    assert len(calls) <= 2
+
+
+def test_refine_critical_builds_a_handful_of_representations(monkeypatch):
+    q, dims = a2()
+    # off the circle of minima |x|^2 = 2 by little enough to skip the flow
+    x = scalar_rep(q, dims, [np.sqrt(2.0) + 1e-5 + 2e-6j])
+    calls = count_representations(monkeypatch)
+    rec = refine_critical(x, CentralShift((-1.0, 1.0)), tol=1e-12)
+    assert rec.grad_residual < 1e-12
+    assert len(calls) <= 6
+
+
+def test_fiber_directions_does_not_import_scipy_stats():
+    code = ("import sys; from quiverflow.critical import fiber_directions; "
+            "d = fiber_directions(4, 8); "
+            "assert d.shape == (8, 4); "
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'")
+    src = os.path.dirname(os.path.dirname(quiverflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
