@@ -35,6 +35,7 @@ from .flow import (
     IntegratorConfig,
     FlowTrace,
     integrate,
+    integrate_many,
     tau_level,
     trace_crossing,
     level_set_map,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .critical import morse_index_check, negative_slice, refine_critical, weight_decomposition
 from .errors import QuiverFlowError
-from .flow import energy_identity_defect, integrate, monitors_for, trace_crossing
+from .flow import energy_identity_defect, integrate, integrate_many, monitors_for, trace_crossing
 from .moment import VelocityKernel, f_value, moment, moment_map_equation_check
 from .quiver import (
     GroupElement,
@@ -27,7 +27,7 @@ from .quiver import (
     relation_residual,
 )
 from .runconfig import rng_for
-from .strata import stratum_label
+from .strata import stratum_labels
 
 __all__ = ["run_checks"]
 
@@ -121,8 +121,7 @@ def run_checks(model, trials: int = 3) -> list:
     # trace contracts: monotonicity, dissipation identity, conservation
     mons = monitors_for(cycles=model.cycles, relations=model.relations)
     worst_mono, worst_energy, worst_cyc, worst_rel = 0.0, 0.0, 0.0, 0.0
-    for p in points[:trials]:
-        tr = integrate(p, alpha, cfg, monitors=mons)
+    for tr in integrate_many(points[:trials], alpha, cfg, monitors=mons):
         df = np.diff(tr.fs)
         slack = 1e-10 * (1.0 + np.abs(tr.fs[:-1]))
         worst_mono = max(worst_mono, float(np.max(df - slack, initial=-np.inf)))
@@ -143,7 +142,7 @@ def run_checks(model, trials: int = 3) -> list:
         out.append(_check("relation_conservation", worst_rel < 1e-8,
                           f"max drift {worst_rel:.3e}"))
 
-    # level-crossing contract
+    # level-crossing contract, unbatched: a trial's rng draws depend on its trace
     worst = 0.0
     tried = 0
     for i in range(trials * 4):
@@ -183,8 +182,7 @@ def run_checks(model, trials: int = 3) -> list:
         out.append(_check("criticality_and_index", False, f"refinement failed: {exc}"))
 
     # stratum labels are invariant under the compact group
-    lab = stratum_label(x, alpha, cfg)
-    lab_k = stratum_label(act(k, x), alpha, cfg)
+    lab, lab_k = stratum_labels([x, act(k, x)], alpha, cfg)
     out.append(_check("stratum_label_invariance", lab.matches(lab_k),
                       f"f_limit {lab.f_limit:.6g} vs {lab_k.f_limit:.6g}"))
     return out

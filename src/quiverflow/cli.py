@@ -36,7 +36,7 @@ def _build_parser():
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True, help="path to the experiment config")
         sp.add_argument("--out", required=True, help="archive directory to write")
-        sp.add_argument("--threads", type=int, default=1, help="batch worker threads")
+        sp.add_argument("--threads", type=int, default=1, help="ignored (flows run as one batch)")
         sp.add_argument("--seed-override", type=int, default=None,
                         help="replace the config seed (recorded in the archive snapshot)")
         sp.add_argument("--strict", action="store_true",

@@ -8,6 +8,14 @@ backward trajectories.  Alongside the state we co-integrate the dissipation
 column ``energy`` and makes the energy-identity defect measurable at the
 integrator's own order instead of being limited by sample quadrature.
 
+``integrate_many`` runs a list of points as the rows of one state array,
+one batched field call per stage and one f call per step; each row keeps
+its own time, step, error history, stall streak and status, and leaves
+the batch when it finishes (``integrate`` is its batch of one).  A row is
+bitwise its lone run: each reduction is taken per row as a lone run takes
+it (BLAS dots via ``np.vecdot``, row means, and Python's ``pow`` for step
+control and f's squared norms, where numpy's array powers round otherwise).
+
 Traces store flat real states and build a ``Representation`` only on
 demand.  Level crossings f(x(t)) = level are located inside the bracketing
 accepted step by a safeguarded Newton iteration in time; f is strictly
@@ -35,6 +43,7 @@ __all__ = [
     "LevelSetResult",
     "Condition2Report",
     "integrate",
+    "integrate_many",
     "tau_level",
     "trace_crossing",
     "level_set_map",
@@ -149,7 +158,7 @@ def monitors_for(cycles=(), relations=()):
 
 
 class _Stepper:
-    """Dormand-Prince 5(4) on the flattened state plus dissipation scalar."""
+    """Dormand-Prince 5(4) on flattened states (a row or a stack) plus dissipation."""
 
     def __init__(self, quiver, dims, alpha, direction):
         self.direction = direction
@@ -157,13 +166,15 @@ class _Stepper:
         self.kernel = VelocityKernel(quiver, dims, alpha)
 
     def f_of(self, y):
-        return self.kernel.f_flat(y[:self.dim])
+        if y.shape[:-1] == (1,):        # see step
+            return np.array([self.kernel.f_flat(y[0, :self.dim])])
+        return self.kernel.f_flat(y[..., :self.dim])
 
     def field(self, y):
-        v = self.kernel.velocity_flat(y[:self.dim])
-        out = np.empty(self.dim + 1)
-        out[:self.dim] = self.direction * v
-        out[self.dim] = float(v @ v)
+        v = self.kernel.velocity_flat(y[..., :self.dim])
+        out = np.empty(y.shape)
+        out[..., :self.dim] = self.direction * v
+        out[..., self.dim] = np.vecdot(v, v)
         return out
 
     def stages(self, y, k1, h):
@@ -175,16 +186,20 @@ class _Stepper:
         return y + h * sum(b * k for b, k in zip(_B, ks)), ks
 
     def step(self, y, k1, h, cfg):
-        """One embedded step; returns (y_new, k_new, err_norm)."""
-        y5, ks = self.stages(y, k1, h)
-        k7 = self.field(y5)
-        ks.append(k7)
-        err_vec = h * sum(e * k for e, k in zip(_E, ks))
-        if not np.all(np.isfinite(y5)):
-            return y5, k7, math.inf
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        return y5, k7, err
+        """One embedded step of each row, its step in the column h: y_new, k_new
+        and the lists of error norms and of norms of y_new (inf if not finite)."""
+        # a lone row steps unbatched: the same bits, with less numpy overhead
+        y1, k1, h1 = (y[0], k1[0], float(h[0, 0])) if len(y) == 1 else (y, k1, h)
+        y5, ks = self.stages(y1, k1, h1)
+        ks.append(self.field(y5))
+        err_vec = (h1 * sum(e * k for e, k in zip(_E, ks))).reshape(y.shape)
+        y5, k7 = y5.reshape(y.shape), ks[-1].reshape(y.shape)
+        ok = np.isfinite(y5).all(axis=1)
+        rows = slice(None) if ok.all() else ok
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y[rows]), np.abs(y5[rows]))
+        err, size = np.full(len(y), math.inf), np.full(len(y), math.inf)
+        err[rows], size[rows] = _rms(err_vec[rows] / scale), _norms(y5[rows, :self.dim])
+        return y5, k7, err.tolist(), size.tolist()
 
     def advance_fixed(self, y, dt, nsub=8):
         """Integrate exactly dt ahead with fixed substeps (no error control).
@@ -201,26 +216,30 @@ class _Stepper:
         return y
 
 
-def _initial_step(stepper, y0, k0, cfg):
+def _rms(a):
+    return np.sqrt(np.add.reduce(a ** 2, axis=-1) / a.shape[-1])    # np.mean's sum, divided
+
+
+def _norms(a):
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _initial_steps(stepper, y0, k0, cfg):
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((k0 / scale) ** 2)))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, cfg.max_step, cfg.max_time)
-    y1 = y0 + h0 * k0
-    k1 = stepper.field(y1)
-    d2 = float(np.sqrt(np.mean(((k1 - k0) / scale) ** 2))) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return max(cfg.min_step, min(100 * h0, h1, cfg.max_step, cfg.max_time))
+    d0, d1 = _rms(y0 / scale).tolist(), _rms(k0 / scale).tolist()
+    h0 = [min(1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b, cfg.max_step, cfg.max_time)
+          for a, b in zip(d0, d1)]
+    k1 = stepper.field(y0 + np.array(h0)[:, None] * k0)
+    d2 = (_rms((k1 - k0) / scale) / h0).tolist()
+    return [max(cfg.min_step, min(100 * h, max(1e-6, h * 1e-3) if max(b, c) <= 1e-15
+                                  else (0.01 / max(b, c)) ** 0.2, cfg.max_step, cfg.max_time))
+            for b, c, h in zip(d1, d2, h0)]
 
 
 def integrate(x0: Representation, alpha, cfg: IntegratorConfig,
               direction: int = 1, stop_level: float = None,
               monitors=(), replay_steps=None) -> FlowTrace:
-    """Adaptive integration of the flow from x0.
+    """Adaptive integration of the flow from x0: ``integrate_many`` on one row.
 
     direction=+1 follows the downward flow; -1 reverses it (f increases).
     When ``stop_level`` is set, the run ends exactly on the level crossing
@@ -228,102 +247,119 @@ def integrate(x0: Representation, alpha, cfg: IntegratorConfig,
     and replays a recorded accepted-step sequence, so two group-related
     initial conditions can be compared on an identical time grid.
     """
+    replays = None if replay_steps is None else [replay_steps]
+    return integrate_many([x0], alpha, cfg, direction, stop_level, monitors, replays)[0]
+
+
+def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction: int = 1,
+                   stop_level: float = None, monitors=(), replay_steps=None) -> list:
+    """``integrate`` of each point in a list on one quiver and dimension vector, as
+    one batch; ``replay_steps`` holds a recorded step sequence or None per row."""
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     if any(name == "energy" for name, _ in monitors):
         raise ValueError("monitor name 'energy' is reserved for the dissipation column")
-    st = _Stepper(x0.quiver, x0.dims, alpha, direction)
-    dim = st.dim
+    if not x0s:
+        return []
+    q, dims = x0s[0].quiver, x0s[0].dims
+    if any(x.quiver != q or x.dims != dims for x in x0s):
+        raise ValueError("a batch needs one quiver and one dimension vector")
+    st, n = _Stepper(q, dims, alpha, direction), len(x0s)
+    dim, replay = st.dim, [None if s is None else iter(s) for s in replay_steps or [None] * n]
 
-    y = np.concatenate([x0.flatten(), [0.0]])
+    y = np.array([np.concatenate([x.flatten(), [0.0]]) for x in x0s])
     k = st.field(y)
-    blow_bound = BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(y[:dim])))
+    f0, gn0 = st.f_of(y).tolist(), (2.0 * _norms(k[:, :dim])).tolist()
+    blow_bound = (BLOWUP_FACTOR * (1.0 + _norms(y[:, :dim]))).tolist()
+    samples = [[(0.0, y[r], f0[r], gn0[r])] for r in range(n)]   # (t, y and dissipation, f, |grad|)
+    steps, traces = [[] for _ in range(n)], [None] * n
 
-    f0, gn0 = st.f_of(y), 2.0 * float(np.linalg.norm(k[:dim]))
-    samples = [(0.0, y, f0, gn0)]         # (t, state + dissipation, f, gradnorm)
-    steps = []
-
-    def finish(status):
-        ts, ys, fs, gns = (np.array(col) for col in zip(*samples))
-        states = ys[:, :dim]
-        reps = [Representation.unflatten(x0.quiver, x0.dims, s) for s in states] if monitors else ()
+    def finish(r, status):
+        ts, ys, fs, gns = (np.array(col) for col in zip(*samples[r]))
+        reps = [Representation.unflatten(q, dims, s) for s in ys[:, :dim]] if monitors else ()
         mon_vals = {name: np.asarray([fn(x) for x in reps]) for name, fn in monitors}
-        mon_vals["energy"] = 2.0 * ys[:, dim]
-        return FlowTrace(
-            ts=ts, states=states, fs=fs, gradnorms=gns, monitors=mon_vals, status=status,
-            direction=direction, steps=tuple(steps), quiver=x0.quiver, dims=x0.dims,
-        )
+        traces[r] = FlowTrace(ts, ys[:, :dim], fs, gns, {**mon_vals, "energy": 2.0 * ys[:, dim]},
+                              status, direction, tuple(steps[r]), q, dims)
 
-    # immediate convergence only well inside the threshold (a stationary
-    # start); marginal starts must sustain the stall window like everyone
-    if gn0 < 1e-3 * cfg.grad_stop:
-        return finish("converged")
-    if stop_level is not None and (f0 - stop_level) * direction <= 0.0:
-        raise LevelNotReachedError(
-            "initial point is already past the requested level", limit_value=f0)
-
-    t = 0.0
-    err_prev = 1.0
-    streak = 0
-    replay = iter(replay_steps) if replay_steps is not None else None
-    h = _initial_step(st, y, k, cfg) if replay is None else None
+    for r in range(n):
+        # immediate convergence only well inside the threshold (a stationary
+        # start); marginal starts must sustain the stall window like everyone
+        if gn0[r] < 1e-3 * cfg.grad_stop:
+            finish(r, "converged")
+        elif stop_level is not None and (f0[r] - stop_level) * direction <= 0.0:
+            raise LevelNotReachedError(
+                "initial point is already past the requested level", limit_value=f0[r])
+    rows = list(range(n))           # the rows in the batch, in order; y and k follow them
+    t, err_prev, streak = [0.0] * n, [1.0] * n, [0] * n
+    auto = [r for r in rows if replay[r] is None]
+    h = dict(zip(auto, _initial_steps(st, y[auto], k[auto], cfg)))
 
     for _ in range(cfg.max_steps):
-        if replay is not None:
-            # every replayed step is accepted or ends the run
-            h = next(replay, None)
-            if h is None:
-                return finish("step_limit")
-        if t >= cfg.max_time:
-            return finish("step_limit")
-        h = min(h, cfg.max_time - t, cfg.max_step)
-        if h < 1e-15 * max(1.0, t):
-            return finish("step_limit")
-        y_new, k_new, err = st.step(y, k, h, cfg)
+        for r in [r for r in rows if traces[r] is None]:
+            if replay[r] is not None:       # every replayed step is accepted or ends the run
+                h[r] = next(replay[r], None)
+            if h[r] is not None and t[r] < cfg.max_time:
+                h[r] = min(h[r], cfg.max_time - t[r], cfg.max_step)
+            if h[r] is None or t[r] >= cfg.max_time or h[r] < 1e-15 * max(1.0, t[r]):
+                finish(r, "step_limit")
+        keep = [traces[r] is None for r in rows]
+        if not all(keep):
+            rows, y, k = [r for r in rows if traces[r] is None], y[keep], k[keep]
+        if not rows:
+            return traces
+        y_new, k_new, err, size = st.step(y, k, np.array([[h[r]] for r in rows]), cfg)
 
-        if replay is None and err > 1.0:
-            if not math.isfinite(err):
-                if h <= 4.0 * cfg.min_step:
-                    return finish("blow_up")
-                h = max(cfg.min_step, 0.25 * h)
-                continue
-            h_new = max(cfg.min_step, h * max(0.2, 0.9 * err ** -0.2))
-            if h_new >= h and h <= cfg.min_step:
-                if np.linalg.norm(y[:dim]) > 5e-3 * blow_bound:
-                    # escaping trajectory outran the resolvable step range
-                    return finish("blow_up")
-                raise QuiverFlowError("step size underflow in integrate")
-            h = h_new
-            continue
+        acc = []
+        for j, r in enumerate(rows):
+            e = err[j]
+            if replay[r] is not None or not e > 1.0:
+                acc.append(j)
+            elif not math.isfinite(e):
+                if h[r] <= 4.0 * cfg.min_step:
+                    finish(r, "blow_up")
+                h[r] = max(cfg.min_step, 0.25 * h[r])
+            else:
+                h_new = max(cfg.min_step, h[r] * max(0.2, 0.9 * e ** -0.2))
+                if h_new >= h[r] and h[r] <= cfg.min_step:
+                    if not np.linalg.norm(y[j, :dim]) > 5e-3 * blow_bound[r]:
+                        raise QuiverFlowError("step size underflow in integrate")
+                    finish(r, "blow_up")    # escaping trajectory outran the resolvable step range
+                h[r] = h_new
+        # accepted rows that stay finite and bounded take f and |grad f| in one call each
+        good = [j for j in acc if not size[j] > blow_bound[rows[j]]]
+        sel = slice(None) if len(good) == len(rows) else good
+        f_new = dict(zip(good, st.f_of(y_new[sel]).tolist()))
+        gn_new = dict(zip(good, (2.0 * _norms(k_new[sel, :dim])).tolist()))
 
-        # accepted
-        t_new = t + h
-        if not np.all(np.isfinite(y_new)) or np.linalg.norm(y_new[:dim]) > blow_bound:
-            return finish("blow_up")
-
-        f_new = st.f_of(y_new)
-        if stop_level is not None and (f_new - stop_level) * direction <= 0.0:
-            tau, y_evt = _locate_level(st, y, t, h, stop_level)
-            gn = 2.0 * float(np.linalg.norm(st.field(y_evt)[:dim]))
-            steps.append(tau - t)
-            samples.append((tau, y_evt, st.f_of(y_evt), gn))
-            return finish("exited_level")
-
-        gradnorm = 2.0 * float(np.linalg.norm(k_new[:dim]))
-        steps.append(h)
-        samples.append((t_new, y_new, f_new, gradnorm))
-        y, k, t = y_new, k_new, t_new
-
-        streak = streak + 1 if gradnorm < cfg.grad_stop else 0
-        if streak >= cfg.stall_window:
-            return finish("converged")
-
-        if replay is None:
-            err = max(err, 1e-12)
-            fac = 0.9 * err ** -0.14 * err_prev ** 0.08
-            h = min(cfg.max_step, max(cfg.min_step, h * min(5.0, max(0.2, fac))))
-            err_prev = err
-    return finish("step_limit")
+        stay = [j for j in range(len(rows)) if j not in f_new]
+        for j in acc:
+            r = rows[j]
+            if j not in f_new:
+                finish(r, "blow_up")
+            elif stop_level is not None and (f_new[j] - stop_level) * direction <= 0.0:
+                tau, y_evt = _locate_level(st, y[j], t[r], h[r], stop_level)
+                gn = 2.0 * float(np.linalg.norm(st.field(y_evt)[:dim]))
+                steps[r].append(tau - t[r])
+                samples[r].append((tau, y_evt, st.f_of(y_evt), gn))
+                finish(r, "exited_level")
+            else:
+                steps[r].append(h[r])
+                t[r] += h[r]
+                samples[r].append((t[r], y_new[j], f_new[j], gn_new[j]))
+                streak[r] = streak[r] + 1 if gn_new[j] < cfg.grad_stop else 0
+                if streak[r] >= cfg.stall_window:
+                    finish(r, "converged")
+                elif replay[r] is None:
+                    e = max(err[j], 1e-12)
+                    fac = 0.9 * e ** -0.14 * err_prev[r] ** 0.08
+                    h[r] = min(cfg.max_step, max(cfg.min_step, h[r] * min(5.0, max(0.2, fac))))
+                    err_prev[r] = e
+        if stay:        # a row without an accepted step stays where it was
+            y_new[stay], k_new[stay] = y[stay], k[stay]
+        y, k = y_new, k_new
+    for r in [r for r in rows if traces[r] is None]:
+        finish(r, "step_limit")
+    return traces
 
 
 def _locate_level(st, y_base, t_base, h, level):
@@ -338,9 +374,8 @@ def _locate_level(st, y_base, t_base, h, level):
     lo, hi = 0.0, h
     g_lo = f_of(y_base) - level
 
-    # cubic-Hermite initial guess on f(t) using df/dt = -2 dir ||v||^2
-    k_lo = st.field(y_base)
-    fdot_lo = -2.0 * st.direction * float(k_lo[:st.dim] @ k_lo[:st.dim])
+    # cubic-Hermite initial guess on f(t) using df/dt = -2 dir ||v||^2 (field[dim])
+    fdot_lo = -2.0 * st.direction * st.field(y_base)[st.dim]
     tau = lo - g_lo / fdot_lo if fdot_lo != 0.0 else 0.5 * h
     tau = min(max(tau, 1e-3 * h), h)
 
@@ -353,9 +388,8 @@ def _locate_level(st, y_base, t_base, h, level):
             lo = tau
         else:
             hi = tau
-        k_tau = st.field(y_tau)
         # d f / d tau along the integrated field is -2 * direction * ||v||^2
-        fdot = -2.0 * st.direction * float(k_tau[:st.dim] @ k_tau[:st.dim])
+        fdot = -2.0 * st.direction * st.field(y_tau)[st.dim]
         tau_newton = tau - g / fdot if fdot != 0.0 else None
         if tau_newton is not None and lo < tau_newton < hi:
             tau = tau_newton
@@ -380,7 +414,11 @@ def tau_level(x: Representation, alpha, ell: float, cfg: IntegratorConfig,
         return 0.0, x
     if (f0 - ell) * direction < 0.0:
         raise ValueError("level is on the wrong side of f(x) for this flow direction")
-    trace = integrate(x, alpha, cfg, direction=direction, stop_level=ell)
+    return _crossing(integrate(x, alpha, cfg, direction=direction, stop_level=ell), ell)
+
+
+def _crossing(trace, ell):
+    """(time, point) where a run with stop level ell ended on it."""
     if trace.status == "exited_level":
         return float(trace.ts[-1]), trace.final
     if trace.status == "converged":
@@ -432,21 +470,20 @@ def level_set_map(x: Representation, alpha, ell2: float, cfg: IntegratorConfig) 
 
     Forward when ell2 < f(x), backward when ell2 > f(x).  If ell2 is the
     critical value the flow converges to, the limit point is returned with
-    status "limit" instead of a finite crossing.
+    status "limit" instead of a finite crossing; one run with stop level ell2
+    gives either, since without a crossing it takes the steps of a plain run.
     """
     f0 = f_value(x, alpha)
     direction = 1 if ell2 <= f0 else -1
-    try:
-        t, y = tau_level(x, alpha, ell2, cfg, direction=direction)
-        # a "crossing" right at a stationary value is really the limit point
-        gn = float(np.linalg.norm(flow_velocity(y, alpha).flatten())) * 2.0
-        return LevelSetResult(point=y, time=t,
-                              status="limit" if gn < cfg.grad_stop else "crossed")
-    except LevelNotReachedError as exc:
-        if exc.limit_value is not None and abs(exc.limit_value - ell2) <= 1e-6 * (1.0 + abs(ell2)):
-            trace = integrate(x, alpha, cfg, direction=direction)
+    t, y = 0.0, x
+    if abs(f0 - ell2) > 1e-14 * (1.0 + abs(ell2)):
+        trace = integrate(x, alpha, cfg, direction=direction, stop_level=ell2)
+        if trace.status == "converged" and abs(trace.fs[-1] - ell2) <= 1e-6 * (1.0 + abs(ell2)):
             return LevelSetResult(point=trace.final, time=float(trace.ts[-1]), status="limit")
-        raise
+        t, y = _crossing(trace, ell2)
+    # a "crossing" right at a stationary value is really the limit point
+    gn = float(np.linalg.norm(flow_velocity(y, alpha).flatten())) * 2.0
+    return LevelSetResult(point=y, time=t, status="limit" if gn < cfg.grad_stop else "crossed")
 
 
 def energy_identity_defect(trace: FlowTrace) -> float:

@@ -186,14 +186,19 @@ class VelocityKernel:
         return flatten_blocks([-v for v in action_blocks(self.quiver, b, x)])
 
     def f_flat(self, y):
-        """Energy f at the flat state y.
+        """Energy f at the flat state y: a float, or an array for a stack of states.
 
         The edge terms are summed from zero and alpha is subtracted last, so
-        f is exactly constant where H vanishes (a lone loop).
+        f is exactly constant where H vanishes (a lone loop).  A row's bits are a
+        lone call's: ``np.linalg.norm``'s dot products, squared by Python's ``pow``.
         """
         x = unflatten_blocks(y, self.shapes)
-        h = _moment_form(self.quiver, x, x, self._zeros)
-        return float(sum(np.linalg.norm(m - s) ** 2 for m, s in zip(h, self._shift)))
+        norms = np.empty(np.shape(y)[:-1] + (len(self._shift),))
+        for i, (m, s) in enumerate(zip(_moment_form(self.quiver, x, x, self._zeros), self._shift)):
+            d = (m - s).reshape(m.shape[:-2] + (s.size,))
+            norms[..., i] = np.sqrt(np.vecdot(d.real, d.real) + np.vecdot(d.imag, d.imag))
+        vals = [float(sum(v ** 2 for v in r)) for r in norms.reshape(-1, len(self._shift)).tolist()]
+        return vals[0] if np.ndim(y) == 1 else np.array(vals).reshape(norms.shape[:-1])
 
 
 def f_value(x: Representation, alpha: CentralShift) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import time
 import warnings
@@ -29,8 +28,7 @@ from .critical import (
     unstable_boundedness_check,
     weight_decomposition,
 )
-from .errors import QuiverFlowError
-from .flow import integrate, monitors_for
+from .flow import integrate_many, monitors_for
 from .quiver import Representation
 from .retract import (
     SaddleScene,
@@ -38,20 +36,22 @@ from .retract import (
     condition4_probe,
     connectivity_census,
 )
-from .strata import broken_line_experiment, flow_line, stratum_label
+from .strata import broken_line_experiment, flow_lines, stratum_labels
 from .subvariety import SubvarietySpec, slice_variety_probe
 
 __all__ = ["run_experiment"]
 
 
 def run_experiment(model, out_dir, threads: int = 1):
-    """Execute the model's experiment and write the archive; returns a summary."""
+    """Execute the model's experiment and write the archive; returns a summary.
+
+    ``threads`` is accepted and ignored: a point list flows as one batch."""
     started = time.time()
     os.makedirs(os.path.join(out_dir, "outputs"), exist_ok=True)
     runner = _RUNNERS[model.doc["experiment"]]
     # the snapshot comes first so that a failed run can still be reproduced
     write_json(os.path.join(out_dir, "config.json"), model.doc)
-    summary = runner(model, out_dir, max(1, int(threads)))
+    summary = runner(model, out_dir)
     write_json(os.path.join(out_dir, "meta.json"), {
         "tool": "quiverflow",
         "version": __version__,
@@ -60,27 +60,14 @@ def run_experiment(model, out_dir, threads: int = 1):
     return summary
 
 
-def _map_indexed(fn, items, threads):
-    """Deterministic order-preserving map, optionally threaded."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(i, item) for i, item in enumerate(items)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, i, item) for i, item in enumerate(items)]
-        return [f.result() for f in futures]
-
-
 def _out(out_dir, name):
     return os.path.join(out_dir, "outputs", name)
 
 
-def _run_flow(model, out_dir, threads):
+def _run_flow(model, out_dir):
     mons = monitors_for(cycles=model.cycles, relations=model.relations)
     stride = int(model.params.get("state_stride", 1))
-
-    def one(i, x0):
-        return integrate(x0, model.alpha, model.integrator, monitors=mons)
-
-    traces = _map_indexed(one, model.points, threads)
+    traces = integrate_many(model.points, model.alpha, model.integrator, monitors=mons)
     doc = {"traces": [trace_jsonable(tr, stride) for tr in traces]}
     write_json(_out(out_dir, "traces.json"), doc)
     for i, tr in enumerate(doc["traces"]):
@@ -89,11 +76,10 @@ def _run_flow(model, out_dir, threads):
             "statuses": [tr.status for tr in traces]}
 
 
-def _run_critical(model, out_dir, threads):
+def _run_critical(model, out_dir):
     tol = float(model.params.get("refine_tol", 1e-10))
 
-    def one(i, x0):
-        tr = integrate(x0, model.alpha, model.integrator)
+    def one(tr):
         if tr.status != "converged":
             return {"status": tr.status}
         rec = refine_critical(tr.final, model.alpha, tol=tol, cfg=model.integrator)
@@ -110,7 +96,7 @@ def _run_critical(model, out_dir, threads):
             "index_status": idx.status,
         }
 
-    results = _map_indexed(one, model.points, threads)
+    results = [one(tr) for tr in integrate_many(model.points, model.alpha, model.integrator)]
     write_json(_out(out_dir, "records.json"), {"records": results})
     return {"experiment": "critical", "n_points": len(results),
             "converged": sum(1 for r in results if r["status"] == "converged")}
@@ -126,7 +112,7 @@ def _slice_data(model):
     return rec, wd, fib
 
 
-def _run_slice(model, out_dir, threads):
+def _run_slice(model, out_dir):
     rec, wd, fib = _slice_data(model)
     idx = morse_index_check(rec, fib, model.alpha)
     doc = {
@@ -150,26 +136,21 @@ def _run_slice(model, out_dir, threads):
             "hessian_index": idx.hessian_index, "agree": idx.agree}
 
 
-def _run_strata(model, out_dir, threads):
-    def one(i, x0):
-        lab = stratum_label(x0, model.alpha, model.integrator)
-        return {"status": lab.status,
-                "spectra": [[float(v) for v in s] for s in lab.spectra],
-                "f_limit": float(lab.f_limit) if lab.status == "converged" else None}
-
-    labels = _map_indexed(one, model.points, threads)
+def _run_strata(model, out_dir):
+    labels = [{"status": lab.status,
+               "spectra": [[float(v) for v in s] for s in lab.spectra],
+               "f_limit": float(lab.f_limit) if lab.status == "converged" else None}
+              for lab in stratum_labels(model.points, model.alpha, model.integrator)]
     write_json(_out(out_dir, "labels.json"), {"labels": labels})
     return {"experiment": "strata", "n_points": len(labels)}
 
 
-def _run_lines(model, out_dir, threads):
+def _run_lines(model, out_dir):
     z = float(model.params["z"])
 
-    def one(i, anchor):
-        try:
-            fl = flow_line(anchor, z, model.alpha, model.integrator)
-        except (QuiverFlowError, ValueError) as exc:
-            return {"status": "error", "error": str(exc)}
+    def one(fl):
+        if isinstance(fl, Exception):
+            return {"status": "error", "error": str(fl)}
         return {
             "status": "ok",
             "z": fl.z,
@@ -178,12 +159,12 @@ def _run_lines(model, out_dir, threads):
             "upper": record_jsonable(fl.upper) if fl.upper else None,
         }
 
-    lines = _map_indexed(one, model.points, threads)
+    lines = [one(fl) for fl in flow_lines(model.points, z, model.alpha, model.integrator)]
     write_json(_out(out_dir, "lines.json"), {"lines": lines})
     return {"experiment": "lines", "n_anchors": len(lines)}
 
 
-def _run_broken(model, out_dir, threads):
+def _run_broken(model, out_dir):
     p = model.params
     fixed = {k: v for k, v in p["fixed"].items()}
     edge = p["varying_edge"]
@@ -224,7 +205,7 @@ def _run_broken(model, out_dir, threads):
             "single_line": rep.single_line}
 
 
-def _run_retract(model, out_dir, threads):
+def _run_retract(model, out_dir):
     p = model.params
     eps = float(p.get("eps", 0.1))
     delta = float(p.get("delta", 0.5))
@@ -283,7 +264,7 @@ def _run_retract(model, out_dir, threads):
             "condition4_saddle": probe_saddle["holds"]}
 
 
-def _run_variety(model, out_dir, threads):
+def _run_variety(model, out_dir):
     spec = SubvarietySpec(model.relations,
                           residual_tol=float(model.params.get("residual_tol", 1e-10)))
     rec, wd, fib = _slice_data(model)
@@ -298,7 +279,7 @@ def _run_variety(model, out_dir, threads):
             "linear_dim": probe["linear_dim"], "flagged": probe["flagged"]}
 
 
-def _run_check(model, out_dir, threads):
+def _run_check(model, out_dir):
     results = run_checks(model, trials=int(model.params.get("trials", 3)))
     write_json(_out(out_dir, "checks.json"), {"checks": results})
     failed = [r["name"] for r in results if not r["passed"]]

@@ -18,16 +18,18 @@ import numpy as np
 
 from .critical import CriticalRecord, SliceFiber, fiber_directions, refine_critical
 from .errors import QuiverFlowError
-from .flow import IntegratorConfig, integrate, level_set_map, trace_crossing
+from .flow import IntegratorConfig, integrate, integrate_many, level_set_map, trace_crossing
 from .moment import CentralShift, f_value, grad_f
 from .quiver import Representation
 
 __all__ = [
     "StratumLabel",
     "stratum_label",
+    "stratum_labels",
     "sample_unstable_level",
     "FlowLine",
     "flow_line",
+    "flow_lines",
     "BrokenLineReport",
     "broken_line_experiment",
     "search_critical_levels",
@@ -68,11 +70,16 @@ class StratumLabel:
 def stratum_label(x0: Representation, alpha: CentralShift, cfg: IntegratorConfig,
                   refine_tol: float = 1e-10) -> StratumLabel:
     """Label x0 by the spectra and value of its forward-flow limit."""
-    trace = integrate(x0, alpha, cfg)
-    if trace.status != "converged":
-        return StratumLabel(spectra=(), f_limit=float("nan"), status="inconclusive")
-    rec = refine_critical(trace.final, alpha, tol=refine_tol, cfg=cfg)
-    return StratumLabel(spectra=rec.beta_spectra, f_limit=rec.f_crit)
+    return stratum_labels([x0], alpha, cfg, refine_tol)[0]
+
+
+def stratum_labels(points, alpha: CentralShift, cfg: IntegratorConfig,
+                   refine_tol: float = 1e-10) -> list:
+    """``stratum_label`` of each point, from one batch of forward flows."""
+    recs = [refine_critical(tr.final, alpha, tol=refine_tol, cfg=cfg) if tr.status == "converged"
+            else None for tr in integrate_many(points, alpha, cfg)]
+    return [StratumLabel(spectra=(), f_limit=float("nan"), status="inconclusive") if rec is None
+            else StratumLabel(spectra=rec.beta_spectra, f_limit=rec.f_crit) for rec in recs]
 
 
 def sample_unstable_level(rec: CriticalRecord, fiber: SliceFiber, alpha: CentralShift,
@@ -129,21 +136,34 @@ def flow_line(anchor: Representation, z: float, alpha: CentralShift,
     backward flow either converges to the upper endpoint or escapes, in
     which case the anchor lies on no unstable set and upper is None.
     """
-    fa = f_value(anchor, alpha)
-    if abs(fa - z) > 1e-8 * (1.0 + abs(z)):
-        raise ValueError(f"anchor has f = {fa:.12g}, not the stated level {z:.12g}")
-    if float(np.linalg.norm(grad_f(anchor, alpha).flatten())) < cfg.grad_stop:
-        raise ValueError("anchor is a critical point; flow lines need a regular anchor")
-    fwd = integrate(anchor, alpha, cfg)
-    if fwd.status != "converged":
-        raise QuiverFlowError(f"forward flow from anchor did not converge ({fwd.status})")
-    lower = refine_critical(fwd.final, alpha, tol=refine_tol, cfg=cfg)
-    bwd = integrate(anchor, alpha, cfg, direction=-1)
-    upper = None
-    if bwd.status == "converged":
-        upper = refine_critical(bwd.final, alpha, tol=refine_tol, cfg=cfg)
-    return FlowLine(anchor=anchor, z=float(z), lower=lower, upper=upper,
-                    forward_status=fwd.status, backward_status=bwd.status)
+    line = flow_lines([anchor], z, alpha, cfg, refine_tol)[0]
+    if isinstance(line, Exception):
+        raise line
+    return line
+
+
+def flow_lines(anchors, z: float, alpha: CentralShift, cfg: IntegratorConfig,
+               refine_tol: float = 1e-10) -> list:
+    """``flow_line`` of each anchor, from one batch of flows per direction; an
+    anchor that fails gets the QuiverFlowError or ValueError it raised."""
+    out = []
+    for anchor, fwd, bwd in zip(anchors, integrate_many(anchors, alpha, cfg),
+                                integrate_many(anchors, alpha, cfg, direction=-1)):
+        try:
+            fa = f_value(anchor, alpha)
+            if abs(fa - z) > 1e-8 * (1.0 + abs(z)):
+                raise ValueError(f"anchor has f = {fa:.12g}, not the stated level {z:.12g}")
+            if float(np.linalg.norm(grad_f(anchor, alpha).flatten())) < cfg.grad_stop:
+                raise ValueError("anchor is a critical point; flow lines need a regular anchor")
+            if fwd.status != "converged":
+                raise QuiverFlowError(f"forward flow from anchor did not converge ({fwd.status})")
+            lower = refine_critical(fwd.final, alpha, tol=refine_tol, cfg=cfg)
+            upper = (refine_critical(bwd.final, alpha, tol=refine_tol, cfg=cfg)
+                     if bwd.status == "converged" else None)
+            out.append(FlowLine(anchor, float(z), lower, upper, fwd.status, bwd.status))
+        except (QuiverFlowError, ValueError) as exc:
+            out.append(exc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,16 +209,14 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
     break and a single-line report (empty intermediate chain) is returned.
     """
     levels = tuple(float(r) for r in levels)
-    members = []
-    for s in params:
-        seed = seed_family(s)
-        bwd = integrate(seed, alpha, cfg, direction=-1)
+    seeds = [seed_family(s) for s in params]
+    members = list(zip(params, seeds, integrate_many(seeds, alpha, cfg, direction=-1),
+                       integrate_many(seeds, alpha, cfg)))
+    for s, _, bwd, fwd in members:
         if bwd.status != "converged":
             raise QuiverFlowError(f"backward flow of family member {s!r} did not converge")
-        fwd = integrate(seed, alpha, cfg)
         if fwd.status != "converged":
             raise QuiverFlowError(f"forward flow of family member {s!r} did not converge")
-        members.append((s, seed, bwd, fwd))
 
     upper = refine_critical(members[0][2].final, alpha, tol=refine_tol, cfg=cfg)
     lower = refine_critical(members[0][3].final, alpha, tol=refine_tol, cfg=cfg)
@@ -237,13 +255,14 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
 
     # membership evidence: final member's checkpoints flow to consecutive
     # chain values (within tolerance) in both directions
+    ends = [col[-1] for col in checkpoints if col[-1] is not None]
+    flows = iter(zip(integrate_many(ends, alpha, cfg), integrate_many(ends, alpha, cfg, -1)))
     membership = []
     for k, r in enumerate(levels):
         y = checkpoints[k][-1]
         entry = {"level": r, "computed": y is not None}
         if y is not None:
-            fwd = integrate(y, alpha, cfg)
-            bwd = integrate(y, alpha, cfg, direction=-1)
+            fwd, bwd = next(flows)
             entry["forward_value"] = float(fwd.fs[-1]) if fwd.status == "converged" else None
             entry["backward_value"] = float(bwd.fs[-1]) if bwd.status == "converged" else None
         membership.append(entry)
@@ -317,8 +336,7 @@ def search_critical_levels(quiver, dims, alpha: CentralShift, cfg: IntegratorCon
                   for e, b in enumerate(axis.blocks)]
         seeds.append(axis.replace_blocks(blocks))
     seeds += [Representation.random(quiver, dims, rng, scale=scale) for _ in range(n_seeds)]
-    for seed in seeds:
-        trace = integrate(seed, alpha, cfg)
+    for trace in integrate_many(seeds, alpha, cfg):
         if trace.status != "converged":
             continue
         try:

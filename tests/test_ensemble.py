@@ -1,0 +1,260 @@
+"""A batch of rows gives, row by row, the traces of lone runs, bit for bit.
+
+``integrate_many`` flows every point of a list as one batch; ``integrate``
+is its batch of one, which evaluates that row unbatched.  Both are checked
+against ``reference_integrate``, the per-trajectory loop the batch
+replaced, kept here as the oracle.  The rows below differ in length and in
+how they stop, so rows leave the batch at different steps while the others
+go on, and the loose tolerance makes rows reject steps beside rows that
+accept theirs.
+"""
+
+import math
+import os
+
+import numpy as np
+import pytest
+
+from quiverflow import (
+    CentralShift,
+    IntegratorConfig,
+    Representation,
+    integrate,
+    integrate_many,
+    monitors_for,
+)
+from quiverflow import flow
+from quiverflow.errors import LevelNotReachedError, QuiverFlowError
+from quiverflow.presets import (
+    A2_ALPHA,
+    A2_PAIR_ALPHA,
+    a2,
+    a2_pair,
+    commutator_relation,
+    jordan_cycles,
+    jordan_two_loops,
+    scalar_rep,
+)
+from quiverflow.quiver import Quiver
+from quiverflow.runconfig import build_model, load_config
+from quiverflow.runner import run_experiment
+
+CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=200.0)
+LOOSE = IntegratorConfig(rel_tol=1e-5, abs_tol=1e-8, max_time=200.0, grad_stop=1e-4)
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "src", "quiverflow", "configs")
+
+
+def star():
+    q = Quiver.from_lists(["c", "1", "2", "3"],
+                          [("a", "1", "c"), ("b", "2", "c"), ("d", "3", "c")])
+    return q, (2, 1, 1, 1), CentralShift((0.9, -0.7, -0.5, -0.3))
+
+
+MODELS = {"a2": lambda: (*a2(), A2_ALPHA),
+          "a2_pair": lambda: (*a2_pair(), A2_PAIR_ALPHA),
+          "star": star}
+
+
+def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(),
+                        replay_steps=None):
+    """One trajectory, one Dormand-Prince step at a time, on flat 1-D states."""
+    st = flow._Stepper(x0.quiver, x0.dims, alpha, direction)
+    dim = st.dim
+
+    def step(y, k, h):
+        y5, ks = st.stages(y, k, h)
+        ks.append(st.field(y5))
+        err_vec = h * sum(e * kk for e, kk in zip(flow._E, ks))
+        if not np.all(np.isfinite(y5)):
+            return y5, ks[-1], math.inf
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        return y5, ks[-1], float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+
+    def initial_step(y0, k0):
+        scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
+        d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
+        d1 = float(np.sqrt(np.mean((k0 / scale) ** 2)))
+        h0 = min(1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1, cfg.max_step, cfg.max_time)
+        d2 = float(np.sqrt(np.mean(((st.field(y0 + h0 * k0) - k0) / scale) ** 2))) / h0
+        h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+        return max(cfg.min_step, min(100 * h0, h1, cfg.max_step, cfg.max_time))
+
+    y = np.concatenate([x0.flatten(), [0.0]])
+    k = st.field(y)
+    blow_bound = flow.BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(y[:dim])))
+    samples = [(0.0, y, st.f_of(y), 2.0 * float(np.linalg.norm(k[:dim])))]
+    steps = []
+
+    def finish(status):
+        ts, ys, fs, gns = (np.array(col) for col in zip(*samples))
+        reps = [Representation.unflatten(x0.quiver, x0.dims, v) for v in ys[:, :dim]]
+        mons = {name: np.asarray([fn(x) for x in reps]) for name, fn in monitors}
+        mons["energy"] = 2.0 * ys[:, dim]
+        return flow.FlowTrace(ts, ys[:, :dim], fs, gns, mons, status, direction, tuple(steps),
+                              x0.quiver, x0.dims)
+
+    if samples[0][3] < 1e-3 * cfg.grad_stop:
+        return finish("converged")
+    if stop_level is not None and (samples[0][2] - stop_level) * direction <= 0.0:
+        raise LevelNotReachedError("initial point is already past the requested level")
+    t, err_prev, streak = 0.0, 1.0, 0
+    replay = iter(replay_steps) if replay_steps is not None else None
+    h = initial_step(y, k) if replay is None else None
+    for _ in range(cfg.max_steps):
+        if replay is not None:
+            h = next(replay, None)
+            if h is None:
+                return finish("step_limit")
+        if t >= cfg.max_time:
+            return finish("step_limit")
+        h = min(h, cfg.max_time - t, cfg.max_step)
+        if h < 1e-15 * max(1.0, t):
+            return finish("step_limit")
+        y_new, k_new, err = step(y, k, h)
+        if replay is None and err > 1.0:
+            if not math.isfinite(err):
+                if h <= 4.0 * cfg.min_step:
+                    return finish("blow_up")
+                h = max(cfg.min_step, 0.25 * h)
+                continue
+            h_new = max(cfg.min_step, h * max(0.2, 0.9 * err ** -0.2))
+            if h_new >= h and h <= cfg.min_step:
+                if np.linalg.norm(y[:dim]) > 5e-3 * blow_bound:
+                    return finish("blow_up")
+                raise QuiverFlowError("step size underflow in integrate")
+            h = h_new
+            continue
+        if not np.all(np.isfinite(y_new)) or np.linalg.norm(y_new[:dim]) > blow_bound:
+            return finish("blow_up")
+        f_new = st.f_of(y_new)
+        if stop_level is not None and (f_new - stop_level) * direction <= 0.0:
+            tau, y_evt = flow._locate_level(st, y, t, h, stop_level)
+            steps.append(tau - t)
+            samples.append((tau, y_evt, st.f_of(y_evt),
+                            2.0 * float(np.linalg.norm(st.field(y_evt)[:dim]))))
+            return finish("exited_level")
+        gradnorm = 2.0 * float(np.linalg.norm(k_new[:dim]))
+        steps.append(h)
+        samples.append((t + h, y_new, f_new, gradnorm))
+        y, k, t = y_new, k_new, t + h
+        streak = streak + 1 if gradnorm < cfg.grad_stop else 0
+        if streak >= cfg.stall_window:
+            return finish("converged")
+        if replay is None:
+            err = max(err, 1e-12)
+            fac = 0.9 * err ** -0.14 * err_prev ** 0.08
+            h = min(cfg.max_step, max(cfg.min_step, h * min(5.0, max(0.2, fac))))
+            err_prev = err
+    return finish("step_limit")
+
+
+def assert_same_trace(tr, ref):
+    assert tr.status == ref.status
+    for name in ("ts", "states", "fs", "gradnorms"):
+        assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+    assert np.array_equal(np.asarray(tr.steps), np.asarray(ref.steps))
+    assert tr.monitors.keys() == ref.monitors.keys()
+    for name in ref.monitors:
+        assert np.array_equal(tr.monitors[name], ref.monitors[name]), name
+
+
+def check_rows(points, alpha, cfg=CFG, seed=0, **kw):
+    """Each row equals its lone run, and a permuted batch gives the same traces."""
+    batch = integrate_many(points, alpha, cfg, **kw)
+    assert len(batch) == len(points)
+    for x, tr in zip(points, batch):
+        assert_same_trace(tr, integrate(x, alpha, cfg, **kw))
+        assert_same_trace(tr, reference_integrate(x, alpha, cfg, **kw))
+    perm = np.random.default_rng(seed).permutation(len(points))
+    for i, tr in zip(perm, integrate_many([points[i] for i in perm], alpha, cfg, **kw)):
+        assert_same_trace(tr, batch[i])
+    return batch
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("cfg", [CFG, LOOSE], ids=["tight", "loose"])
+def test_rows_equal_lone_runs(name, direction, cfg):
+    q, dims, alpha = MODELS[name]()
+    rng = np.random.default_rng(7)
+    points = [Representation.zero(q, dims)]            # stationary start
+    points += [Representation.random(q, dims, rng, scale=s) for s in (0.3, 0.8, 1.3)]
+    batch = check_rows(points, alpha, cfg, direction=direction)
+    assert batch[0].n_samples == 1 and batch[0].status == "converged"
+    assert len({tr.n_samples for tr in batch}) >= 3      # rows of mixed lengths
+
+
+def test_stop_level_row_crosses_beside_a_row_that_converges_first():
+    q, dims = a2_pair()
+    h = 2.0 ** 0.25                   # |a|^2 = sqrt(2): a factor at its minimum
+    rows = [Representation(q, dims, (np.array([[0.3]]), np.array([[0.4j]]))),   # crosses 0.5
+            Representation(q, dims, (np.array([[0.6]]), np.zeros((1, 1)))),      # limit f = 1
+            Representation(q, dims, (np.array([[h]]), np.array([[h]]))),         # stationary
+            Representation(q, dims, (np.array([[1.5j]]), np.array([[0.5]])))]    # crosses 0.5
+    batch = check_rows(rows, A2_PAIR_ALPHA, stop_level=0.5)
+    assert [tr.status for tr in batch] == ["exited_level", "converged", "converged",
+                                           "exited_level"]
+    assert batch[1].fs[-1] == pytest.approx(1.0, abs=1e-8)
+    assert batch[1].n_samples > batch[0].n_samples
+
+
+def test_backward_row_blows_up_beside_convergent_rows():
+    q, dims = a2()
+    rows = [scalar_rep(q, dims, [v]) for v in (0.5, 1.7, 1.0, 0.0)]
+    batch = check_rows(rows, A2_ALPHA, direction=-1)
+    assert [tr.status for tr in batch] == ["converged", "blow_up", "converged", "converged"]
+
+
+def test_monitor_columns_and_replayed_rows():
+    q, dims = jordan_two_loops(2)
+    alpha = CentralShift((0.5,))
+    mons = monitors_for(cycles=jordan_cycles(q), relations=[commutator_relation(q)])
+    rng = np.random.default_rng(3)
+    points = [Representation.random(q, dims, rng, scale=s) for s in (0.5, 1.0, 1.5)]
+    batch = check_rows(points, alpha, monitors=mons)
+    assert len(batch[0].monitors) == len(mons) + 1
+    # replayed rows, one of them adaptive, beside each other
+    replays = [list(batch[0].steps), None, list(batch[2].steps)[:7]]
+    replayed = integrate_many(points, alpha, CFG, monitors=mons, replay_steps=replays)
+    for x, steps, tr in zip(points, replays, replayed):
+        assert_same_trace(tr, integrate(x, alpha, CFG, monitors=mons, replay_steps=steps))
+    assert_same_trace(replayed[0], batch[0])
+    assert replayed[2].n_samples == 8 and replayed[2].status == "step_limit"
+
+
+def test_zero_dimension_and_empty_batches():
+    q, _ = a2()
+    rows = [Representation.zero(q, (0, 1)), Representation.zero(q, (0, 1))]
+    batch = check_rows(rows, A2_ALPHA)
+    assert all(tr.status == "converged" and tr.n_samples == 1 for tr in batch)
+    assert batch[0].states.shape == (1, 0)
+    assert integrate_many([], A2_ALPHA, CFG) == []
+
+
+def test_batch_rejects_mixed_shapes_and_a_start_past_the_level():
+    q, dims = a2()
+    with pytest.raises(ValueError):
+        integrate_many([Representation.zero(q, dims), Representation.zero(q, (0, 1))],
+                       A2_ALPHA, CFG)
+    rows = [scalar_rep(q, dims, [0.5]), scalar_rep(q, dims, [1.2])]   # f = 1.53, 0.18
+    with pytest.raises(LevelNotReachedError):
+        integrate_many(rows, A2_ALPHA, CFG, stop_level=1.0)
+
+
+@pytest.mark.parametrize("name", ["jordan2_flow", "a2_strata", "a2_lines"])
+def test_threads_argument_does_not_change_bytes(tmp_path, name):
+    def tree(root):
+        out = {}
+        for dirpath, _, files in os.walk(root):
+            for fn in files:
+                if fn != "meta.json":
+                    path = os.path.join(dirpath, fn)
+                    with open(path, "rb") as fh:
+                        out[os.path.relpath(path, root)] = fh.read()
+        return out
+
+    doc = load_config(os.path.join(CONFIGS, f"{name}.json"))
+    for threads in (1, 3):
+        run_experiment(build_model(doc), str(tmp_path / str(threads)), threads=threads)
+    assert tree(tmp_path / "1") == tree(tmp_path / "3")
+    assert tree(tmp_path / "1")

@@ -66,6 +66,52 @@ def test_kernel_wrappers_match_hermitian_route(maker):
         assert np.linalg.norm(v - ref_v) <= 1e-14 * np.linalg.norm(ref_v)
 
 
+def test_batched_f_rows_equal_lone_calls():
+    # f squares each Frobenius norm as a Python float; numpy's array square
+    # differs from that in about 0.1 % of values, so states next to a
+    # minimum (f down to about 1e-30 where the minimum value is 0) are
+    # included alongside random ones
+    from quiverflow.moment import VelocityKernel, _moment_form
+    from quiverflow.presets import A2_PAIR_ALPHA, a2_pair
+    from quiverflow.quiver import unflatten_blocks
+
+    models = [(*a2(), CentralShift((-1.0, 1.0))), (*a2_pair(), A2_PAIR_ALPHA), star(), two_loops()]
+    rng = philox(99)
+    checked = 0
+    for q, dims, alpha in models:
+        kernel = VelocityKernel(q, dims, alpha)
+        n = q.rep_real_dim(dims)
+        spread = rng.standard_normal((2000, n)) * np.exp(rng.uniform(-6.0, 1.5, (2000, 1)))
+        # a minimum, from a long flow, moved by 1e-15 to 1e-3
+        y_min = integrate_to_limit(q, dims, alpha, rng)
+        near = y_min + rng.standard_normal((1000, n)) * 10.0 ** rng.uniform(-15, -3, (1000, 1))
+        states = np.vstack([spread, near])
+        batch = kernel.f_flat(states)
+        assert batch.shape == (len(states),)
+        lone = np.array([kernel.f_flat(y) for y in states])
+        assert np.array_equal(batch, lone)
+        # the lone value is the norm of each shifted moment block, squared
+        shift = [a * np.eye(d) for d, a in zip(dims, alpha.alpha)]
+        for y, f in zip(states[::10], lone[::10]):
+            x = unflatten_blocks(y, kernel.shapes)
+            h = _moment_form(q, x, x, [np.zeros((d, d), complex) for d in dims])
+            assert f == float(sum(np.linalg.norm(m - s) ** 2 for m, s in zip(h, shift)))
+        f_min = kernel.f_flat(y_min)
+        assert np.min(lone[2000:]) <= f_min * (1.0 + 1e-12) + 1e-20
+        assert kernel.f_flat(states[:1]).shape == (1,) and isinstance(kernel.f_flat(states[0]), float)
+        checked += len(states)
+    assert checked >= 10_000
+
+
+def integrate_to_limit(q, dims, alpha, rng):
+    from quiverflow import IntegratorConfig, integrate
+
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15, max_time=300.0, grad_stop=1e-10)
+    tr = integrate(Representation.random(q, dims, rng), alpha, cfg)
+    assert tr.status == "converged"
+    return tr.states[-1]
+
+
 def test_f_is_exactly_constant_where_the_moment_vanishes():
     # one vertex with two rank-one loops: H = 0 everywhere, so f = alpha^2
     q, dims = jordan_two_loops(1)

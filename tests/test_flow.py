@@ -114,6 +114,27 @@ def test_level_set_map_identity_composition_and_limit(a2_model, tight_cfg):
     assert back.point.distance(step1.point) < 1e-7
 
 
+def test_level_set_map_reads_the_limit_off_one_run(a2_model, tight_cfg, monkeypatch):
+    import quiverflow.flow as flow
+
+    q, dims, alpha = a2_model
+    x0 = scalar_rep(q, dims, [1.0])
+    plain = integrate(x0, alpha, tight_cfg)           # no stop level: the limit trace
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(kwargs.get("stop_level"))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "integrate", counted)
+    lim = level_set_map(x0, alpha, 0.0, tight_cfg)
+    assert runs == [0.0]
+    assert lim.status == "limit"
+    # with no crossing the stop-level run takes the plain run's steps
+    assert np.array_equal(lim.point.flatten(), plain.final.flatten())
+    assert lim.time == plain.ts[-1]
+
+
 def test_energy_identity(a2_model, tight_cfg, rng):
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [0.0])
