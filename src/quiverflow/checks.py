@@ -27,7 +27,7 @@ from .quiver import (
     relation_residual,
 )
 from .runconfig import rng_for
-from .strata import stratum_labels
+from .strata import label_of_trace, stratum_label
 
 __all__ = ["run_checks"]
 
@@ -121,7 +121,8 @@ def run_checks(model, trials: int = 3) -> list:
     # trace contracts: monotonicity, dissipation identity, conservation
     mons = monitors_for(cycles=model.cycles, relations=model.relations)
     worst_mono, worst_energy, worst_cyc, worst_rel = 0.0, 0.0, 0.0, 0.0
-    for tr in integrate_many(points[:trials], alpha, cfg, monitors=mons):
+    traces = integrate_many(points[:max(trials, 1)], alpha, cfg, monitors=mons)
+    for tr in traces[:trials]:
         df = np.diff(tr.fs)
         slack = 1e-10 * (1.0 + np.abs(tr.fs[:-1]))
         worst_mono = max(worst_mono, float(np.max(df - slack, initial=-np.inf)))
@@ -159,9 +160,9 @@ def run_checks(model, trials: int = 3) -> list:
     out.append(_check("level_crossing_contract", tried > 0 and worst < 1e-8,
                       f"{tried} crossings, max scaled defect {worst:.3e}"))
 
-    # flow equivariance on a replayed step sequence
+    # flow equivariance on a replayed step sequence of x's trace (row 0 above)
     k = GroupElement.random_unitary(q, dims, rng)
-    tr = integrate(x, alpha, cfg)
+    tr = traces[0]
     tr_k = integrate(act(k, x), alpha, cfg, replay_steps=list(tr.steps))
     n = min(tr.n_samples, tr_k.n_samples)
     worst = max(act(k, x_i).distance(tr_k.point(i)) / (1.0 + x_i.norm())
@@ -182,7 +183,7 @@ def run_checks(model, trials: int = 3) -> list:
         out.append(_check("criticality_and_index", False, f"refinement failed: {exc}"))
 
     # stratum labels are invariant under the compact group
-    lab, lab_k = stratum_labels([x, act(k, x)], alpha, cfg)
+    lab, lab_k = label_of_trace(tr, alpha, cfg), stratum_label(act(k, x), alpha, cfg)
     out.append(_check("stratum_label_invariance", lab.matches(lab_k),
                       f"f_limit {lab.f_limit:.6g} vs {lab_k.f_limit:.6g}"))
     return out

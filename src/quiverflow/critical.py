@@ -24,11 +24,11 @@ import numpy as np
 
 from .errors import (
     InsufficientDataError,
-    LevelNotReachedError,
+    ProjectionFailedError,
     QuiverFlowError,
     RefinementFailedError,
 )
-from .flow import FlowTrace, IntegratorConfig, integrate
+from .flow import FlowTrace, IntegratorConfig, integrate, integrate_many
 from .moment import (
     CentralShift,
     HermitianCollection,
@@ -52,6 +52,7 @@ __all__ = [
     "morse_index_check",
     "lojasiewicz_fit",
     "unstable_boundedness_check",
+    "unstable_sweep",
     "fiber_directions",
 ]
 
@@ -337,18 +338,62 @@ def fiber_directions(dim: int, n: int) -> np.ndarray:
     return z / nrm
 
 
+def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, eps: float,
+                   n: int, cfg: IntegratorConfig, seed_radius: float = 1e-4, monitors=(),
+                   project=None) -> list:
+    """Seed n unit directions of a fiber basis at seed_radius around rec and
+    flow them to the level f_crit - eps as one batch.
+
+    One dict per seed holds its ``direction``, the ``seed``, the ``start``
+    and ``notes`` that ``project(seed)`` returns, and its ``trace`` or its
+    ``error``.  A seed whose projection raises ProjectionFailedError gets
+    ``start`` None and is not flowed.  The batch holds the starts above the
+    level; a QuiverFlowError or LinAlgError it raises is the error of each
+    of them.  A start on or past the level is flowed alone, so that its
+    error, or its trace if it is stationary, is its own.
+    """
+    level = rec.f_crit - eps
+    x0_flat = rec.x.flatten()
+    out = []
+    for d in fiber_directions(basis.shape[1], n):
+        seed = Representation.unflatten(rec.x.quiver, rec.x.dims, x0_flat + seed_radius * (basis @ d))
+        out.append({"direction": d, "seed": seed, "start": seed, "notes": {},
+                    "trace": None, "error": None})
+        try:
+            if project is not None:
+                out[-1]["start"], out[-1]["notes"] = project(seed)
+        except ProjectionFailedError as exc:
+            out[-1].update(start=None, error=str(exc))
+    flowed = [e for e in out if e["start"] is not None]
+    above = [f_value(e["start"], alpha) > level for e in flowed]
+    batch = [e for e, ok in zip(flowed, above) if ok]
+    try:
+        traces, error = integrate_many([e["start"] for e in batch], alpha, cfg,
+                                       stop_level=level, monitors=monitors), None
+    except (QuiverFlowError, np.linalg.LinAlgError) as exc:
+        traces, error = [None] * len(batch), str(exc)
+    for e, trace in zip(batch, traces):
+        e.update(trace=trace, error=error)
+    for e in (e for e, ok in zip(flowed, above) if not ok):
+        try:
+            e["trace"] = integrate(e["start"], alpha, cfg, stop_level=level, monitors=monitors)
+        except (QuiverFlowError, np.linalg.LinAlgError) as exc:
+            e["error"] = str(exc)
+    return out
+
+
 def unstable_boundedness_check(rec: CriticalRecord, fiber: SliceFiber,
                                alpha: CentralShift, eps: float, seeds: int,
                                cfg: IntegratorConfig, seed_radius: float = 1e-4) -> dict:
     """Probe compactness of the unstable cone one level below the record.
 
-    Seeds unit fiber directions at seed_radius, flows each to the level
-    f_crit - eps and measures the farthest endpoint from the critical
-    point.  The gradient-inequality bound length <= eps^theta / (C theta)
-    is evaluated twice: with the tail-fitted constant, and with the
-    conservative constant min ||grad f|| / gap^(1-theta) taken along the
-    sampled trajectories (the inequality must hold along the whole segment
-    for the length bound to apply, and the tail constant alone need not).
+    Reads the seeds of one ``unstable_sweep`` to the level f_crit - eps and
+    measures the farthest endpoint from the critical point.  The
+    gradient-inequality bound length <= eps^theta / (C theta) is evaluated
+    twice: with the tail-fitted constant, and with the conservative
+    constant min ||grad f|| / gap^(1-theta) taken along the sampled
+    trajectories (the inequality must hold along the whole segment for the
+    length bound to apply, and the tail constant alone need not).
     """
     report = {
         "n_seeds": int(seeds), "fiber_dim": int(fiber.dim), "eps": float(eps),
@@ -360,24 +405,16 @@ def unstable_boundedness_check(rec: CriticalRecord, fiber: SliceFiber,
                       theta=None, c_tail=None, c_segment=None,
                       bound_tail=None, bound_segment=None)
         return report
-    level = rec.f_crit - eps
-    q, dims = rec.x.quiver, rec.x.dims
-    x0_flat = rec.x.flatten()
-    dirs = fiber_directions(fiber.dim, seeds)
     c_seg = np.inf
     theta = c_tail = None
-    for i in range(seeds):
-        vec = fiber.basis @ dirs[i]
-        seed = Representation.unflatten(q, dims, x0_flat + seed_radius * vec)
-        try:
-            trace = integrate(seed, alpha, cfg, stop_level=level)
-            if trace.status != "exited_level":
-                raise LevelNotReachedError(
-                    f"seed stopped with status {trace.status}", limit_value=float(trace.fs[-1]))
-        except (QuiverFlowError, np.linalg.LinAlgError) as exc:  # reported per seed
+    for i, s in enumerate(unstable_sweep(rec, fiber.basis, alpha, eps, seeds, cfg, seed_radius)):
+        trace, error = s["trace"], s["error"]
+        if trace is not None and trace.status != "exited_level":
+            error = f"seed stopped with status {trace.status}"
+        if error is not None:
             report["reached"].append(False)
             report["endpoint_distances"].append(None)
-            report["failures"].append({"seed": i, "error": str(exc)})
+            report["failures"].append({"seed": i, "error": error})
             continue
         report["reached"].append(True)
         report["endpoint_distances"].append(trace.final.distance(rec.x))

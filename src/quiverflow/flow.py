@@ -465,19 +465,23 @@ class LevelSetResult:
     status: str          # "crossed" or "limit"
 
 
-def level_set_map(x: Representation, alpha, ell2: float, cfg: IntegratorConfig) -> LevelSetResult:
+def level_set_map(x: Representation, alpha, ell2: float, cfg: IntegratorConfig,
+                  forward: FlowTrace = None) -> LevelSetResult:
     """Map a point of one level set along the flow to the level ell2.
 
     Forward when ell2 < f(x), backward when ell2 > f(x).  If ell2 is the
     critical value the flow converges to, the limit point is returned with
     status "limit" instead of a finite crossing; one run with stop level ell2
     gives either, since without a crossing it takes the steps of a plain run.
+    ``forward``, when given, is that forward run from x, already made (a row
+    of an ``integrate_many`` batch); it is used in place of flowing x again.
     """
     f0 = f_value(x, alpha)
     direction = 1 if ell2 <= f0 else -1
     t, y = 0.0, x
     if abs(f0 - ell2) > 1e-14 * (1.0 + abs(ell2)):
-        trace = integrate(x, alpha, cfg, direction=direction, stop_level=ell2)
+        trace = (forward if direction == 1 and forward is not None
+                 else integrate(x, alpha, cfg, direction=direction, stop_level=ell2))
         if trace.status == "converged" and abs(trace.fs[-1] - ell2) <= 1e-6 * (1.0 + abs(ell2)):
             return LevelSetResult(point=trace.final, time=float(trace.ts[-1]), status="limit")
         t, y = _crossing(trace, ell2)

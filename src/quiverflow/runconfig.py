@@ -223,19 +223,25 @@ def validate_config(doc):
         "lines": ("z",),
         "broken": ("fixed", "varying_edge", "varying_direction", "scales", "levels"),
     }
+    params = doc.get("params", {})
     for key in required_params.get(exp, ()):
-        if key not in doc.get("params", {}):
+        if key not in params:
             raise ConfigError(
                 f"config field params.{key}: required for experiment {exp!r}",
                 field=f"params.{key}")
-    for key in ("grid", "refine"):
-        grid = doc.get("params", {}).get(key)
-        if grid is not None and not (
-                isinstance(grid, list) and len(grid) == 2
-                and all(type(n) is int and n > 0 for n in grid) and grid[1] % 2 == 0):
-            raise ConfigError(
-                f"config field params.{key}: expected [n_rho, n_theta], two positive "
-                f"integers with n_theta even, got {grid!r}", field=f"params.{key}")
+    grid = (lambda g: isinstance(g, list) and len(g) == 2
+            and all(type(n) is int and n > 0 for n in g) and g[1] % 2 == 0,
+            "[n_rho, n_theta], two positive integers with n_theta even")
+    rules = {"grid": grid, "refine": grid,
+             "seeds": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+             "trials": (lambda v: type(v) is int and v > 0, "a positive integer")}
+    if exp in ("slice", "variety"):
+        rules["eps"] = (lambda v: type(v) in (int, float) and 0 < v < float("inf"),
+                        "a positive number")
+    for key, (ok, expected) in rules.items():
+        if key in params and not ok(params[key]):
+            raise ConfigError(f"config field params.{key}: expected {expected}, "
+                              f"got {params[key]!r}", field=f"params.{key}")
     if exp in ("flow", "critical", "strata", "lines") and "points" not in doc:
         raise ConfigError(f"config field points: required for experiment {exp!r}",
                           field="points")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical import CriticalRecord, SliceFiber, fiber_directions, refine_critical
+from .critical import CriticalRecord, SliceFiber, refine_critical, unstable_sweep
 from .errors import QuiverFlowError
 from .flow import IntegratorConfig, integrate, integrate_many, level_set_map, trace_crossing
 from .moment import CentralShift, f_value, grad_f
@@ -26,6 +26,7 @@ __all__ = [
     "StratumLabel",
     "stratum_label",
     "stratum_labels",
+    "label_of_trace",
     "sample_unstable_level",
     "FlowLine",
     "flow_line",
@@ -76,10 +77,16 @@ def stratum_label(x0: Representation, alpha: CentralShift, cfg: IntegratorConfig
 def stratum_labels(points, alpha: CentralShift, cfg: IntegratorConfig,
                    refine_tol: float = 1e-10) -> list:
     """``stratum_label`` of each point, from one batch of forward flows."""
-    recs = [refine_critical(tr.final, alpha, tol=refine_tol, cfg=cfg) if tr.status == "converged"
-            else None for tr in integrate_many(points, alpha, cfg)]
-    return [StratumLabel(spectra=(), f_limit=float("nan"), status="inconclusive") if rec is None
-            else StratumLabel(spectra=rec.beta_spectra, f_limit=rec.f_crit) for rec in recs]
+    return [label_of_trace(tr, alpha, cfg, refine_tol) for tr in integrate_many(points, alpha, cfg)]
+
+
+def label_of_trace(trace, alpha: CentralShift, cfg: IntegratorConfig,
+                   refine_tol: float = 1e-10) -> StratumLabel:
+    """``stratum_label`` of a point read off its forward trace."""
+    if trace.status != "converged":
+        return StratumLabel(spectra=(), f_limit=float("nan"), status="inconclusive")
+    rec = refine_critical(trace.final, alpha, tol=refine_tol, cfg=cfg)
+    return StratumLabel(spectra=rec.beta_spectra, f_limit=rec.f_crit)
 
 
 def sample_unstable_level(rec: CriticalRecord, fiber: SliceFiber, alpha: CentralShift,
@@ -87,27 +94,24 @@ def sample_unstable_level(rec: CriticalRecord, fiber: SliceFiber, alpha: Central
                           seed_radius: float = 1e-4) -> list:
     """Sample the unstable set on the level f_crit - eps through fiber seeds.
 
-    Returns a list of dicts with the seed direction, the endpoint, the
-    crossing time, and the recorded flow time (so membership can be checked
-    by flowing backward for that long).  Per-seed failures are recorded
-    with endpoint None.
+    Maps each seed of one ``unstable_sweep`` with ``level_set_map``, which
+    reads the seed's row of the batch.  Returns a list of dicts with the
+    seed direction, the endpoint, the crossing time, and the recorded flow
+    time (so membership can be checked by flowing backward for that long).
+    Per-seed failures are recorded with endpoint None.
     """
     out = []
-    if n <= 0 or fiber.dim == 0:
-        return out
-    q, dims = rec.x.quiver, rec.x.dims
-    x0_flat = rec.x.flatten()
-    dirs = fiber_directions(fiber.dim, n)
     level = rec.f_crit - eps
-    for i in range(n):
-        vec = fiber.basis @ dirs[i]
-        seed = Representation.unflatten(q, dims, x0_flat + seed_radius * vec)
-        entry = {"direction": dirs[i], "seed": seed}
-        try:
-            res = level_set_map(seed, alpha, level, cfg)
-            entry.update(endpoint=res.point, time=res.time, status=res.status, error=None)
-        except QuiverFlowError as exc:
-            entry.update(endpoint=None, time=None, status="failed", error=str(exc))
+    for s in unstable_sweep(rec, fiber.basis, alpha, eps, n, cfg, seed_radius):
+        entry = {"direction": s["direction"], "seed": s["seed"], "endpoint": None,
+                 "time": None, "status": "failed", "error": s["error"]}
+        # a seed on or past the level is left out of the batch; it is mapped alone
+        if s["trace"] is not None or f_value(s["seed"], alpha) <= level:
+            try:
+                res = level_set_map(s["seed"], alpha, level, cfg, forward=s["trace"])
+                entry.update(endpoint=res.point, time=res.time, status=res.status, error=None)
+            except QuiverFlowError as exc:
+                entry["error"] = str(exc)
         out.append(entry)
     return out
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import CriticalRecord, SliceFiber
-from .errors import ProjectionFailedError, QuiverFlowError, ShapeError
-from .flow import IntegratorConfig, monitors_for
+from .critical import CriticalRecord, SliceFiber, unstable_sweep
+from .errors import ProjectionFailedError, ShapeError
+from .flow import IntegratorConfig, integrate, monitors_for
 from .moment import CentralShift
 from .quiver import (
     GroupElement,
@@ -92,8 +92,6 @@ def integrate_on_variety(x0: Representation, spec: SubvarietySpec, alpha,
     the state; returns (trace, drift).  A warning is raised if the drift
     still exceeds the alarm after the allowed retries.
     """
-    from .flow import integrate
-
     mons = monitors_for(relations=spec.relations)
     trace = drift = None
     for _ in range(max_retries + 1):
@@ -178,9 +176,10 @@ def slice_variety_probe(rec: CriticalRecord, fiber: SliceFiber, spec: Subvariety
     Part (i) linearizes each relation at the critical point and counts the
     fiber directions annihilated by all of them (the tangent-cone estimate
     of the fiber cut to the variety).  Part (ii) seeds those directions,
-    projects the seeds onto the variety, flows each to the level
-    f_crit - eps and reports whether the residual stays below ten times the
-    membership tolerance.  The two dimensions are reported side by side;
+    projects the seeds onto the variety, flows them to the level
+    f_crit - eps as one ``unstable_sweep`` with relation monitors and
+    reports whether the residual stays below ten times the membership
+    tolerance.  The two dimensions are reported side by side;
     disagreement is flagged for investigation, not asserted away, since the
     linear count can overshoot at singular points of the variety.
     """
@@ -189,55 +188,34 @@ def slice_variety_probe(rec: CriticalRecord, fiber: SliceFiber, spec: Subvariety
         report.update(linear_dim=0, flagged=False)
         return report
     jac = _relation_jacobian(rec.x, spec)
-    if jac.shape[0] == 0:
-        in_cone = fiber.basis
-        lin_dim = fiber.dim
-    else:
-        m = jac @ fiber.basis
-        u, s, vt = np.linalg.svd(m, full_matrices=True) if m.size else (None, np.zeros(0), np.eye(fiber.dim))
-        smax = s[0] if s.size else 0.0
-        tol = 1e-9 * max(smax, 1.0)
-        rank = int(np.sum(s > tol))
-        null = vt[rank:].T if vt is not None else np.eye(fiber.dim)
-        in_cone = fiber.basis @ null
-        lin_dim = null.shape[1]
-    report["linear_dim"] = int(lin_dim)
+    in_cone = fiber.basis
+    if jac.shape[0]:        # keep the fiber's null space of the linearized relations
+        _, s, vt = np.linalg.svd(jac @ fiber.basis)
+        in_cone = fiber.basis @ vt[int(np.sum(s > 1e-9 * max(s[0], 1.0))):].T
+    report["linear_dim"] = int(in_cone.shape[1])
 
-    q, dims = rec.x.quiver, rec.x.dims
-    from .critical import fiber_directions
-    from .flow import integrate
-
-    dirs = fiber_directions(lin_dim, n_seeds) if lin_dim else np.zeros((0, 0))
-    level = rec.f_crit - eps
     drift_tol = 10.0 * spec.residual_tol
     mons = monitors_for(relations=spec.relations)
-    for i in range(dirs.shape[0]):
-        vec = in_cone @ dirs[i]
-        seed = Representation.unflatten(q, dims, rec.x.flatten() + seed_radius * vec)
-        entry = {"seed_index": i}
-        try:
-            seed_z, moved = project_to_variety(seed, spec)
-            seed_z, snapped = _snap_branches(seed_z, spec)
-            entry["projection_moved"] = float(moved)
-            entry["snapped_blocks"] = snapped
-        except ProjectionFailedError as exc:
-            entry.update(projection_moved=None, error=str(exc))
-            report["seeds"].append(entry)
-            continue
-        try:
-            trace = integrate(seed_z, alpha, cfg, stop_level=level, monitors=mons)
-            if trace.status != "exited_level":
-                raise ProjectionFailedError(f"flow stopped with status {trace.status}")
-            hist = np.max(np.stack([trace.monitors[name] for name, _ in mons]), axis=0) \
-                if mons else np.zeros(trace.n_samples)
-            entry.update(time=float(trace.ts[-1]),
-                         max_residual=float(np.max(hist)),
+
+    def project(seed):
+        seed_z, moved = project_to_variety(seed, spec)
+        seed_z, snapped = _snap_branches(seed_z, spec)
+        return seed_z, {"projection_moved": float(moved), "snapped_blocks": snapped}
+
+    for i, s in enumerate(unstable_sweep(rec, in_cone, alpha, eps, n_seeds, cfg, seed_radius,
+                                         mons, project)):
+        entry = {"seed_index": i, "projection_moved": None, **s["notes"]}
+        trace, error = s["trace"], s["error"]
+        if trace is not None and trace.status == "exited_level":
+            worst = max((float(np.max(trace.monitors[name])) for name, _ in mons), default=0.0)
+            entry.update(time=float(trace.ts[-1]), max_residual=worst,
                          endpoint_residual=float(spec.max_residual(trace.final)),
-                         residual_ok=bool(np.max(hist) < drift_tol),
-                         error=None)
-        except (QuiverFlowError, np.linalg.LinAlgError) as exc:
-            entry.update(time=None, max_residual=None, endpoint_residual=None,
-                         residual_ok=None, error=str(exc))
+                         residual_ok=worst < drift_tol)
+        elif s["start"] is not None:        # projected, but not flowed to the level
+            if trace is not None:
+                error = f"flow stopped with status {trace.status}"
+            entry.update(time=None, max_residual=None, endpoint_residual=None, residual_ok=None)
+        entry["error"] = error
         report["seeds"].append(entry)
     report["flagged"] = any(not e.get("residual_ok") for e in report["seeds"])
     return report

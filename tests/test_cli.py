@@ -3,6 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from quiverflow.errors import ConfigError
+from quiverflow.runconfig import validate_config
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "quiverflow", "configs")
 
 
@@ -215,3 +220,46 @@ def test_failed_run_keeps_config_snapshot(tmp_path):
     assert res.returncode == 1
     assert json.loads((arch / "config.json").read_text()) == doc
     assert (arch / "outputs" / "failure.json").exists()
+
+
+def test_negative_slice_eps_is_a_config_error(tmp_path):
+    # before validation every seed started past the level f_crit - eps, and
+    # the run exited 0 with bounded false
+    doc = json.load(open(config_path("a2_slice.json")))
+    doc["params"]["eps"] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("slice", "--config", str(bad), "--out", str(tmp_path / "arch"))
+    assert res.returncode == 2, res.stderr
+    assert "params.eps" in res.stderr
+
+
+def test_zero_trials_without_points_is_a_config_error(tmp_path):
+    # before validation the battery had no point to flow and exited 1 (IndexError)
+    doc = json.load(open(config_path("a2_check.json")))
+    doc["params"]["trials"] = 0
+    del doc["points"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("check", "--config", str(bad), "--out", str(tmp_path / "arch"))
+    assert res.returncode == 2, res.stderr
+    assert "params.trials" in res.stderr
+
+
+def test_sweep_params_are_validated():
+    base = {name: json.load(open(config_path(f"{name}.json")))
+            for name in ("a2_slice", "a3_variety", "a2_check", "slit_retract")}
+    for name, key, value in (("a2_slice", "eps", 0), ("a3_variety", "eps", -0.4),
+                             ("a3_variety", "eps", "0.4"), ("a2_slice", "eps", True),
+                             ("a2_slice", "seeds", -1), ("a3_variety", "seeds", 2.0),
+                             ("a2_check", "trials", True), ("a2_check", "trials", -3)):
+        doc = json.loads(json.dumps(base[name]))
+        doc["params"][key] = value
+        with pytest.raises(ConfigError) as info:
+            validate_config(doc)
+        assert info.value.field == f"params.{key}", (name, key, value)
+    for name, key, value in (("a2_slice", "eps", 2), ("a3_variety", "seeds", 0),
+                             ("a2_check", "trials", 1), ("slit_retract", "eps", 0.1)):
+        doc = json.loads(json.dumps(base[name]))
+        doc["params"][key] = value
+        validate_config(doc)

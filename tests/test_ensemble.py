@@ -258,3 +258,32 @@ def test_threads_argument_does_not_change_bytes(tmp_path, name):
         run_experiment(build_model(doc), str(tmp_path / str(threads)), threads=threads)
     assert tree(tmp_path / "1") == tree(tmp_path / "3")
     assert tree(tmp_path / "1")
+
+
+def test_check_battery_flows_its_first_point_forward_once(monkeypatch):
+    from quiverflow import checks, critical, strata
+    from quiverflow.checks import run_checks
+
+    starts = []
+    original = flow.integrate_many
+
+    def recording(x0s, alpha, cfg, direction=1, *args, **kwargs):
+        starts.extend((x.flatten().tobytes(), direction) for x in x0s)
+        return original(x0s, alpha, cfg, direction, *args, **kwargs)
+
+    for module in (flow, checks, critical, strata):
+        monkeypatch.setattr(module, "integrate_many", recording, raising=False)
+    model = build_model(load_config(os.path.join(CONFIGS, "a2_check.json")))
+    results = run_checks(model, trials=int(model.params["trials"]))
+    assert all(r["passed"] for r in results)
+    assert starts.count((model.points[0].flatten().tobytes(), 1)) == 1
+
+
+def test_check_battery_with_zero_trials_still_checks_flow_equivariance():
+    from quiverflow.checks import run_checks
+
+    model = build_model(load_config(os.path.join(CONFIGS, "a2_check.json")))
+    results = {r["name"]: r for r in run_checks(model, trials=0)}
+    assert results["trace_monotone"]["detail"] == "max slack excess 0.000e+00"
+    for name in ("flow_equivariance", "criticality_and_index", "stratum_label_invariance"):
+        assert results[name]["passed"], results[name]

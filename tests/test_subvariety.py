@@ -230,7 +230,7 @@ def test_probe_propagates_programming_errors(a2_model, tight_cfg, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in the integrator")
 
-    monkeypatch.setattr("quiverflow.flow.integrate", broken)
+    monkeypatch.setattr("quiverflow.critical.integrate_many", broken)
     with pytest.raises(TypeError, match="bug in the integrator"):
         slice_variety_probe(saddle, fib, SubvarietySpec(()), alpha, eps=1.0,
                             cfg=tight_cfg, n_seeds=2)
