@@ -14,7 +14,7 @@ import numpy as np
 
 from .critical import morse_index_check, negative_slice, refine_critical, weight_decomposition
 from .errors import QuiverFlowError
-from .flow import energy_identity_defect, integrate, integrate_many, monitors_for, trace_crossing
+from .flow import energy_identity_defect, integrate_many, monitors_for, trace_crossing
 from .moment import VelocityKernel, f_value, moment, moment_map_equation_check
 from .quiver import (
     GroupElement,
@@ -27,7 +27,7 @@ from .quiver import (
     relation_residual,
 )
 from .runconfig import rng_for
-from .strata import label_of_trace, stratum_label
+from .strata import label_of_trace
 
 __all__ = ["run_checks"]
 
@@ -143,16 +143,22 @@ def run_checks(model, trials: int = 3) -> list:
         out.append(_check("relation_conservation", worst_rel < 1e-8,
                           f"max drift {worst_rel:.3e}"))
 
-    # level-crossing contract, unbatched: a trial's rng draws depend on its trace
-    worst = 0.0
-    tried = 0
-    for i in range(trials * 4):
-        tr = integrate(Representation.random(q, dims, rng), alpha, cfg)
-        f0, lim = tr.fs[0], tr.fs[-1]
+    # level-crossing trials draw their point and level fraction together, then
+    # k; the trials, the replay of x's trace (row 0 above) from act(k, x) and
+    # the labelling flow of act(k, x) run as one batch
+    draws = [(Representation.random(q, dims, rng), rng.random()) for _ in range(trials * 4)]
+    k = GroupElement.random_unitary(q, dims, rng)
+    tr, xk = traces[0], act(k, x)
+    *trial_traces, tr_k, tr_lab = integrate_many(
+        [p for p, _ in draws] + [xk, xk], alpha, cfg,
+        replay_steps=[None] * len(draws) + [list(tr.steps), None])
+    worst, tried = 0.0, 0
+    for tr_i, (_, frac) in zip(trial_traces, draws):
+        f0, lim = tr_i.fs[0], tr_i.fs[-1]
         if f0 - lim < 1e-6:
             continue
-        ell = lim + (0.2 + 0.6 * rng.random()) * (f0 - lim)
-        y = trace_crossing(tr, ell, alpha)
+        ell = lim + (0.2 + 0.6 * frac) * (f0 - lim)
+        y = trace_crossing(tr_i, ell, alpha)
         if y is None:
             continue
         tried += 1
@@ -160,10 +166,7 @@ def run_checks(model, trials: int = 3) -> list:
     out.append(_check("level_crossing_contract", tried > 0 and worst < 1e-8,
                       f"{tried} crossings, max scaled defect {worst:.3e}"))
 
-    # flow equivariance on a replayed step sequence of x's trace (row 0 above)
-    k = GroupElement.random_unitary(q, dims, rng)
-    tr = traces[0]
-    tr_k = integrate(act(k, x), alpha, cfg, replay_steps=list(tr.steps))
+    # flow equivariance on the replayed step sequence
     n = min(tr.n_samples, tr_k.n_samples)
     worst = max(act(k, x_i).distance(tr_k.point(i)) / (1.0 + x_i.norm())
                 for i, x_i in enumerate(map(tr.point, range(n))))
@@ -183,7 +186,7 @@ def run_checks(model, trials: int = 3) -> list:
         out.append(_check("criticality_and_index", False, f"refinement failed: {exc}"))
 
     # stratum labels are invariant under the compact group
-    lab, lab_k = label_of_trace(tr, alpha, cfg), stratum_label(act(k, x), alpha, cfg)
+    lab, lab_k = label_of_trace(tr, alpha, cfg), label_of_trace(tr_lab, alpha, cfg)
     out.append(_check("stratum_label_invariance", lab.matches(lab_k),
                       f"f_limit {lab.f_limit:.6g} vs {lab_k.f_limit:.6g}"))
     return out
@@ -194,10 +197,9 @@ def _grad_fd_relerr(x, alpha, step=None):
     y0 = x.flatten()
     g = -2.0 * kernel.velocity_flat(y0)
     h = step or 1e-6 * (1.0 + float(np.linalg.norm(y0)))
-    fd = np.empty_like(g)
-    for i in range(y0.size):
-        e = np.zeros_like(y0); e[i] = h
-        fd[i] = (kernel.f_flat(y0 + e) - kernel.f_flat(y0 - e)) / (2.0 * h)
+    e = h * np.eye(y0.size)
+    fp, fm = np.split(kernel.f_flat(np.concatenate([y0 + e, y0 - e])), 2)
+    fd = (fp - fm) / (2.0 * h)
     denom = float(np.linalg.norm(fd))
     if denom == 0.0:
         return float(np.linalg.norm(g))

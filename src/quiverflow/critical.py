@@ -19,6 +19,7 @@ convention, which a bare symbol chase would leave ambiguous).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -326,13 +327,12 @@ def fiber_directions(dim: int, n: int) -> np.ndarray:
     if dim == 2:
         th = 2.0 * np.pi * np.arange(n) / n
         return np.stack([np.cos(th), np.sin(th)], axis=1)
-    from scipy.special import ndtri
-
     phi = 2.0
     for _ in range(64):
         phi = (1.0 + phi) ** (1.0 / (dim + 1))
     pts = (0.5 + np.outer(np.arange(1, n + 1), phi ** -np.arange(1, dim + 1))) % 1.0
-    z = ndtri(np.clip(pts, 1e-12, 1 - 1e-12))
+    quantile = NormalDist().inv_cdf
+    z = np.array([[quantile(p) for p in row] for row in np.clip(pts, 1e-12, 1 - 1e-12).tolist()])
     nrm = np.linalg.norm(z, axis=1, keepdims=True)
     nrm[nrm < 1e-12] = 1.0
     return z / nrm

@@ -251,21 +251,21 @@ def moment_map_equation_check(x: Representation, tangent: Representation,
 
 
 def _fd_hessian(fun, y0, h):
-    """Central-difference Hessian of a scalar function of a real vector."""
+    """Central-difference Hessian of a scalar function of a real vector.
+
+    fun takes the stack of every stencil point in one call; each entry is
+    the per-entry formula on those values (the same points, the same order
+    of operations).
+    """
     n = y0.size
-    out = np.empty((n, n))
-    f0 = fun(y0)
-    for i in range(n):
-        ei = np.zeros(n); ei[i] = h
-        fpp = fun(y0 + 2 * ei)
-        fmm = fun(y0 - 2 * ei)
-        out[i, i] = (fpp - 2.0 * f0 + fmm) / (4.0 * h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros(n); ej[j] = h
-            v = (fun(y0 + ei + ej) - fun(y0 + ei - ej)
-                 - fun(y0 - ei + ej) + fun(y0 - ei - ej)) / (4.0 * h * h)
-            out[i, j] = v
-            out[j, i] = v
+    i, j = np.triu_indices(n, 1)
+    e = h * np.eye(n)
+    ei, ej = e[i], e[j]
+    vals = fun(np.concatenate([y0[None], y0 + 2 * e, y0 - 2 * e, y0 + ei + ej,
+                               y0 + ei - ej, y0 - ei + ej, y0 - ei - ej]))
+    f0, fpp, fmm, pp, pm, mp, mm = np.split(vals, np.cumsum([1, n, n] + [i.size] * 3))
+    out = np.diag((fpp - 2.0 * f0 + fmm) / (4.0 * h * h))
+    out[i, j] = out[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
     return out
 
 

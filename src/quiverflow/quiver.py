@@ -32,6 +32,7 @@ so ``real_matrix`` builds each Jacobian by one call on the unit basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -432,11 +433,23 @@ def infinitesimal_action(u: LieAlgebraElement, x: Representation) -> Representat
     return x.replace_blocks(action_blocks(x.quiver, u.blocks, x.blocks))
 
 
+def _expm(a):
+    """exp(a) by scaling and squaring: a / 2^s has 1-norm below 1, where the
+    degree-18 Taylor series (Horner form) is exact to rounding; then s squarings.
+    If a @ a == 0 exactly, every product stays exact and the result is I + a."""
+    s = max(0, math.frexp(float(np.max(np.sum(np.abs(a), axis=0))))[1])
+    m, eye = a / 2.0 ** s, np.eye(len(a), dtype=a.dtype)
+    out = eye
+    for k in range(18, 0, -1):
+        out = eye + (m @ out) / k
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def group_exp(u: LieAlgebraElement, t=1.0) -> GroupElement:
     """Matrix exponential exp(t u), one block per vertex."""
-    from scipy.linalg import expm
-
-    blocks = [expm(t * b) if b.size else b.copy() for b in u.blocks]
+    blocks = [_expm(t * b) if b.size else b.copy() for b in u.blocks]
     return GroupElement(u.quiver, u.dims, tuple(blocks))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .critical import CriticalRecord, SliceFiber, refine_critical, unstable_sweep
 from .errors import QuiverFlowError
-from .flow import IntegratorConfig, integrate, integrate_many, level_set_map, trace_crossing
+from .flow import IntegratorConfig, integrate_many, level_set_map, trace_crossing
 from .moment import CentralShift, f_value, grad_f
 from .quiver import Representation
 
@@ -205,17 +205,19 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
 
     seed_family maps a parameter to a seed representation; params is the
     (finite) sequence approaching the degenerate member, and limit_param,
-    when given, is integrated separately to expose the intermediate
-    critical point the family breaks through.  Every member is flowed
-    backward to the common upper record and forward to its lower record;
-    its checkpoints are read off the forward trace.  If the limiting
-    member converges straight to the bottom value, the family does not
-    break and a single-line report (empty intermediate chain) is returned.
+    when given, is flowed forward as the last row of the members' forward
+    batch to expose the intermediate critical point the family breaks
+    through.  Every member is flowed backward to the common upper record
+    and forward to its lower record; its checkpoints are read off the
+    forward trace.  If the limiting member converges straight to the
+    bottom value, the family does not break and a single-line report
+    (empty intermediate chain) is returned.
     """
     levels = tuple(float(r) for r in levels)
     seeds = [seed_family(s) for s in params]
-    members = list(zip(params, seeds, integrate_many(seeds, alpha, cfg, direction=-1),
-                       integrate_many(seeds, alpha, cfg)))
+    lim_seeds = [] if limit_param is None else [seed_family(limit_param)]
+    forward = integrate_many(seeds + lim_seeds, alpha, cfg)     # the limit member last
+    members = list(zip(params, seeds, integrate_many(seeds, alpha, cfg, direction=-1), forward))
     for s, _, bwd, fwd in members:
         if bwd.status != "converged":
             raise QuiverFlowError(f"backward flow of family member {s!r} did not converge")
@@ -233,8 +235,7 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
     # intermediate critical point from the degenerate member
     intermediates = []
     if limit_param is not None:
-        lim_seed = seed_family(limit_param)
-        lim_trace = integrate(lim_seed, alpha, cfg)
+        lim_trace = forward[-1]
         if lim_trace.status == "converged":
             rec = refine_critical(lim_trace.final, alpha, tol=refine_tol, cfg=cfg)
             if rec.f_crit > lower.f_crit + value_tol:

@@ -287,3 +287,47 @@ def test_check_battery_with_zero_trials_still_checks_flow_equivariance():
     assert results["trace_monotone"]["detail"] == "max slack excess 0.000e+00"
     for name in ("flow_equivariance", "criticality_and_index", "stratum_label_invariance"):
         assert results[name]["passed"], results[name]
+
+
+def count_flows(monkeypatch):
+    """Count ``integrate_many`` calls (a lone run's included) and lone ``integrate`` calls."""
+    from quiverflow import checks, critical, strata, subvariety
+
+    calls = {"integrate_many": 0, "integrate": 0}
+
+    def counting(name, inner):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        wrapped = counting(name, getattr(flow, name))
+        for module in (flow, checks, critical, strata, subvariety):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_check_battery_flows_in_two_batches(monkeypatch):
+    from quiverflow.checks import run_checks
+
+    calls = count_flows(monkeypatch)
+    model = build_model(load_config(os.path.join(CONFIGS, "a2_check.json")))
+    results = run_checks(model, trials=int(model.params["trials"]))
+    assert all(r["passed"] for r in results)
+    # the trace contracts, then the crossing trials with both flows of act(k, x)
+    assert calls == {"integrate_many": 2, "integrate": 0}
+
+
+def test_broken_family_flows_its_limit_member_in_the_forward_batch(monkeypatch):
+    from quiverflow.strata import broken_line_experiment
+
+    calls = count_flows(monkeypatch)
+    q, dims = a2()
+    rep = broken_line_experiment(lambda s: scalar_rep(q, dims, [0.3 + s]),
+                                 [0.1 * 2.0 ** (-n) for n in range(4)], A2_ALPHA,
+                                 levels=[1.0], cfg=CFG, limit_param=0.0)
+    assert rep.single_line and rep.strictly_decreasing
+    # backward and forward members (the limit member last), then the checkpoints' two
+    assert calls == {"integrate_many": 4, "integrate": 0}

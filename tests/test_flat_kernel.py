@@ -149,3 +149,86 @@ def test_fiber_directions_does_not_import_scipy_stats():
     src = os.path.dirname(os.path.dirname(quiverflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def a2_pair_model():
+    from quiverflow.presets import A2_PAIR_ALPHA, a2_pair
+
+    return (*a2_pair(), A2_PAIR_ALPHA)
+
+
+def fd_hessian_loop(fun, y0, h):
+    """The per-entry central-difference loop: the oracle of the batched stencil."""
+    n = y0.size
+    out = np.empty((n, n))
+    f0 = fun(y0)
+    for i in range(n):
+        ei = np.zeros(n); ei[i] = h
+        out[i, i] = (fun(y0 + 2 * ei) - 2.0 * f0 + fun(y0 - 2 * ei)) / (4.0 * h * h)
+        for j in range(i + 1, n):
+            ej = np.zeros(n); ej[j] = h
+            out[i, j] = out[j, i] = (fun(y0 + ei + ej) - fun(y0 + ei - ej)
+                                     - fun(y0 - ei + ej) + fun(y0 - ei - ej)) / (4.0 * h * h)
+    return out
+
+
+@pytest.mark.parametrize("maker", [star, a2_pair_model, two_loops])
+def test_batched_fd_hessian_equals_the_per_entry_loop(maker):
+    from quiverflow.moment import VelocityKernel, _fd_hessian
+
+    q, dims, alpha = maker()
+    fun = VelocityKernel(q, dims, alpha).f_flat
+    rng = philox(31)
+    for _ in range(3):
+        y0 = Representation.random(q, dims, rng).flatten()
+        for h in (1e-4, 2e-4):
+            assert np.array_equal(_fd_hessian(fun, y0, h), fd_hessian_loop(fun, y0, h))
+
+
+def test_hessian_fd_makes_one_f_call_per_stencil(monkeypatch):
+    from quiverflow.moment import VelocityKernel
+
+    calls = []
+    f_flat = VelocityKernel.f_flat
+
+    def counting(self, y):
+        calls.append(np.shape(y))
+        return f_flat(self, y)
+
+    monkeypatch.setattr(VelocityKernel, "f_flat", counting)
+    q, dims, alpha = star()
+    hessian_fd(Representation.random(q, dims, philox(6)), alpha)
+    n = q.rep_real_dim(dims)
+    assert calls == [(1 + 2 * n * n, n)] * 2
+
+
+def test_fiber_directions_match_the_ndtri_route():
+    from scipy.special import ndtri           # reference only
+    from quiverflow.critical import fiber_directions
+
+    n = 64
+    for dim in range(3, 13):
+        phi = 2.0
+        for _ in range(64):
+            phi = (1.0 + phi) ** (1.0 / (dim + 1))
+        pts = (0.5 + np.outer(np.arange(1, n + 1), phi ** -np.arange(1, dim + 1))) % 1.0
+        z = ndtri(np.clip(pts, 1e-12, 1 - 1e-12))
+        ref = z / np.linalg.norm(z, axis=1, keepdims=True)
+        assert np.max(np.abs(fiber_directions(dim, n) - ref)) <= 4e-15
+
+
+def test_battery_and_variety_probe_import_no_scipy(tmp_path):
+    configs = os.path.join(os.path.dirname(quiverflow.__file__), "configs")
+    code = ("import os, sys\n"
+            "from quiverflow.runconfig import build_model, load_config\n"
+            "from quiverflow.runner import run_experiment\n"
+            "for name in ('a2_check', 'a3_variety'):\n"
+            "    model = build_model(load_config(os.path.join(sys.argv[1], name + '.json')))\n"
+            "    run_experiment(model, os.path.join(sys.argv[2], name))\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+    src = os.path.dirname(os.path.dirname(quiverflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code, configs, str(tmp_path)], check=True, env=env)
+    for name in ("a2_check", "a3_variety"):
+        assert os.listdir(tmp_path / name / "outputs")

@@ -191,3 +191,82 @@ def test_cycle_trace_values_and_invariance(rng):
 
     with pytest.raises(NonComposablePathError):
         CycleWord(q2, (0,))                      # open path is not a cycle
+
+
+def exp_quiver():
+    # vertex dims 3, 2, 1 and 0: every block size, the empty one included
+    q = Quiver.from_lists(["a", "b", "c", "z"],
+                          [("x", "a", "b"), ("y", "b", "c"), ("w", "c", "z")])
+    return q, (3, 2, 1, 0)
+
+
+def rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def algebra(q, dims, blocks):
+    return LieAlgebraElement(q, dims, tuple(blocks))
+
+
+def test_group_exp_matches_expm_and_closed_forms():
+    from scipy.linalg import eigh, expm          # reference only; the package never imports scipy
+
+    q, dims = exp_quiver()
+    rng = philox(21)
+    for _ in range(4):
+        gen = LieAlgebraElement.random(q, dims, rng)
+        herm = LieAlgebraElement.random(q, dims, rng, hermitian=True)
+        skew = algebra(q, dims, [0.5 * (b - b.conj().T) for b in gen.blocks])
+        for u, t in ((gen, 1.0), (gen, -0.3), (herm, 1.7), (skew, 2.5)):
+            g = group_exp(u, t)
+            assert g.blocks[3].shape == (0, 0)
+            for a, b in zip(u.blocks[:3], g.blocks):
+                assert rel(b, expm(t * a)) < 1e-13
+        for a, b in zip(herm.blocks[:3], group_exp(herm, 1.7).blocks):
+            lam, v = eigh(a)
+            assert rel(b, (v * np.exp(1.7 * lam)) @ v.conj().T) < 1e-13
+        for b in group_exp(skew, 2.5).blocks[:3]:
+            assert np.linalg.norm(b @ b.conj().T - np.eye(len(b))) < 1e-13
+
+
+def test_group_exp_at_large_norm():
+    from scipy.linalg import eigh, expm
+
+    q, dims = exp_quiver()
+    rng = philox(22)
+    for _ in range(4):
+        zs = LieAlgebraElement.random(q, dims, rng).blocks
+        unit = [z / np.linalg.norm(z, 2) if z.size else z for z in zs]
+        # spectra in a window of width 10 keep the group blocks well conditioned
+        gen = algebra(q, dims, [45.0 * np.eye(len(z)) + 5.0 * z for z in unit])
+        herm = algebra(q, dims, [45.0 * np.eye(len(z)) + 2.5 * (z + z.conj().T) for z in unit])
+        skew = algebra(q, dims, [50.0 * s / np.linalg.norm(s, 2) if s.size else s
+                                 for s in (z - z.conj().T for z in zs)])
+        for u in (gen, herm, skew):
+            assert max(np.linalg.norm(b, 2) for b in u.blocks[:3]) > 40.0
+            for a, b in zip(u.blocks[:3], group_exp(u).blocks):
+                assert rel(b, expm(a)) < 1e-13
+        for a, b in zip(herm.blocks[:3], group_exp(herm).blocks):
+            lam, v = eigh(a)
+            assert rel(b, (v * np.exp(lam)) @ v.conj().T) < 1e-13
+
+
+def test_group_exp_of_a_square_zero_block_is_exactly_one_plus_it():
+    q, dims = exp_quiver()
+    rng = philox(23)
+    blocks = [np.zeros((d, d), dtype=complex) for d in dims]
+    blocks[0][0, 2] = 30.0 * complex(*rng.standard_normal(2))
+    blocks[1][0, 1] = -17.0 * complex(*rng.standard_normal(2))
+    g = group_exp(algebra(q, dims, blocks))
+    for n, b in zip(blocks, g.blocks):
+        assert np.array_equal(b, np.eye(len(n)) + n)
+
+
+def test_group_exp_is_a_one_parameter_group():
+    q, dims = exp_quiver()
+    rng = philox(24)
+    u = LieAlgebraElement.random(q, dims, rng)
+    for s, t in ((0.4, 1.1), (-0.7, 0.25), (2.0, 3.0)):
+        lhs = group_exp(u, s).compose(group_exp(u, t))
+        for a, b in zip(lhs.blocks[:3], group_exp(u, s + t).blocks):
+            assert rel(a, b) < 1e-13
