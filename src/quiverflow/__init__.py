@@ -41,7 +41,6 @@ from .flow import (
     level_set_map,
     energy_identity_defect,
     condition2_probe,
-    monitors_for,
 )
 from .critical import (
     CriticalRecord,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .critical import morse_index_check, negative_slice, refine_critical, weight_decomposition
 from .errors import QuiverFlowError
-from .flow import energy_identity_defect, integrate_many, monitors_for, trace_crossing
+from .flow import energy_identity_defect, integrate_many, trace_crossing
 from .moment import VelocityKernel, f_value, moment, moment_map_equation_check
 from .quiver import (
     GroupElement,
@@ -119,10 +119,9 @@ def run_checks(model, trials: int = 3) -> list:
     out.append(_check("moment_map_equation", worst < 1e-6, f"max defect {worst:.3e}"))
 
     # trace contracts: monotonicity, dissipation identity, conservation
-    mons = monitors_for(cycles=model.cycles, relations=model.relations)
     worst_mono, worst_energy, worst_cyc, worst_rel = 0.0, 0.0, 0.0, 0.0
-    traces = integrate_many(points[:max(trials, 1)], alpha, cfg, monitors=mons)
-    for tr in traces[:trials]:
+    traces = integrate_many(points[:max(trials, 1)], alpha, cfg)
+    for tr in (tr.with_monitors(model.cycles, model.relations) for tr in traces[:trials]):
         df = np.diff(tr.fs)
         slack = 1e-10 * (1.0 + np.abs(tr.fs[:-1]))
         worst_mono = max(worst_mono, float(np.max(df - slack, initial=-np.inf)))

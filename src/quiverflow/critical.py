@@ -339,18 +339,20 @@ def fiber_directions(dim: int, n: int) -> np.ndarray:
 
 
 def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, eps: float,
-                   n: int, cfg: IntegratorConfig, seed_radius: float = 1e-4, monitors=(),
+                   n: int, cfg: IntegratorConfig, seed_radius: float = 1e-4,
                    project=None) -> list:
     """Seed n unit directions of a fiber basis at seed_radius around rec and
     flow them to the level f_crit - eps as one batch.
 
     One dict per seed holds its ``direction``, the ``seed``, the ``start``
     and ``notes`` that ``project(seed)`` returns, and its ``trace`` or its
-    ``error``.  A seed whose projection raises ProjectionFailedError gets
-    ``start`` None and is not flowed.  The batch holds the starts above the
-    level; a QuiverFlowError or LinAlgError it raises is the error of each
-    of them.  A start on or past the level is flowed alone, so that its
-    error, or its trace if it is stationary, is its own.
+    ``error``; a caller that checks conserved quantities reads them off the
+    trace with ``FlowTrace.with_monitors``.  A seed whose projection raises
+    ProjectionFailedError gets ``start`` None and is not flowed.  The batch
+    holds the starts above the level; a QuiverFlowError or LinAlgError it
+    raises is the error of each of them.  A start on or past the level is
+    flowed alone, so that its error, or its trace if it is stationary, is
+    its own.
     """
     level = rec.f_crit - eps
     x0_flat = rec.x.flatten()
@@ -369,14 +371,14 @@ def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, 
     batch = [e for e, ok in zip(flowed, above) if ok]
     try:
         traces, error = integrate_many([e["start"] for e in batch], alpha, cfg,
-                                       stop_level=level, monitors=monitors), None
+                                       stop_level=level), None
     except (QuiverFlowError, np.linalg.LinAlgError) as exc:
         traces, error = [None] * len(batch), str(exc)
     for e, trace in zip(batch, traces):
         e.update(trace=trace, error=error)
     for e in (e for e, ok in zip(flowed, above) if not ok):
         try:
-            e["trace"] = integrate(e["start"], alpha, cfg, stop_level=level, monitors=monitors)
+            e["trace"] = integrate(e["start"], alpha, cfg, stop_level=level)
         except (QuiverFlowError, np.linalg.LinAlgError) as exc:
             e["error"] = str(exc)
     return out

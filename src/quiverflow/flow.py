@@ -27,6 +27,7 @@ gives the same state as ``tau_level``, which integrates again.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import LevelNotReachedError, QuiverFlowError
 from .moment import VelocityKernel, f_value, flow_velocity
-from .quiver import Quiver, Representation, cycle_trace, relation_residual
+from .quiver import Quiver, Representation, path_product, unflatten_blocks
 
 __all__ = [
     "IntegratorConfig",
@@ -50,7 +51,6 @@ __all__ = [
     "energy_identity_defect",
     "quadrature_dissipation",
     "condition2_probe",
-    "monitors_for",
 ]
 
 # Dormand-Prince 5(4) tableau (FSAL).
@@ -108,9 +108,9 @@ class FlowTrace:
     ``quiver.flatten_blocks``; ``point(i)`` and ``final`` build a validated
     ``Representation`` from a row only when asked.  ``monitors`` always
     contains the key ``energy`` (twice the accumulated dissipation);
-    registered cycle traces and relation residuals appear under their
-    registration names.  ``steps[i]`` is the accepted step from sample i
-    to sample i + 1, so a run can be replayed on an identical time grid.
+    ``with_monitors`` adds cycle traces and relation residuals computed
+    from the stored states.  ``steps[i]`` is the accepted step from sample
+    i to sample i + 1, so a run can be replayed on an identical time grid.
     """
 
     ts: np.ndarray
@@ -143,18 +143,28 @@ class FlowTrace:
     def final(self) -> Representation:
         return self.point(-1)
 
-
-def monitors_for(cycles=(), relations=()):
-    """Monitor callbacks for cycle traces (re/im columns) and relation residuals."""
-    mons = []
-    for k, w in enumerate(cycles):
-        name = w.name or f"c{k}"
-        mons.append((f"cyc:{name}:re", lambda x, w=w: cycle_trace(x, w).real))
-        mons.append((f"cyc:{name}:im", lambda x, w=w: cycle_trace(x, w).imag))
-    for k, r in enumerate(relations):
-        name = r.name or f"r{k}"
-        mons.append((f"rel:{name}", lambda x, r=r: relation_residual(x, r)))
-    return mons
+    def with_monitors(self, cycles=(), relations=()):
+        """This trace with conserved-quantity columns ahead of ``energy``: the
+        trace of each cycle word (``cyc:<name>:re`` and ``:im``), then the
+        Frobenius residual of each relation (``rel:<name>``), in registration
+        order.  Each column is one batched evaluation on the stored states,
+        bitwise equal to ``cycle_trace`` and ``relation_residual`` per sample."""
+        shapes = self.quiver.block_shapes(self.dims)
+        # C-order blocks, as a Representation stores them, for the same matmul path
+        blocks = [np.ascontiguousarray(b) for b in unflatten_blocks(self.states, shapes)]
+        cols = {}
+        for k, w in enumerate(cycles):
+            name = f"cyc:{w.name or f'c{k}'}"
+            tr = np.trace(path_product(blocks, w.path), axis1=-2, axis2=-1)
+            cols[f"{name}:re"], cols[f"{name}:im"] = tr.real, tr.imag
+        for k, r in enumerate(relations):
+            v = r.evaluate(blocks).reshape(self.n_samples, -1)
+            # per row, the dot products np.linalg.norm takes
+            cols[f"rel:{r.name or f'r{k}'}"] = np.sqrt(np.vecdot(v.real, v.real)
+                                                       + np.vecdot(v.imag, v.imag))
+        out = copy.copy(self)       # a copy skips __post_init__, which has warned once already
+        object.__setattr__(out, "monitors", {**cols, "energy": self.monitors["energy"]})
+        return out
 
 
 class _Stepper:
@@ -238,7 +248,7 @@ def _initial_steps(stepper, y0, k0, cfg):
 
 def integrate(x0: Representation, alpha, cfg: IntegratorConfig,
               direction: int = 1, stop_level: float = None,
-              monitors=(), replay_steps=None) -> FlowTrace:
+              replay_steps=None) -> FlowTrace:
     """Adaptive integration of the flow from x0: ``integrate_many`` on one row.
 
     direction=+1 follows the downward flow; -1 reverses it (f increases).
@@ -248,17 +258,15 @@ def integrate(x0: Representation, alpha, cfg: IntegratorConfig,
     initial conditions can be compared on an identical time grid.
     """
     replays = None if replay_steps is None else [replay_steps]
-    return integrate_many([x0], alpha, cfg, direction, stop_level, monitors, replays)[0]
+    return integrate_many([x0], alpha, cfg, direction, stop_level, replays)[0]
 
 
 def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction: int = 1,
-                   stop_level: float = None, monitors=(), replay_steps=None) -> list:
+                   stop_level: float = None, replay_steps=None) -> list:
     """``integrate`` of each point in a list on one quiver and dimension vector, as
     one batch; ``replay_steps`` holds a recorded step sequence or None per row."""
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    if any(name == "energy" for name, _ in monitors):
-        raise ValueError("monitor name 'energy' is reserved for the dissipation column")
     if not x0s:
         return []
     q, dims = x0s[0].quiver, x0s[0].dims
@@ -276,9 +284,7 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction: int = 1,
 
     def finish(r, status):
         ts, ys, fs, gns = (np.array(col) for col in zip(*samples[r]))
-        reps = [Representation.unflatten(q, dims, s) for s in ys[:, :dim]] if monitors else ()
-        mon_vals = {name: np.asarray([fn(x) for x in reps]) for name, fn in monitors}
-        traces[r] = FlowTrace(ts, ys[:, :dim], fs, gns, {**mon_vals, "energy": 2.0 * ys[:, dim]},
+        traces[r] = FlowTrace(ts, ys[:, :dim], fs, gns, {"energy": 2.0 * ys[:, dim]},
                               status, direction, tuple(steps[r]), q, dims)
 
     for r in range(n):

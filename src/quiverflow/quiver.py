@@ -380,16 +380,10 @@ class Relation:
     def target(self):
         return self.quiver.head[self.terms[0][1][-1]]
 
-    def evaluate(self, x):
-        """Matrix value sum_k coef_k * (path product) at the representation x."""
-        s, t = self.source, self.target
-        out = np.zeros((x.dims[t], x.dims[s]), dtype=complex)
-        for coef, path in self.terms:
-            m = None
-            for a in path:
-                m = x.blocks[a] if m is None else x.blocks[a] @ m
-            out = out + coef * m
-        return out
+    def evaluate(self, blocks):
+        """Matrix value sum_k coef_k * (path product) at edge blocks, which may
+        carry leading batch axes."""
+        return sum(coef * path_product(blocks, path) for coef, path in self.terms)
 
 
 @dataclass(frozen=True)
@@ -479,15 +473,21 @@ def rho_rank(x: Representation, tol: float = 1e-9) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
+def path_product(blocks, path):
+    """Matrix of a path (edges applied first to last, so [a, b] gives x_b @ x_a)
+    on edge blocks, which may carry leading batch axes."""
+    m = blocks[path[0]]
+    for a in path[1:]:
+        m = blocks[a] @ m
+    return m
+
+
 def relation_residual(x: Representation, r: Relation) -> float:
     """Frobenius norm of the relation evaluated at x."""
-    return float(np.linalg.norm(r.evaluate(x)))
+    return float(np.linalg.norm(r.evaluate(x.blocks)))
 
 
 def cycle_trace(x: Representation, w: CycleWord) -> complex:
     """Trace of the block product along a closed path; conserved by the flow
     and invariant under the group action (conjugation)."""
-    m = None
-    for a in w.path:
-        m = x.blocks[a] if m is None else x.blocks[a] @ m
-    return complex(np.trace(m))
+    return complex(np.trace(path_product(x.blocks, w.path)))

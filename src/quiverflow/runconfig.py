@@ -3,8 +3,8 @@
 A config is one JSON document.  Complex numbers are [re, im] pairs;
 matrices are row-major nested lists of such pairs.  Every randomized
 quantity derives from the config's seed through a counter-based generator
-keyed by (seed, item index), so batch execution order (including threaded
-runs) cannot change any output.
+keyed by (seed, item index), so batch execution order cannot change any
+output.
 """
 
 from __future__ import annotations
@@ -232,12 +232,14 @@ def validate_config(doc):
     grid = (lambda g: isinstance(g, list) and len(g) == 2
             and all(type(n) is int and n > 0 for n in g) and g[1] % 2 == 0,
             "[n_rho, n_theta], two positive integers with n_theta even")
+    positive = (lambda v: type(v) in (int, float) and 0 < v < float("inf"),
+                "a positive finite number")
     rules = {"grid": grid, "refine": grid,
              "seeds": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
-             "trials": (lambda v: type(v) is int and v > 0, "a positive integer")}
+             "trials": (lambda v: type(v) is int and v > 0, "a positive integer"),
+             "residual_tol": positive, "refine_tol": positive}
     if exp in ("slice", "variety"):
-        rules["eps"] = (lambda v: type(v) in (int, float) and 0 < v < float("inf"),
-                        "a positive number")
+        rules["eps"] = positive
     for key, (ok, expected) in rules.items():
         if key in params and not ok(params[key]):
             raise ConfigError(f"config field params.{key}: expected {expected}, "

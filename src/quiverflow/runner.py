@@ -10,7 +10,6 @@ import numpy as np
 
 from . import __version__
 from .archive import (
-    census_csv,
     checkpoints_csv,
     fiber_jsonable,
     record_jsonable,
@@ -28,7 +27,7 @@ from .critical import (
     unstable_boundedness_check,
     weight_decomposition,
 )
-from .flow import integrate_many, monitors_for
+from .flow import integrate_many
 from .quiver import Representation
 from .retract import (
     SaddleScene,
@@ -65,9 +64,9 @@ def _out(out_dir, name):
 
 
 def _run_flow(model, out_dir):
-    mons = monitors_for(cycles=model.cycles, relations=model.relations)
     stride = int(model.params.get("state_stride", 1))
-    traces = integrate_many(model.points, model.alpha, model.integrator, monitors=mons)
+    traces = [tr.with_monitors(model.cycles, model.relations)
+              for tr in integrate_many(model.points, model.alpha, model.integrator)]
     doc = {"traces": [trace_jsonable(tr, stride) for tr in traces]}
     write_json(_out(out_dir, "traces.json"), doc)
     for i, tr in enumerate(doc["traces"]):
@@ -255,9 +254,8 @@ def _run_retract(model, out_dir):
                               "witness_sample": pt(probe_saddle["witness"]["sample"]) if probe_saddle["witness"] else None},
         },
     }
+    # the census CSVs are rendered from retract.json by `export --what census`
     write_json(_out(out_dir, "retract.json"), doc)
-    for name, census in grids.items():
-        write_text(_out(out_dir, f"census_{name}.csv"), census_csv(census))
     return {"experiment": "retract",
             "counts": counts["base"],
             "condition4_slit": probe_slit["holds"],

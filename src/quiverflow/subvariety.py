@@ -10,14 +10,13 @@ with an analytic Jacobian assembled from path-product derivatives.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .critical import CriticalRecord, SliceFiber, unstable_sweep
 from .errors import ProjectionFailedError, ShapeError
-from .flow import IntegratorConfig, integrate, monitors_for
+from .flow import IntegratorConfig
 from .moment import CentralShift
 from .quiver import (
     GroupElement,
@@ -31,7 +30,6 @@ from .quiver import (
 __all__ = [
     "SubvarietySpec",
     "on_variety",
-    "integrate_on_variety",
     "project_to_variety",
     "slice_variety_probe",
 ]
@@ -51,7 +49,7 @@ class SubvarietySpec:
 
     def residuals(self, x: Representation) -> np.ndarray:
         """All relation values stacked into one real vector."""
-        return flatten_blocks([r.evaluate(x) for r in self.relations])
+        return flatten_blocks([r.evaluate(x.blocks) for r in self.relations])
 
     def max_residual(self, x: Representation) -> float:
         return max((relation_residual(x, r) for r in self.relations), default=0.0)
@@ -69,8 +67,8 @@ class SubvarietySpec:
             g = GroupElement.random_unitary(quiver, dims, rng)
             gx = act(g, x)
             for r in self.relations:
-                lhs = r.evaluate(gx)
-                rhs = g.blocks[r.target] @ r.evaluate(x) @ np.linalg.inv(g.blocks[r.source])
+                lhs = r.evaluate(gx.blocks)
+                rhs = g.blocks[r.target] @ r.evaluate(x.blocks) @ np.linalg.inv(g.blocks[r.source])
                 worst = max(worst, float(np.linalg.norm(lhs - rhs)))
         if worst > tol:
             raise ShapeError(f"relation covariance defect {worst:.3e} exceeds {tol:.3e}")
@@ -79,33 +77,6 @@ class SubvarietySpec:
 
 def on_variety(x: Representation, spec: SubvarietySpec) -> bool:
     return spec.max_residual(x) < spec.residual_tol
-
-
-def integrate_on_variety(x0: Representation, spec: SubvarietySpec, alpha,
-                         cfg: IntegratorConfig, drift_alarm: float = 1e-8,
-                         max_retries: int = 2):
-    """Integrate with residual monitors; tighten and re-run on drift.
-
-    The flow preserves the variety exactly, so residual drift along a trace
-    is integrator error.  When the drift crosses the alarm, the run is
-    repeated with hundredfold tighter tolerances instead of renormalizing
-    the state; returns (trace, drift).  A warning is raised if the drift
-    still exceeds the alarm after the allowed retries.
-    """
-    mons = monitors_for(relations=spec.relations)
-    trace = drift = None
-    for _ in range(max_retries + 1):
-        trace = integrate(x0, alpha, cfg, monitors=mons)
-        drifts = [float(np.max(np.abs(v - v[0])))
-                  for name, v in trace.monitors.items() if name.startswith("rel:")]
-        drift = max(drifts, default=0.0)
-        if drift < drift_alarm:
-            return trace, drift
-        cfg = cfg.with_(rel_tol=max(cfg.rel_tol * 1e-2, 1e-13),
-                        abs_tol=max(cfg.abs_tol * 1e-2, 1e-15))
-    warnings.warn(f"variety residual drift {drift:.3e} still above the alarm "
-                  f"{drift_alarm:.3e} after tightening", stacklevel=2)
-    return trace, drift
 
 
 def _relation_derivative(rel, xs, ts):
@@ -177,11 +148,12 @@ def slice_variety_probe(rec: CriticalRecord, fiber: SliceFiber, spec: Subvariety
     fiber directions annihilated by all of them (the tangent-cone estimate
     of the fiber cut to the variety).  Part (ii) seeds those directions,
     projects the seeds onto the variety, flows them to the level
-    f_crit - eps as one ``unstable_sweep`` with relation monitors and
-    reports whether the residual stays below ten times the membership
-    tolerance.  The two dimensions are reported side by side;
-    disagreement is flagged for investigation, not asserted away, since the
-    linear count can overshoot at singular points of the variety.
+    f_crit - eps as one ``unstable_sweep``, reads the relation residuals
+    off each trace's states with ``FlowTrace.with_monitors`` and reports
+    whether they stay below ten times the membership tolerance.  The two
+    dimensions are reported side by side; disagreement is flagged for
+    investigation, not asserted away, since the linear count can overshoot
+    at singular points of the variety.
     """
     report = {"fiber_dim": int(fiber.dim), "eps": float(eps), "seeds": []}
     if fiber.dim == 0:
@@ -195,7 +167,6 @@ def slice_variety_probe(rec: CriticalRecord, fiber: SliceFiber, spec: Subvariety
     report["linear_dim"] = int(in_cone.shape[1])
 
     drift_tol = 10.0 * spec.residual_tol
-    mons = monitors_for(relations=spec.relations)
 
     def project(seed):
         seed_z, moved = project_to_variety(seed, spec)
@@ -203,11 +174,13 @@ def slice_variety_probe(rec: CriticalRecord, fiber: SliceFiber, spec: Subvariety
         return seed_z, {"projection_moved": float(moved), "snapped_blocks": snapped}
 
     for i, s in enumerate(unstable_sweep(rec, in_cone, alpha, eps, n_seeds, cfg, seed_radius,
-                                         mons, project)):
+                                         project)):
         entry = {"seed_index": i, "projection_moved": None, **s["notes"]}
         trace, error = s["trace"], s["error"]
         if trace is not None and trace.status == "exited_level":
-            worst = max((float(np.max(trace.monitors[name])) for name, _ in mons), default=0.0)
+            cols = trace.with_monitors(relations=spec.relations).monitors
+            worst = max((float(np.max(v)) for name, v in cols.items() if name.startswith("rel:")),
+                        default=0.0)
             entry.update(time=float(trace.ts[-1]), max_residual=worst,
                          endpoint_residual=float(spec.max_residual(trace.final)),
                          residual_ok=worst < drift_tol)

@@ -25,7 +25,6 @@ from quiverflow import (
     integrate,
     lojasiewicz_fit,
     moment,
-    monitors_for,
     morse_index_check,
     negative_slice,
     refine_critical,
@@ -139,14 +138,13 @@ def test_04_conservation():
         q, dims = jordan_two_loops(2)
         alpha = CentralShift((0.5,))
         rel = commutator_relation(q)
-        mons = monitors_for(cycles=jordan_cycles(q), relations=(rel,))
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=100.0,
                                grad_stop=1e-13)
         x = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
         starts = [Representation(q, dims, (x, x @ x)),
                   Representation(q, dims, (x, 0.5 * x @ x - 0.3 * x))]
         for rep in starts:
-            tr = integrate(rep, alpha, cfg, monitors=mons)
+            tr = integrate(rep, alpha, cfg).with_monitors(jordan_cycles(q), (rel,))
             for name, vals in tr.monitors.items():
                 if name.startswith("cyc:") or name.startswith("rel:"):
                     assert np.max(np.abs(vals - vals[0])) < 1e-8, name

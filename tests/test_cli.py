@@ -52,6 +52,23 @@ def test_retract_archive_counts(tmp_path):
     assert doc["condition4"]["smooth_saddle"]["holds"] is True
 
 
+def test_retract_archive_stores_labels_once_and_export_renders_census(tmp_path):
+    doc = json.load(open(config_path("slit_retract.json")))
+    doc["params"]["grid"], doc["params"]["refine"] = [6, 8], [12, 16]
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(doc))
+    arch = tmp_path / "arch"
+    res = run_cli("retract", "--config", str(small), "--out", str(arch))
+    assert res.returncode == 0, res.stderr
+    assert os.listdir(arch / "outputs") == ["retract.json"]
+    res = run_cli("export", "--archive", str(arch), "--what", "census")
+    assert res.returncode == 0, res.stderr
+    for name in ("low_with_unstable", "high"):
+        lines = (arch / "outputs" / f"census_{name}.csv").read_text().splitlines()
+        assert lines[0] == "rho,theta,in_set,component_id"
+        assert len(lines) == 1 + 6 * 8
+
+
 def test_malformed_config_names_field(tmp_path):
     doc = json.load(open(config_path("a2_check.json")))
     doc["dims"]["2"] = -1
@@ -248,18 +265,24 @@ def test_zero_trials_without_points_is_a_config_error(tmp_path):
 
 def test_sweep_params_are_validated():
     base = {name: json.load(open(config_path(f"{name}.json")))
-            for name in ("a2_slice", "a3_variety", "a2_check", "slit_retract")}
+            for name in ("a2_slice", "a3_variety", "a2_check", "slit_retract", "a2_critical")}
     for name, key, value in (("a2_slice", "eps", 0), ("a3_variety", "eps", -0.4),
                              ("a3_variety", "eps", "0.4"), ("a2_slice", "eps", True),
                              ("a2_slice", "seeds", -1), ("a3_variety", "seeds", 2.0),
-                             ("a2_check", "trials", True), ("a2_check", "trials", -3)):
+                             ("a2_check", "trials", True), ("a2_check", "trials", -3),
+                             ("a3_variety", "residual_tol", -1), ("a3_variety", "residual_tol", 0),
+                             ("a3_variety", "residual_tol", float("inf")),
+                             ("a2_critical", "refine_tol", -1), ("a2_slice", "refine_tol", "1e-10"),
+                             ("a2_critical", "refine_tol", float("nan"))):
         doc = json.loads(json.dumps(base[name]))
         doc["params"][key] = value
         with pytest.raises(ConfigError) as info:
             validate_config(doc)
         assert info.value.field == f"params.{key}", (name, key, value)
     for name, key, value in (("a2_slice", "eps", 2), ("a3_variety", "seeds", 0),
-                             ("a2_check", "trials", 1), ("slit_retract", "eps", 0.1)):
+                             ("a2_check", "trials", 1), ("slit_retract", "eps", 0.1),
+                             ("a3_variety", "residual_tol", 1e-9), ("a2_critical", "refine_tol", 1),
+                             ("a2_slice", "refine_tol", 1e-12)):
         doc = json.loads(json.dumps(base[name]))
         doc["params"][key] = value
         validate_config(doc)

@@ -3,14 +3,17 @@
 ``integrate_many`` flows every point of a list as one batch; ``integrate``
 is its batch of one, which evaluates that row unbatched.  Both are checked
 against ``reference_integrate``, the per-trajectory loop the batch
-replaced, kept here as the oracle.  The rows below differ in length and in
-how they stop, so rows leave the batch at different steps while the others
-go on, and the loose tolerance makes rows reject steps beside rows that
-accept theirs.
+replaced, kept here as the oracle; it evaluates the monitor columns per
+sample with ``monitor_callbacks``, the oracle of the batched columns of
+``FlowTrace.with_monitors``.  The rows below differ in length and in how
+they stop, so rows leave the batch at different steps while the others go
+on, and the loose tolerance makes rows reject steps beside rows that accept
+theirs.
 """
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from quiverflow import (
     Representation,
     integrate,
     integrate_many,
-    monitors_for,
 )
 from quiverflow import flow
 from quiverflow.errors import LevelNotReachedError, QuiverFlowError
@@ -30,12 +32,13 @@ from quiverflow.presets import (
     A2_PAIR_ALPHA,
     a2,
     a2_pair,
+    a3_chain,
     commutator_relation,
     jordan_cycles,
     jordan_two_loops,
     scalar_rep,
 )
-from quiverflow.quiver import Quiver
+from quiverflow.quiver import Quiver, cycle_trace, relation_residual
 from quiverflow.runconfig import build_model, load_config
 from quiverflow.runner import run_experiment
 
@@ -55,9 +58,23 @@ MODELS = {"a2": lambda: (*a2(), A2_ALPHA),
           "star": star}
 
 
+def monitor_callbacks(cycles=(), relations=()):
+    """Per-sample callbacks for cycle traces (re/im columns) and relation residuals."""
+    mons = []
+    for k, w in enumerate(cycles):
+        name = w.name or f"c{k}"
+        mons.append((f"cyc:{name}:re", lambda x, w=w: cycle_trace(x, w).real))
+        mons.append((f"cyc:{name}:im", lambda x, w=w: cycle_trace(x, w).imag))
+    for k, r in enumerate(relations):
+        name = r.name or f"r{k}"
+        mons.append((f"rel:{name}", lambda x, r=r: relation_residual(x, r)))
+    return mons
+
+
 def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(),
                         replay_steps=None):
-    """One trajectory, one Dormand-Prince step at a time, on flat 1-D states."""
+    """One trajectory, one Dormand-Prince step at a time, on flat 1-D states;
+    ``monitors`` are ``monitor_callbacks``, evaluated on every sample."""
     st = flow._Stepper(x0.quiver, x0.dims, alpha, direction)
     dim = st.dim
 
@@ -158,15 +175,20 @@ def assert_same_trace(tr, ref):
         assert np.array_equal(tr.monitors[name], ref.monitors[name]), name
 
 
-def check_rows(points, alpha, cfg=CFG, seed=0, **kw):
-    """Each row equals its lone run, and a permuted batch gives the same traces."""
-    batch = integrate_many(points, alpha, cfg, **kw)
+def check_rows(points, alpha, cfg=CFG, seed=0, cycles=(), relations=(), **kw):
+    """Each row equals its lone run, and a permuted batch gives the same traces;
+    the rows carry the monitor columns of ``cycles`` and ``relations``."""
+    def many(xs):
+        return [tr.with_monitors(cycles, relations) for tr in integrate_many(xs, alpha, cfg, **kw)]
+
+    batch = many(points)
+    mons = monitor_callbacks(cycles, relations)
     assert len(batch) == len(points)
     for x, tr in zip(points, batch):
-        assert_same_trace(tr, integrate(x, alpha, cfg, **kw))
-        assert_same_trace(tr, reference_integrate(x, alpha, cfg, **kw))
+        assert_same_trace(tr, integrate(x, alpha, cfg, **kw).with_monitors(cycles, relations))
+        assert_same_trace(tr, reference_integrate(x, alpha, cfg, monitors=mons, **kw))
     perm = np.random.default_rng(seed).permutation(len(points))
-    for i, tr in zip(perm, integrate_many([points[i] for i in perm], alpha, cfg, **kw)):
+    for i, tr in zip(perm, many([points[i] for i in perm])):
         assert_same_trace(tr, batch[i])
     return batch
 
@@ -208,18 +230,77 @@ def test_backward_row_blows_up_beside_convergent_rows():
 def test_monitor_columns_and_replayed_rows():
     q, dims = jordan_two_loops(2)
     alpha = CentralShift((0.5,))
-    mons = monitors_for(cycles=jordan_cycles(q), relations=[commutator_relation(q)])
+    cycles, relations = jordan_cycles(q), [commutator_relation(q)]
+    mons = monitor_callbacks(cycles, relations)
     rng = np.random.default_rng(3)
     points = [Representation.random(q, dims, rng, scale=s) for s in (0.5, 1.0, 1.5)]
-    batch = check_rows(points, alpha, monitors=mons)
+    batch = check_rows(points, alpha, cycles=cycles, relations=relations)
     assert len(batch[0].monitors) == len(mons) + 1
-    # replayed rows, one of them adaptive, beside each other
+    assert list(batch[0].monitors) == [name for name, _ in mons] + ["energy"]
+    # replayed rows, one of them adaptive, beside each other; their batched
+    # monitor columns equal the per-sample callbacks bit for bit
     replays = [list(batch[0].steps), None, list(batch[2].steps)[:7]]
-    replayed = integrate_many(points, alpha, CFG, monitors=mons, replay_steps=replays)
+    replayed = [tr.with_monitors(cycles, relations)
+                for tr in integrate_many(points, alpha, CFG, replay_steps=replays)]
     for x, steps, tr in zip(points, replays, replayed):
-        assert_same_trace(tr, integrate(x, alpha, CFG, monitors=mons, replay_steps=steps))
+        lone = integrate(x, alpha, CFG, replay_steps=steps)
+        assert_same_trace(tr, lone.with_monitors(cycles, relations))
+        assert_same_trace(tr, reference_integrate(x, alpha, CFG, monitors=mons, replay_steps=steps))
     assert_same_trace(replayed[0], batch[0])
     assert replayed[2].n_samples == 8 and replayed[2].status == "step_limit"
+
+
+def monitored_models():
+    q, dims = jordan_two_loops(3)
+    yield "jordan3", q, dims, CentralShift((0.5,)), jordan_cycles(q), [commutator_relation(q)]
+    q, dims, rel = a3_chain()
+    yield "a3", q, dims, CentralShift((-1.0, 0.2, 0.8)), (), [rel]
+
+
+@pytest.mark.parametrize("case", list(monitored_models()), ids=lambda c: c[0])
+def test_with_monitors_equals_per_sample_callbacks_and_builds_no_representation(
+        case, monkeypatch):
+    _, q, dims, alpha, cycles, relations = case
+    rng = np.random.default_rng(11)
+    points = [Representation.random(q, dims, rng, scale=s) for s in (0.4, 1.0, 1.6)]
+    traces = integrate_many(points, alpha, CFG)
+    built = []
+    real_unflatten, real_post_init = Representation.unflatten, Representation.__post_init__
+
+    def counting_unflatten(*args):
+        built.append("unflatten")
+        return real_unflatten(*args)
+
+    def counting_post_init(self):
+        built.append("init")
+        real_post_init(self)
+
+    monkeypatch.setattr(Representation, "unflatten", staticmethod(counting_unflatten))
+    monkeypatch.setattr(Representation, "__post_init__", counting_post_init)
+    monitored = [tr.with_monitors(cycles, relations) for tr in traces]
+    assert built == []
+    monkeypatch.undo()
+    mons = monitor_callbacks(cycles, relations)
+    assert sum(tr.n_samples for tr in traces) > 100
+    for tr, mon in zip(traces, monitored):
+        assert list(mon.monitors) == [name for name, _ in mons] + ["energy"]
+        reps = [tr.point(i) for i in range(tr.n_samples)]
+        for name, fn in mons:
+            assert np.array_equal(mon.monitors[name], [fn(x) for x in reps]), name
+        assert mon.monitors["energy"] is tr.monitors["energy"]
+        assert mon.states is tr.states and tr.monitors.keys() == {"energy"}
+
+
+def test_with_monitors_does_not_warn_again():
+    q, dims = jordan_two_loops(2)
+    states = np.random.default_rng(2).standard_normal((3, q.rep_real_dim(dims)))
+    with pytest.warns(UserWarning, match="not monotone"):
+        tr = flow.FlowTrace(np.arange(3.0), states, np.array([1.0, 2.0, 0.5]), np.ones(3),
+                            {"energy": np.zeros(3)}, "step_limit", quiver=q, dims=dims)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tr.with_monitors(jordan_cycles(q), [commutator_relation(q)])
+    assert len(out.monitors) == 8
 
 
 def test_zero_dimension_and_empty_batches():

@@ -12,7 +12,6 @@ from quiverflow import (
     f_value,
     integrate,
     level_set_map,
-    monitors_for,
     tau_level,
     trace_crossing,
 )
@@ -153,9 +152,8 @@ def test_conservation_monitors_to_time_cap():
     alpha = CentralShift((0.5,))
     x = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
     rep = Representation(q, dims, (x, x @ x))
-    mons = monitors_for(cycles=jordan_cycles(q), relations=(commutator_relation(q),))
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=100.0, grad_stop=1e-13)
-    tr = integrate(rep, alpha, cfg, monitors=mons)
+    tr = integrate(rep, alpha, cfg).with_monitors(jordan_cycles(q), (commutator_relation(q),))
     assert tr.ts[-1] >= 100.0 - 1e-9 or tr.status == "converged"
     for name, vals in tr.monitors.items():
         if name.startswith(("cyc:", "rel:")):

@@ -9,7 +9,6 @@ from quiverflow import (
     Representation,
     act,
     integrate,
-    monitors_for,
     negative_slice,
     on_variety,
     project_to_variety,
@@ -90,8 +89,7 @@ def test_flow_preserves_variety(commuting):
     assert spec.max_residual(rep) < 1e-12
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=100.0,
                            grad_stop=1e-13)
-    mons = monitors_for(relations=spec.relations)
-    tr = integrate(rep, alpha, cfg, monitors=mons)
+    tr = integrate(rep, alpha, cfg).with_monitors(relations=spec.relations)
     assert np.max(tr.monitors["rel:comm"]) < 1e-8
 
 
@@ -157,27 +155,6 @@ def test_a3_non_minimal_is_above_on_variety_minima(tight_cfg):
     assert tr.status == "converged"
     assert tr.fs[-1] == pytest.approx(1.5, abs=1e-8)
     assert spec.max_residual(tr.final) < 1e-10
-
-
-def test_integrate_on_variety_drift_alarm(commuting):
-    from quiverflow.subvariety import integrate_on_variety
-
-    q, dims, spec = commuting
-    alpha = CentralShift((0.5,))
-    x = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
-    rep = Representation(q, dims, (x, x @ x))
-    # grad_stop must sit above the integrator's state-error floor, so the
-    # convergence threshold pairs with the tolerance here
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=50.0)
-    tr, drift = integrate_on_variety(rep, spec, alpha, cfg)
-    assert drift < 1e-8
-    assert tr.status == "converged"
-    # an unreachable alarm exhausts the retries and warns instead of
-    # silently renormalizing
-    with pytest.warns(UserWarning):
-        _, drift2 = integrate_on_variety(rep, spec, alpha, cfg,
-                                         drift_alarm=1e-17, max_retries=1)
-    assert drift2 > 1e-17
 
 
 def test_a3_origin_index_matches_slice(tight_cfg):

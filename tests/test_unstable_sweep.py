@@ -20,7 +20,6 @@ from quiverflow import (
     f_value,
     integrate,
     level_set_map,
-    monitors_for,
     negative_slice,
     refine_critical,
     weight_decomposition,
@@ -84,16 +83,15 @@ def sweep_cases():
     rec, fib, alpha = a2_saddle()
     yield "a2", rec, fib.basis, alpha, 1.0, 8, (), None
     rec, fib, spec = a3_origin()
-    mons = monitors_for(relations=spec.relations)
-    yield "a3", rec, fib.basis, A3_ALPHA, 0.4, 6, mons, projector(spec)
+    yield "a3", rec, fib.basis, A3_ALPHA, 0.4, 6, spec.relations, projector(spec)
     rec, fib, alpha = star_origin()
     yield "star", rec, fib.basis, alpha, 0.5, 5, (), None
 
 
 @pytest.mark.parametrize("case", list(sweep_cases()), ids=lambda c: c[0])
 def test_rows_equal_lone_runs_from_the_parent_seeds(case):
-    _, rec, basis, alpha, eps, n, mons, project = case
-    sweep = unstable_sweep(rec, basis, alpha, eps, n, CFG, monitors=mons, project=project)
+    _, rec, basis, alpha, eps, n, relations, project = case
+    sweep = unstable_sweep(rec, basis, alpha, eps, n, CFG, project=project)
     assert len(sweep) == n
     q, dims = rec.x.quiver, rec.x.dims
     x0_flat = rec.x.flatten()
@@ -112,8 +110,9 @@ def test_rows_equal_lone_runs_from_the_parent_seeds(case):
             assert s["notes"] == notes
         assert s["error"] is None
         assert s["trace"].status == "exited_level"
-        lone = integrate(s["start"], alpha, CFG, stop_level=rec.f_crit - eps, monitors=mons)
-        assert_same_trace(s["trace"], lone)
+        lone = integrate(s["start"], alpha, CFG, stop_level=rec.f_crit - eps)
+        assert_same_trace(s["trace"].with_monitors(relations=relations),
+                          lone.with_monitors(relations=relations))
 
 
 def test_a_failed_projection_sits_beside_seeds_that_flow():
