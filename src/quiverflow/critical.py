@@ -18,7 +18,7 @@ convention, which a bare symbol chase would leave ambiguous).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -113,7 +113,7 @@ def refine_critical(x_approx: Representation, alpha: CentralShift, tol: float = 
     if gn >= 1e-3:
         # flow continuation toward the critical set; keep the closest
         # approach, since the flow escapes saddle-type points again
-        flow_cfg = (cfg or IntegratorConfig()).with_(grad_stop=tol, max_time=50.0)
+        flow_cfg = replace(cfg or IntegratorConfig(), grad_stop=tol, max_time=50.0)
         trace = integrate(x_approx, alpha, flow_cfg)
         y = trace.states[int(np.argmin(trace.gradnorms))]
         g = -2.0 * kernel.velocity_flat(y)
@@ -424,7 +424,7 @@ def unstable_boundedness_check(rec: CriticalRecord, fiber: SliceFiber,
         grads = trace.gradnorms
         if theta is None:
             # backward trace into the record pins the decay exponent
-            back = integrate(trace.final, alpha, cfg.with_(max_time=200.0), direction=-1)
+            back = integrate(trace.final, alpha, replace(cfg, max_time=200.0), direction=-1)
             if back.status == "converged":
                 try:
                     theta, c_tail, _ = lojasiewicz_fit(back, rec.f_crit)

@@ -18,11 +18,13 @@ control and f's squared norms, where numpy's array powers round otherwise).
 
 Traces store flat real states and build a ``Representation`` only on
 demand.  Level crossings f(x(t)) = level are located inside the bracketing
-accepted step by a safeguarded Newton iteration in time; f is strictly
-monotone along nonconstant trajectories, so the bracket always contains
-exactly one root.  Up to a crossing, integration accepts the same steps
-with or without a stop level, so ``trace_crossing`` on a recorded trace
-gives the same state as ``tau_level``, which integrates again.
+accepted step by a safeguarded Newton iteration in time, whose trial
+states are shorter steps of the same tableau from the bracket base; f is
+strictly monotone along nonconstant trajectories, so the bracket always
+contains exactly one root.  Up to a crossing, integration accepts the
+same steps with or without a stop level, so ``trace_crossing`` on a
+recorded trace gives the same state as ``tau_level``, which integrates
+again.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,9 +96,6 @@ class IntegratorConfig:
             raise ValueError("need 0 < min_step < max_step")
         if self.max_time <= 0 or self.grad_stop <= 0 or self.stall_window < 1:
             raise ValueError("max_time, grad_stop, stall_window must be positive")
-
-    def with_(self, **kw):
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -210,20 +209,6 @@ class _Stepper:
         err, size = np.full(len(y), math.inf), np.full(len(y), math.inf)
         err[rows], size[rows] = _rms(err_vec[rows] / scale), _norms(y5[rows, :self.dim])
         return y5, k7, err.tolist(), size.tolist()
-
-    def advance_fixed(self, y, dt, nsub=8):
-        """Integrate exactly dt ahead with fixed substeps (no error control).
-
-        Used only inside an accepted step for event location; the substeps
-        are shorter than the accepted step, so the local error stays well
-        below the step tolerance.
-        """
-        if dt == 0.0:
-            return y.copy()
-        h = dt / nsub
-        for _ in range(nsub):
-            y = self.stages(y, self.field(y), h)[0]
-        return y
 
 
 def _rms(a):
@@ -372,20 +357,21 @@ def _locate_level(st, y_base, t_base, h, level):
     """Solve f(x(t)) = level inside the accepted step [t_base, t_base + h].
 
     Safeguarded Newton in time on the monotone function f along the flow;
-    each evaluation re-integrates from the bracket base with fixed
-    substeps, so the located state inherits the integrator's accuracy.
+    each trial state is one Dormand-Prince step of length tau <= h from the
+    bracket base, so its local error is within the tolerance h was accepted at.
     """
     tol = 1e-9 * (1.0 + abs(level))
     f_of = st.f_of
     lo, hi = 0.0, h
     g_lo = f_of(y_base) - level
+    k_base = st.field(y_base)
 
     # cubic-Hermite initial guess on f(t) using df/dt = -2 dir ||v||^2 (field[dim])
-    fdot_lo = -2.0 * st.direction * st.field(y_base)[st.dim]
+    fdot_lo = -2.0 * st.direction * k_base[st.dim]
     tau = lo - g_lo / fdot_lo if fdot_lo != 0.0 else 0.5 * h
     tau = min(max(tau, 1e-3 * h), h)
 
-    y_tau = st.advance_fixed(y_base.copy(), tau)
+    y_tau = st.stages(y_base, k_base, tau)[0]
     for _ in range(60):
         g = f_of(y_tau) - level
         if abs(g) <= 0.25 * tol:
@@ -401,7 +387,7 @@ def _locate_level(st, y_base, t_base, h, level):
             tau = tau_newton
         else:
             tau = 0.5 * (lo + hi)
-        y_tau = st.advance_fixed(y_base.copy(), tau)
+        y_tau = st.stages(y_base, k_base, tau)[0]
     else:
         raise LevelNotReachedError("event location failed to converge", limit_value=None)
     return t_base + tau, y_tau

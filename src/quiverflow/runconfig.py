@@ -10,6 +10,7 @@ output.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -232,21 +233,52 @@ def validate_config(doc):
     grid = (lambda g: isinstance(g, list) and len(g) == 2
             and all(type(n) is int and n > 0 for n in g) and g[1] % 2 == 0,
             "[n_rho, n_theta], two positive integers with n_theta even")
-    positive = (lambda v: type(v) in (int, float) and 0 < v < float("inf"),
-                "a positive finite number")
+    positive = (lambda v: _finite(v) and v > 0, "a positive finite number")
+    finite = (_finite, "a finite number")
     rules = {"grid": grid, "refine": grid,
              "seeds": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
              "trials": (lambda v: type(v) is int and v > 0, "a positive integer"),
-             "residual_tol": positive, "refine_tol": positive}
-    if exp in ("slice", "variety"):
+             "state_stride": (lambda v: type(v) is int and v > 0, "a positive integer"),
+             "residual_tol": positive, "refine_tol": positive, "z": finite,
+             "boundedness": (lambda v: type(v) is bool, "a boolean")}
+    if exp in ("slice", "variety", "retract"):
         rules["eps"] = positive
+    if exp == "retract":
+        rules["delta"] = rules["rho_max"] = positive
+    if exp == "broken":
+        edges = [e["name"] for e in doc["quiver"]["edges"]]
+        others = [e for e in edges if e != params["varying_edge"]]
+        rules.update({
+            "varying_edge": (lambda v: v in edges, f"one of the edges {edges}"),
+            "fixed": (lambda v: isinstance(v, dict) and all(_pair(v.get(e)) for e in others),
+                      f"an [re, im] pair for each of the edges {others}"),
+            "varying_direction": (_pair, "an [re, im] pair of finite numbers"),
+            "scales": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_finite, v)),
+                       "a non-empty list of finite numbers"),
+            "levels": (lambda v: isinstance(v, list) and all(map(_finite, v)),
+                       "a list of finite numbers"),
+            "limit_scale": finite})
     for key, (ok, expected) in rules.items():
         if key in params and not ok(params[key]):
             raise ConfigError(f"config field params.{key}: expected {expected}, "
                               f"got {params[key]!r}", field=f"params.{key}")
+    if exp == "broken":
+        # the family's blocks are 1x1 scalars
+        for v in doc["quiver"]["vertices"]:
+            if doc["dims"][v] != 1:
+                raise ConfigError(f"config field dims.{v}: expected 1 for experiment "
+                                  f"'broken', got {doc['dims'][v]!r}", field=f"dims.{v}")
     if exp in ("flow", "critical", "strata", "lines") and "points" not in doc:
         raise ConfigError(f"config field points: required for experiment {exp!r}",
                           field="points")
+
+
+def _finite(v):
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _pair(v):
+    return isinstance(v, list) and len(v) == 2 and all(map(_finite, v))
 
 
 def _complex_of(pair):

@@ -265,7 +265,8 @@ def test_zero_trials_without_points_is_a_config_error(tmp_path):
 
 def test_sweep_params_are_validated():
     base = {name: json.load(open(config_path(f"{name}.json")))
-            for name in ("a2_slice", "a3_variety", "a2_check", "slit_retract", "a2_critical")}
+            for name in ("a2_slice", "a3_variety", "a2_check", "slit_retract", "a2_critical",
+                         "jordan2_flow", "a2_lines")}
     for name, key, value in (("a2_slice", "eps", 0), ("a3_variety", "eps", -0.4),
                              ("a3_variety", "eps", "0.4"), ("a2_slice", "eps", True),
                              ("a2_slice", "seeds", -1), ("a3_variety", "seeds", 2.0),
@@ -273,7 +274,13 @@ def test_sweep_params_are_validated():
                              ("a3_variety", "residual_tol", -1), ("a3_variety", "residual_tol", 0),
                              ("a3_variety", "residual_tol", float("inf")),
                              ("a2_critical", "refine_tol", -1), ("a2_slice", "refine_tol", "1e-10"),
-                             ("a2_critical", "refine_tol", float("nan"))):
+                             ("a2_critical", "refine_tol", float("nan")),
+                             ("jordan2_flow", "state_stride", 0), ("jordan2_flow", "state_stride", "x"),
+                             ("jordan2_flow", "state_stride", 2.0), ("a2_lines", "z", "high"),
+                             ("a2_lines", "z", float("inf")), ("slit_retract", "eps", 0),
+                             ("slit_retract", "delta", 0), ("slit_retract", "rho_max", -3),
+                             ("slit_retract", "rho_max", True), ("a2_slice", "boundedness", "false"),
+                             ("a2_slice", "boundedness", 0)):
         doc = json.loads(json.dumps(base[name]))
         doc["params"][key] = value
         with pytest.raises(ConfigError) as info:
@@ -282,7 +289,35 @@ def test_sweep_params_are_validated():
     for name, key, value in (("a2_slice", "eps", 2), ("a3_variety", "seeds", 0),
                              ("a2_check", "trials", 1), ("slit_retract", "eps", 0.1),
                              ("a3_variety", "residual_tol", 1e-9), ("a2_critical", "refine_tol", 1),
-                             ("a2_slice", "refine_tol", 1e-12)):
+                             ("a2_slice", "refine_tol", 1e-12), ("jordan2_flow", "state_stride", 1),
+                             ("a2_lines", "z", -0.5), ("slit_retract", "delta", 0.25),
+                             ("slit_retract", "rho_max", 2), ("a2_slice", "boundedness", False)):
         doc = json.loads(json.dumps(base[name]))
         doc["params"][key] = value
         validate_config(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    # before validation each exited 1 with a bare KeyError, IndexError or ValueError
+    ("varying_edge", "zz"), ("fixed", {}), ("fixed", {"a": [0.35]}),
+    ("varying_direction", [1]), ("scales", []), ("levels", ["a"]), ("limit_scale", "x"),
+])
+def test_bad_broken_params_are_config_errors(tmp_path, key, value):
+    doc = json.load(open(config_path("product_broken.json")))
+    doc["params"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("broken", "--config", str(bad), "--out", str(tmp_path / "arch"))
+    assert res.returncode == 2, res.stderr
+    assert f"params.{key}" in res.stderr
+
+
+def test_broken_needs_scalar_blocks(tmp_path):
+    # before validation the 1x1 family blocks failed the dims-2 shape check (exit 1)
+    doc = json.load(open(config_path("product_broken.json")))
+    doc["dims"]["2"] = 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("broken", "--config", str(bad), "--out", str(tmp_path / "arch"))
+    assert res.returncode == 2, res.stderr
+    assert "dims.2" in res.stderr

@@ -316,6 +316,54 @@ def test_trace_crossing_equals_tau_level(a2_model, tight_cfg):
     assert checked == 24
 
 
+def _crossing_traces(a2_model, tight_cfg):
+    """(x, alpha, trace, level) on the traces of the bitwise crossing test."""
+    from quiverflow.presets import A2_PAIR_ALPHA, a2_pair
+
+    rng = np.random.default_rng(20)
+    for q, dims, alpha in (a2_model, (*a2_pair(), A2_PAIR_ALPHA), _star()):
+        for _ in range(2):
+            x = Representation.random(q, dims, rng, scale=0.8)
+            for direction in (1, -1):
+                tr = integrate(x, alpha, tight_cfg, direction=direction)
+                for u in (0.3, 0.7):
+                    yield x, alpha, tr, tr.fs[0] + u * (tr.fs[-1] - tr.fs[0])
+
+
+def test_trace_crossing_cost(a2_model, tight_cfg, monkeypatch):
+    # a crossing is a few Newton iterates of one step each, not a re-integration
+    from quiverflow.moment import VelocityKernel
+
+    calls, velocity_flat = [0], VelocityKernel.velocity_flat
+
+    def counted(self, y):
+        calls[0] += 1
+        return velocity_flat(self, y)
+
+    monkeypatch.setattr(VelocityKernel, "velocity_flat", counted)
+    per_call = []
+    for _, alpha, tr, ell in _crossing_traces(a2_model, tight_cfg):
+        calls[0] = 0
+        assert trace_crossing(tr, ell, alpha) is not None
+        per_call.append(calls[0])
+    assert len(per_call) == 24 and max(per_call) < 30, per_call
+
+
+def test_trace_crossing_accuracy(a2_model, tight_cfg):
+    # oracle: tau_level at tolerances a thousand times tighter
+    fine = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-16, max_time=200.0)
+    checked = 0
+    for x, alpha, tr, ell in _crossing_traces(a2_model, tight_cfg):
+        if tr.status != "converged":
+            continue
+        y = trace_crossing(tr, ell, alpha).flatten()
+        _, y_ref = tau_level(x, alpha, ell, fine, direction=tr.direction)
+        y_ref = y_ref.flatten()
+        assert np.linalg.norm(y - y_ref) <= 1e-8 * np.linalg.norm(y_ref), (tr.direction, ell)
+        checked += 1
+    assert checked >= 16
+
+
 def test_trace_crossing_edge_cases(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [0.5])              # f = 1.53125, backward limit f = 2

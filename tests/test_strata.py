@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,7 @@ def test_broken_two_level_family_is_single_line(a2_model, tight_cfg):
 
 def test_broken_three_level_chain(tight_cfg):
     q, dims = a2_pair()
-    cfg = tight_cfg.with_(max_time=400.0)
+    cfg = replace(tight_cfg, max_time=400.0)
     family = lambda s: scalar_rep(q, dims, [0.35, s])
     scales = [0.01 * 2.0 ** (-n) for n in range(16)]
     rep = broken_line_experiment(family, scales, A2_PAIR_ALPHA,
@@ -158,7 +160,7 @@ def test_search_critical_levels_exploratory(tight_cfg):
 
 def test_broken_dwell_fractions_grow(tight_cfg):
     q, dims = a2_pair()
-    cfg = tight_cfg.with_(max_time=400.0)
+    cfg = replace(tight_cfg, max_time=400.0)
     family = lambda s: scalar_rep(q, dims, [0.35, s])
     rep = broken_line_experiment(family, [0.01 * 2.0 ** (-n) for n in range(6)],
                                  A2_PAIR_ALPHA, levels=[1.5, 0.5], cfg=cfg,
