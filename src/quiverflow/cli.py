@@ -2,8 +2,7 @@
 
 Subcommands mirror the experiment kinds plus `export`:
 
-    quiverflow <experiment> --config cfg.json --out dir [--threads N]
-               [--seed-override S] [--strict]
+    quiverflow <experiment> --config cfg.json --out dir [--seed-override S] [--strict]
     quiverflow export --archive dir --what {trace|checkpoints|census|slice}
 
 Exit codes: 0 ok, 1 runtime failure, 2 config error, 3 invariant violation
@@ -36,7 +35,6 @@ def _build_parser():
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True, help="path to the experiment config")
         sp.add_argument("--out", required=True, help="archive directory to write")
-        sp.add_argument("--threads", type=int, default=1, help="ignored (flows run as one batch)")
         sp.add_argument("--seed-override", type=int, default=None,
                         help="replace the config seed (recorded in the archive snapshot)")
         sp.add_argument("--strict", action="store_true",
@@ -78,7 +76,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            summary = run_experiment(model, args.out, threads=args.threads)
+            summary = run_experiment(model, args.out)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
         if args.strict and caught:

@@ -40,7 +40,7 @@ from .moment import (
     hessian_fd,
     hessian_matrix,
 )
-from .quiver import Representation, flatten_blocks, infinitesimal_action, rho_matrix
+from .quiver import Representation, flatten_blocks, infinitesimal_action, orbit_basis
 
 __all__ = [
     "CriticalRecord",
@@ -210,17 +210,6 @@ class SliceFiber:
     dim: int = 0
 
 
-def _orbit_basis(x: Representation, tol: float = 1e-9) -> np.ndarray:
-    mat = rho_matrix(x)
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0))
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((mat.shape[0], 0))
-    r = int(np.sum(s > tol * s[0]))
-    return u[:, :r]
-
-
 def negative_slice(rec: CriticalRecord, wd: WeightDecomposition, tol: float = 1e-9) -> SliceFiber:
     """Fiber of decaying directions orthogonal to the orbit at rec.x.
 
@@ -247,7 +236,7 @@ def negative_slice(rec: CriticalRecord, wd: WeightDecomposition, tol: float = 1e
     if not cols:
         return SliceFiber(basis=np.zeros((q.rep_real_dim(dims), 0)), dim=0)
     b = np.concatenate(cols).T
-    orbit = _orbit_basis(x, tol=tol)
+    orbit = orbit_basis(x, tol=tol)
     proj = b - orbit @ (orbit.T @ b) if orbit.shape[1] else b
     u, s, _ = np.linalg.svd(proj, full_matrices=False)
     keep = int(np.sum(s > 0.5))

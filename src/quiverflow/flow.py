@@ -13,8 +13,8 @@ one batched field call per stage and one f call per step; each row keeps
 its own time, step, error history, stall streak and status, and leaves
 the batch when it finishes (``integrate`` is its batch of one).  A row is
 bitwise its lone run: each reduction is taken per row as a lone run takes
-it (BLAS dots via ``np.vecdot``, row means, and Python's ``pow`` for step
-control and f's squared norms, where numpy's array powers round otherwise).
+it (``np.vecdot``, per-state matmuls, row sums, and Python's ``pow`` for
+step control, where numpy's array powers round otherwise).
 
 Traces store flat real states and build a ``Representation`` only on
 demand.  Level crossings f(x(t)) = level are located inside the bracketing
@@ -175,8 +175,6 @@ class _Stepper:
         self.kernel = VelocityKernel(quiver, dims, alpha)
 
     def f_of(self, y):
-        if y.shape[:-1] == (1,):        # see step
-            return np.array([self.kernel.f_flat(y[0, :self.dim])])
         return self.kernel.f_flat(y[..., :self.dim])
 
     def field(self, y):
@@ -197,12 +195,9 @@ class _Stepper:
     def step(self, y, k1, h, cfg):
         """One embedded step of each row, its step in the column h: y_new, k_new
         and the lists of error norms and of norms of y_new (inf if not finite)."""
-        # a lone row steps unbatched: the same bits, with less numpy overhead
-        y1, k1, h1 = (y[0], k1[0], float(h[0, 0])) if len(y) == 1 else (y, k1, h)
-        y5, ks = self.stages(y1, k1, h1)
-        ks.append(self.field(y5))
-        err_vec = (h1 * sum(e * k for e, k in zip(_E, ks))).reshape(y.shape)
-        y5, k7 = y5.reshape(y.shape), ks[-1].reshape(y.shape)
+        y5, ks = self.stages(y, k1, h)
+        k7 = self.field(y5)
+        err_vec = h * sum(e * k for e, k in zip(_E, ks + [k7]))
         ok = np.isfinite(y5).all(axis=1)
         rows = slice(None) if ok.all() else ok
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y[rows]), np.abs(y5[rows]))
@@ -390,7 +385,8 @@ def _locate_level(st, y_base, t_base, h, level):
         y_tau = st.stages(y_base, k_base, tau)[0]
     else:
         raise LevelNotReachedError("event location failed to converge", limit_value=None)
-    return t_base + tau, y_tau
+    # a crossing within one float spacing of t_base (a blow-up at min_step) takes the next float
+    return max(t_base + tau, math.nextafter(t_base, math.inf)), y_tau
 
 
 def tau_level(x: Representation, alpha, ell: float, cfg: IntegratorConfig,

@@ -30,19 +30,20 @@ statements invariant under constant time reparameterization are unaffected
 by the 1/2.  The overall sign is pinned by the finite-difference gradient
 consistency test in the suite.
 
-All of it is evaluated by two raw block formulas that broadcast over batch
-axes, ``_moment_form`` and ``quiver.action_blocks``.  ``VelocityKernel`` is
-the one implementation of f and the flow field, on flat real vectors; the
-wrappers ``f_value``, ``flow_velocity``, ``grad_f`` and the inner loops call
-it.  ``beta_of`` gives Hermitian blocks to records, checks and
-``hessian_matrix``; ``hessian_fd`` and ``moment_map_equation_check`` check
-the derivatives by finite differences of values, never through ``_dmoment``.
+On flat real states the moment map is a quadratic form, y^T T_k y per real
+coordinate of H (``moment_tensor``).  ``VelocityKernel`` is the one
+implementation of f, the flow field and the Hessian, as closed forms in T;
+``f_value``, ``flow_velocity``, ``grad_f``, ``hessian_matrix`` and the inner
+loops call it.  ``beta_of`` gives Hermitian blocks to records and checks;
+``hessian_fd`` and ``moment_map_equation_check`` check the derivatives by
+finite differences of values.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,10 +51,8 @@ from .errors import ShapeError
 from .quiver import (
     LieAlgebraElement,
     Representation,
-    action_blocks,
     flatten_blocks,
     infinitesimal_action,
-    real_matrix,
     unflatten_blocks,
 )
 
@@ -137,8 +136,8 @@ def _adjoint(a):
 def _moment_form(quiver, xs, ys, start):
     """start_i + 1/2 (sum_{head(a)=i} x_a y_a^dagger - sum_{tail(a)=i} x_a^dagger y_a).
 
-    H(x) is form(x, x) from zero, and its derivative along t is form(t, x)
-    plus its adjoint.  Edge blocks may carry leading batch axes.
+    H(x) is form(x, x) from zero; the form is real-bilinear, which
+    ``moment_tensor`` polarises.  Edge blocks may carry leading batch axes.
     """
     out = list(start)
     for xa, ya, h, t in zip(xs, ys, quiver.head, quiver.tail):
@@ -147,13 +146,10 @@ def _moment_form(quiver, xs, ys, start):
     return out
 
 
-def _zeros(dims):
-    return [np.zeros((d, d), dtype=complex) for d in dims]
-
-
 def moment(x: Representation) -> HermitianCollection:
     """Hermitian moment-map value per vertex (see module docstring)."""
-    blocks = _moment_form(x.quiver, x.blocks, x.blocks, _zeros(x.dims))
+    blocks = _moment_form(x.quiver, x.blocks, x.blocks,
+                          [np.zeros((d, d), dtype=complex) for d in x.dims])
     return HermitianCollection(x.quiver, x.dims, tuple(blocks))
 
 
@@ -162,43 +158,71 @@ def beta_of(x: Representation, alpha: CentralShift) -> HermitianCollection:
     return moment(x).sub_scalars(alpha.alpha)
 
 
-class VelocityKernel:
-    """The flow field and f on flat real vectors: their one implementation.
+# moment tensor entries (32 MB): above every preset and bundled config
+MAX_TENSOR_ENTRIES = 1 << 22
 
-    Evaluates the block formulas on the coordinates of
-    ``quiver.flatten_blocks`` without building a validated
-    ``Representation`` per call.  The integrator calls it several times per
-    step, and the finite-difference and Newton loops once per evaluation;
-    ``f_value``, ``flow_velocity`` and ``grad_f`` are its boundary wrappers.
+
+@lru_cache(maxsize=16)
+def moment_tensor(quiver, dims):
+    """Read-only symmetric T, shape (m, n, n), with flatten_blocks(H)[k] = y^T T_k y
+    for the flat state y; ``_moment_form`` polarised on the unit basis."""
+    n, m = quiver.rep_real_dim(dims), quiver.group_real_dim(dims)
+    if m * n * n > MAX_TENSOR_ENTRIES:
+        raise ShapeError(f"dims {tuple(dims)} need a moment tensor of {m} x {n} x {n} = "
+                         f"{m * n * n} entries, above the limit of {MAX_TENSOR_ENTRIES}")
+    e = unflatten_blocks(np.eye(n), quiver.block_shapes(dims))
+    form = _moment_form(quiver, [b[:, None] for b in e], [b[None] for b in e],
+                        [np.zeros((n, n, d, d), dtype=complex) for d in dims])
+    t = flatten_blocks(form)
+    t = np.ascontiguousarray((0.5 * (t + t.swapaxes(0, 1))).transpose(2, 0, 1))
+    t.setflags(write=False)
+    return t
+
+
+class VelocityKernel:
+    """f, the flow field and the Hessian on flat real vectors (batch axes leading).
+
+    beta = y^T T y - a (a the flat shift), f = sum_k beta_k^2, velocity
+    -2 sum_k beta_k T_k y, Hessian 4 sum_k (2 (T_k y)(T_k y)^T + beta_k T_k).
+    Each state is contracted on its own (a matmul whose slices are one
+    state), so a row's bits are a lone call's.
     """
 
     def __init__(self, quiver, dims, alpha: CentralShift):
-        self.quiver = quiver
-        self.shapes = quiver.block_shapes(dims)
-        self._start = [np.diag(np.full(d, -a + 0.0j)) for d, a in zip(dims, alpha.alpha)]
-        self._zeros = _zeros(dims)
-        self._shift = [a * np.eye(d) for d, a in zip(dims, alpha.alpha)]
+        dims = tuple(dims)
+        self.tensor = moment_tensor(quiver, dims)
+        m, n, _ = self.tensor.shape
+        self._t2 = self.tensor.reshape(m * n, n)
+        self._shift = flatten_blocks([a * np.eye(d) for d, a in zip(dims, alpha.alpha)])
+
+    def _beta(self, y):
+        y = np.asarray(y, dtype=float)
+        ty = (self._t2 @ y[..., :, None]).reshape(y.shape[:-1] + self.tensor.shape[:2])
+        return np.vecdot(ty, y[..., None, :]) - self._shift, ty
 
     def velocity_flat(self, y):
         """Velocity field -rho_x(H - alpha) at the flat state y (batch-aware), flattened."""
-        x = unflatten_blocks(y, self.shapes)
-        b = _moment_form(self.quiver, x, x, self._start)
-        return flatten_blocks([-v for v in action_blocks(self.quiver, b, x)])
+        beta, ty = self._beta(y)
+        return -2.0 * (beta[..., None, :] @ ty)[..., 0, :]
 
     def f_flat(self, y):
         """Energy f at the flat state y: a float, or an array for a stack of states.
 
-        The edge terms are summed from zero and alpha is subtracted last, so
-        f is exactly constant where H vanishes (a lone loop).  A row's bits are a
-        lone call's: ``np.linalg.norm``'s dot products, squared by Python's ``pow``.
+        Where T vanishes (H = 0, e.g. a lone loop) beta is exactly -a, so f
+        is exactly constant.  The squares are added by ``np.add.reduce`` per
+        row, not by a BLAS dot, whose fused multiply-adds would move f by an
+        ulp where beta is exact, as at the origin.
         """
-        x = unflatten_blocks(y, self.shapes)
-        norms = np.empty(np.shape(y)[:-1] + (len(self._shift),))
-        for i, (m, s) in enumerate(zip(_moment_form(self.quiver, x, x, self._zeros), self._shift)):
-            d = (m - s).reshape(m.shape[:-2] + (s.size,))
-            norms[..., i] = np.sqrt(np.vecdot(d.real, d.real) + np.vecdot(d.imag, d.imag))
-        vals = [float(sum(v ** 2 for v in r)) for r in norms.reshape(-1, len(self._shift)).tolist()]
-        return vals[0] if np.ndim(y) == 1 else np.array(vals).reshape(norms.shape[:-1])
+        beta, _ = self._beta(y)
+        f = np.add.reduce(beta * beta, axis=-1)
+        return float(f) if np.ndim(y) == 1 else f
+
+    def hessian(self, y):
+        """Hessian of f at the flat state y, a symmetric (n, n) matrix."""
+        beta, ty = self._beta(y)
+        m, n, _ = self.tensor.shape
+        out = 4.0 * (2.0 * (ty.T @ ty) + (beta @ self.tensor.reshape(m, n * n)).reshape(n, n))
+        return 0.5 * (out + out.T)
 
 
 def f_value(x: Representation, alpha: CentralShift) -> float:
@@ -292,25 +316,10 @@ def hessian_fd(x: Representation, alpha: CentralShift, step: float = 1e-4) -> np
     return 0.5 * (out + out.T)
 
 
-def _dmoment(x: Representation, ts):
-    """Derivative of the moment blocks at x along edge blocks ts (batch-aware)."""
-    return [m + _adjoint(m) for m in _moment_form(x.quiver, ts, x.blocks, _zeros(x.dims))]
-
-
 def hessian_matrix(x: Representation, alpha: CentralShift) -> np.ndarray:
     """Analytic Hessian of f (the Jacobian of grad f), as a real matrix.
 
     Used as the Gauss-Newton Jacobian in critical-point refinement; the
     finite-difference route above stays the independent cross-check.
     """
-    q = x.quiver
-    beta = beta_of(x, alpha).blocks
-
-    def dgrad(ts):
-        # grad f = 2 rho_x(beta), differentiated in x and, through beta, in H
-        return [2.0 * (u + v) for u, v in zip(action_blocks(q, beta, ts),
-                                              action_blocks(q, _dmoment(x, ts), x.blocks))]
-
-    shapes = q.block_shapes(x.dims)
-    out = real_matrix(dgrad, shapes, shapes)
-    return 0.5 * (out + out.T)
+    return VelocityKernel(x.quiver, x.dims, alpha).hessian(x.flatten())

@@ -460,17 +460,23 @@ def rho_matrix(x: Representation) -> np.ndarray:
                        [(d, d) for d in dims], q.block_shapes(dims))
 
 
-def rho_rank(x: Representation, tol: float = 1e-9) -> int:
-    """Numerical rank of the real-linear map rho_x (orbit dimension at x)."""
+def orbit_basis(x: Representation, tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal real basis of im rho_x: the left singular vectors of
+    ``rho_matrix`` whose singular values exceed tol times the largest."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     mat = rho_matrix(x)
     if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+        return np.zeros((mat.shape[0], 0))
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    if s[0] == 0.0:
+        return np.zeros((mat.shape[0], 0))
+    return u[:, :int(np.sum(s > tol * s[0]))]
+
+
+def rho_rank(x: Representation, tol: float = 1e-9) -> int:
+    """Numerical rank of the real-linear map rho_x (orbit dimension at x)."""
+    return orbit_basis(x, tol).shape[1]
 
 
 def path_product(blocks, path):

@@ -245,6 +245,7 @@ def validate_config(doc):
         rules["eps"] = positive
     if exp == "retract":
         rules["delta"] = rules["rho_max"] = positive
+        rules["probe_width"] = rules["saddle_probe_width"] = positive
     if exp == "broken":
         edges = [e["name"] for e in doc["quiver"]["edges"]]
         others = [e for e in edges if e != params["varying_edge"]]

@@ -2,11 +2,56 @@ import numpy as np
 import pytest
 
 from quiverflow import CentralShift, IntegratorConfig
-from quiverflow.presets import a2, jordan_one_loop, jordan_two_loops
+from quiverflow.presets import A2_PAIR_ALPHA, a2, a2_pair, a3_chain, jordan_one_loop, jordan_two_loops
+from quiverflow.quiver import Quiver
 
 
 def philox(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def star():
+    q = Quiver.from_lists(["c", "1", "2", "3"],
+                          [("a", "1", "c"), ("b", "2", "c"), ("d", "3", "c")])
+    return q, (2, 1, 1, 1), CentralShift((0.9, -0.7, -0.5, -0.3))
+
+
+def two_loops():
+    q, dims = jordan_two_loops(2)
+    return q, dims, CentralShift((0.5,))
+
+
+def a3():
+    q, dims, _ = a3_chain()
+    return q, dims, CentralShift((-1.0, 0.2, 0.8))
+
+
+def a2_pair_model():
+    return (*a2_pair(), A2_PAIR_ALPHA)
+
+
+def one_edge():
+    return (*a2(), CentralShift((-1.0, 1.0)))
+
+
+def one_loop():
+    return (*jordan_one_loop(1), CentralShift((0.7,)))
+
+
+def isolated_vertex():
+    # vertex 3 has no arrows: its moment block is identically zero
+    q = Quiver.from_lists(["1", "2", "3"], [("a", "1", "2")])
+    return q, (1, 1, 2), CentralShift((-1.0, 1.0, 0.4))
+
+
+def zero_dim():
+    q, _, alpha = star()
+    return q, (2, 1, 0, 1), alpha
+
+
+# every preset, a vertex without arrows and a zero dimension: the models the
+# moment-tensor kernel is checked on against the Hermitian-block route
+ORACLE_MODELS = [one_edge, a2_pair_model, a3, star, one_loop, two_loops, isolated_vertex, zero_dim]
 
 
 @pytest.fixture

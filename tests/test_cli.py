@@ -136,15 +136,6 @@ def test_seed_override_recorded_and_changes_outputs(tmp_path):
     assert read_tree(a / "outputs") != read_tree(b / "outputs")
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    one, four = tmp_path / "one", tmp_path / "four"
-    base = config_path("a2_critical.json")
-    assert run_cli("critical", "--config", base, "--out", str(one)).returncode == 0
-    assert run_cli("critical", "--config", base, "--out", str(four),
-                   "--threads", "4").returncode == 0
-    assert read_tree(one / "outputs") == read_tree(four / "outputs")
-
-
 def test_check_exit_three_on_violation(tmp_path):
     # max_time too small for any level crossing: the contract check fails
     doc = json.load(open(config_path("a2_check.json")))
@@ -308,6 +299,20 @@ def test_bad_broken_params_are_config_errors(tmp_path, key, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     res = run_cli("broken", "--config", str(bad), "--out", str(tmp_path / "arch"))
+    assert res.returncode == 2, res.stderr
+    assert f"params.{key}" in res.stderr
+
+
+@pytest.mark.parametrize("key", ["probe_width", "saddle_probe_width"])
+@pytest.mark.parametrize("value", ["x", -1.0])
+def test_probe_widths_are_validated(tmp_path, key, value):
+    # before validation "x" exited 1 after both censuses had run, and -1.0
+    # exited 0 with a condition-4 verdict over a negative width
+    doc = json.load(open(config_path("slit_retract.json")))
+    doc["params"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("retract", "--config", str(bad), "--out", str(tmp_path / "arch"))
     assert res.returncode == 2, res.stderr
     assert f"params.{key}" in res.stderr
 

@@ -1,9 +1,10 @@
-"""f and the flow field have one implementation, ``VelocityKernel``.
+"""f, the flow field and the Hessian have one implementation, ``VelocityKernel``,
+closed forms in the moment tensor T.
 
 The Hermitian-block route (``beta_of`` and ``infinitesimal_action``) stays
-here as the reference the kernel is checked against, and the inner loops
-of ``hessian_fd`` and ``refine_critical`` are checked to run on flat
-vectors rather than on validated ``Representation`` values.
+here as the reference the kernel is checked against on every preset, and
+the inner loops of ``hessian_fd`` and ``refine_critical`` are checked to run
+on flat vectors rather than on validated ``Representation`` values.
 """
 
 import os
@@ -17,26 +18,14 @@ import quiverflow
 from quiverflow import CentralShift, Representation, f_value, flow_velocity, hessian_fd
 from quiverflow.critical import refine_critical
 from quiverflow.moment import beta_of
-from quiverflow.presets import a2, a3_chain, jordan_two_loops, scalar_rep
+from quiverflow.errors import ShapeError
+from quiverflow.presets import a2, jordan_two_loops, scalar_rep
 from quiverflow.quiver import Quiver, infinitesimal_action
 
-from conftest import philox
+from conftest import ORACLE_MODELS, a2_pair_model, philox, star, two_loops
 
 
-def star():
-    q = Quiver.from_lists(["c", "1", "2", "3"],
-                          [("a", "1", "c"), ("b", "2", "c"), ("d", "3", "c")])
-    return q, (2, 1, 1, 1), CentralShift((0.9, -0.7, -0.5, -0.3))
-
-
-def two_loops():
-    q, dims = jordan_two_loops(2)
-    return q, dims, CentralShift((0.5,))
-
-
-def a3():
-    q, dims, _ = a3_chain()
-    return q, dims, CentralShift((-1.0, 0.2, 0.8))
+EPS = np.finfo(float).eps
 
 
 def count_representations(monkeypatch):
@@ -52,7 +41,7 @@ def count_representations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("maker", [star, two_loops, a3])
+@pytest.mark.parametrize("maker", ORACLE_MODELS)
 def test_kernel_wrappers_match_hermitian_route(maker):
     q, dims, alpha = maker()
     rng = philox(2718)
@@ -67,10 +56,8 @@ def test_kernel_wrappers_match_hermitian_route(maker):
 
 
 def test_batched_f_rows_equal_lone_calls():
-    # f squares each Frobenius norm as a Python float; numpy's array square
-    # differs from that in about 0.1 % of values, so states next to a
-    # minimum (f down to about 1e-30 where the minimum value is 0) are
-    # included alongside random ones
+    # states next to a minimum (f down to about 1e-30 where the minimum
+    # value is 0) are included alongside random ones
     from quiverflow.moment import VelocityKernel, _moment_form
     from quiverflow.presets import A2_PAIR_ALPHA, a2_pair
     from quiverflow.quiver import unflatten_blocks
@@ -93,14 +80,28 @@ def test_batched_f_rows_equal_lone_calls():
         # the lone value is the norm of each shifted moment block, squared
         shift = [a * np.eye(d) for d, a in zip(dims, alpha.alpha)]
         for y, f in zip(states[::10], lone[::10]):
-            x = unflatten_blocks(y, kernel.shapes)
+            x = unflatten_blocks(y, q.block_shapes(dims))
             h = _moment_form(q, x, x, [np.zeros((d, d), complex) for d in dims])
-            assert f == float(sum(np.linalg.norm(m - s) ** 2 for m, s in zip(h, shift)))
+            ref = float(sum(np.linalg.norm(m - s) ** 2 for m, s in zip(h, shift)))
+            # both routes round H - alpha with an absolute error of order
+            # n eps |y|^2, a large relative error in f next to a zero of f
+            yy, m = y @ y, q.group_real_dim(dims)
+            assert abs(f - ref) <= 1e-14 * ref + 4 * n * EPS * yy * (np.sqrt(m * ref) + m * n * EPS * yy)
         f_min = kernel.f_flat(y_min)
         assert np.min(lone[2000:]) <= f_min * (1.0 + 1e-12) + 1e-20
         assert kernel.f_flat(states[:1]).shape == (1,) and isinstance(kernel.f_flat(states[0]), float)
         checked += len(states)
     assert checked >= 10_000
+
+
+def test_moment_tensor_size_limit():
+    from quiverflow.moment import MAX_TENSOR_ENTRIES, VelocityKernel
+
+    # three arrows at dims (10, 10): T would hold 400 x 600 x 600 entries
+    q = Quiver.from_lists(["1", "2"], [(e, "1", "2") for e in "abc"])
+    assert 400 * 600 * 600 > MAX_TENSOR_ENTRIES
+    with pytest.raises(ShapeError, match=r"dims \(10, 10\).*144000000 entries"):
+        VelocityKernel(q, (10, 10), CentralShift((-1.0, 1.0)))
 
 
 def integrate_to_limit(q, dims, alpha, rng):
@@ -149,12 +150,6 @@ def test_fiber_directions_does_not_import_scipy_stats():
     src = os.path.dirname(os.path.dirname(quiverflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-def a2_pair_model():
-    from quiverflow.presets import A2_PAIR_ALPHA, a2_pair
-
-    return (*a2_pair(), A2_PAIR_ALPHA)
 
 
 def fd_hessian_loop(fun, y0, h):

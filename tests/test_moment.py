@@ -18,7 +18,7 @@ from quiverflow import (
 from quiverflow.moment import VelocityKernel, beta_of
 from quiverflow.presets import a2, jordan_one_loop, jordan_two_loops, scalar_rep
 
-from conftest import a2_f, philox
+from conftest import ORACLE_MODELS, a2_f, philox
 
 
 def fd_gradient(x, alpha, h=None):
@@ -169,9 +169,9 @@ def test_hessian_fd_warns_on_tiny_step(a2_model):
         hessian_fd(scalar_rep(q, dims, [0.77]), alpha, step=2e-9)
 
 
-def test_hessian_matrix_matches_fd(rng):
-    q, dims = jordan_two_loops(2)
-    alpha = CentralShift((0.5,))
+@pytest.mark.parametrize("maker", ORACLE_MODELS)
+def test_hessian_matrix_matches_fd(rng, maker):
+    q, dims, alpha = maker()
     x = Representation.random(q, dims, rng, scale=0.6)
     exact = hessian_matrix(x, alpha)
     fd = hessian_fd(x, alpha, step=1e-4)
