@@ -191,11 +191,11 @@ def run_checks(model, trials: int = 3) -> list:
     return out
 
 
-def _grad_fd_relerr(x, alpha, step=None):
+def _grad_fd_relerr(x, alpha):
     kernel = VelocityKernel(x.quiver, x.dims, alpha)
     y0 = x.flatten()
     g = -2.0 * kernel.velocity_flat(y0)
-    h = step or 1e-6 * (1.0 + float(np.linalg.norm(y0)))
+    h = 1e-6 * (1.0 + float(np.linalg.norm(y0)))
     e = h * np.eye(y0.size)
     fp, fm = np.split(kernel.f_flat(np.concatenate([y0 + e, y0 - e])), 2)
     fd = (fp - fm) / (2.0 * h)

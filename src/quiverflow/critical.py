@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 CRITICALITY_FACTOR = 1e-9      # rho_x(beta) residual bound, relative
+SEED_RADIUS = 1e-4             # distance of unstable-sweep seeds from the record
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,9 @@ class WeightDecomposition:
     offband_mass: float = 0.0      # mass of x outside the zero-weight band
 
 
-def weight_decomposition(rec: CriticalRecord, weight_tol: float = None) -> WeightDecomposition:
-    """Eigenframes, weight matrices and sign partitions at a critical record."""
+def weight_decomposition(rec: CriticalRecord) -> WeightDecomposition:
+    """Eigenframes, weight matrices and sign partitions at a critical record;
+    weights within 1e-7 * (1 + max |eigenvalue of beta|) of 0 count as zero."""
     x = rec.x
     q, dims = x.quiver, x.dims
     eigs, frames = [], []
@@ -172,8 +174,7 @@ def weight_decomposition(rec: CriticalRecord, weight_tol: float = None) -> Weigh
         eigs.append(lam)
         frames.append(u)
     lam_max = max((float(np.max(np.abs(l))) for l in eigs if l.size), default=0.0)
-    if weight_tol is None:
-        weight_tol = 1e-7 * (1.0 + lam_max)
+    weight_tol = 1e-7 * (1.0 + lam_max)
 
     weights, neg, zero, pos = [], [], [], []
     offband = 0.0
@@ -210,7 +211,7 @@ class SliceFiber:
     dim: int = 0
 
 
-def negative_slice(rec: CriticalRecord, wd: WeightDecomposition, tol: float = 1e-9) -> SliceFiber:
+def negative_slice(rec: CriticalRecord, wd: WeightDecomposition) -> SliceFiber:
     """Fiber of decaying directions orthogonal to the orbit at rec.x.
 
     Builds the orthonormal coordinate directions of strictly negative
@@ -236,7 +237,7 @@ def negative_slice(rec: CriticalRecord, wd: WeightDecomposition, tol: float = 1e
     if not cols:
         return SliceFiber(basis=np.zeros((q.rep_real_dim(dims), 0)), dim=0)
     b = np.concatenate(cols).T
-    orbit = orbit_basis(x, tol=tol)
+    orbit = orbit_basis(x)
     proj = b - orbit @ (orbit.T @ b) if orbit.shape[1] else b
     u, s, _ = np.linalg.svd(proj, full_matrices=False)
     keep = int(np.sum(s > 0.5))
@@ -252,8 +253,8 @@ class MorseIndexReport:
     eigenvalues: np.ndarray = field(repr=False, default=None)
 
 
-def morse_index_check(rec: CriticalRecord, fiber: SliceFiber, alpha: CentralShift,
-                      step: float = 1e-4) -> MorseIndexReport:
+def morse_index_check(rec: CriticalRecord, fiber: SliceFiber,
+                      alpha: CentralShift) -> MorseIndexReport:
     """Compare the slice dimension against the finite-difference Hessian index.
 
     Eigenvalues below -band count as negative, with band
@@ -262,7 +263,7 @@ def morse_index_check(rec: CriticalRecord, fiber: SliceFiber, alpha: CentralShif
     presence of in-band eigenvalues is reported as indeterminate rather
     than as a clean verdict, since band calls could flip it either way.
     """
-    hess = hessian_fd(rec.x, alpha, step=step)
+    hess = hessian_fd(rec.x, alpha)
     lam = np.linalg.eigvalsh(hess) if hess.size else np.zeros(0)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
     band = 1e-6 * (1.0 + scale)
@@ -274,22 +275,21 @@ def morse_index_check(rec: CriticalRecord, fiber: SliceFiber, alpha: CentralShif
                             agree=agree, status=status, eigenvalues=lam)
 
 
-def lojasiewicz_fit(trace: FlowTrace, f_crit: float, tail_fraction: float = 0.05,
-                    min_samples: int = 10):
+def lojasiewicz_fit(trace: FlowTrace, f_crit: float, tail_fraction: float = 0.05):
     """Fit ||grad f|| ~ C |f - f_crit|^(1-theta) on the tail of a trace.
 
     Returns (theta, C, r_squared).  Uses the samples whose value gap has
     dropped below tail_fraction of the initial gap, discards gaps at the
-    floating-point floor, and fits the log-log line by least squares.
+    floating-point floor, and fits the log-log line by least squares to
+    at least 10 samples.
     """
     gaps = np.abs(trace.fs - f_crit)
     grads = np.asarray(trace.gradnorms)
     gap0 = gaps[0]
     floor = 1e-13 * (1.0 + abs(f_crit)) + 1e-15 * gap0
     mask = (gaps < tail_fraction * gap0) & (gaps > floor) & (grads > 0.0)
-    if int(np.sum(mask)) < min_samples:
-        raise InsufficientDataError(
-            f"only {int(np.sum(mask))} usable tail samples (need {min_samples})")
+    if int(np.sum(mask)) < 10:
+        raise InsufficientDataError(f"only {int(np.sum(mask))} usable tail samples (need 10)")
     lx = np.log(gaps[mask])
     ly = np.log(grads[mask])
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -328,9 +328,8 @@ def fiber_directions(dim: int, n: int) -> np.ndarray:
 
 
 def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, eps: float,
-                   n: int, cfg: IntegratorConfig, seed_radius: float = 1e-4,
-                   project=None) -> list:
-    """Seed n unit directions of a fiber basis at seed_radius around rec and
+                   n: int, cfg: IntegratorConfig, project=None) -> list:
+    """Seed n unit directions of a fiber basis at ``SEED_RADIUS`` around rec and
     flow them to the level f_crit - eps as one batch.
 
     One dict per seed holds its ``direction``, the ``seed``, the ``start``
@@ -347,7 +346,7 @@ def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, 
     x0_flat = rec.x.flatten()
     out = []
     for d in fiber_directions(basis.shape[1], n):
-        seed = Representation.unflatten(rec.x.quiver, rec.x.dims, x0_flat + seed_radius * (basis @ d))
+        seed = Representation.unflatten(rec.x.quiver, rec.x.dims, x0_flat + SEED_RADIUS * (basis @ d))
         out.append({"direction": d, "seed": seed, "start": seed, "notes": {},
                     "trace": None, "error": None})
         try:
@@ -375,7 +374,7 @@ def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, 
 
 def unstable_boundedness_check(rec: CriticalRecord, fiber: SliceFiber,
                                alpha: CentralShift, eps: float, seeds: int,
-                               cfg: IntegratorConfig, seed_radius: float = 1e-4) -> dict:
+                               cfg: IntegratorConfig) -> dict:
     """Probe compactness of the unstable cone one level below the record.
 
     Reads the seeds of one ``unstable_sweep`` to the level f_crit - eps and
@@ -388,7 +387,7 @@ def unstable_boundedness_check(rec: CriticalRecord, fiber: SliceFiber,
     """
     report = {
         "n_seeds": int(seeds), "fiber_dim": int(fiber.dim), "eps": float(eps),
-        "seed_radius": float(seed_radius), "reached": [], "endpoint_distances": [],
+        "seed_radius": SEED_RADIUS, "reached": [], "endpoint_distances": [],
         "failures": [],
     }
     if fiber.dim == 0 or seeds == 0:
@@ -398,7 +397,7 @@ def unstable_boundedness_check(rec: CriticalRecord, fiber: SliceFiber,
         return report
     c_seg = np.inf
     theta = c_tail = None
-    for i, s in enumerate(unstable_sweep(rec, fiber.basis, alpha, eps, seeds, cfg, seed_radius)):
+    for i, s in enumerate(unstable_sweep(rec, fiber.basis, alpha, eps, seeds, cfg)):
         trace, error = s["trace"], s["error"]
         if trace is not None and trace.status != "exited_level":
             error = f"seed stopped with status {trace.status}"

@@ -10,7 +10,7 @@ class ShapeError(QuiverFlowError):
 
 
 class NonInvertibleGroupElementError(QuiverFlowError):
-    """A group-element block is singular beyond the configured condition bound."""
+    """A group-element block is singular beyond ``quiver.DEFAULT_COND_BOUND``."""
 
 
 class NonComposablePathError(QuiverFlowError):

@@ -61,6 +61,8 @@ __all__ = [
 
 # Condition-number bound above which a group block counts as singular.
 DEFAULT_COND_BOUND = 1e12
+# Singular values of rho_x below this fraction of the largest count as zero.
+ORBIT_RANK_TOL = 1e-9
 
 
 def _freeze(arr):
@@ -242,7 +244,6 @@ class GroupElement:
     dims: tuple
     blocks: tuple = field(repr=False)
     unitary: bool = False
-    cond_bound: float = DEFAULT_COND_BOUND
 
     def __post_init__(self):
         object.__setattr__(self, "dims", self.quiver.check_dims(self.dims))
@@ -253,10 +254,10 @@ class GroupElement:
                 raise ShapeError(f"group block at vertex {self.quiver.vertices[i]!r} must be {d}x{d}")
             if d > 0:
                 c = np.linalg.cond(b)
-                if not np.isfinite(c) or c > self.cond_bound:
+                if not np.isfinite(c) or c > DEFAULT_COND_BOUND:
                     raise NonInvertibleGroupElementError(
                         f"group block at vertex {self.quiver.vertices[i]!r} has condition "
-                        f"number {c:.3e} above bound {self.cond_bound:.3e}"
+                        f"number {c:.3e} above bound {DEFAULT_COND_BOUND:.3e}"
                     )
             if self.unitary and d > 0:
                 defect = np.linalg.norm(b @ b.conj().T - np.eye(d))
@@ -460,23 +461,22 @@ def rho_matrix(x: Representation) -> np.ndarray:
                        [(d, d) for d in dims], q.block_shapes(dims))
 
 
-def orbit_basis(x: Representation, tol: float = 1e-9) -> np.ndarray:
+def orbit_basis(x: Representation) -> np.ndarray:
     """Orthonormal real basis of im rho_x: the left singular vectors of
-    ``rho_matrix`` whose singular values exceed tol times the largest."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    ``rho_matrix`` whose singular values exceed ``ORBIT_RANK_TOL`` times the
+    largest."""
     mat = rho_matrix(x)
     if mat.size == 0:
         return np.zeros((mat.shape[0], 0))
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s[0] == 0.0:
         return np.zeros((mat.shape[0], 0))
-    return u[:, :int(np.sum(s > tol * s[0]))]
+    return u[:, :int(np.sum(s > ORBIT_RANK_TOL * s[0]))]
 
 
-def rho_rank(x: Representation, tol: float = 1e-9) -> int:
+def rho_rank(x: Representation) -> int:
     """Numerical rank of the real-linear map rho_x (orbit dimension at x)."""
-    return orbit_basis(x, tol).shape[1]
+    return orbit_basis(x).shape[1]
 
 
 def path_product(blocks, path):

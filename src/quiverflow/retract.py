@@ -53,6 +53,10 @@ __all__ = [
     "condition4_probe",
 ]
 
+# Condition-4 probe: samples per circle, on radii 0.1 down to 1e-4 (descending)
+PROBE_SAMPLES = 64
+PROBE_RADII = tuple(1e-1 * 10.0 ** -k for k in range(4))
+
 
 @dataclass(frozen=True)
 class ScenePoint:
@@ -331,8 +335,7 @@ def _census_count(mask: np.ndarray):
     return len(roots), labels
 
 
-def condition4_probe(scene, u_width: float = None, samples: int = 64,
-                     neighborhood_radius: float = 1e-1, radii=None) -> dict:
+def condition4_probe(scene, u_width: float = None) -> dict:
     """Test whether small neighborhoods of the critical point funnel into a
     given bottom-level neighborhood of the unstable points.
 
@@ -343,10 +346,9 @@ def condition4_probe(scene, u_width: float = None, samples: int = 64,
     spread over directions off the stable set and flowed to the bottom
     level; holds is True when some radius (and every smaller one) funnels
     all samples into U, and a violating sample is returned as witness
-    otherwise.
+    otherwise.  ``PROBE_SAMPLES`` samples are taken on each of the
+    ``PROBE_RADII``.
     """
-    if radii is None:
-        radii = tuple(neighborhood_radius * 10.0 ** -k for k in range(4))
     level = -scene.eps
     if u_width is None:
         u_width = 0.5 if isinstance(scene, SaddleScene) else math.pi / 3.0
@@ -361,11 +363,10 @@ def condition4_probe(scene, u_width: float = None, samples: int = 64,
         return scene.theta_distance_to_unstable(q.v) < u_width, q
 
     witness = None
-    smallest = min(radii)
-    for radius in sorted(radii, reverse=True):
+    for radius in PROBE_RADII:
         bad = None
-        for k in range(samples):
-            ang = 2.0 * math.pi * (k + 0.5) / samples
+        for k in range(PROBE_SAMPLES):
+            ang = 2.0 * math.pi * (k + 0.5) / PROBE_SAMPLES
             if isinstance(scene, SaddleScene):
                 p = ScenePoint(radius * math.cos(ang), radius * math.sin(ang))
             else:
@@ -377,7 +378,7 @@ def condition4_probe(scene, u_width: float = None, samples: int = 64,
                 bad = {"sample": p, "landing": q, "radius": radius}
         if bad is not None:
             witness = bad
-        if radius == smallest and bad is None:
+        if radius == PROBE_RADII[-1] and bad is None:
             # the shrinking neighborhoods end up funneling into U
             return {"holds": True, "witness": None, "radius": radius, "vacuous": False}
     return {"holds": False, "witness": witness, "radius": None, "vacuous": False}

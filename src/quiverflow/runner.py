@@ -35,7 +35,7 @@ from .retract import (
     condition4_probe,
     connectivity_census,
 )
-from .strata import broken_line_experiment, flow_lines, stratum_labels
+from .strata import LABEL_REFINE_TOL, broken_line_experiment, flow_lines, stratum_labels
 from .subvariety import SubvarietySpec, slice_variety_probe
 
 __all__ = ["run_experiment"]
@@ -76,7 +76,7 @@ def _run_flow(model, out_dir):
 
 
 def _run_critical(model, out_dir):
-    tol = float(model.params.get("refine_tol", 1e-10))
+    tol = float(model.params.get("refine_tol", LABEL_REFINE_TOL))
 
     def one(tr):
         if tr.status != "converged":
@@ -104,7 +104,7 @@ def _run_critical(model, out_dir):
 def _slice_data(model):
     x0 = model.points[0] if model.points else Representation.zero(model.quiver, model.dims)
     rec = refine_critical(x0, model.alpha,
-                          tol=float(model.params.get("refine_tol", 1e-10)),
+                          tol=float(model.params.get("refine_tol", LABEL_REFINE_TOL)),
                           cfg=model.integrator)
     wd = weight_decomposition(rec)
     fib = negative_slice(rec, wd)

@@ -38,6 +38,8 @@ __all__ = [
 
 CLUSTER_TOL = 1e-5      # spectra clustering tolerance for label equality
 VALUE_TOL = 1e-6        # critical-value tolerance for label equality
+LABEL_REFINE_TOL = 1e-10  # ||grad f|| refinement target of labels and flow lines
+CHAIN_REFINE_TOL = 1e-9   # ||grad f|| refinement target of a broken-line chain
 
 
 @dataclass(frozen=True)
@@ -48,50 +50,47 @@ class StratumLabel:
     f_limit: float
     status: str = "converged"      # or "inconclusive"
 
-    def matches(self, other, cluster_tol=CLUSTER_TOL, value_tol=VALUE_TOL) -> bool:
+    def matches(self, other) -> bool:
         if self.status != "converged" or other.status != "converged":
             return False
-        if abs(self.f_limit - other.f_limit) >= value_tol:
+        if abs(self.f_limit - other.f_limit) >= VALUE_TOL:
             return False
         if len(self.spectra) != len(other.spectra):
             return False
         for s1, s2 in zip(self.spectra, other.spectra):
             if len(s1) != len(s2):
                 return False
-            if any(abs(a - b) >= cluster_tol for a, b in zip(s1, s2)):
+            if any(abs(a - b) >= CLUSTER_TOL for a, b in zip(s1, s2)):
                 return False
         return True
 
-    def key(self, cluster_tol=CLUSTER_TOL, value_tol=VALUE_TOL):
+    def key(self):
         """Hashable rounded form for grouping (ties at bin edges may split)."""
-        spec = tuple(tuple(round(v / cluster_tol) for v in s) for s in self.spectra)
-        return spec, round(self.f_limit / value_tol)
+        spec = tuple(tuple(round(v / CLUSTER_TOL) for v in s) for s in self.spectra)
+        return spec, round(self.f_limit / VALUE_TOL)
 
 
-def stratum_label(x0: Representation, alpha: CentralShift, cfg: IntegratorConfig,
-                  refine_tol: float = 1e-10) -> StratumLabel:
+def stratum_label(x0: Representation, alpha: CentralShift, cfg: IntegratorConfig) -> StratumLabel:
     """Label x0 by the spectra and value of its forward-flow limit."""
-    return stratum_labels([x0], alpha, cfg, refine_tol)[0]
+    return stratum_labels([x0], alpha, cfg)[0]
 
 
-def stratum_labels(points, alpha: CentralShift, cfg: IntegratorConfig,
-                   refine_tol: float = 1e-10) -> list:
+def stratum_labels(points, alpha: CentralShift, cfg: IntegratorConfig) -> list:
     """``stratum_label`` of each point, from one batch of forward flows."""
-    return [label_of_trace(tr, alpha, cfg, refine_tol) for tr in integrate_many(points, alpha, cfg)]
+    return [label_of_trace(tr, alpha, cfg) for tr in integrate_many(points, alpha, cfg)]
 
 
-def label_of_trace(trace, alpha: CentralShift, cfg: IntegratorConfig,
-                   refine_tol: float = 1e-10) -> StratumLabel:
-    """``stratum_label`` of a point read off its forward trace."""
+def label_of_trace(trace, alpha: CentralShift, cfg: IntegratorConfig) -> StratumLabel:
+    """``stratum_label`` of a point read off its forward trace, refined to
+    ``LABEL_REFINE_TOL``."""
     if trace.status != "converged":
         return StratumLabel(spectra=(), f_limit=float("nan"), status="inconclusive")
-    rec = refine_critical(trace.final, alpha, tol=refine_tol, cfg=cfg)
+    rec = refine_critical(trace.final, alpha, tol=LABEL_REFINE_TOL, cfg=cfg)
     return StratumLabel(spectra=rec.beta_spectra, f_limit=rec.f_crit)
 
 
 def sample_unstable_level(rec: CriticalRecord, fiber: SliceFiber, alpha: CentralShift,
-                          eps: float, n: int, cfg: IntegratorConfig,
-                          seed_radius: float = 1e-4) -> list:
+                          eps: float, n: int, cfg: IntegratorConfig) -> list:
     """Sample the unstable set on the level f_crit - eps through fiber seeds.
 
     Maps each seed of one ``unstable_sweep`` with ``level_set_map``, which
@@ -102,7 +101,7 @@ def sample_unstable_level(rec: CriticalRecord, fiber: SliceFiber, alpha: Central
     """
     out = []
     level = rec.f_crit - eps
-    for s in unstable_sweep(rec, fiber.basis, alpha, eps, n, cfg, seed_radius):
+    for s in unstable_sweep(rec, fiber.basis, alpha, eps, n, cfg):
         entry = {"direction": s["direction"], "seed": s["seed"], "endpoint": None,
                  "time": None, "status": "failed", "error": s["error"]}
         # a seed on or past the level is left out of the batch; it is mapped alone
@@ -133,21 +132,20 @@ class FlowLine:
 
 
 def flow_line(anchor: Representation, z: float, alpha: CentralShift,
-              cfg: IntegratorConfig, refine_tol: float = 1e-10) -> FlowLine:
+              cfg: IntegratorConfig) -> FlowLine:
     """Classify the trajectory through an anchor with f(anchor) = z.
 
     The forward flow must converge (the anchor's lower endpoint); the
     backward flow either converges to the upper endpoint or escapes, in
     which case the anchor lies on no unstable set and upper is None.
     """
-    line = flow_lines([anchor], z, alpha, cfg, refine_tol)[0]
+    line = flow_lines([anchor], z, alpha, cfg)[0]
     if isinstance(line, Exception):
         raise line
     return line
 
 
-def flow_lines(anchors, z: float, alpha: CentralShift, cfg: IntegratorConfig,
-               refine_tol: float = 1e-10) -> list:
+def flow_lines(anchors, z: float, alpha: CentralShift, cfg: IntegratorConfig) -> list:
     """``flow_line`` of each anchor, from one batch of flows per direction; an
     anchor that fails gets the QuiverFlowError or ValueError it raised."""
     out = []
@@ -161,8 +159,8 @@ def flow_lines(anchors, z: float, alpha: CentralShift, cfg: IntegratorConfig,
                 raise ValueError("anchor is a critical point; flow lines need a regular anchor")
             if fwd.status != "converged":
                 raise QuiverFlowError(f"forward flow from anchor did not converge ({fwd.status})")
-            lower = refine_critical(fwd.final, alpha, tol=refine_tol, cfg=cfg)
-            upper = (refine_critical(bwd.final, alpha, tol=refine_tol, cfg=cfg)
+            lower = refine_critical(fwd.final, alpha, tol=LABEL_REFINE_TOL, cfg=cfg)
+            upper = (refine_critical(bwd.final, alpha, tol=LABEL_REFINE_TOL, cfg=cfg)
                      if bwd.status == "converged" else None)
             out.append(FlowLine(anchor, float(z), lower, upper, fwd.status, bwd.status))
         except (QuiverFlowError, ValueError) as exc:
@@ -199,8 +197,7 @@ class BrokenLineReport:
 
 
 def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
-                           cfg: IntegratorConfig, limit_param=None,
-                           refine_tol: float = 1e-9, value_tol: float = VALUE_TOL) -> BrokenLineReport:
+                           cfg: IntegratorConfig, limit_param=None) -> BrokenLineReport:
     """Track level checkpoints of a family of flow lines as it degenerates.
 
     seed_family maps a parameter to a seed representation; params is the
@@ -224,8 +221,8 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
         if fwd.status != "converged":
             raise QuiverFlowError(f"forward flow of family member {s!r} did not converge")
 
-    upper = refine_critical(members[0][2].final, alpha, tol=refine_tol, cfg=cfg)
-    lower = refine_critical(members[0][3].final, alpha, tol=refine_tol, cfg=cfg)
+    upper = refine_critical(members[0][2].final, alpha, tol=CHAIN_REFINE_TOL, cfg=cfg)
+    lower = refine_critical(members[0][3].final, alpha, tol=CHAIN_REFINE_TOL, cfg=cfg)
 
     checkpoints = [[trace_crossing(fwd, r, alpha) for *_, fwd in members] for r in levels]
 
@@ -237,8 +234,8 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
     if limit_param is not None:
         lim_trace = forward[-1]
         if lim_trace.status == "converged":
-            rec = refine_critical(lim_trace.final, alpha, tol=refine_tol, cfg=cfg)
-            if rec.f_crit > lower.f_crit + value_tol:
+            rec = refine_critical(lim_trace.final, alpha, tol=CHAIN_REFINE_TOL, cfg=cfg)
+            if rec.f_crit > lower.f_crit + VALUE_TOL:
                 intermediates.append(rec)
 
     chain = (upper, *intermediates, lower)
@@ -323,8 +320,7 @@ def search_three_level_configs(rng, cfg: IntegratorConfig, n_quivers: int = 5,
 
 
 def search_critical_levels(quiver, dims, alpha: CentralShift, cfg: IntegratorConfig,
-                           rng, n_seeds: int = 12, scale: float = 1.0,
-                           value_tol: float = VALUE_TOL) -> dict:
+                           rng, n_seeds: int = 12) -> dict:
     """Exploratory scan for distinct critical values reachable from random seeds.
 
     Flows random starts (and their small perturbations of the origin) and
@@ -336,11 +332,11 @@ def search_critical_levels(quiver, dims, alpha: CentralShift, cfg: IntegratorCon
     # axis seeds supported on a single edge reach strata that random seeds
     # almost surely miss
     for a in range(quiver.n_edges):
-        axis = Representation.random(quiver, dims, rng, scale=scale)
+        axis = Representation.random(quiver, dims, rng)
         blocks = [np.zeros_like(b) if e != a else b
                   for e, b in enumerate(axis.blocks)]
         seeds.append(axis.replace_blocks(blocks))
-    seeds += [Representation.random(quiver, dims, rng, scale=scale) for _ in range(n_seeds)]
+    seeds += [Representation.random(quiver, dims, rng) for _ in range(n_seeds)]
     for trace in integrate_many(seeds, alpha, cfg):
         if trace.status != "converged":
             continue
@@ -348,7 +344,7 @@ def search_critical_levels(quiver, dims, alpha: CentralShift, cfg: IntegratorCon
             rec = refine_critical(trace.final, alpha, tol=1e-9, cfg=cfg)
         except QuiverFlowError:
             continue
-        if not any(abs(rec.f_crit - v) < value_tol for v in values):
+        if not any(abs(rec.f_crit - v) < VALUE_TOL for v in values):
             values.append(rec.f_crit)
             records.append(rec)
     order = np.argsort(values)

@@ -54,15 +54,16 @@ class SubvarietySpec:
     def max_residual(self, x: Representation) -> float:
         return max((relation_residual(x, r) for r in self.relations), default=0.0)
 
-    def covariance_check(self, quiver, dims, rng, trials: int = 3, tol: float = 1e-9) -> float:
+    def covariance_check(self, quiver, dims, rng) -> float:
         """Empirical check that each relation transforms covariantly.
 
         Path relations with a common source s and target t satisfy
         r(g . x) = g_t r(x) g_s^{-1} identically; this verifies the block
-        algebra on random data and returns the worst defect.
+        algebra on three random points and returns the worst defect, which
+        must stay below 1e-9.
         """
         worst = 0.0
-        for _ in range(trials):
+        for _ in range(3):
             x = Representation.random(quiver, dims, rng)
             g = GroupElement.random_unitary(quiver, dims, rng)
             gx = act(g, x)
@@ -70,8 +71,8 @@ class SubvarietySpec:
                 lhs = r.evaluate(gx.blocks)
                 rhs = g.blocks[r.target] @ r.evaluate(x.blocks) @ np.linalg.inv(g.blocks[r.source])
                 worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-        if worst > tol:
-            raise ShapeError(f"relation covariance defect {worst:.3e} exceeds {tol:.3e}")
+        if worst > 1e-9:
+            raise ShapeError(f"relation covariance defect {worst:.3e} exceeds 1e-9")
         return worst
 
 
@@ -141,7 +142,7 @@ def project_to_variety(x: Representation, spec: SubvarietySpec,
 
 def slice_variety_probe(rec: CriticalRecord, fiber: SliceFiber, spec: SubvarietySpec,
                         alpha: CentralShift, eps: float, cfg: IntegratorConfig,
-                        n_seeds: int = 8, seed_radius: float = 1e-4) -> dict:
+                        n_seeds: int = 8) -> dict:
     """Compare the linearized in-variety slice with sampled unstable flow.
 
     Part (i) linearizes each relation at the critical point and counts the
@@ -173,8 +174,8 @@ def slice_variety_probe(rec: CriticalRecord, fiber: SliceFiber, spec: Subvariety
         seed_z, snapped = _snap_branches(seed_z, spec)
         return seed_z, {"projection_moved": float(moved), "snapped_blocks": snapped}
 
-    for i, s in enumerate(unstable_sweep(rec, in_cone, alpha, eps, n_seeds, cfg, seed_radius,
-                                         project)):
+    for i, s in enumerate(unstable_sweep(rec, in_cone, alpha, eps, n_seeds, cfg,
+                                         project=project)):
         entry = {"seed_index": i, "projection_moved": None, **s["notes"]}
         trace, error = s["trace"], s["error"]
         if trace is not None and trace.status == "exited_level":
@@ -194,9 +195,9 @@ def slice_variety_probe(rec: CriticalRecord, fiber: SliceFiber, spec: Subvariety
     return report
 
 
-def _snap_branches(x: Representation, spec: SubvarietySpec, rel_cut: float = 0.05):
-    """Zero out blocks that are tiny relative to the largest one, when doing
-    so lands exactly on the variety.
+def _snap_branches(x: Representation, spec: SubvarietySpec):
+    """Zero out blocks below 0.05 times the norm of the largest one, when
+    doing so lands exactly on the variety.
 
     Near a singular point of the variety, least squares cannot reach a
     branch to machine precision; unstable flow then amplifies the off-
@@ -208,7 +209,7 @@ def _snap_branches(x: Representation, spec: SubvarietySpec, rel_cut: float = 0.0
     big = max(norms) if norms else 0.0
     if big == 0.0:
         return x, []
-    candidates = [a for a, nb in enumerate(norms) if nb < rel_cut * big]
+    candidates = [a for a, nb in enumerate(norms) if nb < 0.05 * big]
     if not candidates:
         return x, []
     blocks = [b.copy() for b in x.blocks]
