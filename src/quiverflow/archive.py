@@ -17,6 +17,7 @@ import tempfile
 import numpy as np
 
 from .errors import QuiverFlowError
+from .quiver import unflatten_blocks
 
 __all__ = [
     "write_text",
@@ -83,51 +84,38 @@ def csv_float(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# jsonable views of the core value types
-
-
-def matrix_jsonable(m):
-    m = np.asarray(m)
-    return [[[float(c.real), float(c.imag)] for c in row] for row in m]
-
-
-def rep_jsonable(x):
-    return {x.quiver.edges[a]: matrix_jsonable(x.blocks[a]) for a in range(x.quiver.n_edges)}
+# jsonable views of the core value types; they hold arrays, which
+# ``canonical_json`` turns into lists
 
 
 def trace_jsonable(trace, state_stride: int = 1):
-    out = {
-        "status": trace.status,
-        "direction": trace.direction,
-        "t": [float(v) for v in trace.ts],
-        "f": [float(v) for v in trace.fs],
-        "gradnorm": [float(v) for v in trace.gradnorms],
-        # parallel lists keep registration order under sorted-key JSON dumps
-        "monitor_names": list(trace.monitors.keys()),
-        "monitor_values": [[float(v) for v in vals] for vals in trace.monitors.values()],
-        "state_stride": int(state_stride),
-        "states": [],
-    }
     idx = list(range(0, trace.n_samples, max(1, state_stride)))
     if idx and idx[-1] != trace.n_samples - 1:
         idx.append(trace.n_samples - 1)
-    out["state_indices"] = idx
-    out["states"] = [rep_jsonable(trace.point(i)) for i in idx]
-    return out
-
-
-def record_jsonable(rec):
+    blocks = unflatten_blocks(trace.states[idx], trace.quiver.block_shapes(trace.dims))
     return {
-        "f_crit": float(rec.f_crit),
-        "grad_residual": float(rec.grad_residual),
-        "beta_spectra": [[float(v) for v in s] for s in rec.beta_spectra],
-        "x": rep_jsonable(rec.x),
+        "status": trace.status,
+        "direction": trace.direction,
+        "t": trace.ts,
+        "f": trace.fs,
+        "gradnorm": trace.gradnorms,
+        # parallel lists keep registration order under sorted-key JSON dumps
+        "monitor_names": list(trace.monitors),
+        "monitor_values": list(trace.monitors.values()),
+        "state_stride": int(state_stride),
+        "state_indices": idx,
+        "states": [{e: b[k] for e, b in zip(trace.quiver.edges, blocks)}
+                   for k in range(len(idx))],
     }
 
 
+def record_jsonable(rec):
+    return {"f_crit": rec.f_crit, "grad_residual": rec.grad_residual,
+            "beta_spectra": rec.beta_spectra, "x": dict(zip(rec.x.quiver.edges, rec.x.blocks))}
+
+
 def fiber_jsonable(fiber):
-    return {"dim": int(fiber.dim),
-            "basis": [[float(v) for v in fiber.basis[:, j]] for j in range(fiber.dim)]}
+    return {"dim": fiber.dim, "basis": fiber.basis.T}
 
 
 # ---------------------------------------------------------------------------

@@ -90,11 +90,12 @@ class IntegratorConfig:
     max_steps: int = 200_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        # written so that NaN fails each test
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if not (0 < self.min_step < self.max_step):
             raise ValueError("need 0 < min_step < max_step")
-        if self.max_time <= 0 or self.grad_stop <= 0 or self.stall_window < 1:
+        if not (self.max_time > 0 and self.grad_stop > 0 and self.stall_window >= 1):
             raise ValueError("max_time, grad_stop, stall_window must be positive")
 
 

@@ -162,14 +162,21 @@ def beta_of(x: Representation, alpha: CentralShift) -> HermitianCollection:
 MAX_TENSOR_ENTRIES = 1 << 22
 
 
-@lru_cache(maxsize=16)
-def moment_tensor(quiver, dims):
-    """Read-only symmetric T, shape (m, n, n), with flatten_blocks(H)[k] = y^T T_k y
-    for the flat state y; ``_moment_form`` polarised on the unit basis."""
+def check_tensor_size(quiver, dims):
+    """Raise ShapeError when the moment tensor of (quiver, dims) has more than
+    ``MAX_TENSOR_ENTRIES`` entries."""
     n, m = quiver.rep_real_dim(dims), quiver.group_real_dim(dims)
     if m * n * n > MAX_TENSOR_ENTRIES:
         raise ShapeError(f"dims {tuple(dims)} need a moment tensor of {m} x {n} x {n} = "
                          f"{m * n * n} entries, above the limit of {MAX_TENSOR_ENTRIES}")
+
+
+@lru_cache(maxsize=16)
+def moment_tensor(quiver, dims):
+    """Read-only symmetric T, shape (m, n, n), with flatten_blocks(H)[k] = y^T T_k y
+    for the flat state y; ``_moment_form`` polarised on the unit basis."""
+    check_tensor_size(quiver, dims)
+    n = quiver.rep_real_dim(dims)
     e = unflatten_blocks(np.eye(n), quiver.block_shapes(dims))
     form = _moment_form(quiver, [b[:, None] for b in e], [b[None] for b in e],
                         [np.zeros((n, n, d, d), dtype=complex) for d in dims])

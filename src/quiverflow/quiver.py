@@ -139,6 +139,15 @@ class Quiver:
             raise ShapeError("dimension vector entries must be nonnegative")
         return dims
 
+    def check_block(self, a, dims, block):
+        """The read-only complex block of edge a; raises ShapeError unless it
+        is finite with shape v[head(a)] x v[tail(a)]."""
+        b = _freeze(block)
+        if b.shape != self.block_shape(a, dims):
+            raise ShapeError(f"block for edge {self.edges[a]!r} has shape {b.shape}, "
+                             f"expected {self.block_shape(a, dims)}")
+        return b
+
 
 @dataclass(frozen=True)
 class Representation:
@@ -150,16 +159,11 @@ class Representation:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", self.quiver.check_dims(self.dims))
-        blocks = tuple(_freeze(b) for b in self.blocks)
+        blocks = tuple(self.blocks)
         if len(blocks) != self.quiver.n_edges:
             raise ShapeError("one block per edge required")
-        for a, b in enumerate(blocks):
-            if b.shape != self.quiver.block_shape(a, self.dims):
-                raise ShapeError(
-                    f"block for edge {self.quiver.edges[a]!r} has shape {b.shape}, "
-                    f"expected {self.quiver.block_shape(a, self.dims)}"
-                )
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(self.quiver.check_block(a, self.dims, b)
+                                                 for a, b in enumerate(blocks)))
 
     @staticmethod
     def zero(quiver, dims):
@@ -368,6 +372,8 @@ class Relation:
         if not self.terms:
             raise NonComposablePathError("relation needs at least one term")
         terms = tuple((complex(c), tuple(int(a) for a in p)) for c, p in self.terms)
+        if not np.all(np.isfinite([c for c, _ in terms])):
+            raise ShapeError("relation coefficients must be finite")
         endpoints = {_validate_path(self.quiver, p) for _, p in terms}
         if len(endpoints) != 1:
             raise NonComposablePathError("all paths in a relation must share source and target")

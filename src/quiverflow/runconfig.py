@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, QuiverFlowError
 from .flow import IntegratorConfig
-from .moment import CentralShift
+from .moment import CentralShift, check_tensor_size
 from .quiver import CycleWord, Quiver, Relation, Representation
 
 __all__ = [
@@ -197,6 +198,8 @@ def validate_config(doc):
                 raise ConfigError(f"config field dims.{v}: missing entry", field=f"dims.{v}")
             if v not in doc["alpha"]:
                 raise ConfigError(f"config field alpha.{v}: missing entry", field=f"alpha.{v}")
+        with _rejected("dims"):
+            check_tensor_size(_quiver_of(doc), [doc["dims"][v] for v in vertices])
         for rel_list, kind in ((doc.get("relations", []), "relations"),
                                (doc.get("cycles", []), "cycles")):
             for i, item in enumerate(rel_list):
@@ -220,47 +223,54 @@ def validate_config(doc):
                 raise ConfigError("config field seed: required when points are randomized",
                                   field="seed")
 
-    required_params = {
-        "lines": ("z",),
-        "broken": ("fixed", "varying_edge", "varying_direction", "scales", "levels"),
-    }
     params = doc.get("params", {})
-    for key in required_params.get(exp, ()):
-        if key not in params:
-            raise ConfigError(
-                f"config field params.{key}: required for experiment {exp!r}",
-                field=f"params.{key}")
+    edges = [e["name"] for e in doc.get("quiver", {}).get("edges", [])]
+    others = [e for e in edges if e != params.get("varying_edge")]
+    # each rule is (check, expected, required)
     grid = (lambda g: isinstance(g, list) and len(g) == 2
             and all(type(n) is int and n > 0 for n in g) and g[1] % 2 == 0,
-            "[n_rho, n_theta], two positive integers with n_theta even")
-    positive = (lambda v: _finite(v) and v > 0, "a positive finite number")
-    finite = (_finite, "a finite number")
-    rules = {"grid": grid, "refine": grid,
-             "seeds": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
-             "trials": (lambda v: type(v) is int and v > 0, "a positive integer"),
-             "state_stride": (lambda v: type(v) is int and v > 0, "a positive integer"),
-             "residual_tol": positive, "refine_tol": positive, "z": finite,
-             "boundedness": (lambda v: type(v) is bool, "a boolean")}
-    if exp in ("slice", "variety", "retract"):
-        rules["eps"] = positive
-    if exp == "retract":
-        rules["delta"] = rules["rho_max"] = positive
-        rules["probe_width"] = rules["saddle_probe_width"] = positive
-    if exp == "broken":
-        edges = [e["name"] for e in doc["quiver"]["edges"]]
-        others = [e for e in edges if e != params["varying_edge"]]
-        rules.update({
-            "varying_edge": (lambda v: v in edges, f"one of the edges {edges}"),
+            "[n_rho, n_theta], two positive integers with n_theta even", False)
+    positive = (lambda v: _finite(v) and v > 0, "a positive finite number", False)
+    finite = (_finite, "a finite number", False)
+    count = (lambda v: type(v) is int and v >= 0, "a non-negative integer", False)
+    positive_int = (lambda v: type(v) is int and v > 0, "a positive integer", False)
+    # experiment -> the params keys its runner reads, with their rules
+    table = {
+        "flow": {"state_stride": positive_int},
+        "critical": {"refine_tol": positive},
+        "slice": {"refine_tol": positive, "eps": positive, "seeds": count,
+                  "boundedness": (lambda v: type(v) is bool, "a boolean", False)},
+        "strata": {},
+        "lines": {"z": (_finite, "a finite number", True)},
+        "broken": {
+            "varying_edge": (lambda v: v in edges, f"one of the edges {edges}", True),
             "fixed": (lambda v: isinstance(v, dict) and all(_pair(v.get(e)) for e in others),
-                      f"an [re, im] pair for each of the edges {others}"),
-            "varying_direction": (_pair, "an [re, im] pair of finite numbers"),
+                      f"an [re, im] pair for each of the edges {others}", True),
+            "varying_direction": (_pair, "an [re, im] pair of finite numbers", True),
             "scales": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_finite, v)),
-                       "a non-empty list of finite numbers"),
+                       "a non-empty list of finite numbers", True),
             "levels": (lambda v: isinstance(v, list) and all(map(_finite, v)),
-                       "a list of finite numbers"),
-            "limit_scale": finite})
-    for key, (ok, expected) in rules.items():
-        if key in params and not ok(params[key]):
+                       "a list of finite numbers", True),
+            "limit_scale": finite},
+        "retract": {"eps": positive, "delta": positive, "grid": grid, "refine": grid,
+                    "rho_max": positive, "probe_width": positive,
+                    "saddle_probe_width": positive},
+        "variety": {"refine_tol": positive, "residual_tol": positive, "eps": positive,
+                    "seeds": count},
+        "check": {"trials": positive_int},
+    }
+    rules = table[exp]
+    for key in params:
+        if key not in rules:
+            raise ConfigError(f"config field params.{key}: not read by experiment {exp!r}, "
+                              f"which reads {sorted(rules) or 'no params'}",
+                              field=f"params.{key}")
+    for key, (ok, expected, required) in rules.items():
+        if key not in params:
+            if required:
+                raise ConfigError(f"config field params.{key}: required for experiment "
+                                  f"{exp!r}", field=f"params.{key}")
+        elif not ok(params[key]):
             raise ConfigError(f"config field params.{key}: expected {expected}, "
                               f"got {params[key]!r}", field=f"params.{key}")
     if exp == "broken":
@@ -276,6 +286,16 @@ def validate_config(doc):
 
 def _finite(v):
     return type(v) in (int, float) and math.isfinite(v)
+
+
+@contextmanager
+def _rejected(field):
+    """Report a package constructor's rejection of a config value as a
+    ConfigError naming its field."""
+    try:
+        yield
+    except (QuiverFlowError, ValueError) as exc:
+        raise ConfigError(f"config field {field}: {exc}", field=field) from exc
 
 
 def _pair(v):
@@ -309,29 +329,37 @@ class Model:
 
 
 def build_model(doc) -> Model:
-    """Materialize quiver, shifts, relations, integrator, and points."""
+    """Materialize quiver, shifts, relations, integrator, and points; a value
+    that their constructors reject is a ConfigError naming its field."""
+    with _rejected("integrator"):
+        integrator = IntegratorConfig(**doc.get("integrator", {}))
     if doc["experiment"] == "retract":
-        return Model(None, None, None, (), (), _integrator_of(doc), [], doc)
-    qd = doc["quiver"]
-    quiver = Quiver.from_lists(qd["vertices"], [(e["name"], e["tail"], e["head"])
-                                                for e in qd["edges"]])
-    dims = tuple(int(doc["dims"][v]) for v in qd["vertices"])
-    alpha = CentralShift(tuple(float(doc["alpha"][v]) for v in qd["vertices"]))
-    relations = tuple(
-        Relation(quiver,
-                 tuple((_complex_of(t["coef"]), tuple(quiver.edge_index(n) for n in t["path"]))
-                       for t in r["terms"]),
-                 name=r["name"])
-        for r in doc.get("relations", []))
-    cycles = tuple(
-        CycleWord(quiver, tuple(quiver.edge_index(n) for n in c["path"]), name=c["name"])
-        for c in doc.get("cycles", []))
+        return Model(None, None, None, (), (), integrator, [], doc)
+    vertices = doc["quiver"]["vertices"]
+    quiver = _quiver_of(doc)
+    dims = tuple(int(doc["dims"][v]) for v in vertices)
+    for v in vertices:      # one shift at a time, so that the error names its vertex
+        with _rejected(f"alpha.{v}"):
+            CentralShift((doc["alpha"][v],))
+    alpha = CentralShift(tuple(float(doc["alpha"][v]) for v in vertices))
+    relations, cycles = [], []
+    for i, r in enumerate(doc.get("relations", [])):
+        with _rejected(f"relations.{i}"):
+            relations.append(Relation(
+                quiver, tuple((_complex_of(t["coef"]), tuple(map(quiver.edge_index, t["path"])))
+                              for t in r["terms"]), name=r["name"]))
+    for i, c in enumerate(doc.get("cycles", [])):
+        with _rejected(f"cycles.{i}"):
+            cycles.append(CycleWord(quiver, tuple(map(quiver.edge_index, c["path"])),
+                                    name=c["name"]))
     points = _points_of(doc, quiver, dims)
-    return Model(quiver, dims, alpha, relations, cycles, _integrator_of(doc), points, doc)
+    return Model(quiver, dims, alpha, tuple(relations), tuple(cycles), integrator, points, doc)
 
 
-def _integrator_of(doc) -> IntegratorConfig:
-    return IntegratorConfig(**doc.get("integrator", {}))
+def _quiver_of(doc) -> Quiver:
+    qd = doc["quiver"]
+    return Quiver.from_lists(qd["vertices"], [(e["name"], e["tail"], e["head"])
+                                              for e in qd["edges"]])
 
 
 def _points_of(doc, quiver, dims):
@@ -342,19 +370,20 @@ def _points_of(doc, quiver, dims):
         out = []
         for i, val in enumerate(pts["values"]):
             blocks = []
-            for a in range(quiver.n_edges):
-                name = quiver.edges[a]
+            for a, name in enumerate(quiver.edges):
                 if name not in val:
                     raise ConfigError(
                         f"config field points.values.{i}.{name}: missing edge block",
                         field=f"points.values.{i}.{name}")
-                blocks.append(_matrix_of(val[name]))
+                with _rejected(f"points.values.{i}.{name}"):
+                    blocks.append(quiver.check_block(a, dims, _matrix_of(val[name])))
             out.append(Representation(quiver, dims, tuple(blocks)))
         return out
     seed = int(doc["seed"])
     scale = float(pts.get("scale", 1.0))
-    return [Representation.random(quiver, dims, rng_for(seed, i), scale=scale)
-            for i in range(int(pts["count"]))]
+    with _rejected("points.scale"):
+        return [Representation.random(quiver, dims, rng_for(seed, i), scale=scale)
+                for i in range(int(pts["count"]))]
 
 
 def rng_for(seed: int, index: int = 0) -> np.random.Generator:

@@ -90,7 +90,7 @@ def _run_critical(model, out_dir):
             "record": record_jsonable(rec),
             "slice_dim": fib.dim,
             "hessian_index": idx.hessian_index,
-            "hessian_spectrum": [float(v) for v in idx.eigenvalues],
+            "hessian_spectrum": idx.eigenvalues,
             "index_agree": idx.agree,
             "index_status": idx.status,
         }
@@ -116,12 +116,12 @@ def _run_slice(model, out_dir):
     idx = morse_index_check(rec, fib, model.alpha)
     doc = {
         "record": record_jsonable(rec),
-        "weights": [[list(map(float, row)) for row in w] for w in wd.edge_weights],
+        "weights": wd.edge_weights,
         "offband_mass": wd.offband_mass,
         "fiber": fiber_jsonable(fib),
         "index": {"slice_dim": idx.slice_dim, "hessian_index": idx.hessian_index,
                   "agree": idx.agree, "status": idx.status,
-                  "hessian_spectrum": [float(v) for v in idx.eigenvalues]},
+                  "hessian_spectrum": idx.eigenvalues},
     }
     if model.params.get("boundedness", True) and fib.dim > 0:
         doc["boundedness"] = unstable_boundedness_check(
@@ -136,9 +136,8 @@ def _run_slice(model, out_dir):
 
 
 def _run_strata(model, out_dir):
-    labels = [{"status": lab.status,
-               "spectra": [[float(v) for v in s] for s in lab.spectra],
-               "f_limit": float(lab.f_limit) if lab.status == "converged" else None}
+    labels = [{"status": lab.status, "spectra": lab.spectra,
+               "f_limit": lab.f_limit if lab.status == "converged" else None}
               for lab in stratum_labels(model.points, model.alpha, model.integrator)]
     write_json(_out(out_dir, "labels.json"), {"labels": labels})
     return {"experiment": "strata", "n_points": len(labels)}
@@ -186,17 +185,17 @@ def _run_broken(model, out_dir):
     rep = broken_line_experiment(family, scales, model.alpha, levels,
                                  model.integrator, limit_param=float(p.get("limit_scale", 0.0)))
     doc = {
-        "levels": list(rep.levels),
-        "params": list(rep.params),
-        "chain_values": [float(v) for v in rep.chain_values],
+        "levels": rep.levels,
+        "params": rep.params,
+        "chain_values": rep.chain_values,
         "chain": [record_jsonable(r) for r in rep.chain],
         "strictly_decreasing": rep.strictly_decreasing,
         "single_line": rep.single_line,
-        "successive_distances": [[d for d in ds] for ds in rep.successive_distances],
-        "checkpoints": [[None if y is None else [float(v) for v in y.flatten()]
-                         for y in col] for col in rep.checkpoints],
-        "membership": list(rep.checkpoint_membership),
-        "dwell_fractions": [list(fr) for fr in rep.dwell_fractions],
+        "successive_distances": rep.successive_distances,
+        "checkpoints": [[None if y is None else y.flatten() for y in col]
+                        for col in rep.checkpoints],
+        "membership": rep.checkpoint_membership,
+        "dwell_fractions": rep.dwell_fractions,
     }
     write_json(_out(out_dir, "broken.json"), doc)
     write_text(_out(out_dir, "checkpoints.csv"), checkpoints_csv(doc))

@@ -257,7 +257,7 @@ def test_zero_trials_without_points_is_a_config_error(tmp_path):
 def test_sweep_params_are_validated():
     base = {name: json.load(open(config_path(f"{name}.json")))
             for name in ("a2_slice", "a3_variety", "a2_check", "slit_retract", "a2_critical",
-                         "jordan2_flow", "a2_lines")}
+                         "jordan2_flow", "a2_lines", "a2_strata")}
     for name, key, value in (("a2_slice", "eps", 0), ("a3_variety", "eps", -0.4),
                              ("a3_variety", "eps", "0.4"), ("a2_slice", "eps", True),
                              ("a2_slice", "seeds", -1), ("a3_variety", "seeds", 2.0),
@@ -271,7 +271,8 @@ def test_sweep_params_are_validated():
                              ("a2_lines", "z", float("inf")), ("slit_retract", "eps", 0),
                              ("slit_retract", "delta", 0), ("slit_retract", "rho_max", -3),
                              ("slit_retract", "rho_max", True), ("a2_slice", "boundedness", "false"),
-                             ("a2_slice", "boundedness", 0)):
+                             ("a2_slice", "boundedness", 0), ("a2_slice", "epss", 2.0),
+                             ("a2_strata", "refine_tol", 1e-3)):
         doc = json.loads(json.dumps(base[name]))
         doc["params"][key] = value
         with pytest.raises(ConfigError) as info:
@@ -315,6 +316,43 @@ def test_probe_widths_are_validated(tmp_path, key, value):
     res = run_cli("retract", "--config", str(bad), "--out", str(tmp_path / "arch"))
     assert res.returncode == 2, res.stderr
     assert f"params.{key}" in res.stderr
+
+
+def _set(path, value):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, field", [
+    ("jordan2_flow", _set(["dims", "v"], 10), "dims"),
+    ("a3_variety", _set(["relations", 0, "terms", 0, "path"], ["b", "a"]), "relations.0"),
+    ("a3_variety", _set(["relations", 0, "terms", 0, "coef"], [float("nan"), 0.0]),
+     "relations.0"),
+    ("a2_check", _set(["cycles"], [{"name": "open", "path": ["a"]}]), "cycles.0"),
+    ("a2_lines", _set(["points", "values", 0, "a"], [[[1.0, 0.0], [2.0, 0.0]]]),
+     "points.values.0.a"),
+    ("jordan2_flow", _set(["points", "values", 0, "x"], [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]]),
+     "points.values.0.x"),
+    ("a2_check", _set(["alpha", "2"], float("inf")), "alpha.2"),
+    ("a2_check", _set(["integrator", "min_step"], 1e7), "integrator"),
+    ("a2_check", _set(["points", "scale"], float("inf")), "points.scale"),
+], ids=["tensor_size", "relation_path", "relation_coef", "open_cycle", "block_shape", "ragged_block",
+        "alpha", "step_bounds", "point_scale"])
+def test_constructor_rejections_are_config_errors(tmp_path, name, edit, field):
+    # each passed validation and then failed inside the run (exit 1): the oversize
+    # moment tensor wrote failure.json, the others raised from build_model
+    doc = json.load(open(config_path(f"{name}.json")))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(doc["experiment"], "--config", str(bad), "--out", str(tmp_path / "arch"))
+    assert res.returncode == 2, res.stderr
+    assert f"config field {field}:" in res.stderr
+    assert not (tmp_path / "arch" / "outputs" / "failure.json").exists()
 
 
 def test_broken_needs_scalar_blocks(tmp_path):

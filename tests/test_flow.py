@@ -32,6 +32,10 @@ def test_integrator_config_validation():
         IntegratorConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(min_step=1.0, max_step=0.5)
+    # a NaN tolerance used to pass and send the integrator into a runaway loop
+    for key in ("rel_tol", "abs_tol", "max_time", "grad_stop"):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**{key: float("nan")})
 
 
 def test_critical_start_gives_single_sample(a2_model, tight_cfg):
