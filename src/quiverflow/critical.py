@@ -151,12 +151,10 @@ class WeightDecomposition:
     """Per-vertex eigenframes of beta and the induced edge weight matrices."""
 
     vertex_frames: tuple           # unitary per vertex, columns = eigenvectors
-    vertex_eigs: tuple             # ascending eigenvalues per vertex
     edge_weights: tuple            # per edge: real matrix lambda_head[p] - lambda_tail[q]
-    negative: tuple                # per edge: list of (p, q) with w < -weight_tol
+    negative: tuple                # per edge: list of (p, q) with w below the zero band
     zero: tuple
     positive: tuple
-    weight_tol: float
     offband_mass: float = 0.0      # mass of x outside the zero-weight band
 
 
@@ -196,9 +194,8 @@ def weight_decomposition(rec: CriticalRecord) -> WeightDecomposition:
         mask = np.abs(w) > weight_tol
         offband += float(np.sum(np.abs(xa_frame[mask]) ** 2))
     return WeightDecomposition(
-        vertex_frames=tuple(frames), vertex_eigs=tuple(eigs),
-        edge_weights=tuple(weights), negative=tuple(neg), zero=tuple(zero),
-        positive=tuple(pos), weight_tol=float(weight_tol),
+        vertex_frames=tuple(frames), edge_weights=tuple(weights),
+        negative=tuple(neg), zero=tuple(zero), positive=tuple(pos),
         offband_mass=float(np.sqrt(offband)),
     )
 

@@ -9,12 +9,16 @@ column ``energy`` and makes the energy-identity defect measurable at the
 integrator's own order instead of being limited by sample quadrature.
 
 ``integrate_many`` runs a list of points as the rows of one state array,
-one batched field call per stage and one f call per step; each row keeps
-its own time, step, error history, stall streak and status, and leaves
-the batch when it finishes (``integrate`` is its batch of one).  A row is
-bitwise its lone run: each reduction is taken per row as a lone run takes
-it (``np.vecdot``, per-state matmuls, row sums, and Python's ``pow`` for
-step control, where numpy's array powers round otherwise).
+one batched field call per stage; f at each new state comes from the
+contraction of the FSAL stage (the field at the step's end, which is the
+next step's first slope), so a step costs six contractions.  Each row
+keeps its own flow direction, time, step, error history, stall streak
+and status, and leaves the batch when it finishes (``integrate`` is its
+batch of one).  A row is bitwise its lone run: each reduction is taken
+per row as a lone run takes it (``np.vecdot``, per-state matmuls, row
+sums, and Python's ``pow`` for step control, where numpy's array powers
+round otherwise), the stage slopes are combined in the order of a
+per-row sum, and a sign of +-1 multiplies exactly.
 
 Traces store flat real states and build a ``Representation`` only on
 demand.  Level crossings f(x(t)) = level are located inside the bracketing
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import copy
 import math
+from array import array
 import warnings
 from dataclasses import dataclass
 
@@ -57,16 +62,16 @@ __all__ = [
 
 # Dormand-Prince 5(4) tableau (FSAL).
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = (
+_A = tuple(np.array(row) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+))
+_B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 
 BLOWUP_FACTOR = 1e6
 
@@ -168,43 +173,75 @@ class FlowTrace:
 
 
 class _Stepper:
-    """Dormand-Prince 5(4) on flattened states (a row or a stack) plus dissipation."""
+    """Dormand-Prince 5(4) on flattened states (a row or a stack) plus dissipation.
+
+    ``direction`` is +-1, or a column of +-1.0 with one entry per row of a stack.
+    """
 
     def __init__(self, quiver, dims, alpha, direction):
         self.direction = direction
         self.dim = quiver.rep_real_dim(dims)
         self.kernel = VelocityKernel(quiver, dims, alpha)
 
+    def row(self, j):
+        """This stepper for row j of its stack alone, with that row's direction."""
+        out = copy.copy(self)
+        out.direction = int(self.direction[j, 0])
+        return out
+
     def f_of(self, y):
         return self.kernel.f_flat(y[..., :self.dim])
 
-    def field(self, y):
-        v = self.kernel.velocity_flat(y[..., :self.dim])
-        out = np.empty(y.shape)
+    def field(self, y, out=None):
+        """The integrated field at y with ||v||^2 in the last column, written into
+        ``out`` when given."""
+        return self._slope(self.kernel.velocity_flat(y[..., :self.dim]), y.shape, out)
+
+    def field_f(self, y, out=None):
+        """``field(y, out)`` and f at y, from one contraction."""
+        v, f = self.kernel.velocity_f_flat(y[..., :self.dim])
+        return self._slope(v, y.shape, out), f
+
+    def _slope(self, v, shape, out):
+        out = np.empty(shape) if out is None else out
         out[..., :self.dim] = self.direction * v
         out[..., self.dim] = np.vecdot(v, v)
         return out
 
-    def stages(self, y, k1, h):
-        """The six stage slopes of one step from y; returns (y5, slopes)."""
-        ks = [k1]
+    def slopes(self, y, k1, h):
+        """One step from y: (y5, ks), with the six stage slopes in ks[:6] of the
+        seven-slot buffer ks, of shape (7,) + y.shape; ks[6] is left for k7."""
+        ks = np.empty((7,) + y.shape)
+        ks[0] = k1
         for i in range(1, 6):
-            yi = y + h * sum(a * k for a, k in zip(_A[i], ks))
-            ks.append(self.field(yi))
-        return y + h * sum(b * k for b, k in zip(_B, ks)), ks
+            self.field(y + h * _combine(_A[i], ks), out=ks[i])
+        return y + h * _combine(_B, ks), ks
+
+    def stages(self, y, k1, h):
+        """The six stage slopes of one step from y; returns (y5, list of slopes)."""
+        y5, ks = self.slopes(y, k1, h)
+        return y5, list(ks[:6])
 
     def step(self, y, k1, h, cfg):
-        """One embedded step of each row, its step in the column h: y_new, k_new
-        and the lists of error norms and of norms of y_new (inf if not finite)."""
-        y5, ks = self.stages(y, k1, h)
-        k7 = self.field(y5)
-        err_vec = h * sum(e * k for e, k in zip(_E, ks + [k7]))
+        """One embedded step of each row, its step in the column h: y_new, k_new,
+        f at y_new and the lists of error norms and of norms of y_new (inf if
+        not finite)."""
+        y5, ks = self.slopes(y, k1, h)
+        k7, f7 = self.field_f(y5, out=ks[6])
+        err_vec = h * _combine(_E, ks)
         ok = np.isfinite(y5).all(axis=1)
         rows = slice(None) if ok.all() else ok
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y[rows]), np.abs(y5[rows]))
         err, size = np.full(len(y), math.inf), np.full(len(y), math.inf)
         err[rows], size[rows] = _rms(err_vec[rows] / scale), _norms(y5[rows, :self.dim])
-        return y5, k7, err.tolist(), size.tolist()
+        return y5, k7, f7, err.tolist(), size.tolist()
+
+
+def _combine(coefs, ks):
+    """sum_i coefs[i] * ks[i] over the leading slots of ks: one product with a
+    coefficient column, added slot by slot from 0.0 as Python's ``sum`` adds."""
+    col = coefs.reshape((-1,) + (1,) * (ks.ndim - 1))
+    return np.add.reduce(col * ks[:len(coefs)], axis=0, initial=0.0)
 
 
 def _rms(a):
@@ -242,44 +279,54 @@ def integrate(x0: Representation, alpha, cfg: IntegratorConfig,
     return integrate_many([x0], alpha, cfg, direction, stop_level, replays)[0]
 
 
-def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction: int = 1,
+def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
                    stop_level: float = None, replay_steps=None) -> list:
     """``integrate`` of each point in a list on one quiver and dimension vector, as
-    one batch; ``replay_steps`` holds a recorded step sequence or None per row."""
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
+    one batch.  ``direction`` is +1 or -1 for every row, or a sequence with one
+    +1 or -1 per row, so forward and backward flows share a batch;
+    ``replay_steps`` holds a recorded step sequence or None per row."""
+    signs = [direction] * len(x0s) if np.ndim(direction) == 0 else list(direction)
+    if len(signs) != len(x0s) or any(d not in (1, -1) for d in signs):
+        raise ValueError("direction must be +1 or -1, or one of them per point")
     if not x0s:
         return []
     q, dims = x0s[0].quiver, x0s[0].dims
     if any(x.quiver != q or x.dims != dims for x in x0s):
         raise ValueError("a batch needs one quiver and one dimension vector")
-    st, n = _Stepper(q, dims, alpha, direction), len(x0s)
+    signs, n = [int(d) for d in signs], len(x0s)
+    st = _Stepper(q, dims, alpha, np.array(signs, dtype=float)[:, None])
     dim, replay = st.dim, [None if s is None else iter(s) for s in replay_steps or [None] * n]
 
     y = np.array([np.concatenate([x.flatten(), [0.0]]) for x in x0s])
-    k = st.field(y)
-    f0, gn0 = st.f_of(y).tolist(), (2.0 * _norms(k[:, :dim])).tolist()
+    k, f0 = st.field_f(y)
+    f0, gn0 = f0.tolist(), (2.0 * _norms(k[:, :dim])).tolist()
     blow_bound = (BLOWUP_FACTOR * (1.0 + _norms(y[:, :dim]))).tolist()
-    samples = [[(0.0, y[r], f0[r], gn0[r])] for r in range(n)]   # (t, y and dissipation, f, |grad|)
-    steps, traces = [[] for _ in range(n)], [None] * n
+    # per row, one record per sample: t, y (the state and dissipation), f, |grad f|
+    samples, steps, traces = [array("d") for _ in range(n)], [[] for _ in range(n)], [None] * n
+
+    def record(r, t_r, y_r, f_r, gn_r):
+        samples[r].append(t_r)
+        samples[r].frombytes(y_r.tobytes())
+        samples[r].extend((f_r, gn_r))
 
     def finish(r, status):
-        ts, ys, fs, gns = (np.array(col) for col in zip(*samples[r]))
-        traces[r] = FlowTrace(ts, ys[:, :dim], fs, gns, {"energy": 2.0 * ys[:, dim]},
-                              status, direction, tuple(steps[r]), q, dims)
+        rec = np.frombuffer(samples[r]).reshape(-1, dim + 4)
+        traces[r] = FlowTrace(rec[:, 0], rec[:, 1:dim + 1], rec[:, dim + 2], rec[:, dim + 3],
+                              {"energy": 2.0 * rec[:, dim + 1]}, status, signs[r],
+                              tuple(steps[r]), q, dims)
 
     for r in range(n):
+        record(r, 0.0, y[r], f0[r], gn0[r])
         # immediate convergence only well inside the threshold (a stationary
         # start); marginal starts must sustain the stall window like everyone
         if gn0[r] < 1e-3 * cfg.grad_stop:
             finish(r, "converged")
-        elif stop_level is not None and (f0[r] - stop_level) * direction <= 0.0:
+        elif stop_level is not None and (f0[r] - stop_level) * signs[r] <= 0.0:
             raise LevelNotReachedError(
                 "initial point is already past the requested level", limit_value=f0[r])
-    rows = list(range(n))           # the rows in the batch, in order; y and k follow them
+    rows = list(range(n))           # the rows in the batch, in order; y, k and st follow them
     t, err_prev, streak = [0.0] * n, [1.0] * n, [0] * n
-    auto = [r for r in rows if replay[r] is None]
-    h = dict(zip(auto, _initial_steps(st, y[auto], k[auto], cfg)))
+    h = _initial_steps(st, y, k, cfg)       # a replayed row takes its recorded steps instead
 
     for _ in range(cfg.max_steps):
         for r in [r for r in rows if traces[r] is None]:
@@ -292,9 +339,10 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction: int = 1,
         keep = [traces[r] is None for r in rows]
         if not all(keep):
             rows, y, k = [r for r in rows if traces[r] is None], y[keep], k[keep]
+            st.direction = st.direction[keep]
         if not rows:
             return traces
-        y_new, k_new, err, size = st.step(y, k, np.array([[h[r]] for r in rows]), cfg)
+        y_new, k_new, f_step, err, size = st.step(y, k, np.array([[h[r]] for r in rows]), cfg)
 
         acc = []
         for j, r in enumerate(rows):
@@ -312,10 +360,10 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction: int = 1,
                         raise QuiverFlowError("step size underflow in integrate")
                     finish(r, "blow_up")    # escaping trajectory outran the resolvable step range
                 h[r] = h_new
-        # accepted rows that stay finite and bounded take f and |grad f| in one call each
+        # accepted rows that stay finite and bounded keep f and |grad f|
         good = [j for j in acc if not size[j] > blow_bound[rows[j]]]
         sel = slice(None) if len(good) == len(rows) else good
-        f_new = dict(zip(good, st.f_of(y_new[sel]).tolist()))
+        f_new = dict(zip(good, f_step[sel].tolist()))
         gn_new = dict(zip(good, (2.0 * _norms(k_new[sel, :dim])).tolist()))
 
         stay = [j for j in range(len(rows)) if j not in f_new]
@@ -323,16 +371,17 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction: int = 1,
             r = rows[j]
             if j not in f_new:
                 finish(r, "blow_up")
-            elif stop_level is not None and (f_new[j] - stop_level) * direction <= 0.0:
-                tau, y_evt = _locate_level(st, y[j], t[r], h[r], stop_level)
-                gn = 2.0 * float(np.linalg.norm(st.field(y_evt)[:dim]))
+            elif stop_level is not None and (f_new[j] - stop_level) * signs[r] <= 0.0:
+                lone = st.row(j)
+                tau, y_evt = _locate_level(lone, y[j], t[r], h[r], stop_level)
+                k_evt, f_evt = lone.field_f(y_evt)
                 steps[r].append(tau - t[r])
-                samples[r].append((tau, y_evt, st.f_of(y_evt), gn))
+                record(r, tau, y_evt, f_evt, 2.0 * float(np.linalg.norm(k_evt[:dim])))
                 finish(r, "exited_level")
             else:
                 steps[r].append(h[r])
                 t[r] += h[r]
-                samples[r].append((t[r], y_new[j], f_new[j], gn_new[j]))
+                record(r, t[r], y_new[j], f_new[j], gn_new[j])
                 streak[r] = streak[r] + 1 if gn_new[j] < cfg.grad_stop else 0
                 if streak[r] >= cfg.stall_window:
                     finish(r, "converged")
@@ -357,10 +406,9 @@ def _locate_level(st, y_base, t_base, h, level):
     bracket base, so its local error is within the tolerance h was accepted at.
     """
     tol = 1e-9 * (1.0 + abs(level))
-    f_of = st.f_of
     lo, hi = 0.0, h
-    g_lo = f_of(y_base) - level
-    k_base = st.field(y_base)
+    k_base, f_base = st.field_f(y_base)
+    g_lo = f_base - level
 
     # cubic-Hermite initial guess on f(t) using df/dt = -2 dir ||v||^2 (field[dim])
     fdot_lo = -2.0 * st.direction * k_base[st.dim]
@@ -369,7 +417,8 @@ def _locate_level(st, y_base, t_base, h, level):
 
     y_tau = st.stages(y_base, k_base, tau)[0]
     for _ in range(60):
-        g = f_of(y_tau) - level
+        k_tau, f_tau = st.field_f(y_tau)
+        g = f_tau - level
         if abs(g) <= 0.25 * tol:
             break
         if (g > 0.0) == (g_lo > 0.0):
@@ -377,7 +426,7 @@ def _locate_level(st, y_base, t_base, h, level):
         else:
             hi = tau
         # d f / d tau along the integrated field is -2 * direction * ||v||^2
-        fdot = -2.0 * st.direction * st.field(y_tau)[st.dim]
+        fdot = -2.0 * st.direction * k_tau[st.dim]
         tau_newton = tau - g / fdot if fdot != 0.0 else None
         if tau_newton is not None and lo < tau_newton < hi:
             tau = tau_newton

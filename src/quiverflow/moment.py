@@ -209,8 +209,7 @@ class VelocityKernel:
 
     def velocity_flat(self, y):
         """Velocity field -rho_x(H - alpha) at the flat state y (batch-aware), flattened."""
-        beta, ty = self._beta(y)
-        return -2.0 * (beta[..., None, :] @ ty)[..., 0, :]
+        return _velocity(*self._beta(y))
 
     def f_flat(self, y):
         """Energy f at the flat state y: a float, or an array for a stack of states.
@@ -220,9 +219,12 @@ class VelocityKernel:
         row, not by a BLAS dot, whose fused multiply-adds would move f by an
         ulp where beta is exact, as at the origin.
         """
-        beta, _ = self._beta(y)
-        f = np.add.reduce(beta * beta, axis=-1)
-        return float(f) if np.ndim(y) == 1 else f
+        return _energy(self._beta(y)[0], y)
+
+    def velocity_f_flat(self, y):
+        """``velocity_flat(y)`` and ``f_flat(y)`` from one contraction, bitwise."""
+        beta, ty = self._beta(y)
+        return _velocity(beta, ty), _energy(beta, y)
 
     def hessian(self, y):
         """Hessian of f at the flat state y, a symmetric (n, n) matrix."""
@@ -230,6 +232,15 @@ class VelocityKernel:
         m, n, _ = self.tensor.shape
         out = 4.0 * (2.0 * (ty.T @ ty) + (beta @ self.tensor.reshape(m, n * n)).reshape(n, n))
         return 0.5 * (out + out.T)
+
+
+def _velocity(beta, ty):
+    return -2.0 * (beta[..., None, :] @ ty)[..., 0, :]
+
+
+def _energy(beta, y):
+    f = np.add.reduce(beta * beta, axis=-1)
+    return float(f) if np.ndim(y) == 1 else f
 
 
 def f_value(x: Representation, alpha: CentralShift) -> float:

@@ -131,6 +131,15 @@ class FlowLine:
         return self.upper is not None
 
 
+def _both_ways(forward, backward, alpha, cfg):
+    """The forward flows of the points ``forward`` and the backward flows of the
+    points ``backward``, as two lists from one ``integrate_many`` batch."""
+    forward, backward = list(forward), list(backward)
+    traces = integrate_many(forward + backward, alpha, cfg,
+                            [1] * len(forward) + [-1] * len(backward))
+    return traces[:len(forward)], traces[len(forward):]
+
+
 def flow_line(anchor: Representation, z: float, alpha: CentralShift,
               cfg: IntegratorConfig) -> FlowLine:
     """Classify the trajectory through an anchor with f(anchor) = z.
@@ -146,11 +155,10 @@ def flow_line(anchor: Representation, z: float, alpha: CentralShift,
 
 
 def flow_lines(anchors, z: float, alpha: CentralShift, cfg: IntegratorConfig) -> list:
-    """``flow_line`` of each anchor, from one batch of flows per direction; an
-    anchor that fails gets the QuiverFlowError or ValueError it raised."""
+    """``flow_line`` of each anchor, from one batch of flows in both directions;
+    an anchor that fails gets the QuiverFlowError or ValueError it raised."""
     out = []
-    for anchor, fwd, bwd in zip(anchors, integrate_many(anchors, alpha, cfg),
-                                integrate_many(anchors, alpha, cfg, direction=-1)):
+    for anchor, fwd, bwd in zip(anchors, *_both_ways(anchors, anchors, alpha, cfg)):
         try:
             fa = f_value(anchor, alpha)
             if abs(fa - z) > 1e-8 * (1.0 + abs(z)):
@@ -202,19 +210,19 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
 
     seed_family maps a parameter to a seed representation; params is the
     (finite) sequence approaching the degenerate member, and limit_param,
-    when given, is flowed forward as the last row of the members' forward
-    batch to expose the intermediate critical point the family breaks
-    through.  Every member is flowed backward to the common upper record
-    and forward to its lower record; its checkpoints are read off the
-    forward trace.  If the limiting member converges straight to the
+    when given, is flowed forward after the members to expose the
+    intermediate critical point the family breaks through.  Every member is
+    flowed backward to the common upper record and forward to its lower
+    record, all in one batch; its checkpoints are read off the forward
+    trace.  If the limiting member converges straight to the
     bottom value, the family does not break and a single-line report
     (empty intermediate chain) is returned.
     """
     levels = tuple(float(r) for r in levels)
     seeds = [seed_family(s) for s in params]
     lim_seeds = [] if limit_param is None else [seed_family(limit_param)]
-    forward = integrate_many(seeds + lim_seeds, alpha, cfg)     # the limit member last
-    members = list(zip(params, seeds, integrate_many(seeds, alpha, cfg, direction=-1), forward))
+    forward, backward = _both_ways(seeds + lim_seeds, seeds, alpha, cfg)   # the limit member last
+    members = list(zip(params, seeds, backward, forward))
     for s, _, bwd, fwd in members:
         if bwd.status != "converged":
             raise QuiverFlowError(f"backward flow of family member {s!r} did not converge")
@@ -258,7 +266,7 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
     # membership evidence: final member's checkpoints flow to consecutive
     # chain values (within tolerance) in both directions
     ends = [col[-1] for col in checkpoints if col[-1] is not None]
-    flows = iter(zip(integrate_many(ends, alpha, cfg), integrate_many(ends, alpha, cfg, -1)))
+    flows = iter(zip(*_both_ways(ends, ends, alpha, cfg)))
     membership = []
     for k, r in enumerate(levels):
         y = checkpoints[k][-1]

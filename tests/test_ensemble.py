@@ -22,6 +22,7 @@ from quiverflow import (
     CentralShift,
     IntegratorConfig,
     Representation,
+    f_value,
     integrate,
     integrate_many,
 )
@@ -312,6 +313,55 @@ def test_zero_dimension_and_empty_batches():
     assert integrate_many([], A2_ALPHA, CFG) == []
 
 
+def check_mixed_rows(points, directions, alpha, seed=0, **kw):
+    """Each row of a batch with per-row directions equals its lone run in its own
+    direction, and a permuted batch gives the same traces."""
+    replays = kw.pop("replay_steps", None) or [None] * len(points)
+    batch = integrate_many(points, alpha, CFG, directions, replay_steps=replays, **kw)
+    for x, d, steps, tr in zip(points, directions, replays, batch):
+        assert tr.direction == d
+        assert_same_trace(tr, integrate(x, alpha, CFG, d, replay_steps=steps, **kw))
+        assert_same_trace(tr, reference_integrate(x, alpha, CFG, d, replay_steps=steps, **kw))
+    perm = np.random.default_rng(seed).permutation(len(points))
+    permuted = integrate_many([points[i] for i in perm], alpha, CFG, [directions[i] for i in perm],
+                              replay_steps=[replays[i] for i in perm], **kw)
+    for i, tr in zip(perm, permuted):
+        assert_same_trace(tr, batch[i])
+    return batch
+
+
+@pytest.mark.parametrize("name", ["a2_pair", "star"])
+def test_mixed_direction_rows_equal_lone_runs(name):
+    q, dims, alpha = MODELS[name]()
+    rng = np.random.default_rng(5)
+    points = [Representation.random(q, dims, rng, scale=s) for s in (0.3, 0.6, 0.9, 1.2, 1.5, 0.45)]
+    fs = [f_value(x, alpha) for x in points]
+    level = float(np.median(fs))
+    directions = [1 if f > level else -1 for f in fs]
+    assert sorted(directions) == [-1] * 3 + [1] * 3
+    # forward rows start above the level, backward rows below it
+    crossed = check_mixed_rows(points, directions, alpha, stop_level=level)
+    assert {(tr.direction, tr.status) for tr in crossed} >= {(1, "exited_level"),
+                                                            (-1, "exited_level")}
+    # rows leave the batch at different steps
+    free = check_mixed_rows(points, directions, alpha)
+    assert len({tr.n_samples for tr in free}) == len(points)
+    # replayed rows of both directions, cut short or whole, beside adaptive rows
+    replays = [list(tr.steps) for tr in free]
+    replays[0], replays[1], replays[4] = replays[0][:5], None, None
+    replayed = check_mixed_rows(points, directions, alpha, replay_steps=replays)
+    assert replayed[0].n_samples == 6 and replayed[0].status == "step_limit"
+    assert np.array_equal(replayed[2].states, free[2].states)
+
+
+@pytest.mark.parametrize("direction", [0, 2, "x", [1, 0], [-1, 2], [1, "x"], [1], [1, -1, 1]])
+def test_batch_rejects_a_bad_direction(direction):
+    q, dims = a2()
+    rows = [scalar_rep(q, dims, [0.5]), scalar_rep(q, dims, [1.2])]
+    with pytest.raises(ValueError, match="direction"):
+        integrate_many(rows, A2_ALPHA, CFG, direction)
+
+
 def test_batch_rejects_mixed_shapes_and_a_start_past_the_level():
     q, dims = a2()
     with pytest.raises(ValueError):
@@ -410,5 +460,18 @@ def test_broken_family_flows_its_limit_member_in_the_forward_batch(monkeypatch):
                                  [0.1 * 2.0 ** (-n) for n in range(4)], A2_ALPHA,
                                  levels=[1.0], cfg=CFG, limit_param=0.0)
     assert rep.single_line and rep.strictly_decreasing
-    # backward and forward members (the limit member last), then the checkpoints' two
-    assert calls == {"integrate_many": 4, "integrate": 0}
+    # the members forward (the limit member last) with the members backward, then
+    # the checkpoints forward with the checkpoints backward
+    assert calls == {"integrate_many": 2, "integrate": 0}
+
+
+def test_flow_lines_flow_both_directions_in_one_batch(monkeypatch):
+    from quiverflow.strata import flow_lines
+
+    calls = count_flows(monkeypatch)
+    q, dims = a2()
+    inner, outer = (scalar_rep(q, dims, [np.sqrt(2.0 + s * np.sqrt(2.0))]) for s in (-1, 1))
+    lines = flow_lines([inner, outer], 1.0, A2_ALPHA, CFG)
+    assert lines[0].upper.f_crit == pytest.approx(2.0, abs=1e-9)
+    assert lines[1].upper is None and lines[1].backward_status == "blow_up"
+    assert calls == {"integrate_many": 1, "integrate": 0}

@@ -353,6 +353,29 @@ def test_trace_crossing_cost(a2_model, tight_cfg, monkeypatch):
     assert len(per_call) == 24 and max(per_call) < 30, per_call
 
 
+def test_an_accepted_step_costs_six_contractions(a2_model, tight_cfg, monkeypatch):
+    # the five stages and the FSAL slope k7, whose contraction also gives f at the new
+    # state; counted as the difference between replays of 4 and of 12 accepted steps
+    from quiverflow.moment import VelocityKernel
+
+    q, dims, alpha = a2_model
+    x = scalar_rep(q, dims, [0.5])
+    steps = list(integrate(x, alpha, tight_cfg).steps)
+    calls, beta = [0], VelocityKernel._beta
+
+    def counted(self, y):
+        calls[0] += 1
+        return beta(self, y)
+
+    monkeypatch.setattr(VelocityKernel, "_beta", counted)
+    cost = {}
+    for m in (4, 12):
+        calls[0] = 0
+        assert integrate(x, alpha, tight_cfg, replay_steps=steps[:m]).n_samples == m + 1
+        cost[m] = calls[0]
+    assert cost[12] - cost[4] == 6 * 8, cost
+
+
 def test_trace_crossing_accuracy(a2_model, tight_cfg):
     # oracle: tau_level at tolerances a thousand times tighter
     fine = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-16, max_time=200.0)
