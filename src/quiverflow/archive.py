@@ -3,9 +3,16 @@
 An archive directory holds the effective config snapshot (config.json),
 deterministic artifacts under outputs/, and volatile wall-clock metadata in
 meta.json.  Everything under outputs/ plus config.json is byte-reproducible
-from the snapshot: JSON is dumped with sorted keys, floats go through
+from the snapshot: JSON is indented by 2 with sorted keys, floats go through
 Python's shortest round-trip repr, CSV floats are printed with 17
 significant digits, and writes are atomic (temp file then rename).
+
+``canonical_json`` renders the JSON itself, byte-identical to
+``json.dumps(indent=2, sort_keys=True)`` (NaN and Infinity included) once
+keys become ``str(k)``, tuples lists, numpy scalars Python scalars and
+complex values [re, im] pairs.  With an indent, ``json.dumps`` runs its
+pure-Python encoder element by element; the renderer formats each innermost
+row of a numeric array in one join.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -35,28 +43,88 @@ __all__ = [
 ]
 
 
-def _to_jsonable(obj):
+_INF = float("inf")
+_BOOL_STR = ("false", "true")
+
+
+def _float_str(x) -> str:
+    """json's spelling of a float: shortest round-trip repr, NaN, +-Infinity."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _render_rows(rows, ndim, pad, fmt) -> str:
+    """Nested lists of ``ndim`` levels, each innermost row in one join."""
+    if not rows:
+        return "[]"
+    inner = pad + "  "
+    if ndim == 1:
+        body = (",\n" + inner).join(map(fmt, rows))
+    else:
+        body = (",\n" + inner).join([_render_rows(r, ndim - 1, inner, fmt) for r in rows])
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
+def _render_array(a, pad) -> str:
+    if np.iscomplexobj(a):
+        a = np.stack([a.real, a.imag], axis=-1)
+    kind = a.dtype.kind
+    if a.ndim == 0 or kind not in "biuf":
+        return _render(a.tolist(), pad)
+    if kind == "b":
+        fmt = _BOOL_STR.__getitem__
+    elif kind == "f":
+        fmt = float.__repr__ if np.isfinite(a).all() else _float_str
+    else:
+        fmt = int.__repr__
+    return _render_rows(a.tolist(), a.ndim, pad, fmt)
+
+
+def _render(obj, pad) -> str:
+    """``obj`` in canonical JSON at indentation ``pad`` (see the module docstring)."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, float):
+        return _float_str(obj)
     if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return ("{\n" + inner
+                + (",\n" + inner).join([encode_basestring_ascii(k) + ": " + _render(v, inner)
+                                        for k, v in items])
+                + "\n" + pad + "}")
     if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return ("[\n" + inner + (",\n" + inner).join([_render(v, inner) for v in obj])
+                + "\n" + pad + "]")
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return _BOOL_STR[bool(obj)]
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, np.floating):
+        return _float_str(float(obj))
     if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            obj = np.stack([obj.real, obj.imag], axis=-1)
-        return obj.tolist()
+        return _render_array(obj, pad)
     if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return _render([float(obj.real), float(obj.imag)], pad)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_to_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    """Indent-2, sorted-key JSON, byte-identical to
+    ``json.dumps(obj, indent=2, sort_keys=True)`` on the converted document."""
+    return _render(obj, "") + "\n"
 
 
 def write_text(path, text):
@@ -137,12 +205,15 @@ def trace_csv(tr_json) -> str:
 
 def census_csv(census_json) -> str:
     """One row per grid cell; the grid's rho, theta and labels may be arrays or lists."""
+    rows = np.asarray(census_json["labels"]).tolist()
+    # the "in_set,component_id" cells of each label value, then one join per rho row
+    cells = {lab: f"{'1' if lab >= 0 else '0'},{lab}" for lab in set().union(*rows)}
+    theta = [csv_float(t) + "," for t in census_json["theta"]]
     lines = ["rho,theta,in_set,component_id"]
-    theta = [csv_float(t) for t in census_json["theta"]]
-    labels = np.asarray(census_json["labels"]).tolist()
-    for r, row in zip(map(csv_float, census_json["rho"]), labels):
-        lines.extend(f"{r},{t},{'1' if lab >= 0 else '0'},{lab}"
-                     for t, lab in zip(theta, row))
+    if theta:           # an empty theta axis has no cells, not one empty cell per row
+        for r, row in zip(map(csv_float, census_json["rho"]), rows):
+            lines.append(r + "," + ("\n" + r + ",").join(
+                map(str.__add__, theta, map(cells.__getitem__, row))))
     return "\n".join(lines) + "\n"
 
 

@@ -269,8 +269,8 @@ def _slit_grid_masks(scene: SlitScene, sublevel: float, include_unstable: bool,
         raise ValueError("n_theta must be even so that theta = pi is a grid column")
     rho = np.linspace(0.0, rho_max, n_rho)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    rr, tt = np.meshgrid(rho, theta, indexing="ij")
-    f = -0.5 * rr * rr * np.cos(2.0 * tt)
+    # broadcast in the meshgrid's operation order: f is bitwise the same
+    f = -0.5 * rho[:, None] * rho[:, None] * np.cos(2.0 * theta)
     mask = f <= sublevel
     if include_unstable:
         mask[:, 0] = True

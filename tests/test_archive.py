@@ -1,0 +1,209 @@
+"""The archive writers against the formatters they replaced.
+
+``old_canonical_json`` and ``old_census_csv`` are the straightforward
+routes, kept here as oracles: a conversion pass followed by
+``json.dumps(indent=2, sort_keys=True)``, and one f-string per grid cell.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from quiverflow import archive, runner
+from quiverflow.archive import canonical_json, census_csv, export_csv, write_json
+from quiverflow.quiver import Representation
+from quiverflow.runconfig import build_model, validate_config
+
+from conftest import one_edge, philox
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "quiverflow", "configs")
+
+
+def old_to_jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): old_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [old_to_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            obj = np.stack([obj.real, obj.imag], axis=-1)
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def old_canonical_json(obj):
+    return json.dumps(old_to_jsonable(obj), indent=2, sort_keys=True) + "\n"
+
+
+def old_census_csv(census_json):
+    lines = ["rho,theta,in_set,component_id"]
+    theta = [archive.csv_float(t) for t in census_json["theta"]]
+    labels = np.asarray(census_json["labels"]).tolist()
+    for r, row in zip(map(archive.csv_float, census_json["rho"]), labels):
+        lines.extend(f"{r},{t},{'1' if lab >= 0 else '0'},{lab}"
+                     for t, lab in zip(theta, row))
+    return "\n".join(lines) + "\n"
+
+
+FLOATS = [0.0, -0.0, 1.0, -2.5, 0.1, 1e300, -1e-300, 5e-324, 2.2250738585072014e-308 / 3,
+          1e16, 123456789.125, float("nan"), float("inf"), float("-inf")]
+INTS = [0, 1, -1, 7, 2**31, -(2**63), 2**64 + 1, 10**40]
+STRINGS = ["", "a", "key", "é", "日本", "tab\there", 'quote"back\\slash', "nl\n\x00\x1f",
+           " ", "😀", "1", "-1"]
+
+
+def random_leaf(rng):
+    kind = int(rng.integers(0, 17))
+    pick = lambda seq: seq[int(rng.integers(0, len(seq)))]  # noqa: E731
+    if kind == 0:
+        return pick(INTS)
+    if kind == 1:
+        return pick(FLOATS)
+    if kind == 2:
+        return pick([True, False, None])
+    if kind == 3:
+        return pick(STRINGS)
+    if kind == 4:
+        return complex(pick(FLOATS), pick(FLOATS))
+    if kind == 5:
+        return pick([np.float64(0.3), np.float32(0.1), np.float16(-2.5), np.int8(-3),
+                     np.int64(2**62), np.uint64(2**64 - 1), np.bool_(True), np.bool_(False),
+                     np.complex128(1.5 - 0.5j), np.float64("nan"), np.float32("-inf")])
+    if kind == 6:
+        return pick([[], {}, (), np.zeros(0), np.zeros((0, 3)), np.zeros((3, 0)),
+                     np.zeros((2, 0, 2), dtype=np.int32)])
+    if kind == 7:
+        return np.array(pick(FLOATS + INTS[:5]))          # 0-d
+    shape = tuple(int(n) for n in rng.integers(0, 4, size=int(rng.integers(1, 4))))
+    if kind == 8:
+        return rng.integers(-(2**40), 2**40, size=shape)
+    if kind == 9:
+        return rng.integers(-100, 100, size=shape).astype(pick([np.int32, np.int8, np.uint16]))
+    if kind == 10:
+        return rng.random(shape) < 0.5
+    if kind == 11:
+        return (rng.standard_normal(shape) * 10.0 ** int(rng.integers(-300, 300)))
+    if kind == 12:
+        return rng.standard_normal(shape).astype(pick([np.float32, np.float16]))
+    if kind == 13:
+        a = rng.standard_normal(shape)
+        if a.size:
+            a.flat[int(rng.integers(0, a.size))] = pick(FLOATS)
+        return a
+    if kind == 14:
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+            pick([np.complex128, np.complex64]))
+    if kind == 15:
+        return np.array(complex(pick(FLOATS), pick(FLOATS)))   # 0-d complex
+    return np.array([pick(STRINGS), pick(FLOATS), pick(INTS), None], dtype=object)
+
+
+def random_doc(rng, depth=0):
+    if depth >= 4 or rng.random() < 0.3:
+        return random_leaf(rng)
+    n = int(rng.integers(0, 5))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return [random_doc(rng, depth + 1) for _ in range(n)]
+    if kind == 1:
+        return tuple(random_doc(rng, depth + 1) for _ in range(n))
+    keys = STRINGS + [0, 1, -1, 2.5, True, None]
+    return {keys[int(rng.integers(0, len(keys)))]: random_doc(rng, depth + 1)
+            for _ in range(n)}
+
+
+def test_canonical_json_matches_json_dumps_on_random_documents():
+    rng = philox(14)
+    for _ in range(600):
+        doc = random_doc(rng)
+        assert canonical_json(doc) == old_canonical_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {1: "int", "1": "str"},                   # str(1) collides: the last value wins
+    {"1": "str", 1: "int", True: "bool", "True": "s", None: 0, 2.5: [1, 2]},
+    {"z": {}, "a": [], "m": np.zeros((0, 3)), "k": ()},
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300],
+    np.array([[1.0, np.nan], [np.inf, -np.inf]]),
+    np.array([[1, 2], [3, 4]], dtype=np.int32),
+    np.array([1.5, -0.25], dtype=np.float32),
+    np.array([[True, False]]),
+    np.array(3.5), np.array(True), np.array(-7), np.array(1 + 2j),
+    np.array([[1 + 2j, -0.0 - 1j]], dtype=np.complex64),
+    [np.float64(0.1), np.float32(0.1), np.int16(5), np.bool_(False), 10**30],
+    {"é": "日本", "esc": "a\"b\\c\n\t\x01"},
+    "top", 1, 2.5, None, True, [],
+])
+def test_canonical_json_matches_json_dumps_on_edge_cases(doc):
+    assert canonical_json(doc) == old_canonical_json(doc)
+
+
+def bundled_model(name, edit=lambda params: None):
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        doc = json.load(fh)
+    edit(doc["params"])
+    validate_config(doc)
+    return build_model(doc)
+
+
+def archive_docs(monkeypatch, out_dir, model):
+    """Every document ``run_experiment`` writes, meta.json aside."""
+    written = []
+    monkeypatch.setattr(runner, "write_json", lambda path, obj: written.append(obj))
+    monkeypatch.setattr(runner, "write_text", lambda path, text: None)
+    runner.run_experiment(model, str(out_dir))
+    return written[:-1]
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("slit_retract.json", lambda p: p.update(grid=[12, 16], refine=[24, 32])),
+    ("a2_critical.json", lambda p: None),
+    ("jordan2_flow.json", lambda p: None),
+])
+def test_canonical_json_matches_json_dumps_on_archive_documents(monkeypatch, tmp_path,
+                                                                name, edit):
+    docs = archive_docs(monkeypatch, tmp_path, bundled_model(name, edit))
+    assert len(docs) == 2          # config.json and the experiment's output
+    for doc in docs:
+        assert canonical_json(doc) == old_canonical_json(doc)
+
+
+def test_unsupported_objects_raise_and_leave_no_file(tmp_path):
+    x = Representation.zero(*one_edge()[:2])
+    for bad in ({"a": {1, 2}}, [0, {"rep": x}], x, {"c": np.complex64(1.0)}):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            canonical_json(bad)
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "doc.json", bad)
+        assert os.listdir(tmp_path) == []
+
+
+def test_census_csv_matches_per_cell_formatter(tmp_path):
+    rng = philox(7)
+    grids = [{"rho": [0.0, 0.5], "theta": [0.0, 1.0, 2.0], "labels": [[0, 0, 0], [-1, 1, 12]]},
+             {"rho": np.linspace(0, 1, 5), "theta": np.linspace(0, 6, 4),
+              "labels": rng.integers(-1, 3, size=(5, 4))},
+             {"rho": [], "theta": [], "labels": []},
+             {"rho": [0.0, 1.0], "theta": [], "labels": np.zeros((2, 0), dtype=int)},
+             {"rho": [1.0], "theta": [0.1, 0.2], "labels": [[-1, -1]]}]
+    for grid in grids:
+        assert census_csv(grid) == old_census_csv(grid)
+    # the bundled slit_retract config, exported from its archive
+    runner.run_experiment(bundled_model("slit_retract.json"), str(tmp_path))
+    written = export_csv(str(tmp_path), "census")
+    with open(tmp_path / "outputs" / "retract.json") as fh:
+        doc = json.load(fh)
+    assert len(written) == 2
+    for name, grid in doc["census_grids"].items():
+        with open(tmp_path / "outputs" / f"census_{name}.csv") as fh:
+            assert fh.read() == old_census_csv(grid)

@@ -10,6 +10,7 @@ from quiverflow.retract import (
     ScenePoint,
     SlitScene,
     _census_count,
+    _slit_grid_masks,
     condition4_probe,
     connectivity_census,
 )
@@ -233,6 +234,30 @@ def bfs_components(mask, glue_origin):
                         queue.append((c, d))
             count += 1
     return count, np.array(labels, dtype=int).reshape(mask.shape)
+
+
+def meshgrid_masks(sublevel, include_unstable, n_rho, n_theta, rho_max):
+    """Reference mask from full (rho, theta) meshgrids."""
+    rho = np.linspace(0.0, rho_max, n_rho)
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    rr, tt = np.meshgrid(rho, theta, indexing="ij")
+    mask = -0.5 * rr * rr * np.cos(2.0 * tt) <= sublevel
+    if include_unstable:
+        mask[:, 0] = True
+        mask[:, n_theta // 2] = True
+        mask[0, :] = True
+    return rho, theta, mask
+
+
+@pytest.mark.parametrize("n_rho, n_theta", [(1, 2), (7, 10), (40, 40), (401, 400)])
+@pytest.mark.parametrize("sublevel", [-EPS, EPS])
+@pytest.mark.parametrize("include_unstable", [True, False])
+def test_slit_grid_masks_match_meshgrid_oracle(slit, n_rho, n_theta, sublevel,
+                                               include_unstable):
+    got = _slit_grid_masks(slit, sublevel, include_unstable, n_rho, n_theta, 3.0)
+    ref = meshgrid_masks(sublevel, include_unstable, n_rho, n_theta, 3.0)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_census_count_matches_breadth_first_oracle(slit):
