@@ -204,8 +204,18 @@ def trace_csv(tr_json) -> str:
 
 
 def census_csv(census_json) -> str:
-    """One row per grid cell; the grid's rho, theta and labels may be arrays or lists."""
-    rows = np.asarray(census_json["labels"]).tolist()
+    """One row per grid cell; the grid's rho, theta and labels may be arrays or
+    lists.  Labels that do not fill the rho x theta grid raise QuiverFlowError."""
+    try:
+        labels = np.asarray(census_json["labels"])
+    except ValueError as exc:       # ragged label rows
+        raise QuiverFlowError(f"census labels are not a grid: {exc}") from exc
+    shape = (len(census_json["rho"]), len(census_json["theta"]))
+    # a grid without cells may store its labels as []
+    if labels.shape != shape and (labels.size or shape[0] * shape[1]):
+        raise QuiverFlowError(f"census labels have shape {labels.shape}, "
+                              f"not the {shape} of rho and theta")
+    rows = labels.tolist()
     # the "in_set,component_id" cells of each label value, then one join per rho row
     cells = {lab: f"{'1' if lab >= 0 else '0'},{lab}" for lab in set().union(*rows)}
     theta = [csv_float(t) + "," for t in census_json["theta"]]
@@ -263,8 +273,11 @@ def export_csv(archive_dir, what, dest_dir=None):
     src = os.path.join(src_dir, src_name)
     if not os.path.exists(src):
         raise QuiverFlowError(f"archive has no {src_name} (needed for {what!r})")
-    with open(src, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(src, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:       # not UTF-8 or not JSON
+        raise QuiverFlowError(f"archive {src_name} is not readable JSON: {exc}") from exc
     written = []
     if what == "trace":
         for i, tr in enumerate(doc["traces"]):

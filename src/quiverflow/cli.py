@@ -19,7 +19,7 @@ import warnings
 
 from .archive import export_csv, write_json
 from .errors import ConfigError, QuiverFlowError
-from .runconfig import EXPERIMENTS, build_model, load_config
+from .runconfig import EXPERIMENTS, build_model, load_config, validate_config
 from .runner import run_experiment
 
 __all__ = ["main"]
@@ -67,7 +67,8 @@ def main(argv=None) -> int:
                 f"but the {args.command!r} subcommand was invoked",
                 field="experiment")
         if args.seed_override is not None:
-            doc["seed"] = int(args.seed_override)
+            doc["seed"] = args.seed_override
+            validate_config(doc)
         model = build_model(doc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

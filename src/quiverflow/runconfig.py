@@ -1,10 +1,12 @@
-"""Experiment configuration: schema, validation, and deterministic RNG.
+"""Experiment configuration: validation, model building, and deterministic RNG.
 
 A config is one JSON document.  Complex numbers are [re, im] pairs;
-matrices are row-major nested lists of such pairs.  Every randomized
-quantity derives from the config's seed through a counter-based generator
-keyed by (seed, item index), so batch execution order cannot change any
-output.
+matrices are row-major nested lists of such pairs.  `validate_config`
+checks the whole document against one rule table and the experiment's
+`params` against that experiment's table, with one walker, and then the
+cross-references between fields.  Every randomized quantity derives from
+the config's seed through a counter-based generator keyed by (seed, item
+index), so batch execution order cannot change any output.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .moment import CentralShift, check_tensor_size
 from .quiver import CycleWord, Quiver, Relation, Representation
 
 __all__ = [
-    "CONFIG_SCHEMA",
     "load_config",
     "validate_config",
     "build_model",
@@ -32,117 +33,91 @@ __all__ = [
 EXPERIMENTS = ("flow", "critical", "slice", "strata", "lines", "broken",
                "retract", "variety", "check")
 
-_COMPLEX = {
-    "type": "array", "items": {"type": "number"},
-    "minItems": 2, "maxItems": 2,
-}
-_MATRIX = {"type": "array", "items": {"type": "array", "items": _COMPLEX}}
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema", "experiment"],
-    "additionalProperties": False,
-    "properties": {
-        "schema": {"const": "quiverflow/1"},
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "quiver": {
-            "type": "object",
-            "required": ["vertices", "edges"],
-            "additionalProperties": False,
-            "properties": {
-                "vertices": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-                "edges": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["name", "tail", "head"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "name": {"type": "string"},
-                            "tail": {"type": "string"},
-                            "head": {"type": "string"},
-                        },
-                    },
-                },
-            },
-        },
-        "dims": {
-            "type": "object",
-            "additionalProperties": {"type": "integer", "minimum": 0},
-        },
-        "alpha": {
-            "type": "object",
-            "additionalProperties": {"type": "number"},
-        },
-        "relations": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "terms"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "terms": {
-                        "type": "array", "minItems": 1,
-                        "items": {
-                            "type": "object",
-                            "required": ["coef", "path"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "coef": _COMPLEX,
-                                "path": {"type": "array", "items": {"type": "string"},
-                                         "minItems": 1},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "cycles": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "path"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "path": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-                },
-            },
-        },
-        "integrator": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "rel_tol": {"type": "number", "exclusiveMinimum": 0},
-                "abs_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_step": {"type": "number", "exclusiveMinimum": 0},
-                "min_step": {"type": "number", "exclusiveMinimum": 0},
-                "max_time": {"type": "number", "exclusiveMinimum": 0},
-                "grad_stop": {"type": "number", "exclusiveMinimum": 0},
-                "stall_window": {"type": "integer", "minimum": 1},
-                "max_steps": {"type": "integer", "minimum": 1},
-            },
-        },
-        "points": {
-            "type": "object",
-            "required": ["mode"],
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["explicit", "random"]},
-                "values": {
-                    "type": "array",
-                    "items": {"type": "object", "additionalProperties": _MATRIX},
-                },
-                "count": {"type": "integer", "minimum": 0},
-                "scale": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "params": {"type": "object"},
-    },
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _finite(v):
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _pair(v):
+    return isinstance(v, list) and len(v) == 2 and all(map(_finite, v))
+
+
+# A rule is a leaf (check, expected); an object {key: (rule, required)}, in
+# which the key "*" stands for every key of an open map; or a list
+# [item rule, min length, max length or None].
+_NUMBER = (_number, "a number")
+_POSITIVE = (lambda v: _number(v) and not v <= 0, "a positive number")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_POSITIVE_INT = (lambda v: type(v) is int and v > 0, "a positive integer")
+_COMPLEX = [_NUMBER, 2, 2]
+_PATH = [_STRING, 1, None]
+
+_DOC = {
+    "schema": ((lambda v: v == "quiverflow/1", "'quiverflow/1'"), True),
+    "experiment": ((lambda v: v in EXPERIMENTS, f"one of {list(EXPERIMENTS)}"), True),
+    "seed": ((lambda v: type(v) is int and 0 <= v < 2 ** 64, "an integer in [0, 2**64)"),
+             False),
+    "quiver": ({"vertices": ([_STRING, 1, None], True),
+                "edges": ([{"name": (_STRING, True), "tail": (_STRING, True),
+                            "head": (_STRING, True)}, 0, None], True)}, False),
+    "dims": ({"*": (_COUNT, False)}, False),
+    "alpha": ({"*": (_NUMBER, False)}, False),
+    "relations": ([{"name": (_STRING, True),
+                    "terms": ([{"coef": (_COMPLEX, True), "path": (_PATH, True)}, 1, None],
+                              True)}, 0, None], False),
+    "cycles": ([{"name": (_STRING, True), "path": (_PATH, True)}, 0, None], False),
+    "integrator": ({**{key: (_POSITIVE, False) for key in ("rel_tol", "abs_tol", "max_step",
+                                                            "min_step", "max_time", "grad_stop")},
+                    "stall_window": (_POSITIVE_INT, False),
+                    "max_steps": (_POSITIVE_INT, False)}, False),
+    "points": ({"mode": ((lambda v: v in ("explicit", "random"), "'explicit' or 'random'"),
+                         True),
+                "values": ([{"*": ([[_COMPLEX, 0, None], 0, None], False)}, 0, None], False),
+                "count": (_COUNT, False),
+                "scale": (_POSITIVE, False)}, False),
+    "params": ((lambda v: isinstance(v, dict), "an object"), False),
 }
+
+
+def _fail(field, message):
+    return ConfigError(f"config field {field or '<root>'}: {message}", field=field)
+
+
+def _check(value, rule, field="", context=""):
+    """Raise a ConfigError naming the first entry of `value` that breaks
+    `rule`: a wrong type or length first, then unknown keys, then the
+    rule's keys in order.  `context` qualifies unknown and missing keys."""
+    join = (lambda key: f"{field}.{key}") if field else str
+    if isinstance(rule, dict):
+        if not isinstance(value, dict):
+            raise _fail(field, f"expected an object, got {value!r}")
+        for key in value:
+            if key not in rule and "*" not in rule:
+                raise _fail(join(key), f"unknown key{context}; the keys are "
+                                       f"{sorted(rule)}")
+        for key, (sub, required) in rule.items():
+            if key == "*":
+                for k, v in value.items():
+                    _check(v, sub, join(k))
+            elif key in value:
+                _check(value[key], sub, join(key))
+            elif required:
+                raise _fail(join(key), f"required{context}")
+    elif isinstance(rule, list):
+        item, lo, hi = rule
+        if not (isinstance(value, list) and lo <= len(value)
+                and (hi is None or len(value) <= hi)):
+            size = f"{lo}" if lo == hi else f"at least {lo}" if hi is None else f"{lo} to {hi}"
+            raise _fail(field, f"expected a list of {size} entries, got {value!r}")
+        for i, v in enumerate(value):
+            _check(v, item, join(i))
+    elif not rule[0](value):
+        raise _fail(field, f"expected {rule[1]}, got {value!r}")
 
 
 def load_config(path):
@@ -160,132 +135,96 @@ def load_config(path):
 
 
 def validate_config(doc):
-    """Schema plus semantic validation; raises ConfigError naming the field."""
-    import jsonschema
-
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        field = ".".join(str(p) for p in err.absolute_path)
-        raise ConfigError(f"config field {field or '<root>'}: {err.message}", field=field)
-
+    """Check `doc` against the rule table, then the cross-references between
+    its fields and the params of its experiment; raises ConfigError naming
+    the field.  A missing or unknown key is named by its own path, an
+    integer must be a JSON integer, and the seed must lie in [0, 2**64)."""
+    _check(doc, _DOC)
     exp = doc["experiment"]
-    needs_quiver = exp != "retract"
-    if needs_quiver:
+    if exp != "retract":
         for key in ("quiver", "dims", "alpha"):
             if key not in doc:
-                raise ConfigError(f"config field {key}: required for experiment {exp!r}",
-                                  field=key)
+                raise _fail(key, f"required for experiment {exp!r}")
         vertices = doc["quiver"]["vertices"]
         vset = set(vertices)
         if len(vset) != len(vertices):
-            raise ConfigError("config field quiver.vertices: duplicate names",
-                              field="quiver.vertices")
+            raise _fail("quiver.vertices", "duplicate names")
         edge_names = set()
         for i, e in enumerate(doc["quiver"]["edges"]):
             if e["name"] in edge_names:
-                raise ConfigError(f"config field quiver.edges.{i}.name: duplicate edge name",
-                                  field=f"quiver.edges.{i}.name")
+                raise _fail(f"quiver.edges.{i}.name", "duplicate edge name")
             edge_names.add(e["name"])
             for side in ("tail", "head"):
                 if e[side] not in vset:
-                    raise ConfigError(
-                        f"config field quiver.edges.{i}.{side}: unknown vertex {e[side]!r}",
-                        field=f"quiver.edges.{i}.{side}")
+                    raise _fail(f"quiver.edges.{i}.{side}", f"unknown vertex {e[side]!r}")
         for v in vertices:
-            if v not in doc["dims"]:
-                raise ConfigError(f"config field dims.{v}: missing entry", field=f"dims.{v}")
-            if v not in doc["alpha"]:
-                raise ConfigError(f"config field alpha.{v}: missing entry", field=f"alpha.{v}")
+            for key in ("dims", "alpha"):
+                if v not in doc[key]:
+                    raise _fail(f"{key}.{v}", "missing entry")
         with _rejected("dims"):
             check_tensor_size(_quiver_of(doc), [doc["dims"][v] for v in vertices])
-        for rel_list, kind in ((doc.get("relations", []), "relations"),
-                               (doc.get("cycles", []), "cycles")):
-            for i, item in enumerate(rel_list):
+        for kind in ("relations", "cycles"):
+            for i, item in enumerate(doc.get(kind, [])):
                 paths = [t["path"] for t in item["terms"]] if kind == "relations" else [item["path"]]
-                for path in paths:
-                    for name in path:
-                        if name not in edge_names:
-                            raise ConfigError(
-                                f"config field {kind}.{i}: unknown edge {name!r}",
-                                field=f"{kind}.{i}")
+                for name in (name for path in paths for name in path):
+                    if name not in edge_names:
+                        raise _fail(f"{kind}.{i}", f"unknown edge {name!r}")
     pts = doc.get("points")
     if pts is not None:
         if pts["mode"] == "explicit" and "values" not in pts:
-            raise ConfigError("config field points.values: required in explicit mode",
-                              field="points.values")
+            raise _fail("points.values", "required in explicit mode")
         if pts["mode"] == "random":
             if "count" not in pts:
-                raise ConfigError("config field points.count: required in random mode",
-                                  field="points.count")
+                raise _fail("points.count", "required in random mode")
             if "seed" not in doc:
-                raise ConfigError("config field seed: required when points are randomized",
-                                  field="seed")
+                raise _fail("seed", "required when points are randomized")
+    _check(doc.get("params", {}), _params_rules(doc), "params", f" for experiment {exp!r}")
+    if exp == "broken":
+        # the family's blocks are 1x1 scalars
+        for v in doc["quiver"]["vertices"]:
+            if doc["dims"][v] != 1:
+                raise _fail(f"dims.{v}", f"expected 1 for experiment 'broken', "
+                                         f"got {doc['dims'][v]!r}")
+    if exp in ("flow", "critical", "strata", "lines") and "points" not in doc:
+        raise _fail("points", f"required for experiment {exp!r}")
 
-    params = doc.get("params", {})
+
+def _params_rules(doc):
+    """The params keys that the experiment's runner reads, with their rules."""
+    exp, params = doc["experiment"], doc.get("params", {})
     edges = [e["name"] for e in doc.get("quiver", {}).get("edges", [])]
     others = [e for e in edges if e != params.get("varying_edge")]
-    # each rule is (check, expected, required)
     grid = (lambda g: isinstance(g, list) and len(g) == 2
             and all(type(n) is int and n > 0 for n in g) and g[1] % 2 == 0,
-            "[n_rho, n_theta], two positive integers with n_theta even", False)
-    positive = (lambda v: _finite(v) and v > 0, "a positive finite number", False)
-    finite = (_finite, "a finite number", False)
-    count = (lambda v: type(v) is int and v >= 0, "a non-negative integer", False)
-    positive_int = (lambda v: type(v) is int and v > 0, "a positive integer", False)
-    # experiment -> the params keys its runner reads, with their rules
+            "[n_rho, n_theta], two positive integers with n_theta even")
+    positive = (lambda v: _finite(v) and v > 0, "a positive finite number")
+    finite = (_finite, "a finite number")
     table = {
-        "flow": {"state_stride": positive_int},
+        "flow": {"state_stride": _POSITIVE_INT},
         "critical": {"refine_tol": positive},
-        "slice": {"refine_tol": positive, "eps": positive, "seeds": count,
-                  "boundedness": (lambda v: type(v) is bool, "a boolean", False)},
+        "slice": {"refine_tol": positive, "eps": positive, "seeds": _COUNT,
+                  "boundedness": (lambda v: type(v) is bool, "a boolean")},
         "strata": {},
-        "lines": {"z": (_finite, "a finite number", True)},
+        "lines": {"z": finite},
         "broken": {
-            "varying_edge": (lambda v: v in edges, f"one of the edges {edges}", True),
+            "varying_edge": (lambda v: v in edges, f"one of the edges {edges}"),
             "fixed": (lambda v: isinstance(v, dict) and all(_pair(v.get(e)) for e in others),
-                      f"an [re, im] pair for each of the edges {others}", True),
-            "varying_direction": (_pair, "an [re, im] pair of finite numbers", True),
+                      f"an [re, im] pair for each of the edges {others}"),
+            "varying_direction": (_pair, "an [re, im] pair of finite numbers"),
             "scales": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_finite, v)),
-                       "a non-empty list of finite numbers", True),
+                       "a non-empty list of finite numbers"),
             "levels": (lambda v: isinstance(v, list) and all(map(_finite, v)),
-                       "a list of finite numbers", True),
+                       "a list of finite numbers"),
             "limit_scale": finite},
         "retract": {"eps": positive, "delta": positive, "grid": grid, "refine": grid,
                     "rho_max": positive, "probe_width": positive,
                     "saddle_probe_width": positive},
         "variety": {"refine_tol": positive, "residual_tol": positive, "eps": positive,
-                    "seeds": count},
-        "check": {"trials": positive_int},
+                    "seeds": _COUNT},
+        "check": {"trials": _POSITIVE_INT},
     }
-    rules = table[exp]
-    for key in params:
-        if key not in rules:
-            raise ConfigError(f"config field params.{key}: not read by experiment {exp!r}, "
-                              f"which reads {sorted(rules) or 'no params'}",
-                              field=f"params.{key}")
-    for key, (ok, expected, required) in rules.items():
-        if key not in params:
-            if required:
-                raise ConfigError(f"config field params.{key}: required for experiment "
-                                  f"{exp!r}", field=f"params.{key}")
-        elif not ok(params[key]):
-            raise ConfigError(f"config field params.{key}: expected {expected}, "
-                              f"got {params[key]!r}", field=f"params.{key}")
-    if exp == "broken":
-        # the family's blocks are 1x1 scalars
-        for v in doc["quiver"]["vertices"]:
-            if doc["dims"][v] != 1:
-                raise ConfigError(f"config field dims.{v}: expected 1 for experiment "
-                                  f"'broken', got {doc['dims'][v]!r}", field=f"dims.{v}")
-    if exp in ("flow", "critical", "strata", "lines") and "points" not in doc:
-        raise ConfigError(f"config field points: required for experiment {exp!r}",
-                          field="points")
-
-
-def _finite(v):
-    return type(v) in (int, float) and math.isfinite(v)
+    required = ("z", "varying_edge", "fixed", "varying_direction", "scales", "levels")  # no default
+    return {key: (rule, key in required) for key, rule in table[exp].items()}
 
 
 @contextmanager
@@ -295,11 +234,7 @@ def _rejected(field):
     try:
         yield
     except (QuiverFlowError, ValueError) as exc:
-        raise ConfigError(f"config field {field}: {exc}", field=field) from exc
-
-
-def _pair(v):
-    return isinstance(v, list) and len(v) == 2 and all(map(_finite, v))
+        raise _fail(field, str(exc)) from exc
 
 
 def _complex_of(pair):
@@ -337,7 +272,7 @@ def build_model(doc) -> Model:
         return Model(None, None, None, (), (), integrator, [], doc)
     vertices = doc["quiver"]["vertices"]
     quiver = _quiver_of(doc)
-    dims = tuple(int(doc["dims"][v]) for v in vertices)
+    dims = tuple(doc["dims"][v] for v in vertices)
     for v in vertices:      # one shift at a time, so that the error names its vertex
         with _rejected(f"alpha.{v}"):
             CentralShift((doc["alpha"][v],))
@@ -372,18 +307,15 @@ def _points_of(doc, quiver, dims):
             blocks = []
             for a, name in enumerate(quiver.edges):
                 if name not in val:
-                    raise ConfigError(
-                        f"config field points.values.{i}.{name}: missing edge block",
-                        field=f"points.values.{i}.{name}")
+                    raise _fail(f"points.values.{i}.{name}", "missing edge block")
                 with _rejected(f"points.values.{i}.{name}"):
                     blocks.append(quiver.check_block(a, dims, _matrix_of(val[name])))
             out.append(Representation(quiver, dims, tuple(blocks)))
         return out
-    seed = int(doc["seed"])
     scale = float(pts.get("scale", 1.0))
     with _rejected("points.scale"):
-        return [Representation.random(quiver, dims, rng_for(seed, i), scale=scale)
-                for i in range(int(pts["count"]))]
+        return [Representation.random(quiver, dims, rng_for(doc["seed"], i), scale=scale)
+                for i in range(pts["count"])]
 
 
 def rng_for(seed: int, index: int = 0) -> np.random.Generator:

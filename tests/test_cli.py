@@ -364,3 +364,57 @@ def test_broken_needs_scalar_blocks(tmp_path):
     res = run_cli("broken", "--config", str(bad), "--out", str(tmp_path / "arch"))
     assert res.returncode == 2, res.stderr
     assert "dims.2" in res.stderr
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_override_is_validated(tmp_path, seed):
+    # before, the override skipped validation and rng_for raised OverflowError (exit 1)
+    res = run_cli("strata", "--config", config_path("a2_strata.json"),
+                  "--out", str(tmp_path / "arch"), "--seed-override", seed)
+    assert res.returncode == 2, res.stderr
+    assert "config field seed:" in res.stderr
+    assert not (tmp_path / "arch" / "outputs" / "failure.json").exists()
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_set(["integrator", "max_steps"], 200000.0), "integrator.max_steps"),
+    (_set(["integrator", "stall_window"], 5.0), "integrator.stall_window"),
+    (_set(["dims", "1"], 1.0), "dims.1"),
+    (_set(["points", "count"], 2.0), "points.count"),
+    (_set(["seed"], 2.0), "seed"),
+    (_set(["seed"], 2 ** 64), "seed"),
+], ids=["max_steps", "stall_window", "dims", "count", "float_seed", "big_seed"])
+def test_integers_are_json_integers_and_seeds_fit_64_bits(tmp_path, edit, field):
+    # each passed validation: max_steps exited 1 mid-run ("'float' object cannot be
+    # interpreted as an integer") and 2**64 with an OverflowError traceback from rng_for
+    doc = json.load(open(config_path("a2_strata.json")))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("strata", "--config", str(bad), "--out", str(tmp_path / "arch"))
+    assert res.returncode == 2, res.stderr
+    assert f"config field {field}:" in res.stderr
+    assert not (tmp_path / "arch" / "outputs" / "failure.json").exists()
+
+
+def _grid(rows=3, cols=4):
+    return {"count": 1, "rho": [0.5 * i for i in range(rows)],
+            "theta": [1.5 * j for j in range(cols)], "labels": [[0] * cols] * rows}
+
+
+@pytest.mark.parametrize("retract_json", [
+    json.dumps({"census_grids": {"high": {**_grid(), "theta": [0.0, 1.5, 3.0]}}}),
+    json.dumps({"census_grids": {"high": {**_grid(), "labels": [[0] * 4]}}}),
+    json.dumps({"census_grids": {"high": {**_grid(), "labels": [[0] * 4, [0] * 3, [0] * 4]}}}),
+    json.dumps({"census_grids": {"high": _grid()}})[:-20],
+], ids=["short_theta", "missing_rows", "ragged_rows", "truncated_json"])
+def test_export_refuses_a_malformed_census(tmp_path, retract_json):
+    # before, a short theta axis or missing label rows were silently truncated
+    # (exit 0), and ragged rows or broken JSON raised a traceback
+    (tmp_path / "outputs").mkdir()
+    (tmp_path / "outputs" / "retract.json").write_text(retract_json)
+    res = run_cli("export", "--archive", str(tmp_path), "--what", "census")
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert not (tmp_path / "outputs" / "census_high.csv").exists()
+
