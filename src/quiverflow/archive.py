@@ -216,15 +216,18 @@ def census_csv(census_json) -> str:
         raise QuiverFlowError(f"census labels have shape {labels.shape}, "
                               f"not the {shape} of rho and theta")
     rows = labels.tolist()
-    # the "in_set,component_id" cells of each label value, then one join per rho row
-    cells = {lab: f"{'1' if lab >= 0 else '0'},{lab}" for lab in set().union(*rows)}
-    theta = [csv_float(t) + "," for t in census_json["theta"]]
-    lines = ["rho,theta,in_set,component_id"]
-    if theta:           # an empty theta axis has no cells, not one empty cell per row
-        for r, row in zip(map(csv_float, census_json["rho"]), rows):
-            lines.append(r + "," + ("\n" + r + ",").join(
-                map(str.__add__, theta, map(cells.__getitem__, row))))
-    return "\n".join(lines) + "\n"
+    # one "in_set,component_id" line end per label value; each rho row fills the
+    # rho and label slots of a (rho, theta, label) token list and joins it once
+    cells = {lab: f"{'1' if lab >= 0 else '0'},{lab}\n" for lab in set().union(*rows)}
+    n = len(census_json["theta"])
+    tokens = [""] * (3 * n)
+    tokens[1::3] = [csv_float(t) + "," for t in census_json["theta"]]
+    out = ["rho,theta,in_set,component_id\n"]
+    for r, row in zip(map(csv_float, census_json["rho"]), rows):
+        tokens[0::3] = [r + ","] * n
+        tokens[2::3] = map(cells.__getitem__, row)
+        out.append("".join(tokens))
+    return "".join(out)
 
 
 def checkpoints_csv(broken_json) -> str:
@@ -251,19 +254,23 @@ def slice_csv(slice_json) -> str:
     return "\n".join(lines) + "\n"
 
 
+# export kind -> (source artifact, renderer from its JSON to {csv file name: text})
 _CSV_RENDERERS = {
-    "trace": ("traces.json", None),
-    "checkpoints": ("broken.json", checkpoints_csv),
-    "census": ("retract.json", None),
-    "slice": ("slice.json", slice_csv),
+    "trace": ("traces.json", lambda doc: {f"trace_{i:03d}.csv": trace_csv(tr)
+                                          for i, tr in enumerate(doc["traces"])}),
+    "checkpoints": ("broken.json", lambda doc: {"checkpoints.csv": checkpoints_csv(doc)}),
+    "census": ("retract.json", lambda doc: {f"census_{name}.csv": census_csv(grid)
+                                            for name, grid in doc.get("census_grids", {}).items()}),
+    "slice": ("slice.json", lambda doc: {"slice.csv": slice_csv(doc)}),
 }
 
 
 def export_csv(archive_dir, what, dest_dir=None):
     """Re-render CSV artifacts from an archive's JSON outputs.
 
-    Returns the list of files written.  Raises QuiverFlowError when the
-    archive does not contain the requested artifact.
+    Returns the list of files written.  Raises QuiverFlowError, and writes
+    nothing, when the archive does not contain the requested artifact or the
+    artifact lacks a key that its renderer reads.
     """
     out_dir = dest_dir or os.path.join(archive_dir, "outputs")
     src_dir = os.path.join(archive_dir, "outputs")
@@ -278,19 +285,12 @@ def export_csv(archive_dir, what, dest_dir=None):
             doc = json.load(fh)
     except ValueError as exc:       # not UTF-8 or not JSON
         raise QuiverFlowError(f"archive {src_name} is not readable JSON: {exc}") from exc
-    written = []
-    if what == "trace":
-        for i, tr in enumerate(doc["traces"]):
-            path = os.path.join(out_dir, f"trace_{i:03d}.csv")
-            write_text(path, trace_csv(tr))
-            written.append(path)
-    elif what == "census":
-        for name, census in doc.get("census_grids", {}).items():
-            path = os.path.join(out_dir, f"census_{name}.csv")
-            write_text(path, census_csv(census))
-            written.append(path)
-    else:
-        path = os.path.join(out_dir, f"{what}.csv")
-        write_text(path, renderer(doc))
-        written.append(path)
+    try:
+        texts = renderer(doc)
+    except KeyError as exc:
+        raise QuiverFlowError(f"archive {src_name} lacks the key {exc} "
+                              f"(needed for {what!r})") from exc
+    written = [os.path.join(out_dir, name) for name in texts]
+    for path, text in zip(written, texts.values()):
+        write_text(path, text)
     return written

@@ -299,24 +299,24 @@ def connectivity_census(scene: SlitScene, sublevel: float, include_unstable: boo
 def _census_count(mask: np.ndarray):
     """Label the components of the grid mask with glued origin row, slit preserved.
 
-    Min-label hooking with pointer jumping: each round hooks every root onto
-    the smallest root it shares an edge with, then flattens the trees.  A
-    root never points at a larger index, so each root is the smallest cell
-    of its tree, and sorting the roots numbers the components in row-major
-    order of their first in-set cell (the glued row's root, 0, comes first).
+    Union-find on row runs (He, Chao & Suzuki, IEEE TIP 2008): maximal runs
+    of in-set cells in a row, never wrapping from theta = 2 pi to 0 (the
+    slit), except that row 0 is one run, the glued origin, from its first
+    in-set cell.  Runs are numbered in row-major order and joined across
+    shared columns of adjacent rows.  Min-label hooking with pointer jumping
+    leaves each component's smallest run, holding its first in-set cell, as
+    root, so sorted roots number components in row-major order of that cell.
     """
-    n_theta = mask.shape[1]
     itype = np.int32 if mask.size < 2 ** 31 else np.int64
-    radial = np.flatnonzero(mask[:-1] & mask[1:]).astype(itype)
-    # angular edges, no wrap from n_theta-1 back to 0 (the slit); the glued
-    # row needs none
-    right = np.zeros_like(mask)
-    right[1:, :-1] = mask[1:, :-1] & mask[1:, 1:]
-    angular = np.flatnonzero(right).astype(itype)
-    u = np.concatenate([radial, angular])
-    v = np.concatenate([radial + n_theta, angular + 1])
-    parent = np.arange(mask.size, dtype=itype)
-    parent[:n_theta] = 0               # the origin row is one point
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]
+    starts[:1] = mask[:1] & (mask[:1].cumsum(axis=1) == 1)    # the origin row is one point
+    run = np.cumsum(starts, dtype=itype).reshape(mask.shape) - 1
+    # one edge per stretch of columns in-set in both rows: the rest repeat it
+    both = mask[:-1] & mask[1:]
+    both[:, 1:] &= ~both[:, :-1]
+    u, v = run[:-1][both], run[1:][both]
+    parent = np.arange(np.count_nonzero(starts), dtype=itype)
     while True:
         ru, rv = parent[u], parent[v]
         cross = ru != rv
@@ -329,9 +329,9 @@ def _census_count(mask: np.ndarray):
             if np.array_equal(jumped, parent):
                 break
             parent = jumped
-    roots, inverse = np.unique(parent[mask.ravel()], return_inverse=True)
+    roots, inverse = np.unique(parent, return_inverse=True)
     labels = np.full(mask.shape, -1, dtype=int)
-    labels[mask] = inverse
+    labels[mask] = inverse[run[mask]]
     return len(roots), labels
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quiverflow import CentralShift, IntegratorConfig
+from quiverflow.archive import csv_float
 from quiverflow.presets import A2_PAIR_ALPHA, a2, a2_pair, a3_chain, jordan_one_loop, jordan_two_loops
 from quiverflow.quiver import Quiver
 
@@ -80,6 +81,17 @@ def jordan2_model():
 @pytest.fixture
 def tight_cfg():
     return IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=200.0)
+
+
+def per_cell_census_csv(census_json):
+    """Census CSV oracle: one f-string per grid cell."""
+    lines = ["rho,theta,in_set,component_id"]
+    theta = [csv_float(t) for t in census_json["theta"]]
+    labels = np.asarray(census_json["labels"]).tolist()
+    for r, row in zip(map(csv_float, census_json["rho"]), labels):
+        lines.extend(f"{r},{t},{'1' if lab >= 0 else '0'},{lab}"
+                     for t, lab in zip(theta, row))
+    return "\n".join(lines) + "\n"
 
 
 def a2_logistic(s0, t):

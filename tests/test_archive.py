@@ -1,7 +1,7 @@
 """The archive writers against the formatters they replaced.
 
-``old_canonical_json`` and ``old_census_csv`` are the straightforward
-routes, kept here as oracles: a conversion pass followed by
+``old_canonical_json`` and ``conftest.per_cell_census_csv`` are the
+straightforward routes, kept as oracles: a conversion pass followed by
 ``json.dumps(indent=2, sort_keys=True)``, and one f-string per grid cell.
 """
 
@@ -11,12 +11,12 @@ import os
 import numpy as np
 import pytest
 
-from quiverflow import archive, runner
+from quiverflow import runner
 from quiverflow.archive import canonical_json, census_csv, export_csv, write_json
 from quiverflow.quiver import Representation
 from quiverflow.runconfig import build_model, validate_config
 
-from conftest import one_edge, philox
+from conftest import one_edge, per_cell_census_csv, philox
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "quiverflow", "configs")
 
@@ -43,16 +43,6 @@ def old_to_jsonable(obj):
 
 def old_canonical_json(obj):
     return json.dumps(old_to_jsonable(obj), indent=2, sort_keys=True) + "\n"
-
-
-def old_census_csv(census_json):
-    lines = ["rho,theta,in_set,component_id"]
-    theta = [archive.csv_float(t) for t in census_json["theta"]]
-    labels = np.asarray(census_json["labels"]).tolist()
-    for r, row in zip(map(archive.csv_float, census_json["rho"]), labels):
-        lines.extend(f"{r},{t},{'1' if lab >= 0 else '0'},{lab}"
-                     for t, lab in zip(theta, row))
-    return "\n".join(lines) + "\n"
 
 
 FLOATS = [0.0, -0.0, 1.0, -2.5, 0.1, 1e300, -1e-300, 5e-324, 2.2250738585072014e-308 / 3,
@@ -197,7 +187,7 @@ def test_census_csv_matches_per_cell_formatter(tmp_path):
              {"rho": [0.0, 1.0], "theta": [], "labels": np.zeros((2, 0), dtype=int)},
              {"rho": [1.0], "theta": [0.1, 0.2], "labels": [[-1, -1]]}]
     for grid in grids:
-        assert census_csv(grid) == old_census_csv(grid)
+        assert census_csv(grid) == per_cell_census_csv(grid)
     # the bundled slit_retract config, exported from its archive
     runner.run_experiment(bundled_model("slit_retract.json"), str(tmp_path))
     written = export_csv(str(tmp_path), "census")
@@ -206,4 +196,4 @@ def test_census_csv_matches_per_cell_formatter(tmp_path):
     assert len(written) == 2
     for name, grid in doc["census_grids"].items():
         with open(tmp_path / "outputs" / f"census_{name}.csv") as fh:
-            assert fh.read() == old_census_csv(grid)
+            assert fh.read() == per_cell_census_csv(grid)

@@ -8,6 +8,8 @@ import pytest
 from quiverflow.errors import ConfigError
 from quiverflow.runconfig import validate_config
 
+from conftest import per_cell_census_csv
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "quiverflow", "configs")
 
 
@@ -418,3 +420,33 @@ def test_export_refuses_a_malformed_census(tmp_path, retract_json):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
     assert not (tmp_path / "outputs" / "census_high.csv").exists()
 
+
+
+def test_export_census_of_the_bundled_config_matches_per_cell_formatter(tmp_path):
+    arch = tmp_path / "arch"
+    res = run_cli("retract", "--config", config_path("slit_retract.json"), "--out", str(arch))
+    assert res.returncode == 0, res.stderr
+    res = run_cli("export", "--archive", str(arch), "--what", "census")
+    assert res.returncode == 0, res.stderr
+    doc = json.loads((arch / "outputs" / "retract.json").read_text())
+    assert sorted(doc["census_grids"]) == ["high", "low_with_unstable"]
+    for name, grid in doc["census_grids"].items():
+        got = (arch / "outputs" / f"census_{name}.csv").read_bytes()
+        assert got == per_cell_census_csv(grid).encode()
+
+
+@pytest.mark.parametrize("what, name, doc", [
+    ("census", "retract.json",
+     {"census_grids": {"high": {k: v for k, v in _grid().items() if k != "labels"}}}),
+    ("trace", "traces.json",
+     {"traces": [{"t": [0.0], "f": [1.0], "gradnorm": [0.5], "monitor_values": []}]}),
+], ids=["census_without_labels", "trace_without_monitor_names"])
+def test_export_names_a_missing_key(tmp_path, what, name, doc):
+    # before, both ended in a KeyError traceback
+    (tmp_path / "outputs").mkdir()
+    (tmp_path / "outputs" / name).write_text(json.dumps(doc))
+    res = run_cli("export", "--archive", str(tmp_path), "--what", what)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert ("'labels'" if what == "census" else "'monitor_names'") in res.stderr
+    assert os.listdir(tmp_path / "outputs") == [name]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -279,6 +280,112 @@ def test_census_count_matches_breadth_first_oracle(slit):
         assert count == ref_count
         assert labels.dtype == ref_labels.dtype
         assert np.array_equal(labels, ref_labels)
+
+
+def cell_census(mask):
+    """Reference labelling by union-find on cells, fast enough for 800^2 grids.
+
+    Radial and angular edges between in-set cells, none from theta = 2 pi
+    back to 0, the whole origin row started as one tree; min-label hooking
+    with pointer jumping, then the sorted roots number the components.
+    """
+    n_theta = mask.shape[1]
+    itype = np.int32 if mask.size < 2 ** 31 else np.int64
+    radial = np.flatnonzero(mask[:-1] & mask[1:]).astype(itype)
+    right = np.zeros_like(mask)
+    right[1:, :-1] = mask[1:, :-1] & mask[1:, 1:]
+    angular = np.flatnonzero(right).astype(itype)
+    u = np.concatenate([radial, angular])
+    v = np.concatenate([radial + n_theta, angular + 1])
+    parent = np.arange(mask.size, dtype=itype)
+    parent[:n_theta] = 0
+    while True:
+        ru, rv = parent[u], parent[v]
+        cross = ru != rv
+        if not cross.any():
+            break
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    roots, inverse = np.unique(parent[mask.ravel()], return_inverse=True)
+    labels = np.full(mask.shape, -1, dtype=int)
+    labels[mask] = inverse
+    return len(roots), labels
+
+
+def assert_census_matches_cells(mask):
+    count, labels = _census_count(mask)
+    ref_count, ref_labels = cell_census(mask)
+    assert count == ref_count
+    assert labels.dtype == ref_labels.dtype
+    assert np.array_equal(labels, ref_labels)
+    return count
+
+
+@pytest.mark.parametrize("n", [400, 800])
+@pytest.mark.parametrize("eps", [0.06, 0.1, 0.14])
+def test_census_count_matches_cell_oracle_on_slit_masks(n, eps):
+    scene = SlitScene(eps=eps)
+    low = _slit_grid_masks(scene, -eps, True, n, n, 3.0)[2]
+    high = _slit_grid_masks(scene, eps, False, n, n, 3.0)[2]
+    assert assert_census_matches_cells(low) == 2
+    assert assert_census_matches_cells(high) == 1
+
+
+def serpentine(n_rho, n_theta, by_columns):
+    """One snake of in-set cells that doubles back at every turn; row 0 stays
+    empty, so the glued origin cannot shortcut it."""
+    mask = np.zeros((n_rho, n_theta), dtype=bool)
+    if by_columns:
+        mask[1:, ::2] = True
+        mask[1, 1::4] = True
+        mask[-1, 3::4] = True
+    else:
+        mask[1::2] = True
+        mask[2::4, -1] = True
+        mask[4::4, 0] = True
+    return mask
+
+
+def adversarial_masks():
+    rng = philox(16)
+    comb = np.zeros((30, 41), dtype=bool)
+    comb[:, ::4] = True                 # teeth joined only through the glued row
+    gaps = rng.random((25, 33)) < 0.55
+    gaps[0] = np.arange(33) % 5 < 2     # non-contiguous in-set cells in row 0
+    both_sides = np.zeros((20, 24), dtype=bool)
+    both_sides[1:, 0] = both_sides[1:, -1] = True   # the two edges of the slit
+    bridged = both_sides.copy()
+    bridged[7] = True                   # a full row joins them across the slit
+    return [serpentine(41, 37, False), serpentine(41, 37, True), serpentine(200, 3, True),
+            comb, gaps, both_sides, bridged,
+            np.ones((17, 23), dtype=bool), np.zeros((17, 23), dtype=bool),
+            np.ones((1, 40), dtype=bool), np.ones((40, 1), dtype=bool),
+            rng.random((1, 40)) < 0.5, rng.random((40, 1)) < 0.5]
+
+
+def test_census_count_matches_cell_oracle_on_adversarial_masks():
+    counts = [assert_census_matches_cells(mask) for mask in adversarial_masks()]
+    # three snakes, the comb; then the slit's two edges, bridged, all, none, 1 x n, n x 1
+    assert counts[:4] == [1, 1, 1, 1]
+    assert counts[5:11] == [2, 1, 1, 0, 1, 1]
+
+
+@pytest.mark.parametrize("sublevel, include_unstable", [(-EPS, True), (EPS, False)])
+def test_census_count_peak_memory_per_cell(slit, sublevel, include_unstable):
+    # the cell-level union-find peaked at 33.2 and 57.7 bytes per cell here
+    mask = _slit_grid_masks(slit, sublevel, include_unstable, 800, 800, 3.0)[2]
+    tracemalloc.start()
+    try:
+        _census_count(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * mask.size
 
 
 def test_saddle_sublevel_components_match_across_the_level(saddle):
