@@ -11,8 +11,12 @@ significant digits, and writes are atomic (temp file then rename).
 ``json.dumps(indent=2, sort_keys=True)`` (NaN and Infinity included) once
 keys become ``str(k)``, tuples lists, numpy scalars Python scalars and
 complex values [re, im] pairs.  With an indent, ``json.dumps`` runs its
-pure-Python encoder element by element; the renderer formats each innermost
-row of a numeric array in one join.
+pure-Python encoder element by element.  The renderer appends pieces to one
+list and joins it once.  Integer and bool arrays are cut into runs of equal
+cells within each innermost row, one formatted token repeated per run; float
+arrays, and arrays where over a quarter of the cells start a run, format each
+innermost row in one join.  Floats never form runs, since 0.0 == -0.0 though
+the two print apart, and NaN != NaN.
 """
 
 from __future__ import annotations
@@ -58,73 +62,89 @@ def _float_str(x) -> str:
     return float.__repr__(x)
 
 
-def _render_rows(rows, ndim, pad, fmt) -> str:
-    """Nested lists of ``ndim`` levels, each innermost row in one join."""
-    if not rows:
-        return "[]"
+def _emit_nested(shape, pad, bodies, out):
+    """Nested lists of ``shape`` (no dim 0); ``bodies`` yields each innermost row, joined."""
     inner = pad + "  "
-    if ndim == 1:
-        body = (",\n" + inner).join(map(fmt, rows))
-    else:
-        body = (",\n" + inner).join([_render_rows(r, ndim - 1, inner, fmt) for r in rows])
-    return "[\n" + inner + body + "\n" + pad + "]"
+    if len(shape) == 1:
+        out += ("[\n", inner, next(bodies), "\n", pad, "]")
+        return
+    for i in range(shape[0]):
+        out.append((",\n" if i else "[\n") + inner)
+        _emit_nested(shape[1:], inner, bodies, out)
+    out.append("\n" + pad + "]")
 
 
-def _render_array(a, pad) -> str:
+def _emit_array(a, pad, out):
     if np.iscomplexobj(a):
         a = np.stack([a.real, a.imag], axis=-1)
     kind = a.dtype.kind
-    if a.ndim == 0 or kind not in "biuf":
-        return _render(a.tolist(), pad)
-    if kind == "b":
-        fmt = _BOOL_STR.__getitem__
-    elif kind == "f":
-        fmt = float.__repr__ if np.isfinite(a).all() else _float_str
+    if a.ndim == 0 or kind not in "biuf" or not a.size:
+        _emit(a.tolist(), pad, out)
+        return
+    n, flat = a.shape[-1], a.ravel()
+    sep = ",\n" + pad + "  " * a.ndim
+    if kind == "f":     # never in runs: 0.0 == -0.0 and NaN != NaN
+        fmt, idx = (float.__repr__ if np.isfinite(flat).all() else _float_str), None
     else:
-        fmt = int.__repr__
-    return _render_rows(a.tolist(), a.ndim, pad, fmt)
+        fmt = _BOOL_STR.__getitem__ if kind == "b" else int.__repr__
+        # a cell starts a run if it differs from the cell before or begins a row
+        starts = np.concatenate(([True], flat[1:] != flat[:-1]))
+        starts[::n] = True
+        idx = np.flatnonzero(starts)
+    if idx is None or 4 * idx.size > flat.size:     # run-dense: one join per row is faster
+        bodies = (sep.join(map(fmt, row)) for row in flat.reshape(-1, n).tolist())
+    else:
+        # a run of k cells is its token k times (formatted per run: a cache is slower)
+        vals, lens = flat[idx].tolist(), np.diff(idx, append=flat.size).tolist()
+        firsts = np.flatnonzero(idx % n == 0).tolist() + [idx.size]
+        bodies = ("".join([(fmt(v) + sep) * k for v, k in zip(vals[i:j], lens[i:j])])[:-len(sep)]
+                  for i, j in zip(firsts, firsts[1:]))
+    _emit_nested(a.shape, pad, bodies, out)
 
 
-def _render(obj, pad) -> str:
-    """``obj`` in canonical JSON at indentation ``pad`` (see the module docstring)."""
+def _emit(obj, pad, out):
+    """Append ``obj`` in canonical JSON at indentation ``pad`` to the piece list ``out``."""
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, float):
-        return _float_str(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, float):
+        out.append(_float_str(obj))
+    elif isinstance(obj, (dict, list, tuple)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
         inner = pad + "  "
-        items = sorted({str(k): v for k, v in obj.items()}.items())
-        return ("{\n" + inner
-                + (",\n" + inner).join([encode_basestring_ascii(k) + ": " + _render(v, inner)
-                                        for k, v in items])
-                + "\n" + pad + "}")
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+        for i, (k, v) in enumerate(sorted({str(k): v for k, v in obj.items()}.items())):
+            out.append((",\n" if i else "{\n") + inner + encode_basestring_ascii(k) + ": ")
+            _emit(v, inner, out)
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
         inner = pad + "  "
-        return ("[\n" + inner + (",\n" + inner).join([_render(v, inner) for v in obj])
-                + "\n" + pad + "]")
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return _BOOL_STR[bool(obj)]
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
-    if isinstance(obj, np.floating):
-        return _float_str(float(obj))
-    if isinstance(obj, np.ndarray):
-        return _render_array(obj, pad)
-    if isinstance(obj, complex):
-        return _render([float(obj.real), float(obj.imag)], pad)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        for i, v in enumerate(obj):
+            out.append((",\n" if i else "[\n") + inner)
+            _emit(v, inner, out)
+        out.append("\n" + pad + "]")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append(_BOOL_STR[bool(obj)])
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, np.floating):
+        out.append(_float_str(float(obj)))
+    elif isinstance(obj, np.ndarray):
+        _emit_array(obj, pad, out)
+    elif isinstance(obj, complex):
+        _emit([float(obj.real), float(obj.imag)], pad, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
     """Indent-2, sorted-key JSON, byte-identical to
     ``json.dumps(obj, indent=2, sort_keys=True)`` on the converted document."""
-    return _render(obj, "") + "\n"
+    out = []
+    _emit(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_text(path, text):
@@ -193,9 +213,14 @@ def fiber_jsonable(fiber):
 def trace_csv(tr_json) -> str:
     mon_names = tr_json["monitor_names"]
     mon_values = tr_json["monitor_values"]
+    n = len(tr_json["t"])
+    lengths = [len(c) for c in (tr_json["f"], tr_json["gradnorm"], *mon_values)]
+    if len(mon_values) != len(mon_names) or lengths.count(n) != len(lengths):
+        raise QuiverFlowError(f"trace columns of lengths {lengths} do not match {n} times "
+                              f"and {len(mon_names)} monitor names")
     header = ["t", "f", "gradnorm"] + list(mon_names)
     lines = [",".join(header)]
-    for i in range(len(tr_json["t"])):
+    for i in range(n):
         row = [csv_float(tr_json["t"][i]), csv_float(tr_json["f"][i]),
                csv_float(tr_json["gradnorm"][i])]
         row += [csv_float(vals[i]) for vals in mon_values]
@@ -205,7 +230,7 @@ def trace_csv(tr_json) -> str:
 
 def census_csv(census_json) -> str:
     """One row per grid cell; the grid's rho, theta and labels may be arrays or
-    lists.  Labels that do not fill the rho x theta grid raise QuiverFlowError."""
+    lists.  Labels that are not integers filling the rho x theta grid raise QuiverFlowError."""
     try:
         labels = np.asarray(census_json["labels"])
     except ValueError as exc:       # ragged label rows
@@ -215,6 +240,8 @@ def census_csv(census_json) -> str:
     if labels.shape != shape and (labels.size or shape[0] * shape[1]):
         raise QuiverFlowError(f"census labels have shape {labels.shape}, "
                               f"not the {shape} of rho and theta")
+    if labels.size and labels.dtype.kind not in "iu":
+        raise QuiverFlowError(f"census labels are not integers (dtype {labels.dtype})")
     rows = labels.tolist()
     # one "in_set,component_id" line end per label value; each rho row fills the
     # rho and label slots of a (rho, theta, label) token list and joins it once
@@ -269,8 +296,8 @@ def export_csv(archive_dir, what, dest_dir=None):
     """Re-render CSV artifacts from an archive's JSON outputs.
 
     Returns the list of files written.  Raises QuiverFlowError, and writes
-    nothing, when the archive does not contain the requested artifact or the
-    artifact lacks a key that its renderer reads.
+    nothing, when the archive lacks the artifact or the artifact does not fit
+    its renderer: not an object, a missing key, a wrong column or label shape or type.
     """
     out_dir = dest_dir or os.path.join(archive_dir, "outputs")
     src_dir = os.path.join(archive_dir, "outputs")
@@ -285,6 +312,9 @@ def export_csv(archive_dir, what, dest_dir=None):
             doc = json.load(fh)
     except ValueError as exc:       # not UTF-8 or not JSON
         raise QuiverFlowError(f"archive {src_name} is not readable JSON: {exc}") from exc
+    if not isinstance(doc, dict):   # every renderer reads keys of a top-level object
+        raise QuiverFlowError(f"archive {src_name} holds a JSON {type(doc).__name__}, "
+                              f"not an object")
     try:
         texts = renderer(doc)
     except KeyError as exc:

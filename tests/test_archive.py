@@ -138,6 +138,52 @@ def test_canonical_json_matches_json_dumps_on_edge_cases(doc):
     assert canonical_json(doc) == old_canonical_json(doc)
 
 
+RUN_DTYPES = [np.int8, np.int32, np.int64, np.uint16, np.bool_]
+
+
+def random_run_array(rng):
+    """Up to 4-D, each dim 0-6, 1-3 distinct values laid out in runs of equal cells."""
+    shape = tuple(int(n) for n in rng.integers(0, 7, size=int(rng.integers(1, 5))))
+    dtype = RUN_DTYPES[int(rng.integers(0, len(RUN_DTYPES)))]
+    info = np.iinfo(dtype) if dtype is not np.bool_ else None
+    values = (rng.integers(0, 2, size=3).astype(bool) if info is None
+              else rng.integers(info.min, info.max, size=3, endpoint=True).astype(dtype))
+    values = values[:int(rng.integers(1, 4))]
+    size = int(np.prod(shape))
+    keep = rng.random(size) < rng.choice([0.5, 0.9, 1.0])      # stay in the current run
+    picks = rng.integers(0, len(values), size=size)
+    flat = np.empty(size, dtype=dtype)
+    for i in range(size):
+        flat[i] = flat[i - 1] if i and keep[i] else values[picks[i]]
+    return flat.reshape(shape)
+
+
+def test_canonical_json_matches_json_dumps_on_run_arrays():
+    rng = philox(17)
+    for _ in range(400):
+        a = random_run_array(rng)
+        assert canonical_json(a) == old_canonical_json(a)
+        assert canonical_json({"a": [a]}) == old_canonical_json({"a": [a]})
+
+
+@pytest.mark.parametrize("a", [
+    np.full((4, 5), 7), np.full((2, 3, 4), -1, dtype=np.int8), np.ones((3, 3), dtype=bool),
+    np.full((1, 9), 3, dtype=np.uint16), np.full((9, 1), 3, dtype=np.int32),
+    np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+    np.zeros((2, 0, 3), dtype=np.int8), np.zeros((2, 0, 3), dtype=bool),
+    np.array([[-(2**63)] * 5 + [2**63 - 1] * 5] * 3, dtype=np.int64),
+    np.full((2, 6), 2**64 - 1, dtype=np.uint64),
+    np.arange(60).reshape(6, 10),                                   # run-dense
+    # floats are never merged into runs: 0.0 == -0.0 and NaN != NaN
+    np.array([[0.0, -0.0, 0.0] * 4] * 4), np.array([[np.nan, np.nan] * 8] * 3),
+    np.array([[5, 5, 5, 5], [5, 5, 6, 6]]),                         # a run across the row end
+    np.repeat([[1, 2, 3]], 8, axis=0).T,                            # not C-contiguous
+], ids=lambda a: f"{a.dtype}{a.shape}")
+def test_canonical_json_run_boundaries(a):
+    assert canonical_json(a) == old_canonical_json(a)
+    assert canonical_json([a, {"k": a}]) == old_canonical_json([a, {"k": a}])
+
+
 def bundled_model(name, edit=lambda params: None):
     with open(os.path.join(CONFIG_DIR, name)) as fh:
         doc = json.load(fh)
@@ -157,6 +203,7 @@ def archive_docs(monkeypatch, out_dir, model):
 
 @pytest.mark.parametrize("name, edit", [
     ("slit_retract.json", lambda p: p.update(grid=[12, 16], refine=[24, 32])),
+    pytest.param("slit_retract.json", lambda p: None, id="slit_retract.json-full_size"),
     ("a2_critical.json", lambda p: None),
     ("jordan2_flow.json", lambda p: None),
 ])

@@ -450,3 +450,22 @@ def test_export_names_a_missing_key(tmp_path, what, name, doc):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
     assert ("'labels'" if what == "census" else "'monitor_names'") in res.stderr
     assert os.listdir(tmp_path / "outputs") == [name]
+
+
+@pytest.mark.parametrize("what, name, doc, message", [
+    ("census", "retract.json", [{"census_grids": {"high": _grid()}}], "not an object"),
+    ("trace", "traces.json",
+     {"traces": [{"t": [0.0, 1.0], "f": [1.0], "gradnorm": [0.5, 0.25],
+                  "monitor_names": [], "monitor_values": []}]}, "trace columns"),
+    ("census", "retract.json",
+     {"census_grids": {"high": {**_grid(), "labels": [["a"] * 4] * 3}}}, "not integers"),
+], ids=["top_level_list", "short_f_column", "string_labels"])
+def test_export_refuses_a_malformed_shape(tmp_path, what, name, doc, message):
+    # before, these raised AttributeError, IndexError and TypeError tracebacks
+    (tmp_path / "outputs").mkdir()
+    (tmp_path / "outputs" / name).write_text(json.dumps(doc))
+    res = run_cli("export", "--archive", str(tmp_path), "--what", what)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert message in res.stderr
+    assert os.listdir(tmp_path / "outputs") == [name]
