@@ -15,7 +15,6 @@ from .quiver import (
     infinitesimal_action,
     group_exp,
     rho_matrix,
-    rho_rank,
     relation_residual,
     cycle_trace,
 )
@@ -38,9 +37,7 @@ from .flow import (
     integrate_many,
     tau_level,
     trace_crossing,
-    level_set_map,
     energy_identity_defect,
-    condition2_probe,
 )
 from .critical import (
     CriticalRecord,
@@ -55,10 +52,9 @@ from .critical import (
 )
 from .strata import (
     StratumLabel,
-    stratum_label,
-    sample_unstable_level,
+    stratum_labels,
     FlowLine,
-    flow_line,
+    flow_lines,
     BrokenLineReport,
     broken_line_experiment,
 )
@@ -71,7 +67,6 @@ from .retract import (
 )
 from .subvariety import (
     SubvarietySpec,
-    on_variety,
     project_to_variety,
     slice_variety_probe,
 )

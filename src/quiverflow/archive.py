@@ -281,14 +281,48 @@ def slice_csv(slice_json) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the shapes a renderer indexes; a wrong one is refused before any row is rendered
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise QuiverFlowError(f"{what} is a JSON {type(value).__name__}, not an object")
+    return value
+
+
+def _array(value, what, n=None):
+    if not isinstance(value, list):
+        raise QuiverFlowError(f"{what} is a JSON {type(value).__name__}, not an array")
+    if n is not None and len(value) != n:
+        raise QuiverFlowError(f"{what} has {len(value)} rows, not {n}")
+    return value
+
+
+def _checkpoint_files(doc):
+    n = len(_array(doc["params"], "params"))
+    for k, row in enumerate(_array(doc["checkpoints"], "checkpoints",
+                                   len(_array(doc["levels"], "levels")))):
+        for pt in _array(row, f"checkpoints row {k}", n):
+            if pt is not None:
+                _array(pt, f"a checkpoint in row {k}")
+    return {"checkpoints.csv": checkpoints_csv(doc)}
+
+
+def _slice_files(doc):
+    fiber = _object(doc["fiber"], "fiber")
+    for j, row in enumerate(_array(fiber["basis"], "fiber basis", fiber["dim"])):
+        _array(row, f"fiber basis row {j}")
+    return {"slice.csv": slice_csv(doc)}
+
+
 # export kind -> (source artifact, renderer from its JSON to {csv file name: text})
 _CSV_RENDERERS = {
-    "trace": ("traces.json", lambda doc: {f"trace_{i:03d}.csv": trace_csv(tr)
-                                          for i, tr in enumerate(doc["traces"])}),
-    "checkpoints": ("broken.json", lambda doc: {"checkpoints.csv": checkpoints_csv(doc)}),
-    "census": ("retract.json", lambda doc: {f"census_{name}.csv": census_csv(grid)
-                                            for name, grid in doc.get("census_grids", {}).items()}),
-    "slice": ("slice.json", lambda doc: {"slice.csv": slice_csv(doc)}),
+    "trace": ("traces.json", lambda doc: {
+        f"trace_{i:03d}.csv": trace_csv(_object(tr, f"trace {i}"))
+        for i, tr in enumerate(_array(doc["traces"], "traces"))}),
+    "checkpoints": ("broken.json", _checkpoint_files),
+    "census": ("retract.json", lambda doc: {
+        f"census_{name}.csv": census_csv(_object(grid, f"census grid {name!r}"))
+        for name, grid in _object(doc.get("census_grids", {}), "census_grids").items()}),
+    "slice": ("slice.json", _slice_files),
 }
 
 
@@ -297,7 +331,8 @@ def export_csv(archive_dir, what, dest_dir=None):
 
     Returns the list of files written.  Raises QuiverFlowError, and writes
     nothing, when the archive lacks the artifact or the artifact does not fit
-    its renderer: not an object, a missing key, a wrong column or label shape or type.
+    its renderer: not an object, a missing key, a wrong row count, column or
+    label shape or type.
     """
     out_dir = dest_dir or os.path.join(archive_dir, "outputs")
     src_dir = os.path.join(archive_dir, "outputs")
@@ -312,11 +347,8 @@ def export_csv(archive_dir, what, dest_dir=None):
             doc = json.load(fh)
     except ValueError as exc:       # not UTF-8 or not JSON
         raise QuiverFlowError(f"archive {src_name} is not readable JSON: {exc}") from exc
-    if not isinstance(doc, dict):   # every renderer reads keys of a top-level object
-        raise QuiverFlowError(f"archive {src_name} holds a JSON {type(doc).__name__}, "
-                              f"not an object")
     try:
-        texts = renderer(doc)
+        texts = renderer(_object(doc, f"archive {src_name}"))
     except KeyError as exc:
         raise QuiverFlowError(f"archive {src_name} lacks the key {exc} "
                               f"(needed for {what!r})") from exc

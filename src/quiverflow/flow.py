@@ -42,22 +42,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelNotReachedError, QuiverFlowError
-from .moment import VelocityKernel, f_value, flow_velocity
+from .moment import VelocityKernel, f_value
 from .quiver import Quiver, Representation, path_product, unflatten_blocks
 
 __all__ = [
     "IntegratorConfig",
     "FlowTrace",
-    "LevelSetResult",
-    "Condition2Report",
     "integrate",
     "integrate_many",
     "tau_level",
     "trace_crossing",
-    "level_set_map",
     "energy_identity_defect",
-    "quadrature_dissipation",
-    "condition2_probe",
 ]
 
 # Dormand-Prince 5(4) tableau (FSAL).
@@ -100,8 +95,9 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if not (0 < self.min_step < self.max_step):
             raise ValueError("need 0 < min_step < max_step")
-        if not (self.max_time > 0 and self.grad_stop > 0 and self.stall_window >= 1):
-            raise ValueError("max_time, grad_stop, stall_window must be positive")
+        if not (self.max_time > 0 and self.grad_stop > 0 and self.stall_window >= 1
+                and self.max_steps >= 1):
+            raise ValueError("max_time, grad_stop, stall_window, max_steps must be positive")
 
 
 @dataclass(frozen=True)
@@ -444,19 +440,17 @@ def tau_level(x: Representation, alpha, ell: float, cfg: IntegratorConfig,
     """First time t with f(x(t)) = ell, and the state there.
 
     Raises LevelNotReachedError, carrying the limiting critical value, when
-    the flow converges before crossing (the convergence branch of the
-    forward/backward dichotomy), or with limit_value None on a time cap.
+    the flow converges before crossing, or with limit_value None on a time
+    cap.  Forward to a and backward to b, the two calls give the dichotomy
+    of the paper's Condition 2: each direction from a < f(x) < b either
+    leaves the window [a, b] or converges to a critical value inside it.
     """
     f0 = f_value(x, alpha)
     if abs(f0 - ell) <= 1e-14 * (1.0 + abs(ell)):
         return 0.0, x
     if (f0 - ell) * direction < 0.0:
         raise ValueError("level is on the wrong side of f(x) for this flow direction")
-    return _crossing(integrate(x, alpha, cfg, direction=direction, stop_level=ell), ell)
-
-
-def _crossing(trace, ell):
-    """(time, point) where a run with stop level ell ended on it."""
+    trace = integrate(x, alpha, cfg, direction=direction, stop_level=ell)
     if trace.status == "exited_level":
         return float(trace.ts[-1]), trace.final
     if trace.status == "converged":
@@ -496,38 +490,6 @@ def trace_crossing(trace: FlowTrace, level: float, alpha):
     return Representation.unflatten(trace.quiver, trace.dims, y[:st.dim])
 
 
-@dataclass(frozen=True)
-class LevelSetResult:
-    point: Representation
-    time: float
-    status: str          # "crossed" or "limit"
-
-
-def level_set_map(x: Representation, alpha, ell2: float, cfg: IntegratorConfig,
-                  forward: FlowTrace = None) -> LevelSetResult:
-    """Map a point of one level set along the flow to the level ell2.
-
-    Forward when ell2 < f(x), backward when ell2 > f(x).  If ell2 is the
-    critical value the flow converges to, the limit point is returned with
-    status "limit" instead of a finite crossing; one run with stop level ell2
-    gives either, since without a crossing it takes the steps of a plain run.
-    ``forward``, when given, is that forward run from x, already made (a row
-    of an ``integrate_many`` batch); it is used in place of flowing x again.
-    """
-    f0 = f_value(x, alpha)
-    direction = 1 if ell2 <= f0 else -1
-    t, y = 0.0, x
-    if abs(f0 - ell2) > 1e-14 * (1.0 + abs(ell2)):
-        trace = (forward if direction == 1 and forward is not None
-                 else integrate(x, alpha, cfg, direction=direction, stop_level=ell2))
-        if trace.status == "converged" and abs(trace.fs[-1] - ell2) <= 1e-6 * (1.0 + abs(ell2)):
-            return LevelSetResult(point=trace.final, time=float(trace.ts[-1]), status="limit")
-        t, y = _crossing(trace, ell2)
-    # a "crossing" right at a stationary value is really the limit point
-    gn = float(np.linalg.norm(flow_velocity(y, alpha).flatten())) * 2.0
-    return LevelSetResult(point=y, time=t, status="limit" if gn < cfg.grad_stop else "crossed")
-
-
 def energy_identity_defect(trace: FlowTrace) -> float:
     """|f(start) - f(end) - 2 int ||dx/dt||^2 dt| from the co-integrated
     dissipation column (zero for degenerate single-sample traces)."""
@@ -535,58 +497,3 @@ def energy_identity_defect(trace: FlowTrace) -> float:
         return 0.0
     drop = (trace.fs[0] - trace.fs[-1]) * trace.direction
     return float(abs(drop - trace.monitors["energy"][-1]))
-
-
-def quadrature_dissipation(trace: FlowTrace, alpha) -> float:
-    """2 int ||dx/dt||^2 dt recomputed by Simpson quadrature on the samples.
-
-    Cross-check for the co-integrated dissipation column; uses the stored
-    gradnorm values (||dx/dt|| = gradnorm / 2) with midpoints from velocity
-    evaluations on linear state interpolants.
-    """
-    if trace.n_samples < 2:
-        return 0.0
-    g = (trace.gradnorms / 2.0) ** 2
-    kernel = VelocityKernel(trace.quiver, trace.dims, alpha)
-    vm = kernel.velocity_flat(0.5 * (trace.states[:-1] + trace.states[1:]))
-    gm = np.einsum("ij,ij->i", vm, vm)
-    return 2.0 * float(np.sum(np.diff(trace.ts) / 6.0 * (g[:-1] + 4.0 * gm + g[1:])))
-
-
-@dataclass(frozen=True)
-class Condition2Report:
-    forward: str                  # exits_below | converges_interior | inconclusive
-    backward: str                 # exits_above | converges_interior | inconclusive
-    forward_time: float = None
-    backward_time: float = None
-    forward_limit: float = None
-    backward_limit: float = None
-
-
-def condition2_probe(x: Representation, a: float, b: float, alpha,
-                     cfg: IntegratorConfig) -> Condition2Report:
-    """Classify both flow directions against the window [a, b].
-
-    The caller asserts a < f(x) < b with a, b non-critical.  Each direction
-    either exits through its end of the window or converges to an interior
-    critical value; a time cap without classification is reported as
-    inconclusive, never silently classified.
-    """
-    f0 = f_value(x, alpha)
-    if not (a < f0 < b):
-        raise ValueError("need a < f(x) < b")
-    out = {}
-    for direction, level, key in ((1, a, "forward"), (-1, b, "backward")):
-        trace = integrate(x, alpha, cfg, direction=direction, stop_level=level)
-        if trace.status == "exited_level":
-            out[key] = ("exits_below" if direction == 1 else "exits_above",
-                        float(trace.ts[-1]), None)
-        elif trace.status == "converged":
-            out[key] = ("converges_interior", float(trace.ts[-1]), float(trace.fs[-1]))
-        else:
-            out[key] = ("inconclusive", None, None)
-    return Condition2Report(
-        forward=out["forward"][0], backward=out["backward"][0],
-        forward_time=out["forward"][1], backward_time=out["backward"][1],
-        forward_limit=out["forward"][2], backward_limit=out["backward"][2],
-    )

@@ -54,7 +54,6 @@ __all__ = [
     "infinitesimal_action",
     "group_exp",
     "rho_matrix",
-    "rho_rank",
     "relation_residual",
     "cycle_trace",
 ]
@@ -478,11 +477,6 @@ def orbit_basis(x: Representation) -> np.ndarray:
     if s[0] == 0.0:
         return np.zeros((mat.shape[0], 0))
     return u[:, :int(np.sum(s > ORBIT_RANK_TOL * s[0]))]
-
-
-def rho_rank(x: Representation) -> int:
-    """Numerical rank of the real-linear map rho_x (orbit dimension at x)."""
-    return orbit_basis(x).shape[1]
 
 
 def path_product(blocks, path):

@@ -1,4 +1,4 @@
-"""Stratum labels, unstable-set sampling, flow lines, and breaking experiments.
+"""Stratum labels, flow lines, and breaking experiments.
 
 A point is labeled by the invariant data of its forward-flow limit: the
 per-vertex spectra of beta = H - alpha there (conjugation-invariant, so the
@@ -16,20 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical import CriticalRecord, SliceFiber, refine_critical, unstable_sweep
+from .critical import CriticalRecord, refine_critical
 from .errors import QuiverFlowError
-from .flow import IntegratorConfig, integrate_many, level_set_map, trace_crossing
+from .flow import IntegratorConfig, integrate_many, trace_crossing
 from .moment import CentralShift, f_value, grad_f
 from .quiver import Representation
 
 __all__ = [
     "StratumLabel",
-    "stratum_label",
     "stratum_labels",
     "label_of_trace",
-    "sample_unstable_level",
     "FlowLine",
-    "flow_line",
     "flow_lines",
     "BrokenLineReport",
     "broken_line_experiment",
@@ -70,49 +67,19 @@ class StratumLabel:
         return spec, round(self.f_limit / VALUE_TOL)
 
 
-def stratum_label(x0: Representation, alpha: CentralShift, cfg: IntegratorConfig) -> StratumLabel:
-    """Label x0 by the spectra and value of its forward-flow limit."""
-    return stratum_labels([x0], alpha, cfg)[0]
-
-
 def stratum_labels(points, alpha: CentralShift, cfg: IntegratorConfig) -> list:
-    """``stratum_label`` of each point, from one batch of forward flows."""
+    """Label each point by the spectra and value of its forward-flow limit,
+    from one batch of forward flows."""
     return [label_of_trace(tr, alpha, cfg) for tr in integrate_many(points, alpha, cfg)]
 
 
 def label_of_trace(trace, alpha: CentralShift, cfg: IntegratorConfig) -> StratumLabel:
-    """``stratum_label`` of a point read off its forward trace, refined to
+    """The label of a point read off its forward trace, refined to
     ``LABEL_REFINE_TOL``."""
     if trace.status != "converged":
         return StratumLabel(spectra=(), f_limit=float("nan"), status="inconclusive")
     rec = refine_critical(trace.final, alpha, tol=LABEL_REFINE_TOL, cfg=cfg)
     return StratumLabel(spectra=rec.beta_spectra, f_limit=rec.f_crit)
-
-
-def sample_unstable_level(rec: CriticalRecord, fiber: SliceFiber, alpha: CentralShift,
-                          eps: float, n: int, cfg: IntegratorConfig) -> list:
-    """Sample the unstable set on the level f_crit - eps through fiber seeds.
-
-    Maps each seed of one ``unstable_sweep`` with ``level_set_map``, which
-    reads the seed's row of the batch.  Returns a list of dicts with the
-    seed direction, the endpoint, the crossing time, and the recorded flow
-    time (so membership can be checked by flowing backward for that long).
-    Per-seed failures are recorded with endpoint None.
-    """
-    out = []
-    level = rec.f_crit - eps
-    for s in unstable_sweep(rec, fiber.basis, alpha, eps, n, cfg):
-        entry = {"direction": s["direction"], "seed": s["seed"], "endpoint": None,
-                 "time": None, "status": "failed", "error": s["error"]}
-        # a seed on or past the level is left out of the batch; it is mapped alone
-        if s["trace"] is not None or f_value(s["seed"], alpha) <= level:
-            try:
-                res = level_set_map(s["seed"], alpha, level, cfg, forward=s["trace"])
-                entry.update(endpoint=res.point, time=res.time, status=res.status, error=None)
-            except QuiverFlowError as exc:
-                entry["error"] = str(exc)
-        out.append(entry)
-    return out
 
 
 @dataclass(frozen=True)
@@ -140,23 +107,12 @@ def _both_ways(forward, backward, alpha, cfg):
     return traces[:len(forward)], traces[len(forward):]
 
 
-def flow_line(anchor: Representation, z: float, alpha: CentralShift,
-              cfg: IntegratorConfig) -> FlowLine:
-    """Classify the trajectory through an anchor with f(anchor) = z.
-
-    The forward flow must converge (the anchor's lower endpoint); the
-    backward flow either converges to the upper endpoint or escapes, in
-    which case the anchor lies on no unstable set and upper is None.
-    """
-    line = flow_lines([anchor], z, alpha, cfg)[0]
-    if isinstance(line, Exception):
-        raise line
-    return line
-
-
 def flow_lines(anchors, z: float, alpha: CentralShift, cfg: IntegratorConfig) -> list:
-    """``flow_line`` of each anchor, from one batch of flows in both directions;
-    an anchor that fails gets the QuiverFlowError or ValueError it raised."""
+    """Classify the trajectory through each anchor with f(anchor) = z, from one
+    batch of flows in both directions.  The forward flow must converge (the
+    lower endpoint); the backward flow converges to the upper endpoint or
+    escapes (upper None: the anchor lies on no unstable set).  An anchor that
+    fails gets the QuiverFlowError or ValueError it raised."""
     out = []
     for anchor, fwd, bwd in zip(anchors, *_both_ways(anchors, anchors, alpha, cfg)):
         try:
@@ -286,45 +242,6 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
         checkpoint_membership=tuple(membership),
         dwell_fractions=tuple(dwell),
     )
-
-
-def search_three_level_configs(rng, cfg: IntegratorConfig, n_quivers: int = 5,
-                               n_seeds: int = 8) -> list:
-    """Exploratory scan of small random quivers for >= 3 critical levels.
-
-    Samples random two or three vertex quivers with random shifts, runs
-    the seed scan on each, and returns those whose reachable critical
-    values form at least a three-level ladder.  Purely exploratory: the
-    per-quiver level lists carry no completeness guarantee.
-    """
-    from .quiver import Quiver
-
-    hits = []
-    for _ in range(n_quivers):
-        nv = int(rng.integers(2, 4))
-        ne = int(rng.integers(2, 4))
-        vertices = [str(i + 1) for i in range(nv)]
-        edges = []
-        for e in range(ne):
-            t = int(rng.integers(0, nv))
-            h = int(rng.integers(0, nv))
-            edges.append((f"e{e}", vertices[t], vertices[h]))
-        quiver = Quiver.from_lists(vertices, edges)
-        dims = tuple(int(rng.integers(1, 3)) for _ in range(nv))
-        alpha = CentralShift(tuple(float(a) for a in rng.uniform(-1.5, 1.5, nv)))
-        try:
-            found = search_critical_levels(quiver, dims, alpha, cfg, rng,
-                                           n_seeds=n_seeds)
-        except QuiverFlowError:
-            continue
-        if len(found["values"]) >= 3:
-            hits.append({"exploratory": True,
-                         "vertices": vertices,
-                         "edges": edges,
-                         "dims": dims,
-                         "alpha": alpha.alpha,
-                         "values": found["values"]})
-    return hits
 
 
 def search_critical_levels(quiver, dims, alpha: CentralShift, cfg: IntegratorConfig,

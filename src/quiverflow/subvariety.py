@@ -29,7 +29,6 @@ from .quiver import (
 
 __all__ = [
     "SubvarietySpec",
-    "on_variety",
     "project_to_variety",
     "slice_variety_probe",
 ]
@@ -74,10 +73,6 @@ class SubvarietySpec:
         if worst > 1e-9:
             raise ShapeError(f"relation covariance defect {worst:.3e} exceeds 1e-9")
         return worst
-
-
-def on_variety(x: Representation, spec: SubvarietySpec) -> bool:
-    return spec.max_residual(x) < spec.residual_tol
 
 
 def _relation_derivative(rel, xs, ts):

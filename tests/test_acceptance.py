@@ -28,7 +28,7 @@ from quiverflow import (
     morse_index_check,
     negative_slice,
     refine_critical,
-    stratum_label,
+    stratum_labels,
     tau_level,
     weight_decomposition,
 )
@@ -171,7 +171,7 @@ def test_05_equivariance():
             n = min(tr.n_samples, tr_k.n_samples)
             assert max(act(k, tr.point(i)).distance(tr_k.point(i)) for i in range(n)) < 1e-8
             # stratum labels
-            lab, lab_k = stratum_label(x, alpha, cfg), stratum_label(act(k, x), alpha, cfg)
+            lab, lab_k = stratum_labels([x, act(k, x)], alpha, cfg)
             assert lab.matches(lab_k)
 
 

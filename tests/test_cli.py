@@ -459,7 +459,23 @@ def test_export_names_a_missing_key(tmp_path, what, name, doc):
                   "monitor_names": [], "monitor_values": []}]}, "trace columns"),
     ("census", "retract.json",
      {"census_grids": {"high": {**_grid(), "labels": [["a"] * 4] * 3}}}, "not integers"),
-], ids=["top_level_list", "short_f_column", "string_labels"])
+    ("census", "retract.json", {"census_grids": [1, 2]}, "census_grids is a JSON list"),
+    ("census", "retract.json", {"census_grids": {"high": [1]}},
+     "census grid 'high' is a JSON list"),
+    ("trace", "traces.json", {"traces": [[0.0]]}, "trace 0 is a JSON list"),
+    ("slice", "slice.json", {"fiber": {"dim": 2, "basis": [[0.5, 0.25]]}},
+     "fiber basis has 1 rows, not 2"),
+    ("slice", "slice.json", {"fiber": {"dim": 1, "basis": [5]}},
+     "fiber basis row 0 is a JSON int, not an array"),
+    ("checkpoints", "broken.json",
+     {"levels": [1.5, 0.5], "params": [0.1], "checkpoints": [[[0.5, 0.25]]]},
+     "checkpoints has 1 rows, not 2"),
+    ("trace", "traces.json", {"traces": 5}, "traces is a JSON int, not an array"),
+    ("checkpoints", "broken.json", {"levels": [1.5], "params": [0.1], "checkpoints": [[7]]},
+     "a checkpoint in row 0 is a JSON int, not an array"),
+], ids=["top_level_list", "short_f_column", "string_labels", "grids_list", "grid_list",
+        "trace_list", "short_basis", "basis_row_number", "short_checkpoints", "traces_number",
+        "checkpoint_number"])
 def test_export_refuses_a_malformed_shape(tmp_path, what, name, doc, message):
     # before, these raised AttributeError, IndexError and TypeError tracebacks
     (tmp_path / "outputs").mkdir()

@@ -7,16 +7,13 @@ from quiverflow import (
     IntegratorConfig,
     Representation,
     act,
-    condition2_probe,
     energy_identity_defect,
     f_value,
     integrate,
-    level_set_map,
     tau_level,
     trace_crossing,
 )
 from quiverflow.errors import LevelNotReachedError
-from quiverflow.flow import quadrature_dissipation
 from quiverflow.presets import (
     commutator_relation,
     jordan_cycles,
@@ -24,7 +21,7 @@ from quiverflow.presets import (
     scalar_rep,
 )
 
-from conftest import a2_logistic
+from conftest import a2_logistic, quadrature_dissipation
 
 
 def test_integrator_config_validation():
@@ -36,6 +33,10 @@ def test_integrator_config_validation():
     for key in ("rel_tol", "abs_tol", "max_time", "grad_stop"):
         with pytest.raises(ValueError):
             IntegratorConfig(**{key: float("nan")})
+    # a run without a step used to end as step_limit after one sample
+    for max_steps in (0, -5, float("nan")):
+        with pytest.raises(ValueError):
+            IntegratorConfig(max_steps=max_steps)
 
 
 def test_critical_start_gives_single_sample(a2_model, tight_cfg):
@@ -94,48 +95,42 @@ def test_tau_level_not_reached_names_limit(a2_model, tight_cfg):
 
 
 def test_level_set_map_identity_composition_and_limit(a2_model, tight_cfg):
+    # the flow map between level sets is tau_level's point
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [1.0])
-    same = level_set_map(x0, alpha, f_value(x0, alpha), tight_cfg)
-    assert same.point.distance(x0) == 0.0
+    _, same = tau_level(x0, alpha, f_value(x0, alpha), tight_cfg)
+    assert same.distance(x0) == 0.0
 
     # semigroup property of the level maps
-    step1 = level_set_map(x0, alpha, 0.3, tight_cfg)
-    step2 = level_set_map(step1.point, alpha, 0.1, tight_cfg)
-    direct = level_set_map(x0, alpha, 0.1, tight_cfg)
-    assert step2.point.distance(direct.point) < 1e-7
+    _, step1 = tau_level(x0, alpha, 0.3, tight_cfg)
+    _, step2 = tau_level(step1, alpha, 0.1, tight_cfg)
+    _, direct = tau_level(x0, alpha, 0.1, tight_cfg)
+    assert step2.distance(direct) < 1e-7
 
-    # mapping into the critical level returns the limit point
-    lim = level_set_map(x0, alpha, 0.0, tight_cfg)
-    assert lim.status == "limit"
-    assert abs(abs(lim.point.blocks[0][0, 0]) ** 2 - 2.0) < 1e-6
-    assert abs(np.angle(lim.point.blocks[0][0, 0])) < 1e-8
+    # the critical level is not crossed: the error names it, the run ends on the limit point
+    with pytest.raises(LevelNotReachedError) as exc:
+        tau_level(x0, alpha, 0.0, tight_cfg)
+    assert exc.value.limit_value == pytest.approx(0.0, abs=1e-9)
+    lim = integrate(x0, alpha, tight_cfg, stop_level=0.0).final
+    assert abs(abs(lim.blocks[0][0, 0]) ** 2 - 2.0) < 1e-6
+    assert abs(np.angle(lim.blocks[0][0, 0])) < 1e-8
 
     # backward map restores the level
-    back = level_set_map(direct.point, alpha, 0.3, tight_cfg)
-    assert abs(f_value(back.point, alpha) - 0.3) < 1e-8 * 1.3
-    assert back.point.distance(step1.point) < 1e-7
+    _, back = tau_level(direct, alpha, 0.3, tight_cfg, direction=-1)
+    assert abs(f_value(back, alpha) - 0.3) < 1e-8 * 1.3
+    assert back.distance(step1) < 1e-7
 
 
-def test_level_set_map_reads_the_limit_off_one_run(a2_model, tight_cfg, monkeypatch):
-    import quiverflow.flow as flow
-
+def test_level_set_map_reads_the_limit_off_one_run(a2_model, tight_cfg):
+    # the map into a critical value ends on the limit point of one stop-level run
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [1.0])
     plain = integrate(x0, alpha, tight_cfg)           # no stop level: the limit trace
-    runs = []
-
-    def counted(*args, **kwargs):
-        runs.append(kwargs.get("stop_level"))
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(flow, "integrate", counted)
-    lim = level_set_map(x0, alpha, 0.0, tight_cfg)
-    assert runs == [0.0]
-    assert lim.status == "limit"
+    lim = integrate(x0, alpha, tight_cfg, stop_level=0.0)
+    assert plain.status == lim.status == "converged"
     # with no crossing the stop-level run takes the plain run's steps
-    assert np.array_equal(lim.point.flatten(), plain.final.flatten())
-    assert lim.time == plain.ts[-1]
+    assert np.array_equal(lim.final.flatten(), plain.final.flatten())
+    assert lim.ts[-1] == plain.ts[-1]
 
 
 def test_energy_identity(a2_model, tight_cfg, rng):
@@ -184,21 +179,27 @@ def test_backward_flow_blow_up(a2_model, tight_cfg):
 
 
 def test_condition2_probe_cases(a2_model, tight_cfg):
+    # forward to a and backward to b: each direction exits the window [a, b]
+    # or converges to a critical value inside it
     q, dims, alpha = a2_model
     # s0 = 2 - sqrt(2) has f = 1; generic point exits both ends
     x = scalar_rep(q, dims, [np.sqrt(2.0 - np.sqrt(2.0))])
-    rep = condition2_probe(x, 0.5, 1.5, alpha, tight_cfg)
-    assert rep.forward == "exits_below" and rep.backward == "exits_above"
+    t_a, y_a = tau_level(x, alpha, 0.5, tight_cfg)
+    t_b, y_b = tau_level(x, alpha, 1.5, tight_cfg, direction=-1)
+    assert t_a > 0.0 and t_b > 0.0
+    assert f_value(y_a, alpha) == pytest.approx(0.5, abs=1e-8)
+    assert f_value(y_b, alpha) == pytest.approx(1.5, abs=1e-8)
 
     # near the unstable point the backward flow converges inside (f -> 2 < 3)
     x2 = scalar_rep(q, dims, [1e-6])
-    rep2 = condition2_probe(x2, 0.5, 3.0, alpha, tight_cfg)
-    assert rep2.forward == "exits_below"
-    assert rep2.backward == "converges_interior"
-    assert rep2.backward_limit == pytest.approx(2.0, abs=1e-6)
+    assert tau_level(x2, alpha, 0.5, tight_cfg)[0] > 0.0
+    with pytest.raises(LevelNotReachedError) as exc:
+        tau_level(x2, alpha, 3.0, tight_cfg, direction=-1)
+    assert exc.value.limit_value == pytest.approx(2.0, abs=1e-6)
 
+    # a window [1.5, 3.0] that does not contain f(x) = 1
     with pytest.raises(ValueError):
-        condition2_probe(x, 1.5, 3.0, alpha, tight_cfg)
+        tau_level(x, alpha, 1.5, tight_cfg)
 
 
 def test_monotone_f_for_backward_traces(a2_model, tight_cfg):
@@ -270,7 +271,7 @@ def test_energy_identity_on_crossing_segments(a2_model, tight_cfg):
 
 def test_conftest_oracle_satisfies_its_ode():
     # integrity of the closed-form oracle itself: ds/dt = -2 s (s - 2)
-    from conftest import a2_logistic
+    from conftest import a2_logistic, quadrature_dissipation
 
     for s0 in (0.3, 1.0, 3.5):
         for t in (0.0, 0.2, 1.0):

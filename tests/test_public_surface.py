@@ -1,0 +1,72 @@
+"""Every public name of the package has a caller in the package.
+
+A name in a module's ``__all__`` must be used somewhere in
+``src/quiverflow`` outside its own definition: in its own module, or in a
+module that imports it.  Re-exports, ``__all__`` entries, docstrings and
+comments do not count, so the scan reads the syntax tree, not the text.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "quiverflow"
+
+# public names that need no caller in the package, each with its reason
+EXEMPT_MODULES = {
+    "presets": "models and seeds that tests and users build from",
+}
+EXEMPT_NAMES = {
+    "tau_level": "oracle the tests compare trace crossings against",
+    "flow_velocity": "oracle the tests compare the flat velocity kernel against",
+    "search_critical_levels": "exploratory scan that the HN-type enumeration will replace",
+}
+
+
+class _Module:
+    """One module's ``__all__``, the names it imports from the package and the
+    names it reads, per top-level statement."""
+
+    def __init__(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        self.public, self.reads = [], []
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and getattr(node.targets[0], "id", None) == "__all__"):
+                self.public = [elt.value for elt in node.value.elts]
+            defines = ({node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       else {getattr(t, "id", None) for t in getattr(node, "targets", ())})
+            self.reads.append((defines, {sub.id for sub in ast.walk(node)
+                                         if isinstance(sub, ast.Name)
+                                         and isinstance(sub.ctx, ast.Load)}))
+        self.imports = {alias.asname or alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.level >= 1
+                        for alias in node.names}
+
+    def reads_outside_its_definition(self, name):
+        return any(name in names for defines, names in self.reads if name not in defines)
+
+
+def unreferenced_public_names(exempt=EXEMPT_NAMES):
+    modules = {p.stem: _Module(p) for p in sorted(PACKAGE.glob("*.py"))}
+    missing = []
+    for mod, home in modules.items():
+        if mod in EXEMPT_MODULES:
+            continue
+        for name in home.public:
+            # a re-export from the package's __init__ is not a use
+            users = [home] + [m for stem, m in modules.items()
+                              if stem != "__init__" and name in m.imports]
+            if name not in exempt and not any(m.reads_outside_its_definition(name)
+                                              for m in users):
+                missing.append(f"{mod}.{name}")
+    return missing
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    assert unreferenced_public_names() == []
+
+
+def test_each_exempt_name_has_no_caller():
+    # an exemption that a caller has made unneeded is dropped
+    unused = {qual.split(".")[1] for qual in unreferenced_public_names(exempt=())}
+    assert unused == set(EXEMPT_NAMES)

@@ -7,13 +7,14 @@ from quiverflow import (
     GroupElement,
     Representation,
     act,
-    flow_line,
+    flow_lines,
+    integrate,
     negative_slice,
     refine_critical,
-    sample_unstable_level,
-    stratum_label,
+    stratum_labels,
     weight_decomposition,
 )
+from quiverflow.critical import unstable_sweep
 from quiverflow.presets import A2_PAIR_ALPHA, a2_pair, scalar_rep
 from quiverflow.strata import broken_line_experiment, search_critical_levels
 
@@ -22,7 +23,7 @@ from conftest import philox
 
 def test_stratum_label_minimum(a2_model, tight_cfg):
     q, dims, alpha = a2_model
-    lab = stratum_label(scalar_rep(q, dims, [np.sqrt(2.0)]), alpha, tight_cfg)
+    lab = stratum_labels([scalar_rep(q, dims, [np.sqrt(2.0)])], alpha, tight_cfg)[0]
     assert lab.status == "converged"
     assert lab.f_limit == pytest.approx(0.0, abs=1e-9)
     assert all(abs(v) < 1e-9 for s in lab.spectra for v in s)
@@ -30,13 +31,13 @@ def test_stratum_label_minimum(a2_model, tight_cfg):
 
 def test_stratum_label_perturbed_origin_falls_to_minimum(a2_model, tight_cfg):
     q, dims, alpha = a2_model
-    lab = stratum_label(scalar_rep(q, dims, [1e-3]), alpha, tight_cfg)
+    lab = stratum_labels([scalar_rep(q, dims, [1e-3])], alpha, tight_cfg)[0]
     assert lab.f_limit == pytest.approx(0.0, abs=1e-9)
 
 
 def test_stratum_label_exact_origin(a2_model, tight_cfg):
     q, dims, alpha = a2_model
-    lab = stratum_label(scalar_rep(q, dims, [0.0]), alpha, tight_cfg)
+    lab = stratum_labels([scalar_rep(q, dims, [0.0])], alpha, tight_cfg)[0]
     assert lab.f_limit == pytest.approx(2.0, abs=1e-12)
     assert lab.spectra[0] == pytest.approx((1.0,), abs=1e-12)
     assert lab.spectra[1] == pytest.approx((-1.0,), abs=1e-12)
@@ -46,30 +47,30 @@ def test_stratum_labels_are_action_invariant(tight_cfg):
     q, dims = a2_pair()
     rng = philox(31)
     x0 = Representation.random(q, dims, rng, scale=0.8)
-    lab = stratum_label(x0, A2_PAIR_ALPHA, tight_cfg)
+    lab = stratum_labels([x0], A2_PAIR_ALPHA, tight_cfg)[0]
     for _ in range(3):
         k = GroupElement.random_unitary(q, dims, rng)
-        lab_k = stratum_label(act(k, x0), A2_PAIR_ALPHA, tight_cfg)
+        lab_k = stratum_labels([act(k, x0)], A2_PAIR_ALPHA, tight_cfg)[0]
         assert lab.matches(lab_k)
-    assert lab.key() == stratum_label(x0, A2_PAIR_ALPHA, tight_cfg).key()
+    assert lab.key() == stratum_labels([x0], A2_PAIR_ALPHA, tight_cfg)[0].key()
 
 
 def test_sample_unstable_level(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     saddle = refine_critical(scalar_rep(q, dims, [0.0]), alpha, tol=1e-10)
     fib = negative_slice(saddle, weight_decomposition(saddle))
-    assert sample_unstable_level(saddle, fib, alpha, eps=2.0, n=0, cfg=tight_cfg) == []
+    assert unstable_sweep(saddle, fib.basis, alpha, eps=2.0, n=0, cfg=tight_cfg) == []
 
-    samples = sample_unstable_level(saddle, fib, alpha, eps=2.0, n=8, cfg=tight_cfg)
+    samples = unstable_sweep(saddle, fib.basis, alpha, eps=2.0, n=8, cfg=tight_cfg)
     assert len(samples) == 8
     for s in samples:
         assert s["error"] is None
-        c = s["endpoint"].blocks[0][0, 0]
+        c = s["trace"].final.blocks[0][0, 0]
         assert abs(abs(c) ** 2 - 2.0) < 1e-6           # the level-0 circle
     # seed phases are preserved: the endpoint angle equals the seed angle
     for k, s in enumerate(samples):
         seed_c = s["seed"].blocks[0][0, 0]
-        end_c = s["endpoint"].blocks[0][0, 0]
+        end_c = s["trace"].final.blocks[0][0, 0]
         d = np.angle(end_c) - np.angle(seed_c)
         assert min(abs(d), abs(abs(d) - 2 * np.pi)) < 1e-8
 
@@ -78,11 +79,10 @@ def test_unstable_membership_by_backward_flow(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     saddle = refine_critical(scalar_rep(q, dims, [0.0]), alpha, tol=1e-10)
     fib = negative_slice(saddle, weight_decomposition(saddle))
-    samples = sample_unstable_level(saddle, fib, alpha, eps=1.0, n=4, cfg=tight_cfg)
-    from quiverflow import integrate
+    samples = unstable_sweep(saddle, fib.basis, alpha, eps=1.0, n=4, cfg=tight_cfg)
 
     for s in samples:
-        back = integrate(s["endpoint"], alpha, tight_cfg, direction=-1)
+        back = integrate(s["trace"].final, alpha, tight_cfg, direction=-1)
         assert back.status == "converged"
         assert back.final.distance(saddle.x) < 1e-4 * (1.0 + saddle.x.norm())
 
@@ -90,7 +90,7 @@ def test_unstable_membership_by_backward_flow(a2_model, tight_cfg):
 def test_flow_line_classification(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     inner = scalar_rep(q, dims, [np.sqrt(2.0 - np.sqrt(2.0))])
-    fl = flow_line(inner, 1.0, alpha, tight_cfg)
+    fl = flow_lines([inner], 1.0, alpha, tight_cfg)[0]
     assert fl.has_upper
     assert fl.upper.f_crit == pytest.approx(2.0, abs=1e-9)
     assert fl.lower.f_crit == pytest.approx(0.0, abs=1e-9)
@@ -98,15 +98,15 @@ def test_flow_line_classification(a2_model, tight_cfg):
     assert abs(np.angle(fl.lower.x.blocks[0][0, 0])) < 1e-8
 
     outer = scalar_rep(q, dims, [np.sqrt(2.0 + np.sqrt(2.0))])
-    fl2 = flow_line(outer, 1.0, alpha, tight_cfg)
+    fl2 = flow_lines([outer], 1.0, alpha, tight_cfg)[0]
     assert not fl2.has_upper
     assert fl2.backward_status == "blow_up"
     assert fl2.lower.f_crit == pytest.approx(0.0, abs=1e-9)
 
-    with pytest.raises(ValueError):
-        flow_line(scalar_rep(q, dims, [0.0]), 2.0, alpha, tight_cfg)
-    with pytest.raises(ValueError):
-        flow_line(inner, 0.5, alpha, tight_cfg)        # wrong stated level
+    # a failed anchor gets its error in place of a line
+    assert isinstance(flow_lines([scalar_rep(q, dims, [0.0])], 2.0, alpha, tight_cfg)[0],
+                      ValueError)
+    assert isinstance(flow_lines([inner], 0.5, alpha, tight_cfg)[0], ValueError)  # wrong level
 
 
 def test_broken_two_level_family_is_single_line(a2_model, tight_cfg):
@@ -169,14 +169,3 @@ def test_broken_dwell_fractions_grow(tight_cfg):
     fr = rep.dwell_fractions[0]
     # time share near the intermediate value grows as the family degenerates
     assert all(fr[i + 1] > fr[i] for i in range(len(fr) - 1))
-
-
-def test_three_level_search_harness_is_exploratory():
-    from quiverflow import IntegratorConfig
-    from quiverflow.strata import search_three_level_configs
-
-    rng = philox(17)
-    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11, max_time=150.0)
-    hits = search_three_level_configs(rng, cfg, n_quivers=8, n_seeds=5)
-    assert all(h["exploratory"] for h in hits)
-    assert any(len(h["values"]) >= 3 for h in hits)

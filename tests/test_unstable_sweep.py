@@ -4,8 +4,8 @@
 record and flows every seed as one ``integrate_many`` batch to the level
 f_crit - eps.  Each row must be bitwise the lone run from its seed, the
 seeds must be the per-row formula ``x0 + seed_radius * (basis @ dirs[i])``,
-and ``unstable_boundedness_check``, ``slice_variety_probe`` and
-``sample_unstable_level`` must each flow their seeds in one batch.  A seed
+and ``unstable_boundedness_check`` and ``slice_variety_probe`` must each
+flow their seeds in one batch.  A seed
 that starts on or past the level stays out of the batch and keeps the
 result a lone run gives it.
 """
@@ -19,9 +19,9 @@ from quiverflow import (
     Representation,
     f_value,
     integrate,
-    level_set_map,
     negative_slice,
     refine_critical,
+    tau_level,
     weight_decomposition,
 )
 from quiverflow import critical, flow
@@ -29,7 +29,6 @@ from quiverflow.critical import fiber_directions, unstable_boundedness_check, un
 from quiverflow.errors import ProjectionFailedError, QuiverFlowError
 from quiverflow.presets import A2_ALPHA, a2, a3_chain, scalar_rep
 from quiverflow.quiver import Quiver
-from quiverflow.strata import sample_unstable_level
 from quiverflow.subvariety import (
     SubvarietySpec,
     _snap_branches,
@@ -158,9 +157,6 @@ def test_a_batch_error_is_recorded_on_every_flowed_seed(monkeypatch):
     rep = unstable_boundedness_check(rec, fib, alpha, eps=1.0, seeds=4, cfg=CFG)
     assert rep["reached"] == [False] * 4 and len(rep["failures"]) == 4
     assert rep["max_distance"] == 0.0 and rep["theta"] is None and not rep["bounded"]
-    samples = sample_unstable_level(rec, fib, alpha, eps=1.0, n=4, cfg=CFG)
-    assert [s["status"] for s in samples] == ["failed"] * 4
-    assert all(s["endpoint"] is None and s["error"] for s in samples)
     probe = slice_variety_probe(rec, fib, SubvarietySpec(()), alpha, eps=1.0, cfg=CFG,
                                 n_seeds=4)
     assert probe["flagged"] and len(probe["seeds"]) == 4
@@ -194,11 +190,6 @@ def test_each_report_flows_its_seeds_in_one_batch(monkeypatch):
     assert all(rep["reached"])
     # one forward batch to the level; the theta fit flows backward without one
     assert [c for c in calls if c[1] is not None] == [(8, rec.f_crit - 1.0)]
-
-    calls.clear()
-    samples = sample_unstable_level(rec, fib, alpha, eps=1.0, n=8, cfg=CFG)
-    assert all(s["error"] is None for s in samples)
-    assert calls == [(8, rec.f_crit - 1.0)]
 
     calls.clear()
     rec3, fib3, spec = a3_origin()
@@ -237,13 +228,6 @@ def test_seeds_past_the_level_keep_their_own_results():
     assert rep["reached"] == [True, False, True, False, False, True]
     assert rep["failures"] == [{"seed": i, "error": PAST} for i in (1, 3, 4)]
 
-    # each sample is the per-seed level_set_map: past seeds flow backward
-    samples = sample_unstable_level(rec, fib, alpha, eps=eps, n=6, cfg=CFG)
-    for x, s in zip(seeds, samples):
-        ref = level_set_map(x, alpha, level, CFG)
-        assert s["error"] is None and (s["status"], s["time"]) == (ref.status, ref.time)
-        assert np.array_equal(s["endpoint"].flatten(), ref.point.flatten())
-
     probe = slice_variety_probe(rec, fib, SubvarietySpec(()), alpha, eps=eps, cfg=CFG,
                                 n_seeds=6)
     assert [e["error"] for e in probe["seeds"]] == [PAST if p else None for p in past]
@@ -254,10 +238,8 @@ def test_a_seed_on_the_level_is_its_own_sample():
     rec, fib, alpha, seeds, drops = star_drops(6)
     level = rec.f_crit - drops[0]
     assert abs(f_value(seeds[0], alpha) - level) <= 1e-14 * (1.0 + abs(level))
-    samples = sample_unstable_level(rec, fib, alpha, eps=drops[0], n=6, cfg=CFG)
-    assert samples[0]["time"] == 0.0 and samples[0]["error"] is None
-    assert np.array_equal(samples[0]["endpoint"].flatten(), seeds[0].flatten())
-    for x, s in zip(seeds, samples):
-        ref = level_set_map(x, alpha, level, CFG)
-        assert (s["status"], s["time"]) == (ref.status, ref.time)
-        assert np.array_equal(s["endpoint"].flatten(), ref.point.flatten())
+    # the level map leaves the seed where it is; the sweep flows no seed on or past its level
+    t, y = tau_level(seeds[0], alpha, level, CFG)
+    assert t == 0.0 and y is seeds[0]
+    sweep = unstable_sweep(rec, fib.basis, alpha, drops[0], 6, CFG)
+    assert [(s["trace"], s["error"]) for s in sweep] == [(None, PAST)] * 6
