@@ -12,11 +12,14 @@ significant digits, and writes are atomic (temp file then rename).
 keys become ``str(k)``, tuples lists, numpy scalars Python scalars and
 complex values [re, im] pairs.  With an indent, ``json.dumps`` runs its
 pure-Python encoder element by element.  The renderer appends pieces to one
-list and joins it once.  Integer and bool arrays are cut into runs of equal
-cells within each innermost row, one formatted token repeated per run; float
-arrays, and arrays where over a quarter of the cells start a run, format each
-innermost row in one join.  Floats never form runs, since 0.0 == -0.0 though
-the two print apart, and NaN != NaN.
+list and joins it once, and formats each innermost row of a numeric array
+in one join.
+
+A census grid in retract.json holds its labels as runs over the row-major
+cells of the rho x theta grid: ``np.repeat(label_values, label_lengths)``
+reshaped to (len(rho), len(theta)) is the label grid, so the archive grows
+with the number of runs, not of cells.  ``census_csv`` decodes them and
+renders one CSV row per cell.
 """
 
 from __future__ import annotations
@@ -81,24 +84,12 @@ def _emit_array(a, pad, out):
     if a.ndim == 0 or kind not in "biuf" or not a.size:
         _emit(a.tolist(), pad, out)
         return
-    n, flat = a.shape[-1], a.ravel()
-    sep = ",\n" + pad + "  " * a.ndim
-    if kind == "f":     # never in runs: 0.0 == -0.0 and NaN != NaN
-        fmt, idx = (float.__repr__ if np.isfinite(flat).all() else _float_str), None
+    if kind == "f":
+        fmt = float.__repr__ if np.isfinite(a).all() else _float_str
     else:
         fmt = _BOOL_STR.__getitem__ if kind == "b" else int.__repr__
-        # a cell starts a run if it differs from the cell before or begins a row
-        starts = np.concatenate(([True], flat[1:] != flat[:-1]))
-        starts[::n] = True
-        idx = np.flatnonzero(starts)
-    if idx is None or 4 * idx.size > flat.size:     # run-dense: one join per row is faster
-        bodies = (sep.join(map(fmt, row)) for row in flat.reshape(-1, n).tolist())
-    else:
-        # a run of k cells is its token k times (formatted per run: a cache is slower)
-        vals, lens = flat[idx].tolist(), np.diff(idx, append=flat.size).tolist()
-        firsts = np.flatnonzero(idx % n == 0).tolist() + [idx.size]
-        bodies = ("".join([(fmt(v) + sep) * k for v, k in zip(vals[i:j], lens[i:j])])[:-len(sep)]
-                  for i, j in zip(firsts, firsts[1:]))
+    sep = ",\n" + pad + "  " * a.ndim
+    bodies = (sep.join(map(fmt, row)) for row in a.reshape(-1, a.shape[-1]).tolist())
     _emit_nested(a.shape, pad, bodies, out)
 
 
@@ -167,8 +158,14 @@ def write_json(path, obj):
 
 
 def csv_float(x) -> str:
-    """17 significant digits, enough to round-trip doubles."""
-    return f"{float(x):.17g}"
+    """17 significant digits, enough to round-trip doubles.  A cell that is not a
+    number, such as a JSON string, array or null, raises QuiverFlowError."""
+    if hasattr(x, "__float__"):         # float() alone would also parse a string
+        try:
+            return f"{float(x):.17g}"
+        except OverflowError:           # an integer beyond the range of doubles
+            pass
+    raise QuiverFlowError(f"a CSV cell holds {x!r:.40}, not a number")
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +225,43 @@ def trace_csv(tr_json) -> str:
     return "\n".join(lines) + "\n"
 
 
-def census_csv(census_json) -> str:
-    """One row per grid cell; the grid's rho, theta and labels may be arrays or
-    lists.  Labels that are not integers filling the rho x theta grid raise QuiverFlowError."""
+def _label_run(census_json, key):
+    """One run array of a census grid, as a flat integer array (empty when the grid is)."""
     try:
-        labels = np.asarray(census_json["labels"])
-    except ValueError as exc:       # ragged label rows
-        raise QuiverFlowError(f"census labels are not a grid: {exc}") from exc
+        a = np.asarray(census_json[key])
+    except ValueError as exc:       # ragged nested lists
+        raise QuiverFlowError(f"census {key} is not a flat array: {exc}") from exc
+    if a.ndim != 1:
+        raise QuiverFlowError(f"census {key} is not a flat array (shape {a.shape})")
+    if not a.size:
+        return np.zeros(0, dtype=np.int64)
+    if a.dtype.kind not in "iu":
+        raise QuiverFlowError(f"census {key} are not integers (dtype {a.dtype})")
+    return a
+
+
+def census_csv(census_json) -> str:
+    """One row per grid cell; the grid's rho, theta and label runs may be arrays
+    or lists.  Runs that are not integers, or whose lengths are not positive
+    and do not fill the rho x theta grid, raise QuiverFlowError."""
+    values = _label_run(census_json, "label_values")
+    lengths = _label_run(census_json, "label_lengths")
     shape = (len(census_json["rho"]), len(census_json["theta"]))
-    # a grid without cells may store its labels as []
-    if labels.shape != shape and (labels.size or shape[0] * shape[1]):
-        raise QuiverFlowError(f"census labels have shape {labels.shape}, "
-                              f"not the {shape} of rho and theta")
-    if labels.size and labels.dtype.kind not in "iu":
-        raise QuiverFlowError(f"census labels are not integers (dtype {labels.dtype})")
+    if values.size != lengths.size:
+        raise QuiverFlowError(f"census label_values has {values.size} runs, "
+                              f"label_lengths {lengths.size}")
+    if lengths.size and lengths.min() < 1:
+        raise QuiverFlowError(f"census label_lengths holds {lengths.min()}, not a positive length")
+    total = sum(lengths.tolist())       # Python ints: no overflow
+    if total != shape[0] * shape[1]:
+        raise QuiverFlowError(f"census label_lengths sum to {total}, not the "
+                              f"{shape[0]} x {shape[1]} cells of rho and theta")
+    # each length is at most the cell count, so it fits np.repeat's intp
+    labels = np.repeat(values, lengths.astype(np.intp)).reshape(shape)
     rows = labels.tolist()
     # one "in_set,component_id" line end per label value; each rho row fills the
     # rho and label slots of a (rho, theta, label) token list and joins it once
-    cells = {lab: f"{'1' if lab >= 0 else '0'},{lab}\n" for lab in set().union(*rows)}
+    cells = {lab: f"{'1' if lab >= 0 else '0'},{lab}\n" for lab in set(values.tolist())}
     n = len(census_json["theta"])
     tokens = [""] * (3 * n)
     tokens[1::3] = [csv_float(t) + "," for t in census_json["theta"]]

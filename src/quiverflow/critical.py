@@ -335,9 +335,10 @@ def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, 
     trace with ``FlowTrace.with_monitors``.  A seed whose projection raises
     ProjectionFailedError gets ``start`` None and is not flowed.  The batch
     holds the starts above the level; a QuiverFlowError or LinAlgError it
-    raises is the error of each of them.  A start on or past the level is
-    flowed alone, so that its error, or its trace if it is stationary, is
-    its own.
+    raises is the error of each of them.  A start on the level, within the
+    tolerance of ``tau_level``, is its own one-sample ``exited_level``
+    trace.  A start past the level is flowed alone, so that its error, or
+    its trace if it is stationary, is its own.
     """
     level = rec.f_crit - eps
     x0_flat = rec.x.flatten()
@@ -352,8 +353,9 @@ def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, 
         except ProjectionFailedError as exc:
             out[-1].update(start=None, error=str(exc))
     flowed = [e for e in out if e["start"] is not None]
-    above = [f_value(e["start"], alpha) > level for e in flowed]
-    batch = [e for e, ok in zip(flowed, above) if ok]
+    gaps = [f_value(e["start"], alpha) - level for e in flowed]
+    tol = 1e-14 * (1.0 + abs(level))       # tau_level's "on the level"
+    batch = [e for e, gap in zip(flowed, gaps) if gap > tol]
     try:
         traces, error = integrate_many([e["start"] for e in batch], alpha, cfg,
                                        stop_level=level), None
@@ -361,11 +363,15 @@ def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, 
         traces, error = [None] * len(batch), str(exc)
     for e, trace in zip(batch, traces):
         e.update(trace=trace, error=error)
-    for e in (e for e, ok in zip(flowed, above) if not ok):
-        try:
-            e["trace"] = integrate(e["start"], alpha, cfg, stop_level=level)
-        except (QuiverFlowError, np.linalg.LinAlgError) as exc:
-            e["error"] = str(exc)
+    for e, gap in zip(flowed, gaps):
+        if abs(gap) <= tol:         # an empty replay records the start and takes no step
+            e["trace"] = replace(integrate(e["start"], alpha, cfg, replay_steps=()),
+                                 status="exited_level")
+        elif gap < -tol:
+            try:
+                e["trace"] = integrate(e["start"], alpha, cfg, stop_level=level)
+            except (QuiverFlowError, np.linalg.LinAlgError) as exc:
+                e["error"] = str(exc)
     return out
 
 

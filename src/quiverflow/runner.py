@@ -203,6 +203,14 @@ def _run_broken(model, out_dir):
             "single_line": rep.single_line}
 
 
+def _label_runs(labels):
+    """The runs of equal labels over the row-major cells of a census grid:
+    ``np.repeat(label_values, label_lengths)`` is the flattened grid."""
+    flat = labels.ravel()
+    starts = np.flatnonzero(np.concatenate(([flat.size > 0], flat[1:] != flat[:-1])))
+    return {"label_values": flat[starts], "label_lengths": np.diff(starts, append=flat.size)}
+
+
 def _run_retract(model, out_dir):
     p = model.params
     eps = float(p.get("eps", 0.1))
@@ -222,9 +230,10 @@ def _run_retract(model, out_dir):
             count, labels, (rho, theta, _) = connectivity_census(
                 slit, level, with_unstable, n_rho=nr, n_theta=nt, rho_max=rho_max)
             counts[tag][name] = count
-            # only the base grids are archived; the refined ones give counts
+            # only the base grids are archived, as runs; the refined ones give counts
             if tag == "base":
-                grids[name] = {"count": count, "rho": rho, "theta": theta, "labels": labels}
+                grids[name] = {"count": count, "rho": rho, "theta": theta,
+                               **_label_runs(labels)}
             del labels, rho, theta      # free them before the next, finer census
         counts[tag]["grid"] = [nr, nt]
 

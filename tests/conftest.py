@@ -95,6 +95,12 @@ def per_cell_census_csv(census_json):
     return "\n".join(lines) + "\n"
 
 
+def decoded_census_grid(grid):
+    """A census grid with its label runs decoded into the per-cell ``labels`` matrix."""
+    labels = np.repeat(grid["label_values"], grid["label_lengths"])
+    return {**grid, "labels": labels.reshape(len(grid["rho"]), len(grid["theta"]))}
+
+
 def a2_logistic(s0, t):
     """Closed-form |x(t)|^2 for the one-edge quiver with shift (-1, 1).
 

@@ -5,6 +5,7 @@ straightforward routes, kept as oracles: a conversion pass followed by
 ``json.dumps(indent=2, sort_keys=True)``, and one f-string per grid cell.
 """
 
+import itertools
 import json
 import os
 
@@ -14,9 +15,10 @@ import pytest
 from quiverflow import runner
 from quiverflow.archive import canonical_json, census_csv, export_csv, write_json
 from quiverflow.quiver import Representation
+from quiverflow.retract import connectivity_census
 from quiverflow.runconfig import build_model, validate_config
 
-from conftest import one_edge, per_cell_census_csv, philox
+from conftest import decoded_census_grid, one_edge, per_cell_census_csv, philox
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "quiverflow", "configs")
 
@@ -225,16 +227,26 @@ def test_unsupported_objects_raise_and_leave_no_file(tmp_path):
         assert os.listdir(tmp_path) == []
 
 
+def run_grid(rho, theta, labels):
+    """A census grid with ``labels`` as its row-major runs, as the runner writes it."""
+    flat = np.asarray(labels, dtype=np.int64).ravel()
+    lengths = [len(list(g)) for _, g in itertools.groupby(flat.tolist())]
+    return {"rho": rho, "theta": theta, "label_values": flat[np.cumsum([0] + lengths[:-1])],
+            "label_lengths": np.array(lengths, dtype=np.int64)}
+
+
 def test_census_csv_matches_per_cell_formatter(tmp_path):
     rng = philox(7)
-    grids = [{"rho": [0.0, 0.5], "theta": [0.0, 1.0, 2.0], "labels": [[0, 0, 0], [-1, 1, 12]]},
-             {"rho": np.linspace(0, 1, 5), "theta": np.linspace(0, 6, 4),
-              "labels": rng.integers(-1, 3, size=(5, 4))},
-             {"rho": [], "theta": [], "labels": []},
-             {"rho": [0.0, 1.0], "theta": [], "labels": np.zeros((2, 0), dtype=int)},
-             {"rho": [1.0], "theta": [0.1, 0.2], "labels": [[-1, -1]]}]
+    grids = [run_grid([0.0, 0.5], [0.0, 1.0, 2.0], [[0, 0, 0], [-1, 1, 12]]),
+             run_grid(np.linspace(0, 1, 5), np.linspace(0, 6, 4), rng.integers(-1, 3, size=(5, 4))),
+             {"rho": [], "theta": [], "label_values": [], "label_lengths": []},
+             {"rho": [0.0, 1.0], "theta": [], "label_values": np.zeros(0, dtype=int),
+              "label_lengths": np.zeros(0, dtype=int)},
+             run_grid([1.0], [0.1, 0.2], [[-1, -1]]),
+             # a run across the end of a rho row
+             run_grid([0.0, 1.0, 2.0], [0.0, 1.0], [[3, 3], [3, 5], [5, 5]])]
     for grid in grids:
-        assert census_csv(grid) == per_cell_census_csv(grid)
+        assert census_csv(grid) == per_cell_census_csv(decoded_census_grid(grid))
     # the bundled slit_retract config, exported from its archive
     runner.run_experiment(bundled_model("slit_retract.json"), str(tmp_path))
     written = export_csv(str(tmp_path), "census")
@@ -243,4 +255,25 @@ def test_census_csv_matches_per_cell_formatter(tmp_path):
     assert len(written) == 2
     for name, grid in doc["census_grids"].items():
         with open(tmp_path / "outputs" / f"census_{name}.csv") as fh:
-            assert fh.read() == per_cell_census_csv(grid)
+            assert fh.read() == per_cell_census_csv(decoded_census_grid(grid))
+
+
+def test_retract_archive_stores_the_census_labels_as_runs(monkeypatch, tmp_path):
+    # per-cell labels made retract.json 4.38 MB: 2 x 400^2 lines for 1,936 and 1,361 runs
+    labels = []
+
+    def census(*args, **kwargs):
+        out = connectivity_census(*args, **kwargs)
+        labels.append(out[1] if len(labels) < 2 else None)     # the two base grids
+        return out
+
+    monkeypatch.setattr(runner, "connectivity_census", census)
+    runner.run_experiment(bundled_model("slit_retract.json"), str(tmp_path))
+    path = tmp_path / "outputs" / "retract.json"
+    with open(path) as fh:
+        grids = json.load(fh)["census_grids"]
+    for name, want in zip(("low_with_unstable", "high"), labels):
+        got = decoded_census_grid(grids[name])["labels"]
+        assert np.array_equal(got, want), name
+        assert all(np.diff(grids[name]["label_values"]) != 0)     # maximal runs
+    assert os.path.getsize(path) < 0.25e6

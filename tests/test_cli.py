@@ -8,7 +8,7 @@ import pytest
 from quiverflow.errors import ConfigError
 from quiverflow.runconfig import validate_config
 
-from conftest import per_cell_census_csv
+from conftest import decoded_census_grid, per_cell_census_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "quiverflow", "configs")
 
@@ -399,15 +399,18 @@ def test_integers_are_json_integers_and_seeds_fit_64_bits(tmp_path, edit, field)
     assert not (tmp_path / "arch" / "outputs" / "failure.json").exists()
 
 
-def _grid(rows=3, cols=4):
+def _grid(rows=3, cols=4, **runs):
+    """A census grid of one component, its labels as runs (``runs`` replaces them)."""
     return {"count": 1, "rho": [0.5 * i for i in range(rows)],
-            "theta": [1.5 * j for j in range(cols)], "labels": [[0] * cols] * rows}
+            "theta": [1.5 * j for j in range(cols)],
+            **(runs or {"label_values": [0, 1], "label_lengths": [5, rows * cols - 5]})}
 
 
 @pytest.mark.parametrize("retract_json", [
     json.dumps({"census_grids": {"high": {**_grid(), "theta": [0.0, 1.5, 3.0]}}}),
-    json.dumps({"census_grids": {"high": {**_grid(), "labels": [[0] * 4]}}}),
-    json.dumps({"census_grids": {"high": {**_grid(), "labels": [[0] * 4, [0] * 3, [0] * 4]}}}),
+    json.dumps({"census_grids": {"high": _grid(label_values=[0], label_lengths=[4])}}),
+    json.dumps({"census_grids": {"high": _grid(label_values=[0, 1],
+                                               label_lengths=[[4, 4], [4]])}}),
     json.dumps({"census_grids": {"high": _grid()}})[:-20],
 ], ids=["short_theta", "missing_rows", "ragged_rows", "truncated_json"])
 def test_export_refuses_a_malformed_census(tmp_path, retract_json):
@@ -432,23 +435,28 @@ def test_export_census_of_the_bundled_config_matches_per_cell_formatter(tmp_path
     assert sorted(doc["census_grids"]) == ["high", "low_with_unstable"]
     for name, grid in doc["census_grids"].items():
         got = (arch / "outputs" / f"census_{name}.csv").read_bytes()
-        assert got == per_cell_census_csv(grid).encode()
+        assert got == per_cell_census_csv(decoded_census_grid(grid)).encode()
 
 
-@pytest.mark.parametrize("what, name, doc", [
+@pytest.mark.parametrize("what, name, doc, key", [
     ("census", "retract.json",
-     {"census_grids": {"high": {k: v for k, v in _grid().items() if k != "labels"}}}),
+     {"census_grids": {"high": {k: v for k, v in _grid().items() if k != "label_values"}}},
+     "'label_values'"),
     ("trace", "traces.json",
-     {"traces": [{"t": [0.0], "f": [1.0], "gradnorm": [0.5], "monitor_values": []}]}),
-], ids=["census_without_labels", "trace_without_monitor_names"])
-def test_export_names_a_missing_key(tmp_path, what, name, doc):
-    # before, both ended in a KeyError traceback
+     {"traces": [{"t": [0.0], "f": [1.0], "gradnorm": [0.5], "monitor_values": []}]},
+     "'monitor_names'"),
+    # a grid archived before the labels were stored as runs has no read path
+    ("census", "retract.json",
+     {"census_grids": {"high": _grid(labels=[[0] * 4] * 3)}}, "'label_values'"),
+], ids=["census_without_labels", "trace_without_monitor_names", "census_with_per_cell_labels"])
+def test_export_names_a_missing_key(tmp_path, what, name, doc, key):
+    # before, the first two ended in a KeyError traceback
     (tmp_path / "outputs").mkdir()
     (tmp_path / "outputs" / name).write_text(json.dumps(doc))
     res = run_cli("export", "--archive", str(tmp_path), "--what", what)
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
-    assert ("'labels'" if what == "census" else "'monitor_names'") in res.stderr
+    assert f"lacks the key {key}" in res.stderr
     assert os.listdir(tmp_path / "outputs") == [name]
 
 
@@ -458,7 +466,8 @@ def test_export_names_a_missing_key(tmp_path, what, name, doc):
      {"traces": [{"t": [0.0, 1.0], "f": [1.0], "gradnorm": [0.5, 0.25],
                   "monitor_names": [], "monitor_values": []}]}, "trace columns"),
     ("census", "retract.json",
-     {"census_grids": {"high": {**_grid(), "labels": [["a"] * 4] * 3}}}, "not integers"),
+     {"census_grids": {"high": _grid(label_values=["a"], label_lengths=[12])}},
+     "census label_values are not integers"),
     ("census", "retract.json", {"census_grids": [1, 2]}, "census_grids is a JSON list"),
     ("census", "retract.json", {"census_grids": {"high": [1]}},
      "census grid 'high' is a JSON list"),
@@ -473,11 +482,45 @@ def test_export_names_a_missing_key(tmp_path, what, name, doc):
     ("trace", "traces.json", {"traces": 5}, "traces is a JSON int, not an array"),
     ("checkpoints", "broken.json", {"levels": [1.5], "params": [0.1], "checkpoints": [[7]]},
      "a checkpoint in row 0 is a JSON int, not an array"),
+    # one case per refusal rule of the label runs
+    ("census", "retract.json",
+     {"census_grids": {"high": _grid(label_values=[0, 1], label_lengths=[12])}},
+     "census label_values has 2 runs, label_lengths 1"),
+    ("census", "retract.json",
+     {"census_grids": {"high": _grid(label_values=[0, 1, 0], label_lengths=[6, -1, 7])}},
+     "census label_lengths holds -1, not a positive length"),
+    ("census", "retract.json",
+     {"census_grids": {"high": _grid(label_values=[0, 1], label_lengths=[12, 0])}},
+     "census label_lengths holds 0, not a positive length"),
+    ("census", "retract.json",
+     {"census_grids": {"high": _grid(label_values=[0], label_lengths=[12.0])}},
+     "census label_lengths are not integers"),
+    ("census", "retract.json",
+     {"census_grids": {"high": _grid(label_values=[0.5], label_lengths=[12])}},
+     "census label_values are not integers"),
+    ("census", "retract.json",
+     {"census_grids": {"high": _grid(label_values=[0, 1], label_lengths=[5, 6])}},
+     "census label_lengths sum to 11, not the 3 x 4 cells of rho and theta"),
+    # one case per renderer of a cell that is not a number
+    ("trace", "traces.json",
+     {"traces": [{"t": ["a"], "f": [1.0], "gradnorm": [0.5],
+                  "monitor_names": [], "monitor_values": []}]},
+     "a CSV cell holds 'a', not a number"),
+    ("census", "retract.json", {"census_grids": {"high": {**_grid(), "rho": [0.0, None, 1.0]}}},
+     "a CSV cell holds None, not a number"),
+    ("checkpoints", "broken.json",
+     {"levels": [1.5], "params": [0.1], "checkpoints": [[[0.5, "x"]]]},
+     "a CSV cell holds 'x', not a number"),
+    ("slice", "slice.json", {"fiber": {"dim": 1, "basis": [[0.5, [0.25]]]}},
+     "a CSV cell holds [0.25], not a number"),
 ], ids=["top_level_list", "short_f_column", "string_labels", "grids_list", "grid_list",
         "trace_list", "short_basis", "basis_row_number", "short_checkpoints", "traces_number",
-        "checkpoint_number"])
+        "checkpoint_number", "unequal_runs", "negative_length", "zero_length",
+        "float_lengths", "float_labels", "short_runs", "string_time", "null_rho",
+        "string_checkpoint_value", "array_basis_value"])
 def test_export_refuses_a_malformed_shape(tmp_path, what, name, doc, message):
-    # before, these raised AttributeError, IndexError and TypeError tracebacks
+    # before, these raised AttributeError, IndexError, TypeError and ValueError
+    # tracebacks, or (a negative or zero length, float runs) rendered a CSV
     (tmp_path / "outputs").mkdir()
     (tmp_path / "outputs" / name).write_text(json.dumps(doc))
     res = run_cli("export", "--archive", str(tmp_path), "--what", what)

@@ -6,8 +6,8 @@ f_crit - eps.  Each row must be bitwise the lone run from its seed, the
 seeds must be the per-row formula ``x0 + seed_radius * (basis @ dirs[i])``,
 and ``unstable_boundedness_check`` and ``slice_variety_probe`` must each
 flow their seeds in one batch.  A seed
-that starts on or past the level stays out of the batch and keeps the
-result a lone run gives it.
+that starts on the level is its own sample there; one past the level stays
+out of the batch and keeps the result a lone run gives it.
 """
 
 import numpy as np
@@ -238,8 +238,16 @@ def test_a_seed_on_the_level_is_its_own_sample():
     rec, fib, alpha, seeds, drops = star_drops(6)
     level = rec.f_crit - drops[0]
     assert abs(f_value(seeds[0], alpha) - level) <= 1e-14 * (1.0 + abs(level))
-    # the level map leaves the seed where it is; the sweep flows no seed on or past its level
+    # the level map leaves the seed where it is, and so does the sweep: seed 0 is
+    # its own one-sample trace on the level, the five seeds past it are not flowed
     t, y = tau_level(seeds[0], alpha, level, CFG)
     assert t == 0.0 and y is seeds[0]
     sweep = unstable_sweep(rec, fib.basis, alpha, drops[0], 6, CFG)
-    assert [(s["trace"], s["error"]) for s in sweep] == [(None, PAST)] * 6
+    tr = sweep[0]["trace"]
+    assert sweep[0]["error"] is None and tr.status == "exited_level"
+    assert tr.n_samples == 1 and tr.ts[0] == 0.0 and tr.steps == ()
+    assert np.array_equal(tr.states[0], seeds[0].flatten()) and tr.fs[0] == f_value(seeds[0], alpha)
+    assert [(s["trace"], s["error"]) for s in sweep[1:]] == [(None, PAST)] * 5
+    rep = unstable_boundedness_check(rec, fib, alpha, eps=drops[0], seeds=6, cfg=CFG)
+    assert rep["reached"] == [True] + [False] * 5
+    assert rep["endpoint_distances"][0] == seeds[0].distance(rec.x)
