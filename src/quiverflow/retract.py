@@ -57,6 +57,9 @@ __all__ = [
 PROBE_SAMPLES = 64
 PROBE_RADII = tuple(1e-1 * 10.0 ** -k for k in range(4))
 
+# Cells per block of the census grid passes: bounds their scratch beside the grid
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ScenePoint:
@@ -264,14 +267,22 @@ class SlitScene:
 
 def _slit_grid_masks(scene: SlitScene, sublevel: float, include_unstable: bool,
                      n_rho: int, n_theta: int, rho_max: float):
-    """Membership mask over the (rho, theta) grid; row 0 is the glued origin."""
+    """Membership mask over the (rho, theta) grid; row 0 is the glued origin.
+
+    f is evaluated in blocks of rows into the bool mask, so the only grid
+    held is the mask itself.
+    """
     if n_theta % 2 != 0:
         raise ValueError("n_theta must be even so that theta = pi is a grid column")
     rho = np.linspace(0.0, rho_max, n_rho)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    # broadcast in the meshgrid's operation order: f is bitwise the same
-    f = -0.5 * rho[:, None] * rho[:, None] * np.cos(2.0 * theta)
-    mask = f <= sublevel
+    # the meshgrid's operation order, -0.5 * rho * rho * cos(2 theta): f is bitwise the same
+    column = -0.5 * rho * rho
+    row = np.cos(2.0 * theta)
+    mask = np.empty((n_rho, n_theta), dtype=bool)
+    step = max(1, _BLOCK_CELLS // max(n_theta, 1))
+    for i in range(0, n_rho, step):
+        np.less_equal(column[i:i + step, None] * row, sublevel, out=mask[i:i + step])
     if include_unstable:
         mask[:, 0] = True
         mask[:, n_theta // 2] = True
@@ -287,8 +298,10 @@ def connectivity_census(scene: SlitScene, sublevel: float, include_unstable: boo
     never wrapping theta across 2 pi <-> 0, and all rho = 0 nodes identified
     to one point.  Returns (component_count, labels, grid) with labels -1
     outside the set and components numbered in row-major order of their
-    first in-set cell.  The census runs at one resolution; comparing it
-    with a refined grid is the caller's policy.
+    first in-set cell.  The labels have the grid's index dtype: int32 below
+    2**31 cells, int64 above.  grid is (rho, theta, mask).  The census runs
+    at one resolution; comparing it with a refined grid is the caller's
+    policy.
     """
     rho, theta, mask = _slit_grid_masks(scene, sublevel, include_unstable,
                                         n_rho, n_theta, rho_max)
@@ -306,17 +319,27 @@ def _census_count(mask: np.ndarray):
     shared columns of adjacent rows.  Min-label hooking with pointer jumping
     leaves each component's smallest run, holding its first in-set cell, as
     root, so sorted roots number components in row-major order of that cell.
+
+    The run ids become the labels in place, so the peak beside the mask is
+    one index per cell plus two bool grids: 6 bytes per cell below 2**31
+    cells, where the index is int32, and 10 above.
     """
     itype = np.int32 if mask.size < 2 ** 31 else np.int64
     starts = mask.copy()
     starts[:, 1:] &= ~mask[:, :-1]
     starts[:1] = mask[:1] & (mask[:1].cumsum(axis=1) == 1)    # the origin row is one point
-    run = np.cumsum(starts, dtype=itype).reshape(mask.shape) - 1
+    run = starts.astype(itype)
+    del starts
+    flat = run.reshape(-1)
+    np.cumsum(flat, dtype=itype, out=flat)
+    flat -= 1
+    n_runs = int(flat[-1]) + 1 if flat.size else 0
     # one edge per stretch of columns in-set in both rows: the rest repeat it
     both = mask[:-1] & mask[1:]
     both[:, 1:] &= ~both[:, :-1]
     u, v = run[:-1][both], run[1:][both]
-    parent = np.arange(np.count_nonzero(starts), dtype=itype)
+    del both
+    parent = np.arange(n_runs, dtype=itype)
     while True:
         ru, rv = parent[u], parent[v]
         cross = ru != rv
@@ -330,9 +353,14 @@ def _census_count(mask: np.ndarray):
                 break
             parent = jumped
     roots, inverse = np.unique(parent, return_inverse=True)
-    labels = np.full(mask.shape, -1, dtype=int)
-    labels[mask] = inverse[run[mask]]
-    return len(roots), labels
+    # run id -> label; the trailing -1 serves id -1, the out-of-set cells before the first run
+    lookup = np.append(inverse, -1).astype(itype)
+    cells = mask.reshape(-1)
+    for i in range(0, flat.size, _BLOCK_CELLS):
+        block = flat[i:i + _BLOCK_CELLS]
+        block[:] = lookup[block]
+        np.putmask(block, ~cells[i:i + _BLOCK_CELLS], -1)
+    return len(roots), run
 
 
 def condition4_probe(scene, u_width: float = None) -> dict:

@@ -227,14 +227,14 @@ def _run_retract(model, out_dir):
         counts[tag] = {}
         for name, level, with_unstable in (("low_with_unstable", -eps, True),
                                            ("high", eps, False)):
-            count, labels, (rho, theta, _) = connectivity_census(
+            count, labels, (rho, theta, mask) = connectivity_census(
                 slit, level, with_unstable, n_rho=nr, n_theta=nt, rho_max=rho_max)
             counts[tag][name] = count
             # only the base grids are archived, as runs; the refined ones give counts
             if tag == "base":
                 grids[name] = {"count": count, "rho": rho, "theta": theta,
                                **_label_runs(labels)}
-            del labels, rho, theta      # free them before the next, finer census
+            del labels, rho, theta, mask    # free them before the next, finer census
         counts[tag]["grid"] = [nr, nt]
 
     probe_slit = condition4_probe(slit, u_width=float(p.get("probe_width", np.pi / 3)))

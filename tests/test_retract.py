@@ -208,6 +208,11 @@ def test_census_full_space_and_sublevels(slit):
     assert high == 1
 
 
+def index_dtype(mask):
+    """The census label dtype: the grid's index dtype."""
+    return np.int32 if mask.size < 2 ** 31 else np.int64
+
+
 def bfs_components(mask, glue_origin):
     """Reference labelling by breadth-first search from cells in row-major order.
 
@@ -234,7 +239,7 @@ def bfs_components(mask, glue_origin):
                         labels[c][d] = count
                         queue.append((c, d))
             count += 1
-    return count, np.array(labels, dtype=int).reshape(mask.shape)
+    return count, np.array(labels, dtype=index_dtype(mask)).reshape(mask.shape)
 
 
 def meshgrid_masks(sublevel, include_unstable, n_rho, n_theta, rho_max):
@@ -290,7 +295,7 @@ def cell_census(mask):
     with pointer jumping, then the sorted roots number the components.
     """
     n_theta = mask.shape[1]
-    itype = np.int32 if mask.size < 2 ** 31 else np.int64
+    itype = index_dtype(mask)
     radial = np.flatnonzero(mask[:-1] & mask[1:]).astype(itype)
     right = np.zeros_like(mask)
     right[1:, :-1] = mask[1:, :-1] & mask[1:, 1:]
@@ -312,7 +317,7 @@ def cell_census(mask):
                 break
             parent = jumped
     roots, inverse = np.unique(parent[mask.ravel()], return_inverse=True)
-    labels = np.full(mask.shape, -1, dtype=int)
+    labels = np.full(mask.shape, -1, dtype=itype)
     labels[mask] = inverse
     return len(roots), labels
 
@@ -377,7 +382,8 @@ def test_census_count_matches_cell_oracle_on_adversarial_masks():
 
 @pytest.mark.parametrize("sublevel, include_unstable", [(-EPS, True), (EPS, False)])
 def test_census_count_peak_memory_per_cell(slit, sublevel, include_unstable):
-    # the cell-level union-find peaked at 33.2 and 57.7 bytes per cell here
+    # the cell-level union-find peaked at 33.2 and 57.7 bytes per cell here,
+    # int64 labels beside the run ids at 18.8 and 21.6
     mask = _slit_grid_masks(slit, sublevel, include_unstable, 800, 800, 3.0)[2]
     tracemalloc.start()
     try:
@@ -385,7 +391,37 @@ def test_census_count_peak_memory_per_cell(slit, sublevel, include_unstable):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * mask.size
+    assert peak <= 8 * mask.size
+
+
+@pytest.mark.parametrize("sublevel, include_unstable", [(-EPS, True), (EPS, False)])
+def test_slit_grid_masks_peak_memory_per_cell(slit, sublevel, include_unstable):
+    # a full float64 f grid beside the mask peaked at 9.0 bytes per cell here
+    n_rho = n_theta = 800
+    tracemalloc.start()
+    try:
+        _slit_grid_masks(slit, sublevel, include_unstable, n_rho, n_theta, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n_rho * n_theta
+
+
+@pytest.mark.parametrize("mask, count, labels", [
+    (np.zeros((0, 4), dtype=bool), 0, np.zeros((0, 4), dtype=int)),
+    (np.zeros((3, 0), dtype=bool), 0, np.zeros((3, 0), dtype=int)),
+    (np.ones((1, 1), dtype=bool), 1, [[0]]),
+    (np.ones((1, 2), dtype=bool), 1, [[0, 0]]),
+    (np.zeros((3, 4), dtype=bool), 0, np.full((3, 4), -1)),
+], ids=["0x4", "3x0", "1x1-in", "1x2-in", "3x4-out"])
+def test_census_count_on_degenerate_grids(mask, count, labels):
+    # the run count is read from the last cumulative cell: empty grids have none
+    got_count, got_labels = _census_count(mask)
+    assert got_count == count
+    assert got_labels.dtype == index_dtype(mask)
+    assert np.array_equal(got_labels, labels)
+    if mask.shape[0]:       # the breadth-first oracle reads row 0
+        assert bfs_components(mask, glue_origin=True)[0] == count
 
 
 def test_saddle_sublevel_components_match_across_the_level(saddle):
