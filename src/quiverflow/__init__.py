@@ -14,7 +14,6 @@ from .quiver import (
     act,
     infinitesimal_action,
     group_exp,
-    rho_matrix,
     relation_residual,
     cycle_trace,
 )

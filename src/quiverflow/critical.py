@@ -39,8 +39,10 @@ from .moment import (
     grad_f,
     hessian_fd,
     hessian_matrix,
+    moment_tensor,
+    orbit_basis,
 )
-from .quiver import Representation, flatten_blocks, infinitesimal_action, orbit_basis
+from .quiver import Representation, flatten_blocks
 
 __all__ = [
     "CriticalRecord",
@@ -81,8 +83,9 @@ class CriticalRecord:
 
 
 def criticality_residual(x: Representation, beta: HermitianCollection) -> float:
-    return float(np.linalg.norm(
-        infinitesimal_action(beta.as_algebra_element(), x).flatten()))
+    """||rho_x(beta)|| = ||2 sum_k beta_k T_k y||, from the record's own beta."""
+    ty = moment_tensor(x.quiver, x.dims) @ x.flatten()
+    return float(np.linalg.norm(2.0 * flatten_blocks(beta.blocks) @ ty))
 
 
 def _make_record(x: Representation, alpha: CentralShift) -> CriticalRecord:
@@ -212,10 +215,11 @@ def negative_slice(rec: CriticalRecord, wd: WeightDecomposition) -> SliceFiber:
     """Fiber of decaying directions orthogonal to the orbit at rec.x.
 
     Builds the orthonormal coordinate directions of strictly negative
-    weight, projects them against an SVD basis of im rho_x, and reads the
-    surviving dimension off the singular values of the projected set.  At a
-    critical point the weight grading is compatible with im rho_x, so the
-    singular values cluster at 0 and 1 and the 0.5 threshold is safe.
+    weight, projects them against ``orbit_basis`` (im rho_x, spanned by T y
+    and i T y), and reads the surviving dimension off the singular values of
+    the projected set.  At a critical point the weight grading is compatible
+    with im rho_x, so the singular values cluster at 0 and 1 and the 0.5
+    threshold is safe.
     """
     x = rec.x
     q, dims = x.quiver, x.dims

@@ -284,6 +284,9 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
     signs = [direction] * len(x0s) if np.ndim(direction) == 0 else list(direction)
     if len(signs) != len(x0s) or any(d not in (1, -1) for d in signs):
         raise ValueError("direction must be +1 or -1, or one of them per point")
+    replays = [None] * len(x0s) if replay_steps is None else list(replay_steps)
+    if len(replays) != len(x0s) or any(s is not None and np.ndim(s) != 1 for s in replays):
+        raise ValueError("replay_steps must hold one step sequence or None per point")
     if not x0s:
         return []
     q, dims = x0s[0].quiver, x0s[0].dims
@@ -291,7 +294,7 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
         raise ValueError("a batch needs one quiver and one dimension vector")
     signs, n = [int(d) for d in signs], len(x0s)
     st = _Stepper(q, dims, alpha, np.array(signs, dtype=float)[:, None])
-    dim, replay = st.dim, [None if s is None else iter(s) for s in replay_steps or [None] * n]
+    dim, replay = st.dim, [None if s is None else iter(s) for s in replays]
 
     y = np.array([np.concatenate([x.flatten(), [0.0]]) for x in x0s])
     k, f0 = st.field_f(y)
@@ -369,8 +372,7 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
                 finish(r, "blow_up")
             elif stop_level is not None and (f_new[j] - stop_level) * signs[r] <= 0.0:
                 lone = st.row(j)
-                tau, y_evt = _locate_level(lone, y[j], t[r], h[r], stop_level)
-                k_evt, f_evt = lone.field_f(y_evt)
+                tau, y_evt, k_evt, f_evt = _locate_level(lone, y[j], t[r], h[r], stop_level)
                 steps[r].append(tau - t[r])
                 record(r, tau, y_evt, f_evt, 2.0 * float(np.linalg.norm(k_evt[:dim])))
                 finish(r, "exited_level")
@@ -400,6 +402,7 @@ def _locate_level(st, y_base, t_base, h, level):
     Safeguarded Newton in time on the monotone function f along the flow;
     each trial state is one Dormand-Prince step of length tau <= h from the
     bracket base, so its local error is within the tolerance h was accepted at.
+    Returns (t, y, field, f) at the crossing, the last two from ``field_f``.
     """
     tol = 1e-9 * (1.0 + abs(level))
     lo, hi = 0.0, h
@@ -432,7 +435,7 @@ def _locate_level(st, y_base, t_base, h, level):
     else:
         raise LevelNotReachedError("event location failed to converge", limit_value=None)
     # a crossing within one float spacing of t_base (a blow-up at min_step) takes the next float
-    return max(t_base + tau, math.nextafter(t_base, math.inf)), y_tau
+    return max(t_base + tau, math.nextafter(t_base, math.inf)), y_tau, k_tau, f_tau
 
 
 def tau_level(x: Representation, alpha, ell: float, cfg: IntegratorConfig,
@@ -484,7 +487,7 @@ def trace_crossing(trace: FlowTrace, level: float, alpha):
     st = _Stepper(trace.quiver, trace.dims, alpha, direction)
     y_base = np.append(trace.states[j], 0.5 * trace.monitors["energy"][j])
     try:
-        _, y = _locate_level(st, y_base, trace.ts[j], trace.steps[j], level)
+        y = _locate_level(st, y_base, trace.ts[j], trace.steps[j], level)[1]
     except LevelNotReachedError:
         return None
     return Representation.unflatten(trace.quiver, trace.dims, y[:st.dim])

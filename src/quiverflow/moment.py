@@ -34,7 +34,10 @@ On flat real states the moment map is a quadratic form, y^T T_k y per real
 coordinate of H (``moment_tensor``).  ``VelocityKernel`` is the one
 implementation of f, the flow field and the Hessian, as closed forms in T;
 ``f_value``, ``flow_velocity``, ``grad_f``, ``hessian_matrix`` and the inner
-loops call it.  ``beta_of`` gives Hermitian blocks to records and checks;
+loops call it.  The same contraction T y spans the orbit tangent: for
+Hermitian A, rho_x(A) = 2 sum_k A_k T_k y, so im rho_x is span{T_k y} plus i
+times it (``orbit_basis``; ``critical`` reads its criticality residual and
+slice off it).  ``beta_of`` gives Hermitian blocks to records and checks;
 ``hessian_fd`` and ``moment_map_equation_check`` check the derivatives by
 finite differences of values.
 """
@@ -82,9 +85,13 @@ class HermitianCollection:
     blocks: tuple = field(repr=False)
 
     def __post_init__(self):
+        if len(self.blocks) != len(self.dims):
+            raise ShapeError(f"{len(self.blocks)} blocks for {len(self.dims)} vertices")
         blocks = []
-        for i, b in enumerate(self.blocks):
+        for i, (b, d) in enumerate(zip(self.blocks, self.dims)):
             b = np.array(b, dtype=complex)
+            if b.shape != (d, d):
+                raise ShapeError(f"block {i} has shape {b.shape}, expected {(d, d)}")
             defect = np.linalg.norm(b - b.conj().T)
             if defect > 1e-12 * (1.0 + np.linalg.norm(b)):
                 raise ShapeError(f"block {i} is not Hermitian (defect {defect:.3e})")
@@ -107,9 +114,6 @@ class HermitianCollection:
         """Ascending real eigenvalues per vertex."""
         return tuple(tuple(np.linalg.eigvalsh(b)) if b.size else ()
                      for b in self.blocks)
-
-    def as_algebra_element(self):
-        return LieAlgebraElement(self.quiver, self.dims, self.blocks, hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -184,6 +188,28 @@ def moment_tensor(quiver, dims):
     t = np.ascontiguousarray((0.5 * (t + t.swapaxes(0, 1))).transpose(2, 0, 1))
     t.setflags(write=False)
     return t
+
+
+# Singular values of [T y, J T y] below this fraction of the largest count as zero.
+ORBIT_RANK_TOL = 1e-9
+
+
+def orbit_basis(x: Representation) -> np.ndarray:
+    """Orthonormal real basis of im rho_x = span{T_k y} + J span{T_k y}: the left
+    singular vectors of [T y, J T y] whose singular values exceed
+    ``ORBIT_RANK_TOL`` times the largest.
+
+    J, multiplication by i, is a signed permutation of the flat layout: it
+    sends each block's (Re, Im) halves to (-Im, Re).
+    """
+    ty = (moment_tensor(x.quiver, x.dims) @ x.flatten()).T
+    jty, pos = np.empty_like(ty), 0
+    for m, n in x.quiver.block_shapes(x.dims):
+        k = m * n
+        jty[pos:pos + k], jty[pos + k:pos + 2 * k] = -ty[pos + k:pos + 2 * k], ty[pos:pos + k]
+        pos += 2 * k
+    u, s, _ = np.linalg.svd(np.concatenate([ty, jty], axis=1), full_matrices=False)
+    return u[:, :int(np.sum(s > ORBIT_RANK_TOL * np.max(s, initial=0.0)))]
 
 
 class VelocityKernel:

@@ -27,7 +27,8 @@ real inner product every formula in this package is written against.
 
 ``flatten_blocks`` and ``unflatten_blocks`` are the only place that defines
 this order.  They accept leading batch axes, as do the raw block formulas,
-so ``real_matrix`` builds each Jacobian by one call on the unit basis.
+so ``moment.moment_tensor`` and the relation Jacobian in ``subvariety``
+are each built by one call on the stacked unit basis.
 """
 
 from __future__ import annotations
@@ -53,15 +54,12 @@ __all__ = [
     "act",
     "infinitesimal_action",
     "group_exp",
-    "rho_matrix",
     "relation_residual",
     "cycle_trace",
 ]
 
 # Condition-number bound above which a group block counts as singular.
 DEFAULT_COND_BOUND = 1e12
-# Singular values of rho_x below this fraction of the largest count as zero.
-ORBIT_RANK_TOL = 1e-9
 
 
 def _freeze(arr):
@@ -228,15 +226,6 @@ def unflatten_blocks(vec, shapes):
     if pos != vec.shape[-1]:
         raise ShapeError("flattened vector length does not match block shapes")
     return tuple(blocks)
-
-
-def real_matrix(linear, in_shapes, out_shapes):
-    """Matrix of a real-linear block map in flat coordinates; ``linear`` is
-    applied once to the whole unit basis, stacked on a leading batch axis."""
-    n_in = 2 * sum(m * n for m, n in in_shapes)
-    n_out = 2 * sum(m * n for m, n in out_shapes)
-    images = linear(unflatten_blocks(np.eye(n_in), in_shapes))
-    return flatten_blocks(images).reshape(n_in, n_out).T
 
 
 @dataclass(frozen=True)
@@ -422,15 +411,11 @@ def act(g: GroupElement, x: Representation) -> Representation:
     return x.replace_blocks(blocks)
 
 
-def action_blocks(quiver, u, x):
-    """Raw infinitesimal action u_head(a) x_a - x_a u_tail(a) on vertex blocks u
-    and edge blocks x, either of which may carry leading batch axes."""
-    return [u[h] @ xa - xa @ u[t] for xa, h, t in zip(x, quiver.head, quiver.tail)]
-
-
 def infinitesimal_action(u: LieAlgebraElement, x: Representation) -> Representation:
     """Derivative of the action at the identity: u_head x_a - x_a u_tail."""
-    return x.replace_blocks(action_blocks(x.quiver, u.blocks, x.blocks))
+    q = x.quiver
+    return x.replace_blocks(u.blocks[h] @ xa - xa @ u.blocks[t]
+                            for xa, h, t in zip(x.blocks, q.head, q.tail))
 
 
 def _expm(a):
@@ -451,32 +436,6 @@ def group_exp(u: LieAlgebraElement, t=1.0) -> GroupElement:
     """Matrix exponential exp(t u), one block per vertex."""
     blocks = [_expm(t * b) if b.size else b.copy() for b in u.blocks]
     return GroupElement(u.quiver, u.dims, tuple(blocks))
-
-
-def rho_matrix(x: Representation) -> np.ndarray:
-    """The infinitesimal action at x as an explicit real matrix.
-
-    Shape is (rep_real_dim, group_real_dim); columns follow the Lie-algebra
-    flattening order, rows the representation flattening order.  Sizes at
-    desk scale are tiny, so materializing is the robust choice for
-    rank/orthocomplement work.
-    """
-    q, dims = x.quiver, x.dims
-    return real_matrix(lambda u: action_blocks(q, u, x.blocks),
-                       [(d, d) for d in dims], q.block_shapes(dims))
-
-
-def orbit_basis(x: Representation) -> np.ndarray:
-    """Orthonormal real basis of im rho_x: the left singular vectors of
-    ``rho_matrix`` whose singular values exceed ``ORBIT_RANK_TOL`` times the
-    largest."""
-    mat = rho_matrix(x)
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0))
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if s[0] == 0.0:
-        return np.zeros((mat.shape[0], 0))
-    return u[:, :int(np.sum(s > ORBIT_RANK_TOL * s[0]))]
 
 
 def path_product(blocks, path):

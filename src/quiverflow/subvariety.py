@@ -23,8 +23,8 @@ from .quiver import (
     Representation,
     act,
     flatten_blocks,
-    real_matrix,
     relation_residual,
+    unflatten_blocks,
 )
 
 __all__ = [
@@ -91,11 +91,11 @@ def _relation_derivative(rel, xs, ts):
 
 
 def _relation_jacobian(x: Representation, spec: SubvarietySpec) -> np.ndarray:
-    """Real Jacobian of the stacked residual vector at x."""
-    q, dims = x.quiver, x.dims
-    return real_matrix(lambda ts: [_relation_derivative(r, x.blocks, ts) for r in spec.relations],
-                       q.block_shapes(dims),
-                       [(dims[r.target], dims[r.source]) for r in spec.relations])
+    """Real Jacobian of the stacked residual vector at x: the derivatives along
+    the whole unit basis, stacked on a leading batch axis, in one call."""
+    n = x.quiver.rep_real_dim(x.dims)
+    ts = unflatten_blocks(np.eye(n), x.quiver.block_shapes(x.dims))
+    return flatten_blocks([_relation_derivative(r, x.blocks, ts) for r in spec.relations]).T
 
 
 def project_to_variety(x: Representation, spec: SubvarietySpec,

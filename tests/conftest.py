@@ -5,7 +5,13 @@ from quiverflow import CentralShift, IntegratorConfig
 from quiverflow.archive import csv_float
 from quiverflow.moment import VelocityKernel
 from quiverflow.presets import A2_PAIR_ALPHA, a2, a2_pair, a3_chain, jordan_one_loop, jordan_two_loops
-from quiverflow.quiver import Quiver
+from quiverflow.quiver import (
+    LieAlgebraElement,
+    Quiver,
+    Representation,
+    infinitesimal_action,
+    unflatten_blocks,
+)
 
 
 def philox(seed):
@@ -54,6 +60,42 @@ def zero_dim():
 # every preset, a vertex without arrows and a zero dimension: the models the
 # moment-tensor kernel is checked on against the Hermitian-block route
 ORACLE_MODELS = [one_edge, a2_pair_model, a3, star, one_loop, two_loops, isolated_vertex, zero_dim]
+
+
+def kronecker(d1, d2):
+    """Three parallel arrows 1 -> 2 at dims (d1, d2)."""
+    def model():
+        q = Quiver.from_lists(["1", "2"], [(k, "1", "2") for k in "abc"])
+        return q, (d1, d2), CentralShift((-0.6, 0.4))
+    model.__name__ = f"kronecker{d1}{d2}"
+    return model
+
+
+# the models the orbit geometry is checked on against ``rho_matrix``
+ORBIT_MODELS = ORACLE_MODELS + [kronecker(2, 2), kronecker(2, 3)]
+
+
+def orbit_states(q, dims, rng):
+    """Random states, the zero state and each random state with one edge zeroed."""
+    states = [Representation.random(q, dims, rng) for _ in range(3)]
+    states.append(Representation.zero(q, dims))
+    for a in range(q.n_edges):
+        x = states[a % 3]
+        states.append(x.replace_blocks(np.zeros_like(b) if e == a else b
+                                       for e, b in enumerate(x.blocks)))
+    return states
+
+
+def rho_matrix(x):
+    """The infinitesimal action at x as a real matrix (rows in the flat
+    representation order, columns in the flat Lie-algebra order), built
+    column by column from ``infinitesimal_action``."""
+    q, dims = x.quiver, x.dims
+    mat = np.zeros((q.rep_real_dim(dims), q.group_real_dim(dims)))
+    for k, e in enumerate(np.eye(mat.shape[1])):
+        u = LieAlgebraElement(q, dims, unflatten_blocks(e, [(d, d) for d in dims]))
+        mat[:, k] = infinitesimal_action(u, x).flatten()
+    return mat
 
 
 @pytest.fixture

@@ -14,13 +14,13 @@ from quiverflow import (
     unstable_boundedness_check,
     weight_decomposition,
 )
-from quiverflow.critical import CriticalRecord, fiber_directions
+from quiverflow.critical import CriticalRecord, criticality_residual, fiber_directions
 from quiverflow.errors import InsufficientDataError, RefinementFailedError
-from quiverflow.moment import beta_of, f_value
+from quiverflow.moment import HermitianCollection, beta_of, f_value
 from quiverflow.presets import jordan_two_loops, scalar_rep
-from quiverflow.quiver import rho_matrix
+from quiverflow.quiver import LieAlgebraElement, infinitesimal_action
 
-from conftest import philox
+from conftest import ORBIT_MODELS, orbit_states, philox, rho_matrix
 
 
 def test_refine_exact_critical_point(a2_model):
@@ -88,8 +88,6 @@ def test_weight_pattern_synthetic_two_loop():
         assert np.allclose(np.sort(w.ravel()), [0.0, 0.0, 0.0, 0.0])
     # genuinely distinct eigenvalues: hand-built Hermitian beta commuting
     # with a diagonal x (so the record's criticality equation holds)
-    from quiverflow.moment import HermitianCollection
-
     lam = np.diag([1.0, 0.0]).astype(complex)
     x3 = Representation(q, dims, (np.diag([0.4, 0.7]).astype(complex),
                                   np.zeros((2, 2), dtype=complex)))
@@ -100,6 +98,35 @@ def test_weight_pattern_synthetic_two_loop():
     for w in wd3.edge_weights:
         assert sorted(np.round(w.ravel(), 12)) == [-1.0, 0.0, 0.0, 1.0]
         assert len(wd3.negative[0]) == 1 and len(wd3.positive[0]) == 1
+
+
+def action_norm(beta, x):
+    """||rho_x(beta)|| from the block formula, the oracle of the residual."""
+    u = LieAlgebraElement(x.quiver, x.dims, beta.blocks, hermitian=True)
+    return infinitesimal_action(u, x).norm()
+
+
+def test_criticality_residual_matches_action():
+    # the record's own beta, H - alpha or any Hermitian collection
+    rng = philox(31)
+    for maker in ORBIT_MODELS:
+        q, dims, alpha = maker()
+        for x in orbit_states(q, dims, rng):
+            for beta in (beta_of(x, alpha), HermitianCollection(q, dims, [
+                    b + b.conj().T for b in LieAlgebraElement.random(q, dims, rng).blocks])):
+                ref = action_norm(beta, x)
+                assert abs(criticality_residual(x, beta) - ref) <= 1e-13 * ref, maker.__name__
+    # a record whose beta is not H - alpha: diag(1, 0) against a diagonal x,
+    # moved off commuting by 1e-12 so the residual is small but not zero
+    q, dims = jordan_two_loops(2)
+    x = Representation(q, dims, (np.diag([0.4, 0.7]).astype(complex),
+                                 np.zeros((2, 2), dtype=complex)))
+    beta = HermitianCollection(q, dims, (np.array([[1.0, 1e-12], [1e-12, 0.0]], dtype=complex),))
+    rec = CriticalRecord(x=x, f_crit=0.0, beta=beta, beta_spectra=beta.spectra(),
+                         grad_residual=0.0)
+    ref = action_norm(rec.beta, x)
+    assert ref > 0.0
+    assert abs(criticality_residual(rec.x, rec.beta) - ref) <= 1e-13 * ref
 
 
 def test_negative_slice_dims(a2_model, tight_cfg):
@@ -249,13 +276,12 @@ def test_velocity_lies_in_orbit_tangent(a2_model, rng):
     # minus the shifted moment value, hence tangent to the complex orbit
     from quiverflow import flow_velocity
     from quiverflow.quiver import Representation as Rep
-    from quiverflow.quiver import infinitesimal_action
 
     q, dims, alpha = a2_model
     for _ in range(5):
         x = Rep.random(q, dims, rng)
         b = beta_of(x, alpha)
-        u = b.as_algebra_element().scaled(-1.0)
+        u = LieAlgebraElement(q, dims, b.blocks, hermitian=True).scaled(-1.0)
         assert flow_velocity(x, alpha).distance(infinitesimal_action(u, x)) == 0.0
 
 

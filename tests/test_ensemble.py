@@ -146,7 +146,7 @@ def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(
             return finish("blow_up")
         f_new = st.f_of(y_new)
         if stop_level is not None and (f_new - stop_level) * direction <= 0.0:
-            tau, y_evt = flow._locate_level(st, y, t, h, stop_level)
+            tau, y_evt = flow._locate_level(st, y, t, h, stop_level)[:2]
             steps.append(tau - t)
             samples.append((tau, y_evt, st.f_of(y_evt),
                             2.0 * float(np.linalg.norm(st.field(y_evt)[:dim]))))
@@ -360,6 +360,16 @@ def test_batch_rejects_a_bad_direction(direction):
     rows = [scalar_rep(q, dims, [0.5]), scalar_rep(q, dims, [1.2])]
     with pytest.raises(ValueError, match="direction"):
         integrate_many(rows, A2_ALPHA, CFG, direction)
+
+
+@pytest.mark.parametrize("replays", [[[0.01, 0.01]], [None, None, [0.01]], [], [0.01, None]])
+def test_batch_rejects_a_bad_replay_list(replays):
+    # one replay for two points was an IndexError, three were accepted
+    # silently, and a bare step in place of a sequence was a TypeError
+    q, dims = a2()
+    rows = [scalar_rep(q, dims, [0.5]), scalar_rep(q, dims, [1.2])]
+    with pytest.raises(ValueError, match="replay_steps"):
+        integrate_many(rows, A2_ALPHA, CFG, replay_steps=replays)
 
 
 def test_batch_rejects_mixed_shapes_and_a_start_past_the_level():

@@ -20,7 +20,7 @@ from quiverflow.critical import refine_critical
 from quiverflow.moment import beta_of
 from quiverflow.errors import ShapeError
 from quiverflow.presets import a2, jordan_two_loops, scalar_rep
-from quiverflow.quiver import Quiver, infinitesimal_action
+from quiverflow.quiver import LieAlgebraElement, Quiver, infinitesimal_action
 
 from conftest import ORACLE_MODELS, a2_pair_model, philox, star, two_loops
 
@@ -50,7 +50,8 @@ def test_kernel_wrappers_match_hermitian_route(maker):
         beta = beta_of(x, alpha)
         ref_f = beta.norm_sq()
         assert abs(f_value(x, alpha) - ref_f) <= 1e-14 * ref_f
-        ref_v = -infinitesimal_action(beta.as_algebra_element(), x).flatten()
+        u = LieAlgebraElement(q, dims, beta.blocks, hermitian=True)
+        ref_v = -infinitesimal_action(u, x).flatten()
         v = flow_velocity(x, alpha).flatten()
         assert np.linalg.norm(v - ref_v) <= 1e-14 * np.linalg.norm(ref_v)
 

@@ -15,7 +15,9 @@ from quiverflow import (
     moment,
     moment_map_equation_check,
 )
-from quiverflow.moment import VelocityKernel, beta_of
+from quiverflow.errors import ShapeError
+from quiverflow.moment import HermitianCollection, VelocityKernel, beta_of
+from quiverflow.quiver import Quiver
 from quiverflow.presets import a2, jordan_one_loop, jordan_two_loops, scalar_rep
 
 from conftest import ORACLE_MODELS, a2_f, philox
@@ -177,6 +179,20 @@ def test_hessian_matrix_matches_fd(rng, maker):
     fd = hessian_fd(x, alpha, step=1e-4)
     assert np.linalg.norm(exact - fd) < 1e-6 * (1.0 + np.linalg.norm(exact))
     assert np.allclose(exact, exact.T, atol=1e-12)
+
+
+def test_hermitian_collection_needs_one_square_block_per_vertex():
+    q = Quiver.from_lists(["1", "2"], [("a", "1", "2")])
+    with pytest.raises(ShapeError, match="blocks for 2 vertices"):
+        HermitianCollection(q, (1, 2), (np.eye(1),))
+    with pytest.raises(ShapeError, match="blocks for 2 vertices"):
+        HermitianCollection(q, (1, 2), (np.eye(1), np.eye(2), np.eye(1)))
+    # the total size agrees, the shapes do not
+    with pytest.raises(ShapeError, match="block 0 has shape"):
+        HermitianCollection(q, (1, 2), (np.eye(2), np.eye(1)))
+    with pytest.raises(ShapeError, match="block 1 has shape"):
+        HermitianCollection(q, (1, 2), (np.eye(1), np.ones((2, 1))))
+    assert HermitianCollection(q, (1, 2), (np.eye(1), np.eye(2))).spectra() == ((1.0,), (1.0, 1.0))
 
 
 def test_beta_of_is_shifted_moment(a2_model):

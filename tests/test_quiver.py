@@ -13,17 +13,16 @@ from quiverflow import (
     group_exp,
     infinitesimal_action,
     relation_residual,
-    rho_matrix,
 )
 from quiverflow.errors import (
     NonComposablePathError,
     NonInvertibleGroupElementError,
     ShapeError,
 )
-from quiverflow.quiver import orbit_basis
+from quiverflow.moment import ORBIT_RANK_TOL, orbit_basis
 from quiverflow.presets import a2, commutator_relation, jordan_two_loops, scalar_rep
 
-from conftest import philox
+from conftest import ORBIT_MODELS, orbit_states, philox, rho_matrix
 
 
 def test_quiver_construction_and_indexing():
@@ -130,6 +129,17 @@ def test_rho_rank_cases(rng):
     orbit_dim = int(np.sum(s > 1e-4 * s[0]))
     assert orbit_basis(x).shape[1] == orbit_dim == 4
 
+    # against the rho_matrix oracle: the same rank and the same projector,
+    # on random, zero and one-edge-zeroed states of every orbit model
+    for maker in ORBIT_MODELS:
+        q, dims, _ = maker()
+        for x in orbit_states(q, dims, philox(7)):
+            u, s, _ = np.linalg.svd(rho_matrix(x), full_matrices=False)
+            rank = int(np.sum(s > ORBIT_RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+            basis = orbit_basis(x)
+            assert basis.shape == (q.rep_real_dim(dims), rank), maker.__name__
+            assert np.linalg.norm(basis @ basis.T - u[:, :rank] @ u[:, :rank].T) <= 1e-12
+
 
 def test_rho_matrix_matches_action(rng):
     q, dims = jordan_two_loops(2)
@@ -137,6 +147,9 @@ def test_rho_matrix_matches_action(rng):
     mat = rho_matrix(x)
     u = LieAlgebraElement.random(q, dims, rng)
     assert np.allclose(mat @ u.flatten(), infinitesimal_action(u, x).flatten(), atol=1e-12)
+    # the orbit basis spans the columns of the oracle matrix
+    basis = orbit_basis(x)
+    assert np.linalg.norm(mat - basis @ (basis.T @ mat)) <= 1e-12 * np.linalg.norm(mat)
 
 
 def test_relation_residual_hand_values():
