@@ -1,8 +1,9 @@
 """Time integration of the downward flow, level-crossing solves, monitors.
 
-The integrator is a hand-rolled Dormand-Prince 5(4) embedded pair with PI
-step-size control.  The integrated field is ``flow_velocity`` (which equals
--(1/2) grad f, see :mod:`quiverflow.moment`), optionally reversed for
+The integrator is a hand-rolled DOP853, the 8th-order Dormand-Prince pair,
+with scipy's error norm and step-size control (exponent -1/8, factors
+clipped to [0.2, 10]).  The integrated field is ``flow_velocity`` (which
+equals -(1/2) grad f, see :mod:`quiverflow.moment`), optionally reversed for
 backward trajectories.  Alongside the state we co-integrate the dissipation
 ``int ||dx/dt||^2 dt``; twice that accumulator is reported as the monitor
 column ``energy`` and makes the energy-identity defect measurable at the
@@ -11,14 +12,14 @@ integrator's own order instead of being limited by sample quadrature.
 ``integrate_many`` runs a list of points as the rows of one state array,
 one batched field call per stage; f at each new state comes from the
 contraction of the FSAL stage (the field at the step's end, which is the
-next step's first slope), so a step costs six contractions.  Each row
-keeps its own flow direction, time, step, error history, stall streak
-and status, and leaves the batch when it finishes (``integrate`` is its
-batch of one).  A row is bitwise its lone run: each reduction is taken
-per row as a lone run takes it (``np.vecdot``, per-state matmuls, row
-sums, and Python's ``pow`` for step control, where numpy's array powers
-round otherwise), the stage slopes are combined in the order of a
-per-row sum, and a sign of +-1 multiplies exactly.
+next step's first slope), so a step costs twelve contractions.  Each row
+keeps its own flow direction, time, step, stall streak and status, and
+leaves the batch when it finishes (``integrate`` is its batch of one).
+A row is bitwise its lone run: each reduction is taken per row as a lone
+run takes it (``np.vecdot``, per-state matmuls, row sums, and Python's
+``pow`` for step control, where numpy's array powers round otherwise),
+the stage slopes are combined in the order of a per-row sum, and a sign
+of +-1 multiplies exactly.
 
 Traces store flat real states and build a ``Representation`` only on
 demand.  Level crossings f(x(t)) = level are located inside the bracketing
@@ -55,18 +56,42 @@ __all__ = [
     "energy_identity_defect",
 ]
 
-# Dormand-Prince 5(4) tableau (FSAL).
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10), 12 stages and FSAL, as
+# float64 literals: B gives the 8th-order step, E5 and E3 its 5th- and 3rd-order
+# error estimates; C, the stage times, is unused by the autonomous field.
+_C = np.array((0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0))
 _A = tuple(np.array(row) for row in (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
 ))
-_B = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
-_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
+_B = np.array((0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+               1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+               -0.1521609496625161, 0.20136540080403034, 0.04471061572777259))
+_E5 = np.array((0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                0.3341791187130175, 0.08192320648511571, -0.022355307863886294))
+_E3 = np.array((-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+                1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+                -0.1521609496625161, 0.20136540080403034, 0.02265179219836082))
 
 BLOWUP_FACTOR = 1e6
 
@@ -119,7 +144,9 @@ class FlowTrace:
     fs: np.ndarray
     gradnorms: np.ndarray
     monitors: dict
-    status: str                 # converged | exited_level | step_limit | blow_up
+    # converged | exited_level | blow_up | max_time | max_steps | replay_exhausted |
+    # step_underflow; README's Conventions say when each is given
+    status: str
     direction: int = 1
     steps: tuple = ()
     quiver: Quiver = None
@@ -169,7 +196,7 @@ class FlowTrace:
 
 
 class _Stepper:
-    """Dormand-Prince 5(4) on flattened states (a row or a stack) plus dissipation.
+    """DOP853 on flattened states (a row or a stack) plus dissipation.
 
     ``direction`` is +-1, or a column of +-1.0 with one entry per row of a stack.
     """
@@ -184,9 +211,6 @@ class _Stepper:
         out = copy.copy(self)
         out.direction = int(self.direction[j, 0])
         return out
-
-    def f_of(self, y):
-        return self.kernel.f_flat(y[..., :self.dim])
 
     def field(self, y, out=None):
         """The integrated field at y with ||v||^2 in the last column, written into
@@ -205,32 +229,28 @@ class _Stepper:
         return out
 
     def slopes(self, y, k1, h):
-        """One step from y: (y5, ks), with the six stage slopes in ks[:6] of the
-        seven-slot buffer ks, of shape (7,) + y.shape; ks[6] is left for k7."""
-        ks = np.empty((7,) + y.shape)
+        """One step from y: (y8, ks), with the twelve stage slopes in ks[:12] of the
+        13-slot buffer ks, of shape (13,) + y.shape; ks[12] is left for the FSAL slope."""
+        ks = np.empty((13,) + y.shape)
         ks[0] = k1
-        for i in range(1, 6):
+        for i in range(1, 12):
             self.field(y + h * _combine(_A[i], ks), out=ks[i])
         return y + h * _combine(_B, ks), ks
-
-    def stages(self, y, k1, h):
-        """The six stage slopes of one step from y; returns (y5, list of slopes)."""
-        y5, ks = self.slopes(y, k1, h)
-        return y5, list(ks[:6])
 
     def step(self, y, k1, h, cfg):
         """One embedded step of each row, its step in the column h: y_new, k_new,
         f at y_new and the lists of error norms and of norms of y_new (inf if
         not finite)."""
-        y5, ks = self.slopes(y, k1, h)
-        k7, f7 = self.field_f(y5, out=ks[6])
-        err_vec = h * _combine(_E, ks)
-        ok = np.isfinite(y5).all(axis=1)
+        y8, ks = self.slopes(y, k1, h)
+        k13, f13 = self.field_f(y8, out=ks[12])
+        e5, e3 = _combine(_E5, ks), _combine(_E3, ks)
+        ok = np.isfinite(y8).all(axis=1)
         rows = slice(None) if ok.all() else ok
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y[rows]), np.abs(y5[rows]))
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y[rows]), np.abs(y8[rows]))
         err, size = np.full(len(y), math.inf), np.full(len(y), math.inf)
-        err[rows], size[rows] = _rms(err_vec[rows] / scale), _norms(y5[rows, :self.dim])
-        return y5, k7, f7, err.tolist(), size.tolist()
+        err[rows] = _error_norms(e5[rows] / scale, e3[rows] / scale, h[rows, 0])
+        size[rows] = _norms(y8[rows, :self.dim])
+        return y8, k13, f13, err.tolist(), size.tolist()
 
 
 def _combine(coefs, ks):
@@ -242,6 +262,14 @@ def _combine(coefs, ks):
 
 def _rms(a):
     return np.sqrt(np.add.reduce(a ** 2, axis=-1) / a.shape[-1])    # np.mean's sum, divided
+
+
+def _error_norms(e5, e3, h):
+    """Per row, scipy's DOP853 norm of the scaled 5th- and 3rd-order error estimates:
+    h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), and 0 where both vanish."""
+    n5, n3 = _norms(e5) ** 2, _norms(e3) ** 2
+    den = np.sqrt((n5 + 0.01 * n3) * e5.shape[-1])
+    return np.divide(h * n5, den, out=np.zeros_like(den), where=den > 0.0)
 
 
 def _norms(a):
@@ -256,7 +284,7 @@ def _initial_steps(stepper, y0, k0, cfg):
     k1 = stepper.field(y0 + np.array(h0)[:, None] * k0)
     d2 = (_rms((k1 - k0) / scale) / h0).tolist()
     return [max(cfg.min_step, min(100 * h, max(1e-6, h * 1e-3) if max(b, c) <= 1e-15
-                                  else (0.01 / max(b, c)) ** 0.2, cfg.max_step, cfg.max_time))
+                                  else (0.01 / max(b, c)) ** 0.125, cfg.max_step, cfg.max_time))
             for b, c, h in zip(d1, d2, h0)]
 
 
@@ -324,17 +352,22 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
             raise LevelNotReachedError(
                 "initial point is already past the requested level", limit_value=f0[r])
     rows = list(range(n))           # the rows in the batch, in order; y, k and st follow them
-    t, err_prev, streak = [0.0] * n, [1.0] * n, [0] * n
+    t, streak = [0.0] * n, [0] * n
     h = _initial_steps(st, y, k, cfg)       # a replayed row takes its recorded steps instead
 
     for _ in range(cfg.max_steps):
         for r in [r for r in rows if traces[r] is None]:
             if replay[r] is not None:       # every replayed step is accepted or ends the run
                 h[r] = next(replay[r], None)
-            if h[r] is not None and t[r] < cfg.max_time:
+            floor = 1e-15 * max(1.0, t[r])     # a shorter step is lost in the rounding of t
+            if cfg.max_time - t[r] < floor:
+                finish(r, "max_time")
+            elif h[r] is None:
+                finish(r, "replay_exhausted")
+            else:
                 h[r] = min(h[r], cfg.max_time - t[r], cfg.max_step)
-            if h[r] is None or t[r] >= cfg.max_time or h[r] < 1e-15 * max(1.0, t[r]):
-                finish(r, "step_limit")
+                if h[r] < floor:
+                    finish(r, "step_underflow")
         keep = [traces[r] is None for r in rows]
         if not all(keep):
             rows, y, k = [r for r in rows if traces[r] is None], y[keep], k[keep]
@@ -346,14 +379,14 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
         acc = []
         for j, r in enumerate(rows):
             e = err[j]
-            if replay[r] is not None or not e > 1.0:
+            if replay[r] is not None or e <= 1.0:
                 acc.append(j)
             elif not math.isfinite(e):
                 if h[r] <= 4.0 * cfg.min_step:
                     finish(r, "blow_up")
                 h[r] = max(cfg.min_step, 0.25 * h[r])
             else:
-                h_new = max(cfg.min_step, h[r] * max(0.2, 0.9 * e ** -0.2))
+                h_new = max(cfg.min_step, h[r] * max(0.2, 0.9 * e ** -0.125))
                 if h_new >= h[r] and h[r] <= cfg.min_step:
                     if not np.linalg.norm(y[j, :dim]) > 5e-3 * blow_bound[r]:
                         raise QuiverFlowError("step size underflow in integrate")
@@ -371,8 +404,8 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
             if j not in f_new:
                 finish(r, "blow_up")
             elif stop_level is not None and (f_new[j] - stop_level) * signs[r] <= 0.0:
-                lone = st.row(j)
-                tau, y_evt, k_evt, f_evt = _locate_level(lone, y[j], t[r], h[r], stop_level)
+                tau, y_evt, k_evt, f_evt = _locate_level(st.row(j), y[j], k[j], samples[r][-2],
+                                                         t[r], h[r], stop_level)
                 steps[r].append(tau - t[r])
                 record(r, tau, y_evt, f_evt, 2.0 * float(np.linalg.norm(k_evt[:dim])))
                 finish(r, "exited_level")
@@ -384,29 +417,28 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
                 if streak[r] >= cfg.stall_window:
                     finish(r, "converged")
                 elif replay[r] is None:
-                    e = max(err[j], 1e-12)
-                    fac = 0.9 * e ** -0.14 * err_prev[r] ** 0.08
-                    h[r] = min(cfg.max_step, max(cfg.min_step, h[r] * min(5.0, max(0.2, fac))))
-                    err_prev[r] = e
+                    fac = min(10.0, 0.9 * max(err[j], 1e-12) ** -0.125)
+                    h[r] = min(cfg.max_step, max(cfg.min_step, h[r] * fac))
         if stay:        # a row without an accepted step stays where it was
             y_new[stay], k_new[stay] = y[stay], k[stay]
         y, k = y_new, k_new
     for r in [r for r in rows if traces[r] is None]:
-        finish(r, "step_limit")
+        finish(r, "max_steps")
     return traces
 
 
-def _locate_level(st, y_base, t_base, h, level):
+def _locate_level(st, y_base, k_base, f_base, t_base, h, level):
     """Solve f(x(t)) = level inside the accepted step [t_base, t_base + h].
 
-    Safeguarded Newton in time on the monotone function f along the flow;
-    each trial state is one Dormand-Prince step of length tau <= h from the
-    bracket base, so its local error is within the tolerance h was accepted at.
-    Returns (t, y, field, f) at the crossing, the last two from ``field_f``.
+    ``k_base`` and ``f_base`` are the field and f at ``y_base``.  Safeguarded
+    Newton in time on the monotone function f along the flow; each trial
+    state is one DOP853 step of length tau <= h from the bracket base, so its
+    local error is within the tolerance h was accepted at, and an iterate
+    costs twelve contractions.  Returns (t, y, field, f) at the crossing, the
+    last two from ``field_f``.
     """
     tol = 1e-9 * (1.0 + abs(level))
     lo, hi = 0.0, h
-    k_base, f_base = st.field_f(y_base)
     g_lo = f_base - level
 
     # cubic-Hermite initial guess on f(t) using df/dt = -2 dir ||v||^2 (field[dim])
@@ -414,7 +446,7 @@ def _locate_level(st, y_base, t_base, h, level):
     tau = lo - g_lo / fdot_lo if fdot_lo != 0.0 else 0.5 * h
     tau = min(max(tau, 1e-3 * h), h)
 
-    y_tau = st.stages(y_base, k_base, tau)[0]
+    y_tau = st.slopes(y_base, k_base, tau)[0]
     for _ in range(60):
         k_tau, f_tau = st.field_f(y_tau)
         g = f_tau - level
@@ -431,7 +463,7 @@ def _locate_level(st, y_base, t_base, h, level):
             tau = tau_newton
         else:
             tau = 0.5 * (lo + hi)
-        y_tau = st.stages(y_base, k_base, tau)[0]
+        y_tau = st.slopes(y_base, k_base, tau)[0]
     else:
         raise LevelNotReachedError("event location failed to converge", limit_value=None)
     # a crossing within one float spacing of t_base (a blow-up at min_step) takes the next float
@@ -487,7 +519,7 @@ def trace_crossing(trace: FlowTrace, level: float, alpha):
     st = _Stepper(trace.quiver, trace.dims, alpha, direction)
     y_base = np.append(trace.states[j], 0.5 * trace.monitors["energy"][j])
     try:
-        y = _locate_level(st, y_base, trace.ts[j], trace.steps[j], level)[1]
+        y = _locate_level(st, y_base, *st.field_f(y_base), trace.ts[j], trace.steps[j], level)[1]
     except LevelNotReachedError:
         return None
     return Representation.unflatten(trace.quiver, trace.dims, y[:st.dim])

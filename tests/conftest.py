@@ -3,7 +3,6 @@ import pytest
 
 from quiverflow import CentralShift, IntegratorConfig
 from quiverflow.archive import csv_float
-from quiverflow.moment import VelocityKernel
 from quiverflow.presets import A2_PAIR_ALPHA, a2, a2_pair, a3_chain, jordan_one_loop, jordan_two_loops
 from quiverflow.quiver import (
     LieAlgebraElement,
@@ -155,19 +154,3 @@ def a2_logistic(s0, t):
 def a2_f(s):
     """f as a function of s = |x|^2 for the shift (-1, 1)."""
     return (s - 2.0) ** 2 / 2.0
-
-
-def quadrature_dissipation(trace, alpha) -> float:
-    """2 int ||dx/dt||^2 dt recomputed by Simpson quadrature on the samples.
-
-    Cross-check for the co-integrated dissipation column; uses the stored
-    gradnorm values (||dx/dt|| = gradnorm / 2) with midpoints from velocity
-    evaluations on linear state interpolants.
-    """
-    if trace.n_samples < 2:
-        return 0.0
-    g = (trace.gradnorms / 2.0) ** 2
-    kernel = VelocityKernel(trace.quiver, trace.dims, alpha)
-    vm = kernel.velocity_flat(0.5 * (trace.states[:-1] + trace.states[1:]))
-    gm = np.einsum("ij,ij->i", vm, vm)
-    return 2.0 * float(np.sum(np.diff(trace.ts) / 6.0 * (g[:-1] + 4.0 * gm + g[1:])))

@@ -17,6 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp import dop853_coefficients as dop
 
 from quiverflow import (
     CentralShift,
@@ -74,19 +75,27 @@ def monitor_callbacks(cycles=(), relations=()):
 
 def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(),
                         replay_steps=None):
-    """One trajectory, one Dormand-Prince step at a time, on flat 1-D states;
-    ``monitors`` are ``monitor_callbacks``, evaluated on every sample."""
+    """One trajectory, one DOP853 step at a time, on flat 1-D states, with the
+    tableau read from scipy; ``monitors`` are ``monitor_callbacks``, evaluated on
+    every sample."""
     st = flow._Stepper(x0.quiver, x0.dims, alpha, direction)
     dim = st.dim
 
     def step(y, k, h):
-        y5, ks = st.stages(y, k, h)
-        ks.append(st.field(y5))
-        err_vec = h * sum(e * kk for e, kk in zip(flow._E, ks))
-        if not np.all(np.isfinite(y5)):
-            return y5, ks[-1], math.inf
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        return y5, ks[-1], float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        ks = [k]
+        for i in range(1, dop.N_STAGES):
+            ks.append(st.field(y + h * sum(a * kk for a, kk in zip(dop.A[i, :i], ks))))
+        y8 = y + h * sum(b * kk for b, kk in zip(dop.B, ks))
+        # scipy's error norm; its 13th error slot, for the FSAL slope, is zero
+        e5, e3 = (sum(e * kk for e, kk in zip(row, ks)) for row in (dop.E5, dop.E3))
+        k13 = st.field(y8)
+        if not np.all(np.isfinite(y8)):
+            return y8, k13, math.inf
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y8))
+        n5, n3 = np.linalg.norm(e5 / scale) ** 2, np.linalg.norm(e3 / scale) ** 2
+        if n5 == 0.0 and n3 == 0.0:
+            return y8, k13, 0.0
+        return y8, k13, float(h * n5 / np.sqrt((n5 + 0.01 * n3) * len(scale)))
 
     def initial_step(y0, k0):
         scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
@@ -94,13 +103,13 @@ def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(
         d1 = float(np.sqrt(np.mean((k0 / scale) ** 2)))
         h0 = min(1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1, cfg.max_step, cfg.max_time)
         d2 = float(np.sqrt(np.mean(((st.field(y0 + h0 * k0) - k0) / scale) ** 2))) / h0
-        h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+        h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
         return max(cfg.min_step, min(100 * h0, h1, cfg.max_step, cfg.max_time))
 
     y = np.concatenate([x0.flatten(), [0.0]])
     k = st.field(y)
     blow_bound = flow.BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(y[:dim])))
-    samples = [(0.0, y, st.f_of(y), 2.0 * float(np.linalg.norm(k[:dim])))]
+    samples = [(0.0, y, st.kernel.f_flat(y[:dim]), 2.0 * float(np.linalg.norm(k[:dim])))]
     steps = []
 
     def finish(status):
@@ -115,27 +124,27 @@ def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(
         return finish("converged")
     if stop_level is not None and (samples[0][2] - stop_level) * direction <= 0.0:
         raise LevelNotReachedError("initial point is already past the requested level")
-    t, err_prev, streak = 0.0, 1.0, 0
+    t, streak = 0.0, 0
     replay = iter(replay_steps) if replay_steps is not None else None
     h = initial_step(y, k) if replay is None else None
     for _ in range(cfg.max_steps):
         if replay is not None:
             h = next(replay, None)
-            if h is None:
-                return finish("step_limit")
-        if t >= cfg.max_time:
-            return finish("step_limit")
+        if cfg.max_time - t < 1e-15 * max(1.0, t):
+            return finish("max_time")
+        if h is None:
+            return finish("replay_exhausted")
         h = min(h, cfg.max_time - t, cfg.max_step)
         if h < 1e-15 * max(1.0, t):
-            return finish("step_limit")
+            return finish("step_underflow")
         y_new, k_new, err = step(y, k, h)
-        if replay is None and err > 1.0:
+        if replay is None and not err <= 1.0:
             if not math.isfinite(err):
                 if h <= 4.0 * cfg.min_step:
                     return finish("blow_up")
                 h = max(cfg.min_step, 0.25 * h)
                 continue
-            h_new = max(cfg.min_step, h * max(0.2, 0.9 * err ** -0.2))
+            h_new = max(cfg.min_step, h * max(0.2, 0.9 * err ** -0.125))
             if h_new >= h and h <= cfg.min_step:
                 if np.linalg.norm(y[:dim]) > 5e-3 * blow_bound:
                     return finish("blow_up")
@@ -144,11 +153,11 @@ def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(
             continue
         if not np.all(np.isfinite(y_new)) or np.linalg.norm(y_new[:dim]) > blow_bound:
             return finish("blow_up")
-        f_new = st.f_of(y_new)
+        f_new = st.kernel.f_flat(y_new[:dim])
         if stop_level is not None and (f_new - stop_level) * direction <= 0.0:
-            tau, y_evt = flow._locate_level(st, y, t, h, stop_level)[:2]
+            tau, y_evt = flow._locate_level(st, y, k, samples[-1][2], t, h, stop_level)[:2]
             steps.append(tau - t)
-            samples.append((tau, y_evt, st.f_of(y_evt),
+            samples.append((tau, y_evt, st.kernel.f_flat(y_evt[:dim]),
                             2.0 * float(np.linalg.norm(st.field(y_evt)[:dim]))))
             return finish("exited_level")
         gradnorm = 2.0 * float(np.linalg.norm(k_new[:dim]))
@@ -159,11 +168,8 @@ def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(
         if streak >= cfg.stall_window:
             return finish("converged")
         if replay is None:
-            err = max(err, 1e-12)
-            fac = 0.9 * err ** -0.14 * err_prev ** 0.08
-            h = min(cfg.max_step, max(cfg.min_step, h * min(5.0, max(0.2, fac))))
-            err_prev = err
-    return finish("step_limit")
+            h = min(cfg.max_step, max(cfg.min_step, h * min(10.0, 0.9 * max(err, 1e-12) ** -0.125)))
+    return finish("max_steps")
 
 
 def assert_same_trace(tr, ref):
@@ -248,7 +254,7 @@ def test_monitor_columns_and_replayed_rows():
         assert_same_trace(tr, lone.with_monitors(cycles, relations))
         assert_same_trace(tr, reference_integrate(x, alpha, CFG, monitors=mons, replay_steps=steps))
     assert_same_trace(replayed[0], batch[0])
-    assert replayed[2].n_samples == 8 and replayed[2].status == "step_limit"
+    assert replayed[2].n_samples == 8 and replayed[2].status == "replay_exhausted"
 
 
 def monitored_models():
@@ -297,7 +303,7 @@ def test_with_monitors_does_not_warn_again():
     states = np.random.default_rng(2).standard_normal((3, q.rep_real_dim(dims)))
     with pytest.warns(UserWarning, match="not monotone"):
         tr = flow.FlowTrace(np.arange(3.0), states, np.array([1.0, 2.0, 0.5]), np.ones(3),
-                            {"energy": np.zeros(3)}, "step_limit", quiver=q, dims=dims)
+                            {"energy": np.zeros(3)}, "max_time", quiver=q, dims=dims)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = tr.with_monitors(jordan_cycles(q), [commutator_relation(q)])
@@ -350,7 +356,7 @@ def test_mixed_direction_rows_equal_lone_runs(name):
     replays = [list(tr.steps) for tr in free]
     replays[0], replays[1], replays[4] = replays[0][:5], None, None
     replayed = check_mixed_rows(points, directions, alpha, replay_steps=replays)
-    assert replayed[0].n_samples == 6 and replayed[0].status == "step_limit"
+    assert replayed[0].n_samples == 6 and replayed[0].status == "replay_exhausted"
     assert np.array_equal(replayed[2].states, free[2].states)
 
 

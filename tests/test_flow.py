@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from quiverflow.presets import (
     scalar_rep,
 )
 
-from conftest import a2_logistic, quadrature_dissipation
+from conftest import a2_f, a2_logistic
 
 
 def test_integrator_config_validation():
@@ -33,7 +35,7 @@ def test_integrator_config_validation():
     for key in ("rel_tol", "abs_tol", "max_time", "grad_stop"):
         with pytest.raises(ValueError):
             IntegratorConfig(**{key: float("nan")})
-    # a run without a step used to end as step_limit after one sample
+    # a run without a step used to end at its step cap after one sample
     for max_steps in (0, -5, float("nan")):
         with pytest.raises(ValueError):
             IntegratorConfig(max_steps=max_steps)
@@ -141,9 +143,11 @@ def test_energy_identity(a2_model, tight_cfg, rng):
 
     tr = integrate(scalar_rep(q, dims, [1.0]), alpha, tight_cfg)
     assert energy_identity_defect(tr) < 1e-6 * (1.0 + tr.fs[0])
-    # quadrature cross-check of the co-integrated dissipation column
-    quad = quadrature_dissipation(tr, alpha)
-    assert abs(quad - tr.monitors["energy"][-1]) < 1e-4 * (1.0 + quad)
+    # closed-form cross-check of the co-integrated dissipation column at every
+    # sample: the energy dissipated by time t is f(s0) - f(s(t))
+    exact = a2_f(1.0) - a2_f(a2_logistic(1.0, tr.ts))
+    assert tr.n_samples > 10
+    assert np.max(np.abs(tr.monitors["energy"] - exact)) < 1e-9
 
 
 def test_conservation_monitors_to_time_cap():
@@ -250,7 +254,7 @@ def test_integrator_cross_check_against_library_solver():
     cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13, max_time=horizon,
                            grad_stop=1e-14)
     tr = integrate(rep, alpha, cfg)
-    assert tr.status == "step_limit" and abs(tr.ts[-1] - horizon) < 1e-12
+    assert tr.status == "max_time" and abs(tr.ts[-1] - horizon) < 1e-12
 
     kern = VelocityKernel(q, dims, alpha)
     sol = solve_ivp(lambda t, y: kern.velocity_flat(y), (0.0, horizon),
@@ -271,8 +275,6 @@ def test_energy_identity_on_crossing_segments(a2_model, tight_cfg):
 
 def test_conftest_oracle_satisfies_its_ode():
     # integrity of the closed-form oracle itself: ds/dt = -2 s (s - 2)
-    from conftest import a2_logistic, quadrature_dissipation
-
     for s0 in (0.3, 1.0, 3.5):
         for t in (0.0, 0.2, 1.0):
             h = 1e-6
@@ -285,7 +287,7 @@ def test_empty_replay_returns_the_start(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [1.0])
     tr = integrate(x0, alpha, tight_cfg, replay_steps=[])
-    assert tr.status == "step_limit"
+    assert tr.status == "replay_exhausted"
     assert tr.n_samples == 1 and tr.steps == ()
     assert tr.final.distance(x0) == 0.0
 
@@ -336,27 +338,30 @@ def _crossing_traces(a2_model, tight_cfg):
 
 
 def test_trace_crossing_cost(a2_model, tight_cfg, monkeypatch):
-    # a crossing is a few Newton iterates of one step each, not a re-integration
+    # a crossing is a few Newton iterates of one step each, not a re-integration:
+    # the slope at the stored base state, then twelve contractions per iterate
+    # (eleven stages and the field at the trial state, which also gives f)
     from quiverflow.moment import VelocityKernel
 
-    calls, velocity_flat = [0], VelocityKernel.velocity_flat
+    calls, beta = [0], VelocityKernel._beta
 
     def counted(self, y):
         calls[0] += 1
-        return velocity_flat(self, y)
+        return beta(self, y)
 
-    monkeypatch.setattr(VelocityKernel, "velocity_flat", counted)
-    per_call = []
+    monkeypatch.setattr(VelocityKernel, "_beta", counted)
+    iterates = []
     for _, alpha, tr, ell in _crossing_traces(a2_model, tight_cfg):
         calls[0] = 0
         assert trace_crossing(tr, ell, alpha) is not None
-        per_call.append(calls[0])
-    assert len(per_call) == 24 and max(per_call) < 30, per_call
+        assert (calls[0] - 1) % 12 == 0, calls[0]
+        iterates.append((calls[0] - 1) // 12)
+    assert len(iterates) == 24 and 1 <= min(iterates) and max(iterates) <= 5, iterates
 
 
-def test_an_accepted_step_costs_six_contractions(a2_model, tight_cfg, monkeypatch):
-    # the five stages and the FSAL slope k7, whose contraction also gives f at the new
-    # state; counted as the difference between replays of 4 and of 12 accepted steps
+def test_an_accepted_step_costs_twelve_contractions(a2_model, tight_cfg, monkeypatch):
+    # the eleven stages and the FSAL slope k13, whose contraction also gives f at the
+    # new state; counted as the difference between replays of 4 and of 12 accepted steps
     from quiverflow.moment import VelocityKernel
 
     q, dims, alpha = a2_model
@@ -374,7 +379,7 @@ def test_an_accepted_step_costs_six_contractions(a2_model, tight_cfg, monkeypatc
         calls[0] = 0
         assert integrate(x, alpha, tight_cfg, replay_steps=steps[:m]).n_samples == m + 1
         cost[m] = calls[0]
-    assert cost[12] - cost[4] == 6 * 8, cost
+    assert cost[12] - cost[4] == 12 * 8, cost
 
 
 def test_trace_crossing_accuracy(a2_model, tight_cfg):
@@ -416,7 +421,7 @@ def test_trace_crossing_edge_cases(a2_model, tight_cfg):
 
 def test_integrate_builds_no_representation_per_step(a2_model, tight_cfg, monkeypatch):
     q, dims, alpha = a2_model
-    x0 = scalar_rep(q, dims, [1.0])
+    x0 = scalar_rep(q, dims, [1e-4])        # near the unstable origin: a long way down
     unflatten = Representation.unflatten
     calls = []
 
@@ -429,3 +434,43 @@ def test_integrate_builds_no_representation_per_step(a2_model, tight_cfg, monkey
     assert tr.n_samples > 50
     tr.final
     assert len(calls) <= 1
+
+
+def test_tableau_equals_the_published_dop853_coefficients():
+    # the inlined literals, bit for bit against scipy's table (imported here only)
+    from scipy.integrate._ivp import dop853_coefficients as dop
+
+    from quiverflow import flow
+
+    n = dop.N_STAGES
+    assert flow._C.tobytes() == dop.C[:n].tobytes()
+    assert len(flow._A) == n
+    for i, row in enumerate(flow._A):
+        assert row.tobytes() == dop.A[i, :i].tobytes(), i
+    assert flow._B.tobytes() == dop.B.tobytes()
+    # scipy's error rows carry a 13th slot, for the FSAL slope, which is zero
+    for ours, theirs in ((flow._E5, dop.E5), (flow._E3, dop.E3)):
+        assert ours.tobytes() == theirs[:n].tobytes() and theirs[n] == 0.0
+
+
+def test_each_cap_has_its_own_status(a2_model, tight_cfg):
+    q, dims, alpha = a2_model
+    x0 = scalar_rep(q, dims, [1.0])
+    full = integrate(x0, alpha, tight_cfg)
+    assert full.status == "converged" and full.n_samples > 6
+
+    def run(**kw):
+        return integrate(x0, alpha, replace(tight_cfg, **{"grad_stop": 1e-14, **kw}))
+
+    # a replay that runs out before the flow stops
+    cut = integrate(x0, alpha, tight_cfg, replay_steps=full.steps[:5])
+    assert cut.status == "replay_exhausted" and cut.n_samples == 6
+    # the time cap, reached exactly
+    capped = run(max_time=0.25)
+    assert capped.status == "max_time" and capped.ts[-1] == 0.25
+    # a step too small to advance t: max_step below 1e-15 max(1, t) at t = 0
+    tiny = run(min_step=1e-17, max_step=1e-16)
+    assert tiny.status == "step_underflow" and tiny.n_samples == 1
+    # the step count
+    short = run(max_steps=3)
+    assert short.status == "max_steps" and short.n_samples == 4
