@@ -183,19 +183,13 @@ def weight_decomposition(rec: CriticalRecord) -> WeightDecomposition:
         lh, lt = eigs[q.head[a]], eigs[q.tail[a]]
         w = lh[:, None] - lt[None, :]
         weights.append(w)
-        n_idx, z_idx, p_idx = [], [], []
-        for p in range(w.shape[0]):
-            for qq in range(w.shape[1]):
-                if w[p, qq] < -weight_tol:
-                    n_idx.append((p, qq))
-                elif w[p, qq] > weight_tol:
-                    p_idx.append((p, qq))
-                else:
-                    z_idx.append((p, qq))
-        neg.append(tuple(n_idx)); zero.append(tuple(z_idx)); pos.append(tuple(p_idx))
+        below, above = w < -weight_tol, w > weight_tol
+        offband_cells = below | above
+        # argwhere lists (p, q) in row-major order
+        for out, cells in ((neg, below), (zero, ~offband_cells), (pos, above)):
+            out.append(tuple(map(tuple, np.argwhere(cells).tolist())))
         xa_frame = frames[q.head[a]].conj().T @ x.blocks[a] @ frames[q.tail[a]]
-        mask = np.abs(w) > weight_tol
-        offband += float(np.sum(np.abs(xa_frame[mask]) ** 2))
+        offband += float(np.sum(np.abs(xa_frame[offband_cells]) ** 2))
     return WeightDecomposition(
         vertex_frames=tuple(frames), edge_weights=tuple(weights),
         negative=tuple(neg), zero=tuple(zero), positive=tuple(pos),

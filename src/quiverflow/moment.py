@@ -53,6 +53,7 @@ import numpy as np
 from .errors import ShapeError
 from .quiver import (
     LieAlgebraElement,
+    Quiver,
     Representation,
     flatten_blocks,
     infinitesimal_action,
@@ -73,25 +74,19 @@ __all__ = [
     "hessian_matrix",
 ]
 
-HERMITIAN_DEFECT_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class HermitianCollection:
     """One Hermitian matrix per vertex, with the Frobenius inner product."""
 
-    quiver: object
+    quiver: Quiver
     dims: tuple
     blocks: tuple = field(repr=False)
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.dims):
-            raise ShapeError(f"{len(self.blocks)} blocks for {len(self.dims)} vertices")
         blocks = []
-        for i, (b, d) in enumerate(zip(self.blocks, self.dims)):
-            b = np.array(b, dtype=complex)
-            if b.shape != (d, d):
-                raise ShapeError(f"block {i} has shape {b.shape}, expected {(d, d)}")
+        for i, b in enumerate(self.quiver.check_vertex_blocks(
+                self.dims, self.blocks, "Hermitian collection")):
             defect = np.linalg.norm(b - b.conj().T)
             if defect > 1e-12 * (1.0 + np.linalg.norm(b)):
                 raise ShapeError(f"block {i} is not Hermitian (defect {defect:.3e})")
@@ -309,7 +304,7 @@ def moment_map_equation_check(x: Representation, tangent: Representation,
     tangent X; the right side uses omega = Im<.,.> for the direction i*A,
     which evaluates to -Re<rho_x(A), X>.  Returns the absolute defect.
     """
-    a = LieAlgebraElement(x.quiver, x.dims, tuple(_hermitian_part(u)), hermitian=True)
+    a = HermitianCollection(x.quiver, x.dims, tuple(_hermitian_part(u)))
     xp = x.add_scaled(tangent, step)
     xm = x.add_scaled(tangent, -step)
     lhs = (mu_pairing(xp, a) - mu_pairing(xm, a)) / (2.0 * step)

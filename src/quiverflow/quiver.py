@@ -145,6 +145,17 @@ class Quiver:
                              f"expected {self.block_shape(a, dims)}")
         return b
 
+    def check_vertex_blocks(self, dims, blocks, what):
+        """The read-only complex blocks of a per-vertex value named ``what``; raises
+        ShapeError unless there is exactly one finite d_i x d_i block per vertex."""
+        out = tuple(map(_freeze, blocks))
+        if len(out) != len(dims):
+            raise ShapeError(f"{what}: {len(out)} blocks for {len(dims)} vertices")
+        for i, (b, d) in enumerate(zip(out, dims)):
+            if b.shape != (d, d):
+                raise ShapeError(f"{what} block {i} has shape {b.shape}, expected {(d, d)}")
+        return out
+
 
 @dataclass(frozen=True)
 class Representation:
@@ -230,37 +241,29 @@ def unflatten_blocks(vec, shapes):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """One invertible complex matrix per vertex; ``unitary`` is advisory."""
+    """One invertible complex matrix per vertex (condition number <= ``DEFAULT_COND_BOUND``)."""
 
     quiver: Quiver
     dims: tuple
     blocks: tuple = field(repr=False)
-    unitary: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "dims", self.quiver.check_dims(self.dims))
-        blocks = tuple(_freeze(b) for b in self.blocks)
+        blocks = self.quiver.check_vertex_blocks(self.dims, self.blocks, "group element")
         for i, b in enumerate(blocks):
-            d = self.dims[i]
-            if b.shape != (d, d):
-                raise ShapeError(f"group block at vertex {self.quiver.vertices[i]!r} must be {d}x{d}")
-            if d > 0:
+            if b.size:
                 c = np.linalg.cond(b)
                 if not np.isfinite(c) or c > DEFAULT_COND_BOUND:
                     raise NonInvertibleGroupElementError(
                         f"group block at vertex {self.quiver.vertices[i]!r} has condition "
                         f"number {c:.3e} above bound {DEFAULT_COND_BOUND:.3e}"
                     )
-            if self.unitary and d > 0:
-                defect = np.linalg.norm(b @ b.conj().T - np.eye(d))
-                if defect > 1e-10:
-                    raise ShapeError(f"unitary flag set but block deviates by {defect:.3e}")
         object.__setattr__(self, "blocks", blocks)
 
     @staticmethod
     def identity(quiver, dims):
         dims = quiver.check_dims(dims)
-        return GroupElement(quiver, dims, tuple(np.eye(d, dtype=complex) for d in dims), unitary=True)
+        return GroupElement(quiver, dims, tuple(np.eye(d, dtype=complex) for d in dims))
 
     @staticmethod
     def random_unitary(quiver, dims, rng):
@@ -272,37 +275,27 @@ class GroupElement:
             q, r = np.linalg.qr(z)
             q = q @ np.diag(np.diag(r) / np.abs(np.diag(r))) if d > 0 else q
             blocks.append(q)
-        return GroupElement(quiver, dims, tuple(blocks), unitary=True)
+        return GroupElement(quiver, dims, tuple(blocks))
 
     def compose(self, other):
         """Pointwise product self * other."""
-        return GroupElement(
-            self.quiver, self.dims,
-            tuple(a @ b for a, b in zip(self.blocks, other.blocks)),
-            unitary=self.unitary and other.unitary,
-        )
+        return GroupElement(self.quiver, self.dims,
+                            tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
 
 
 @dataclass(frozen=True)
 class LieAlgebraElement:
-    """One complex matrix per vertex; ``hermitian`` marks elements used as
-    moment-map values (the compact algebra is i times these)."""
+    """One complex matrix per vertex.  Hermitian values, such as moment-map values,
+    are ``moment.HermitianCollection``s, which the actions below take as well."""
 
     quiver: Quiver
     dims: tuple
     blocks: tuple = field(repr=False)
-    hermitian: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "dims", self.quiver.check_dims(self.dims))
-        blocks = tuple(_freeze(b) for b in self.blocks)
-        for i, b in enumerate(blocks):
-            d = self.dims[i]
-            if b.shape != (d, d):
-                raise ShapeError(f"algebra block at vertex {self.quiver.vertices[i]!r} must be {d}x{d}")
-            if self.hermitian and np.linalg.norm(b - b.conj().T) > 1e-10 * (1.0 + np.linalg.norm(b)):
-                raise ShapeError("hermitian flag set but block is not Hermitian to tolerance")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", self.quiver.check_vertex_blocks(
+            self.dims, self.blocks, "algebra element"))
 
     @staticmethod
     def zero(quiver, dims):
@@ -310,21 +303,14 @@ class LieAlgebraElement:
         return LieAlgebraElement(quiver, dims, tuple(np.zeros((d, d), dtype=complex) for d in dims))
 
     @staticmethod
-    def random(quiver, dims, rng, hermitian=False, scale=1.0):
+    def random(quiver, dims, rng, scale=1.0):
         dims = quiver.check_dims(dims)
-        blocks = []
-        for d in dims:
-            z = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-            if hermitian:
-                z = 0.5 * (z + z.conj().T)
-            blocks.append(z)
-        return LieAlgebraElement(quiver, dims, tuple(blocks), hermitian=hermitian)
+        return LieAlgebraElement(quiver, dims, tuple(
+            scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            for d in dims))
 
     def flatten(self):
         return flatten_blocks(self.blocks)
-
-    def scaled(self, c):
-        return LieAlgebraElement(self.quiver, self.dims, tuple(c * b for b in self.blocks))
 
 
 def _validate_path(quiver, path):
@@ -411,8 +397,9 @@ def act(g: GroupElement, x: Representation) -> Representation:
     return x.replace_blocks(blocks)
 
 
-def infinitesimal_action(u: LieAlgebraElement, x: Representation) -> Representation:
-    """Derivative of the action at the identity: u_head x_a - x_a u_tail."""
+def infinitesimal_action(u, x: Representation) -> Representation:
+    """Derivative of the action at the identity: u_head x_a - x_a u_tail, for u a
+    ``LieAlgebraElement`` or a ``moment.HermitianCollection``."""
     q = x.quiver
     return x.replace_blocks(u.blocks[h] @ xa - xa @ u.blocks[t]
                             for xa, h, t in zip(x.blocks, q.head, q.tail))
@@ -432,8 +419,9 @@ def _expm(a):
     return out
 
 
-def group_exp(u: LieAlgebraElement, t=1.0) -> GroupElement:
-    """Matrix exponential exp(t u), one block per vertex."""
+def group_exp(u, t=1.0) -> GroupElement:
+    """Matrix exponential exp(t u), one block per vertex, for u a
+    ``LieAlgebraElement`` or a ``moment.HermitianCollection``."""
     blocks = [_expm(t * b) if b.size else b.copy() for b in u.blocks]
     return GroupElement(u.quiver, u.dims, tuple(blocks))
 

@@ -73,8 +73,6 @@ class ScenePoint:
 class SaddleScene:
     """Smooth saddle with closed-form flow; critical value c = 0."""
 
-    kind = "smooth_saddle"
-
     def __init__(self, eps=0.1, delta=0.5):
         if eps <= 0 or delta <= 0:
             raise ValueError("eps and delta must be positive")
@@ -223,8 +221,6 @@ class SaddleScene:
 class SlitScene:
     """Glued-origin quotient of the half-open polar strip; c = 0."""
 
-    kind = "slit_quotient"
-
     def __init__(self, eps=0.1):
         if eps <= 0:
             raise ValueError("eps must be positive")
@@ -363,7 +359,7 @@ def _census_count(mask: np.ndarray):
     return len(roots), run
 
 
-def condition4_probe(scene, u_width: float = None) -> dict:
+def condition4_probe(scene, u_width: float) -> dict:
     """Test whether small neighborhoods of the critical point funnel into a
     given bottom-level neighborhood of the unstable points.
 
@@ -378,8 +374,6 @@ def condition4_probe(scene, u_width: float = None) -> dict:
     ``PROBE_RADII``.
     """
     level = -scene.eps
-    if u_width is None:
-        u_width = 0.5 if isinstance(scene, SaddleScene) else math.pi / 3.0
     if math.isinf(u_width):
         return {"holds": True, "witness": None, "radius": None, "vacuous": True}
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import __version__
 from .archive import (
+    _label_runs,
     checkpoints_csv,
     fiber_jsonable,
     record_jsonable,
@@ -201,14 +202,6 @@ def _run_broken(model, out_dir):
     write_text(_out(out_dir, "checkpoints.csv"), checkpoints_csv(doc))
     return {"experiment": "broken", "chain_values": doc["chain_values"],
             "single_line": rep.single_line}
-
-
-def _label_runs(labels):
-    """The runs of equal labels over the row-major cells of a census grid:
-    ``np.repeat(label_values, label_lengths)`` is the flattened grid."""
-    flat = labels.ravel()
-    starts = np.flatnonzero(np.concatenate(([flat.size > 0], flat[1:] != flat[:-1])))
-    return {"label_values": flat[starts], "label_lengths": np.diff(starts, append=flat.size)}
 
 
 def _run_retract(model, out_dir):

@@ -50,7 +50,7 @@ def test_kernel_wrappers_match_hermitian_route(maker):
         beta = beta_of(x, alpha)
         ref_f = beta.norm_sq()
         assert abs(f_value(x, alpha) - ref_f) <= 1e-14 * ref_f
-        u = LieAlgebraElement(q, dims, beta.blocks, hermitian=True)
+        u = LieAlgebraElement(q, dims, beta.blocks)
         ref_v = -infinitesimal_action(u, x).flatten()
         v = flow_velocity(x, alpha).flatten()
         assert np.linalg.norm(v - ref_v) <= 1e-14 * np.linalg.norm(ref_v)

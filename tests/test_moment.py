@@ -181,18 +181,22 @@ def test_hessian_matrix_matches_fd(rng, maker):
     assert np.allclose(exact, exact.T, atol=1e-12)
 
 
-def test_hermitian_collection_needs_one_square_block_per_vertex():
+@pytest.mark.parametrize("value", [GroupElement, LieAlgebraElement, HermitianCollection],
+                         ids=lambda cls: cls.__name__)
+def test_hermitian_collection_needs_one_square_block_per_vertex(value):
+    # the group element, the algebra element and the moment value alike
     q = Quiver.from_lists(["1", "2"], [("a", "1", "2")])
     with pytest.raises(ShapeError, match="blocks for 2 vertices"):
-        HermitianCollection(q, (1, 2), (np.eye(1),))
+        value(q, (1, 2), (np.eye(1),))
     with pytest.raises(ShapeError, match="blocks for 2 vertices"):
-        HermitianCollection(q, (1, 2), (np.eye(1), np.eye(2), np.eye(1)))
+        value(q, (1, 2), (np.eye(1), np.eye(2), np.eye(1)))
     # the total size agrees, the shapes do not
     with pytest.raises(ShapeError, match="block 0 has shape"):
-        HermitianCollection(q, (1, 2), (np.eye(2), np.eye(1)))
+        value(q, (1, 2), (np.eye(2), np.eye(1)))
     with pytest.raises(ShapeError, match="block 1 has shape"):
-        HermitianCollection(q, (1, 2), (np.eye(1), np.ones((2, 1))))
-    assert HermitianCollection(q, (1, 2), (np.eye(1), np.eye(2))).spectra() == ((1.0,), (1.0, 1.0))
+        value(q, (1, 2), (np.eye(1), np.ones((2, 1))))
+    u = value(q, (1, 2), (np.eye(1), np.eye(2)))
+    assert tuple(tuple(np.linalg.eigvalsh(b)) for b in u.blocks) == ((1.0,), (1.0, 1.0))
 
 
 def test_beta_of_is_shifted_moment(a2_model):

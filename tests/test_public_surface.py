@@ -1,9 +1,10 @@
-"""Every public name of the package has a caller in the package.
+"""Every public name and constant of the package has a reader in the package.
 
-A name in a module's ``__all__`` must be used somewhere in
-``src/quiverflow`` outside its own definition: in its own module, or in a
-module that imports it.  Re-exports, ``__all__`` entries, docstrings and
-comments do not count, so the scan reads the syntax tree, not the text.
+A name in a module's ``__all__``, and a public upper-case module-level
+constant, must be used somewhere in ``src/quiverflow`` outside its own
+definition: in its own module, or in a module that imports it.
+Re-exports, ``__all__`` entries, docstrings and comments do not count, so
+the scan reads the syntax tree, not the text.
 """
 
 import ast
@@ -23,18 +24,20 @@ EXEMPT_NAMES = {
 
 
 class _Module:
-    """One module's ``__all__``, the names it imports from the package and the
-    names it reads, per top-level statement."""
+    """One module's ``__all__``, its public upper-case constants, the names it
+    imports from the package and the names it reads, per top-level statement."""
 
     def __init__(self, path):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        self.public, self.reads = [], []
+        self.public, self.constants, self.reads = [], [], []
         for node in tree.body:
             if (isinstance(node, ast.Assign) and len(node.targets) == 1
                     and getattr(node.targets[0], "id", None) == "__all__"):
                 self.public = [elt.value for elt in node.value.elts]
             defines = ({node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                        else {getattr(t, "id", None) for t in getattr(node, "targets", ())})
+            self.constants += [name for name in defines if isinstance(node, ast.Assign)
+                               and name and name.isupper() and not name.startswith("_")]
             self.reads.append((defines, {sub.id for sub in ast.walk(node)
                                          if isinstance(sub, ast.Name)
                                          and isinstance(sub.ctx, ast.Load)}))
@@ -46,13 +49,14 @@ class _Module:
         return any(name in names for defines, names in self.reads if name not in defines)
 
 
-def unreferenced_public_names(exempt=EXEMPT_NAMES):
+def unreferenced_public_names(exempt=EXEMPT_NAMES, kind="public"):
+    """Qualified names of a kind (``public`` or ``constants``) with no reader."""
     modules = {p.stem: _Module(p) for p in sorted(PACKAGE.glob("*.py"))}
     missing = []
     for mod, home in modules.items():
         if mod in EXEMPT_MODULES:
             continue
-        for name in home.public:
+        for name in getattr(home, kind):
             # a re-export from the package's __init__ is not a use
             users = [home] + [m for stem, m in modules.items()
                               if stem != "__init__" and name in m.imports]
@@ -70,3 +74,7 @@ def test_each_exempt_name_has_no_caller():
     # an exemption that a caller has made unneeded is dropped
     unused = {qual.split(".")[1] for qual in unreferenced_public_names(exempt=())}
     assert unused == set(EXEMPT_NAMES)
+
+
+def test_every_public_constant_is_read_in_the_package():
+    assert unreferenced_public_names(exempt=(), kind="constants") == []

@@ -19,7 +19,7 @@ from quiverflow.errors import (
     NonInvertibleGroupElementError,
     ShapeError,
 )
-from quiverflow.moment import ORBIT_RANK_TOL, orbit_basis
+from quiverflow.moment import ORBIT_RANK_TOL, HermitianCollection, orbit_basis
 from quiverflow.presets import a2, commutator_relation, jordan_two_loops, scalar_rep
 
 from conftest import ORBIT_MODELS, orbit_states, philox, rho_matrix
@@ -228,7 +228,8 @@ def test_group_exp_matches_expm_and_closed_forms():
     rng = philox(21)
     for _ in range(4):
         gen = LieAlgebraElement.random(q, dims, rng)
-        herm = LieAlgebraElement.random(q, dims, rng, hermitian=True)
+        herm = HermitianCollection(q, dims, [0.5 * (b + b.conj().T)
+                                             for b in LieAlgebraElement.random(q, dims, rng).blocks])
         skew = algebra(q, dims, [0.5 * (b - b.conj().T) for b in gen.blocks])
         for u, t in ((gen, 1.0), (gen, -0.3), (herm, 1.7), (skew, 2.5)):
             g = group_exp(u, t)
