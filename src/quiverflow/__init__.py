@@ -24,7 +24,6 @@ from .moment import (
     beta_of,
     f_value,
     flow_velocity,
-    grad_f,
     moment_map_equation_check,
     hessian_fd,
     hessian_matrix,

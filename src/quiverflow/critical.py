@@ -36,7 +36,6 @@ from .moment import (
     VelocityKernel,
     beta_of,
     f_value,
-    grad_f,
     hessian_fd,
     hessian_matrix,
     moment_tensor,
@@ -88,17 +87,6 @@ def criticality_residual(x: Representation, beta: HermitianCollection) -> float:
     return float(np.linalg.norm(2.0 * flatten_blocks(beta.blocks) @ ty))
 
 
-def _make_record(x: Representation, alpha: CentralShift) -> CriticalRecord:
-    beta = beta_of(x, alpha)
-    return CriticalRecord(
-        x=x,
-        f_crit=f_value(x, alpha),
-        beta=beta,
-        beta_spectra=beta.spectra(),
-        grad_residual=float(np.linalg.norm(grad_f(x, alpha).flatten())),
-    )
-
-
 def refine_critical(x_approx: Representation, alpha: CentralShift, tol: float = 1e-10,
                     cfg: IntegratorConfig = None, max_newton: int = 60) -> CriticalRecord:
     """Polish an approximate critical point until ||grad f|| < tol.
@@ -146,7 +134,10 @@ def refine_critical(x_approx: Representation, alpha: CentralShift, tol: float = 
         raise RefinementFailedError(
             f"refinement stalled at ||grad f|| = {best_gn:.3e} (tol {tol:.3e})",
             best_residual=best_gn)
-    return _make_record(Representation.unflatten(q, dims, best_y), alpha)
+    x = Representation.unflatten(q, dims, best_y)
+    beta = beta_of(x, alpha)
+    return CriticalRecord(x=x, f_crit=kernel.f_flat(best_y), beta=beta,
+                          beta_spectra=beta.spectra(), grad_residual=best_gn)
 
 
 @dataclass(frozen=True)

@@ -353,14 +353,6 @@ class Relation:
             raise NonComposablePathError("all paths in a relation must share source and target")
         object.__setattr__(self, "terms", terms)
 
-    @property
-    def source(self):
-        return self.quiver.tail[self.terms[0][1][0]]
-
-    @property
-    def target(self):
-        return self.quiver.head[self.terms[0][1][-1]]
-
     def evaluate(self, blocks):
         """Matrix value sum_k coef_k * (path product) at edge blocks, which may
         carry leading batch axes."""
@@ -387,10 +379,17 @@ class CycleWord:
 # operations
 
 
+def _check_acts_on(u, x: Representation, what):
+    """Raise ShapeError unless the per-vertex value u has x's quiver and dims."""
+    if u.quiver != x.quiver:
+        raise ShapeError(f"{what} and representation live on different quivers")
+    if tuple(u.dims) != x.dims:
+        raise ShapeError(f"{what} has dims {tuple(u.dims)}, the representation {x.dims}")
+
+
 def act(g: GroupElement, x: Representation) -> Representation:
     """Group action: block a maps to g_head(a) x_a inv(g_tail(a))."""
-    if g.quiver is not x.quiver and g.quiver != x.quiver:
-        raise ShapeError("group element and representation live on different quivers")
+    _check_acts_on(g, x, "group element")
     inv = [np.linalg.inv(b) if b.size else b for b in g.blocks]
     q = x.quiver
     blocks = [g.blocks[q.head[a]] @ x.blocks[a] @ inv[q.tail[a]] for a in range(q.n_edges)]
@@ -400,6 +399,7 @@ def act(g: GroupElement, x: Representation) -> Representation:
 def infinitesimal_action(u, x: Representation) -> Representation:
     """Derivative of the action at the identity: u_head x_a - x_a u_tail, for u a
     ``LieAlgebraElement`` or a ``moment.HermitianCollection``."""
+    _check_acts_on(u, x, "algebra element")
     q = x.quiver
     return x.replace_blocks(u.blocks[h] @ xa - xa @ u.blocks[t]
                             for xa, h, t in zip(x.blocks, q.head, q.tail))

@@ -88,9 +88,6 @@ class SaddleScene:
     def flow(self, p: ScenePoint, t: float) -> ScenePoint:
         return ScenePoint(math.exp(t) * p.u, math.exp(-t) * p.v)
 
-    def velocity(self, p: ScenePoint):
-        return (p.u, -p.v)
-
     def tau(self, p: ScenePoint, level: float) -> float:
         """Crossing time of f(flow(p, t)) = level; exact quadratic solve in
         e^{2t}."""
@@ -205,10 +202,6 @@ class SaddleScene:
         return self.flow(y_ps, self.tau(y_ps, target))
 
     # -- probes ---------------------------------------------------------------
-
-    def unstable_bottom_points(self):
-        r = math.sqrt(2.0 * self.eps)
-        return (ScenePoint(r, 0.0), ScenePoint(-r, 0.0))
 
     def on_stable_set(self, p: ScenePoint) -> bool:
         return p.u == 0.0

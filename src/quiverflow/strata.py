@@ -19,7 +19,7 @@ import numpy as np
 from .critical import CriticalRecord, refine_critical
 from .errors import QuiverFlowError
 from .flow import IntegratorConfig, integrate_many, trace_crossing
-from .moment import CentralShift, f_value, grad_f
+from .moment import CentralShift
 from .quiver import Representation
 
 __all__ = [
@@ -61,11 +61,6 @@ class StratumLabel:
                 return False
         return True
 
-    def key(self):
-        """Hashable rounded form for grouping (ties at bin edges may split)."""
-        spec = tuple(tuple(round(v / CLUSTER_TOL) for v in s) for s in self.spectra)
-        return spec, round(self.f_limit / VALUE_TOL)
-
 
 def stratum_labels(points, alpha: CentralShift, cfg: IntegratorConfig) -> list:
     """Label each point by the spectra and value of its forward-flow limit,
@@ -93,10 +88,6 @@ class FlowLine:
     forward_status: str
     backward_status: str
 
-    @property
-    def has_upper(self):
-        return self.upper is not None
-
 
 def _both_ways(forward, backward, alpha, cfg):
     """The forward flows of the points ``forward`` and the backward flows of the
@@ -116,10 +107,10 @@ def flow_lines(anchors, z: float, alpha: CentralShift, cfg: IntegratorConfig) ->
     out = []
     for anchor, fwd, bwd in zip(anchors, *_both_ways(anchors, anchors, alpha, cfg)):
         try:
-            fa = f_value(anchor, alpha)
+            fa = float(fwd.fs[0])
             if abs(fa - z) > 1e-8 * (1.0 + abs(z)):
                 raise ValueError(f"anchor has f = {fa:.12g}, not the stated level {z:.12g}")
-            if float(np.linalg.norm(grad_f(anchor, alpha).flatten())) < cfg.grad_stop:
+            if fwd.gradnorms[0] < cfg.grad_stop:
                 raise ValueError("anchor is a critical point; flow lines need a regular anchor")
             if fwd.status != "converged":
                 raise QuiverFlowError(f"forward flow from anchor did not converge ({fwd.status})")

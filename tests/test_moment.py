@@ -9,7 +9,6 @@ from quiverflow import (
     act,
     f_value,
     flow_velocity,
-    grad_f,
     hessian_fd,
     hessian_matrix,
     moment,
@@ -115,19 +114,11 @@ def test_gradient_matches_finite_differences(maker, alpha):
     rng = philox(4242)
     for _ in range(25):
         x = Representation.random(q, dims, rng)
-        g = grad_f(x, alpha).flatten()
+        g = -2.0 * flow_velocity(x, alpha).flatten()
         fd = fd_gradient(x, alpha)
         denom = np.linalg.norm(fd)
         err = np.linalg.norm(g - fd) / denom if denom > 0 else np.linalg.norm(g)
         assert err < 1e-6
-
-
-def test_velocity_is_minus_half_gradient(rng):
-    q, dims = jordan_two_loops(2)
-    alpha = CentralShift((0.5,))
-    x = Representation.random(q, dims, rng)
-    assert np.allclose(-2.0 * flow_velocity(x, alpha).flatten(),
-                       grad_f(x, alpha).flatten(), atol=1e-14)
 
 
 def test_velocity_kernel_matches_reference(rng):

@@ -1,14 +1,18 @@
-"""Every public name and constant of the package has a reader in the package.
+"""Every public name, constant and class member of the package has a reader in
+the package.
 
 A name in a module's ``__all__``, and a public upper-case module-level
 constant, must be used somewhere in ``src/quiverflow`` outside its own
-definition: in its own module, or in a module that imports it.
-Re-exports, ``__all__`` entries, docstrings and comments do not count, so
-the scan reads the syntax tree, not the text.
+definition: in its own module, or in a module that imports it.  A public
+method or property of a class in an ``__all__`` must be read as an attribute
+of that name somewhere in the package outside its own definition; the scan
+goes by name, not by type.  Re-exports, ``__all__`` entries, docstrings and
+comments do not count, so the scan reads the syntax tree, not the text.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "quiverflow"
 
@@ -21,11 +25,20 @@ EXEMPT_NAMES = {
     "flow_velocity": "oracle the tests compare the flat velocity kernel against",
     "search_critical_levels": "exploratory scan that the HN-type enumeration will replace",
 }
+_SCENE_CONSTRUCTION = "the paper's region Y and collapse map, which acceptance 9 checks"
+EXEMPT_MEMBERS = {f"SaddleScene.{name}": _SCENE_CONSTRUCTION
+                  for name in ("in_Y", "in_E", "in_E_closure", "retract_R")}
+
+
+def _attribute_reads(node):
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
 
 
 class _Module:
-    """One module's ``__all__``, its public upper-case constants, the names it
-    imports from the package and the names it reads, per top-level statement."""
+    """One module's ``__all__``, its public upper-case constants, the public
+    methods of its public classes, the names it imports from the package, the
+    names it reads per top-level statement and the attributes it reads."""
 
     def __init__(self, path):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -44,6 +57,11 @@ class _Module:
         self.imports = {alias.asname or alias.name for node in ast.walk(tree)
                         if isinstance(node, ast.ImportFrom) and node.level >= 1
                         for alias in node.names}
+        self.members = [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                        if isinstance(cls, ast.ClassDef) and cls.name in self.public
+                        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                        and not fn.name.startswith("_")]
+        self.attribute_reads = _attribute_reads(tree)
 
     def reads_outside_its_definition(self, name):
         return any(name in names for defines, names in self.reads if name not in defines)
@@ -66,6 +84,16 @@ def unreferenced_public_names(exempt=EXEMPT_NAMES, kind="public"):
     return missing
 
 
+def unread_public_members(exempt=EXEMPT_MEMBERS):
+    """Qualified ``module.Class.member`` names of public methods and properties
+    that the package never reads as an attribute outside their definition."""
+    modules = {p.stem: _Module(p) for p in sorted(PACKAGE.glob("*.py"))}
+    reads = sum((m.attribute_reads for m in modules.values()), Counter())
+    return [f"{mod}.{qual}" for mod, home in modules.items() if mod not in EXEMPT_MODULES
+            for qual, fn in home.members
+            if qual not in exempt and reads[fn.name] == _attribute_reads(fn)[fn.name]]
+
+
 def test_every_public_name_has_a_caller_in_the_package():
     assert unreferenced_public_names() == []
 
@@ -78,3 +106,13 @@ def test_each_exempt_name_has_no_caller():
 
 def test_every_public_constant_is_read_in_the_package():
     assert unreferenced_public_names(exempt=(), kind="constants") == []
+
+
+def test_every_public_class_member_is_read_in_the_package():
+    assert unread_public_members() == []
+
+
+def test_each_exempt_member_has_no_reader():
+    # an exemption that a reader has made unneeded is dropped
+    unread = {qual.split(".", 1)[1] for qual in unread_public_members(exempt=())}
+    assert unread == set(EXEMPT_MEMBERS)

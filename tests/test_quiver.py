@@ -91,6 +91,21 @@ def test_infinitesimal_action_zero_and_scalar(rng):
     assert infinitesimal_action(u1, x1).norm() == 0.0
 
 
+@pytest.mark.parametrize("apply,make", [(act, GroupElement.identity),
+                                        (infinitesimal_action, LieAlgebraElement.zero)],
+                         ids=["act", "infinitesimal_action"])
+@pytest.mark.parametrize("mismatch", ["dims", "quiver"])
+def test_action_rejects_a_value_on_other_dims_or_quiver(apply, make, mismatch):
+    q, _ = a2()
+    x = Representation.random(q, (2, 1), philox(5))
+    if mismatch == "dims":
+        value = make(q, (1, 2))
+    else:       # the reversed edge: every per-vertex block shape still matches
+        value = make(Quiver.from_lists(["1", "2"], [("a", "2", "1")]), (2, 1))
+    with pytest.raises(ShapeError):
+        apply(value, x)
+
+
 def test_infinitesimal_action_is_derivative_of_action(rng):
     q, dims = jordan_two_loops(2)
     x = Representation.random(q, dims, rng)

@@ -43,8 +43,18 @@ def test_on_variety_basic(commuting):
 
 
 def test_covariance_check(commuting, rng):
+    # a path relation from s to t transforms as r(g . x) = g_t r(x) g_s^{-1}
     q, dims, spec = commuting
-    assert spec.covariance_check(q, dims, rng) < 1e-9
+    worst = 0.0
+    for _ in range(3):
+        x = Representation.random(q, dims, rng)
+        g = GroupElement.random_unitary(q, dims, rng)
+        for r in spec.relations:
+            path = r.terms[0][1]
+            s, t = q.tail[path[0]], q.head[path[-1]]
+            rhs = g.blocks[t] @ r.evaluate(x.blocks) @ np.linalg.inv(g.blocks[s])
+            worst = max(worst, float(np.linalg.norm(r.evaluate(act(g, x).blocks) - rhs)))
+    assert worst < 1e-9
 
 
 def test_projection_basic(commuting):
@@ -114,7 +124,7 @@ def test_probe_minimum_dims_zero(commuting, tight_cfg):
                           cfg=tight_cfg)
     fib = negative_slice(rec, weight_decomposition(rec))
     assert fib.dim == 0
-    rep = slice_variety_probe(rec, fib, spec, alpha, eps=0.1, cfg=tight_cfg)
+    rep = slice_variety_probe(rec, fib, spec, alpha, eps=0.1, cfg=tight_cfg, n_seeds=8)
     assert rep["linear_dim"] == 0 and not rep["flagged"]
 
 
