@@ -17,7 +17,7 @@ import json
 import sys
 import warnings
 
-from .archive import export_csv, write_json
+from .archive import _CSV_RENDERERS, export_csv, write_json
 from .errors import ConfigError, QuiverFlowError
 from .runconfig import EXPERIMENTS, build_model, load_config, validate_config
 from .runner import run_experiment
@@ -41,7 +41,7 @@ def _build_parser():
                         help="treat warnings as failures")
     ex = sub.add_parser("export", help="re-render CSV artifacts from an archive")
     ex.add_argument("--archive", required=True)
-    ex.add_argument("--what", required=True, choices=["trace", "checkpoints", "census", "slice"])
+    ex.add_argument("--what", required=True, choices=list(_CSV_RENDERERS))
     ex.add_argument("--dest", default=None)
     return parser
 

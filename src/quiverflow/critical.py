@@ -147,44 +147,33 @@ class WeightDecomposition:
     vertex_frames: tuple           # unitary per vertex, columns = eigenvectors
     edge_weights: tuple            # per edge: real matrix lambda_head[p] - lambda_tail[q]
     negative: tuple                # per edge: list of (p, q) with w below the zero band
-    zero: tuple
-    positive: tuple
     offband_mass: float = 0.0      # mass of x outside the zero-weight band
 
 
 def weight_decomposition(rec: CriticalRecord) -> WeightDecomposition:
-    """Eigenframes, weight matrices and sign partitions at a critical record;
-    weights within 1e-7 * (1 + max |eigenvalue of beta|) of 0 count as zero."""
+    """Eigenframes, weight matrices and negative-weight cells at a critical
+    record; weights within 1e-7 * (1 + max |eigenvalue of beta|) of 0 count
+    as zero."""
     x = rec.x
-    q, dims = x.quiver, x.dims
-    eigs, frames = [], []
-    for b in rec.beta.blocks:
-        if b.size:
-            lam, u = np.linalg.eigh(b)
-        else:
-            lam, u = np.zeros(0), np.zeros((0, 0), dtype=complex)
-        eigs.append(lam)
-        frames.append(u)
+    q = x.quiver
+    spectral = [np.linalg.eigh(b) for b in rec.beta.blocks]     # empty for an empty block
+    eigs, frames = [lam for lam, _ in spectral], [u for _, u in spectral]
     lam_max = max((float(np.max(np.abs(l))) for l in eigs if l.size), default=0.0)
     weight_tol = 1e-7 * (1.0 + lam_max)
 
-    weights, neg, zero, pos = [], [], [], []
+    weights, neg = [], []
     offband = 0.0
     for a in range(q.n_edges):
         lh, lt = eigs[q.head[a]], eigs[q.tail[a]]
         w = lh[:, None] - lt[None, :]
         weights.append(w)
-        below, above = w < -weight_tol, w > weight_tol
-        offband_cells = below | above
         # argwhere lists (p, q) in row-major order
-        for out, cells in ((neg, below), (zero, ~offband_cells), (pos, above)):
-            out.append(tuple(map(tuple, np.argwhere(cells).tolist())))
+        neg.append(tuple(map(tuple, np.argwhere(w < -weight_tol).tolist())))
         xa_frame = frames[q.head[a]].conj().T @ x.blocks[a] @ frames[q.tail[a]]
-        offband += float(np.sum(np.abs(xa_frame[offband_cells]) ** 2))
+        offband += float(np.sum(np.abs(xa_frame[np.abs(w) > weight_tol]) ** 2))
     return WeightDecomposition(
         vertex_frames=tuple(frames), edge_weights=tuple(weights),
-        negative=tuple(neg), zero=tuple(zero), positive=tuple(pos),
-        offband_mass=float(np.sqrt(offband)),
+        negative=tuple(neg), offband_mass=float(np.sqrt(offband)),
     )
 
 

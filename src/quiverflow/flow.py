@@ -176,20 +176,26 @@ class FlowTrace:
         trace of each cycle word (``cyc:<name>:re`` and ``:im``), then the
         Frobenius residual of each relation (``rel:<name>``), in registration
         order.  Each column is one batched evaluation on the stored states,
-        bitwise equal to ``cycle_trace`` and ``relation_residual`` per sample."""
+        bitwise equal to ``cycle_trace`` and ``relation_residual`` per sample.
+        An unnamed monitor is called ``c<k>`` or ``r<k>`` by its position;
+        raises ValueError if two monitors would get the same column."""
+        cyc_names = [f"cyc:{w.name or f'c{k}'}" for k, w in enumerate(cycles)]
+        rel_names = [f"rel:{r.name or f'r{k}'}" for k, r in enumerate(relations)]
+        names = cyc_names + rel_names
+        repeated = [n for n in names if names.count(n) > 1]
+        if repeated:
+            raise ValueError(f"two monitors share the column {repeated[0]!r}")
         shapes = self.quiver.block_shapes(self.dims)
         # C-order blocks, as a Representation stores them, for the same matmul path
         blocks = [np.ascontiguousarray(b) for b in unflatten_blocks(self.states, shapes)]
         cols = {}
-        for k, w in enumerate(cycles):
-            name = f"cyc:{w.name or f'c{k}'}"
+        for name, w in zip(cyc_names, cycles):
             tr = np.trace(path_product(blocks, w.path), axis1=-2, axis2=-1)
             cols[f"{name}:re"], cols[f"{name}:im"] = tr.real, tr.imag
-        for k, r in enumerate(relations):
+        for name, r in zip(rel_names, relations):
             v = r.evaluate(blocks).reshape(self.n_samples, -1)
             # per row, the dot products np.linalg.norm takes
-            cols[f"rel:{r.name or f'r{k}'}"] = np.sqrt(np.vecdot(v.real, v.real)
-                                                       + np.vecdot(v.imag, v.imag))
+            cols[name] = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
         out = copy.copy(self)       # a copy skips __post_init__, which has warned once already
         object.__setattr__(out, "monitors", {**cols, "energy": self.monitors["energy"]})
         return out

@@ -164,7 +164,11 @@ def validate_config(doc):
         with _rejected("dims"):
             check_tensor_size(_quiver_of(doc), [doc["dims"][v] for v in vertices])
         for kind in ("relations", "cycles"):
+            names = set()       # each name heads a trace monitor column
             for i, item in enumerate(doc.get(kind, [])):
+                if item["name"] in names:
+                    raise _fail(f"{kind}.{i}.name", f"duplicate {kind[:-1]} name")
+                names.add(item["name"])
                 paths = [t["path"] for t in item["terms"]] if kind == "relations" else [item["path"]]
                 for name in (name for path in paths for name in path):
                     if name not in edge_names:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quiverflow import CentralShift, IntegratorConfig
+from quiverflow.moment import CentralShift
+from quiverflow.flow import IntegratorConfig
 from quiverflow.archive import csv_float
 from quiverflow.presets import A2_PAIR_ALPHA, a2, a2_pair, a3_chain, jordan_one_loop, jordan_two_loops
 from quiverflow.quiver import (

@@ -13,25 +13,17 @@ import time
 
 import numpy as np
 
-from quiverflow import (
-    CentralShift,
-    GroupElement,
-    IntegratorConfig,
-    Representation,
-    act,
-    energy_identity_defect,
-    f_value,
-    flow_velocity,
-    integrate,
+from quiverflow.quiver import GroupElement, Representation, act
+from quiverflow.moment import CentralShift, f_value, flow_velocity, moment
+from quiverflow.flow import IntegratorConfig, energy_identity_defect, integrate, tau_level
+from quiverflow.critical import (
     lojasiewicz_fit,
-    moment,
     morse_index_check,
     negative_slice,
     refine_critical,
-    stratum_labels,
-    tau_level,
     weight_decomposition,
 )
+from quiverflow.strata import broken_line_experiment, stratum_labels
 from quiverflow.presets import (
     A2_ALPHA,
     A2_PAIR_ALPHA,
@@ -44,7 +36,6 @@ from quiverflow.presets import (
     scalar_rep,
 )
 from quiverflow.retract import SaddleScene, SlitScene, condition4_probe, connectivity_census
-from quiverflow.strata import broken_line_experiment
 
 from conftest import philox
 

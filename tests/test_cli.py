@@ -399,6 +399,22 @@ def test_integers_are_json_integers_and_seeds_fit_64_bits(tmp_path, edit, field)
     assert not (tmp_path / "arch" / "outputs" / "failure.json").exists()
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: doc["relations"].append(doc["relations"][0]), "relations.1.name"),
+    (_set(["cycles", 1, "name"], "trx"), "cycles.1.name"),
+], ids=["relation", "cycle"])
+def test_repeated_monitor_names_are_config_errors(tmp_path, edit, field):
+    # each passed validation, and the trace kept one column for the two monitors
+    doc = json.load(open(config_path("jordan2_flow.json")))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli("flow", "--config", str(bad), "--out", str(tmp_path / "arch"))
+    assert res.returncode == 2, res.stderr
+    assert f"config field {field}:" in res.stderr
+    assert not (tmp_path / "arch" / "outputs" / "failure.json").exists()
+
+
 def _grid(rows=3, cols=4, **runs):
     """A census grid of one component, its labels as runs (``runs`` replaces them)."""
     return {"count": 1, "rho": [0.5 * i for i in range(rows)],

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from quiverflow import (
-    CentralShift,
-    FlowTrace,
-    IntegratorConfig,
-    Representation,
-    integrate,
+from quiverflow.quiver import LieAlgebraElement, Representation, infinitesimal_action
+from quiverflow.moment import CentralShift, HermitianCollection, beta_of, f_value
+from quiverflow.flow import FlowTrace, IntegratorConfig, integrate
+from quiverflow.critical import (
+    CriticalRecord,
+    criticality_residual,
+    fiber_directions,
     lojasiewicz_fit,
     morse_index_check,
     negative_slice,
@@ -14,11 +15,8 @@ from quiverflow import (
     unstable_boundedness_check,
     weight_decomposition,
 )
-from quiverflow.critical import CriticalRecord, criticality_residual, fiber_directions
 from quiverflow.errors import InsufficientDataError, RefinementFailedError
-from quiverflow.moment import HermitianCollection, beta_of, f_value
 from quiverflow.presets import jordan_two_loops, scalar_rep
-from quiverflow.quiver import LieAlgebraElement, infinitesimal_action
 
 from conftest import ORBIT_MODELS, orbit_states, philox, rho_matrix
 
@@ -47,13 +45,32 @@ def test_refine_failure_reports_best_residual(a2_model):
     assert exc.value.best_residual is not None
 
 
+def sign_partition(rec, wd, a=0):
+    """Counts of edge a's weights below, within and above the zero band
+    1e-7 * (1 + max |eigenvalue of beta|) that weight_decomposition documents."""
+    lam_max = max((abs(lam) for spec in rec.beta_spectra for lam in spec), default=0.0)
+    tol = 1e-7 * (1.0 + lam_max)
+    w = wd.edge_weights[a]
+    return int(np.sum(w < -tol)), int(np.sum(np.abs(w) <= tol)), int(np.sum(w > tol))
+
+
 def test_weight_decomposition_zero_beta(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     rec = refine_critical(scalar_rep(q, dims, [np.sqrt(2.0)]), alpha, tol=1e-10,
                           cfg=tight_cfg)
     wd = weight_decomposition(rec)
-    assert wd.negative[0] == () and wd.positive[0] == ()
-    assert len(wd.zero[0]) == 1
+    assert wd.negative[0] == ()
+    assert sign_partition(rec, wd) == (0, 1, 0)
+
+
+def test_weight_decomposition_with_an_empty_vertex(a2_model):
+    # numpy's eigh of a 0x0 block gives the empty spectrum and frame
+    q, _, alpha = a2_model
+    rec = refine_critical(Representation.zero(q, (0, 1)), alpha, tol=1e-10)
+    wd = weight_decomposition(rec)
+    assert [u.shape for u in wd.vertex_frames] == [(0, 0), (1, 1)]
+    assert wd.edge_weights[0].shape == (1, 0) and wd.negative == ((),)
+    assert wd.offband_mass == 0.0 and negative_slice(rec, wd).dim == 0
 
 
 def test_weight_decomposition_saddle(a2_model):
@@ -97,7 +114,7 @@ def test_weight_pattern_synthetic_two_loop():
     wd3 = weight_decomposition(rec3)
     for w in wd3.edge_weights:
         assert sorted(np.round(w.ravel(), 12)) == [-1.0, 0.0, 0.0, 1.0]
-        assert len(wd3.negative[0]) == 1 and len(wd3.positive[0]) == 1
+        assert len(wd3.negative[0]) == 1 and sign_partition(rec3, wd3) == (1, 2, 1)
 
 
 def action_norm(beta, x):
@@ -274,7 +291,7 @@ def test_unstable_boundedness_saddle(a2_model, tight_cfg):
 def test_velocity_lies_in_orbit_tangent(a2_model, rng):
     # the integrated field is by construction the infinitesimal action of
     # minus the shifted moment value, hence tangent to the complex orbit
-    from quiverflow import flow_velocity
+    from quiverflow.moment import flow_velocity
     from quiverflow.quiver import Representation as Rep
 
     q, dims, alpha = a2_model
@@ -335,7 +352,7 @@ def test_positive_weights_are_excluded(a2_model):
     alpha_flip = CentralShift((1.0, -1.0))
     rec = refine_critical(scalar_rep(q, dims, [0.0]), alpha_flip, tol=1e-10)
     wd = weight_decomposition(rec)
-    assert wd.negative[0] == () and len(wd.positive[0]) == 1
+    assert wd.negative[0] == () and sign_partition(rec, wd) == (0, 0, 1)
     fib = negative_slice(rec, wd)
     rep = morse_index_check(rec, fib, alpha_flip)
     assert (rep.slice_dim, rep.hessian_index, rep.agree) == (0, 0, True)

@@ -14,19 +14,15 @@ theirs.
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate._ivp import dop853_coefficients as dop
 
-from quiverflow import (
-    CentralShift,
-    IntegratorConfig,
-    Representation,
-    f_value,
-    integrate,
-    integrate_many,
-)
+from quiverflow.quiver import Quiver, Representation, cycle_trace, relation_residual
+from quiverflow.moment import CentralShift, f_value
+from quiverflow.flow import IntegratorConfig, integrate, integrate_many
 from quiverflow import flow
 from quiverflow.errors import LevelNotReachedError, QuiverFlowError
 from quiverflow.presets import (
@@ -40,7 +36,6 @@ from quiverflow.presets import (
     jordan_two_loops,
     scalar_rep,
 )
-from quiverflow.quiver import Quiver, cycle_trace, relation_residual
 from quiverflow.runconfig import build_model, load_config
 from quiverflow.runner import run_experiment
 
@@ -308,6 +303,23 @@ def test_with_monitors_does_not_warn_again():
         warnings.simplefilter("error")
         out = tr.with_monitors(jordan_cycles(q), [commutator_relation(q)])
     assert len(out.monitors) == 8
+
+
+def test_with_monitors_refuses_two_monitors_on_one_column():
+    # before, the later monitor silently overwrote the earlier one's column
+    q, dims = jordan_two_loops(2)
+    states = np.random.default_rng(2).standard_normal((3, q.rep_real_dim(dims)))
+    tr = flow.FlowTrace(np.arange(3.0), states, np.array([2.0, 1.0, 0.5]), np.ones(3),
+                        {"energy": np.zeros(3)}, "max_time", quiver=q, dims=dims)
+    x, y, xy = jordan_cycles(q)
+    comm = commutator_relation(q)
+    for cycles, relations, column in [
+            ((x, replace(y, name="trx"), xy), (comm,), "cyc:trx"),
+            ((x, y, xy), (comm, comm), "rel:comm"),
+            ((replace(x, name=""), replace(y, name="c0")), (), "cyc:c0"),
+            ((), (replace(comm, name=""), replace(comm, name="r0")), "rel:r0")]:
+        with pytest.raises(ValueError, match=f"column '{column}'"):
+            tr.with_monitors(cycles, relations)
 
 
 def test_zero_dimension_and_empty_batches():

@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 import quiverflow
-from quiverflow import CentralShift, Representation, f_value, flow_velocity, hessian_fd
+from quiverflow.quiver import LieAlgebraElement, Quiver, Representation, infinitesimal_action
+from quiverflow.moment import CentralShift, beta_of, f_value, flow_velocity, hessian_fd
 from quiverflow.critical import refine_critical
-from quiverflow.moment import beta_of
 from quiverflow.errors import ShapeError
 from quiverflow.presets import a2, jordan_two_loops, scalar_rep
-from quiverflow.quiver import LieAlgebraElement, Quiver, infinitesimal_action
 
 from conftest import ORACLE_MODELS, a2_pair_model, philox, star, two_loops
 
@@ -106,7 +105,7 @@ def test_moment_tensor_size_limit():
 
 
 def integrate_to_limit(q, dims, alpha, rng):
-    from quiverflow import IntegratorConfig, integrate
+    from quiverflow.flow import IntegratorConfig, integrate
 
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15, max_time=300.0, grad_stop=1e-10)
     tr = integrate(Representation.random(q, dims, rng), alpha, cfg)

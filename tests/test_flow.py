@@ -3,14 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quiverflow import (
-    CentralShift,
-    GroupElement,
+from quiverflow.quiver import GroupElement, Representation, act
+from quiverflow.moment import CentralShift, f_value
+from quiverflow.flow import (
     IntegratorConfig,
-    Representation,
-    act,
     energy_identity_defect,
-    f_value,
     integrate,
     tau_level,
     trace_crossing,

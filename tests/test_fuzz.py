@@ -2,20 +2,10 @@
 
 import numpy as np
 
-from quiverflow import (
-    CentralShift,
-    GroupElement,
-    IntegratorConfig,
-    Representation,
-    act,
-    energy_identity_defect,
-    f_value,
-    flow_velocity,
-    integrate,
-    tau_level,
-)
+from quiverflow.quiver import GroupElement, Quiver, Representation, act
+from quiverflow.moment import CentralShift, f_value, flow_velocity
+from quiverflow.flow import IntegratorConfig, energy_identity_defect, integrate, tau_level
 from quiverflow.errors import QuiverFlowError
-from quiverflow.quiver import Quiver
 
 from conftest import philox
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from quiverflow import (
+from quiverflow.quiver import GroupElement, LieAlgebraElement, Quiver, Representation, act
+from quiverflow.moment import (
     CentralShift,
-    GroupElement,
-    LieAlgebraElement,
-    Representation,
-    act,
+    HermitianCollection,
+    VelocityKernel,
+    beta_of,
     f_value,
     flow_velocity,
     hessian_fd,
@@ -15,8 +15,6 @@ from quiverflow import (
     moment_map_equation_check,
 )
 from quiverflow.errors import ShapeError
-from quiverflow.moment import HermitianCollection, VelocityKernel, beta_of
-from quiverflow.quiver import Quiver
 from quiverflow.presets import a2, jordan_one_loop, jordan_two_loops, scalar_rep
 
 from conftest import ORACLE_MODELS, a2_f, philox

@@ -8,10 +8,17 @@ method or property of a class in an ``__all__`` must be read as an attribute
 of that name somewhere in the package outside its own definition; the scan
 goes by name, not by type.  Re-exports, ``__all__`` entries, docstrings and
 comments do not count, so the scan reads the syntax tree, not the text.
+
+Each public name has one home, its module: the package itself re-exports
+nothing, so importing it loads no submodule.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "quiverflow"
@@ -75,9 +82,7 @@ def unreferenced_public_names(exempt=EXEMPT_NAMES, kind="public"):
         if mod in EXEMPT_MODULES:
             continue
         for name in getattr(home, kind):
-            # a re-export from the package's __init__ is not a use
-            users = [home] + [m for stem, m in modules.items()
-                              if stem != "__init__" and name in m.imports]
+            users = [home] + [m for m in modules.values() if name in m.imports]
             if name not in exempt and not any(m.reads_outside_its_definition(name)
                                               for m in users):
                 missing.append(f"{mod}.{name}")
@@ -116,3 +121,17 @@ def test_each_exempt_member_has_no_reader():
     # an exemption that a reader has made unneeded is dropped
     unread = {qual.split(".", 1)[1] for qual in unread_public_members(exempt=())}
     assert unread == set(EXEMPT_MEMBERS)
+
+
+def test_the_package_defines_only_its_version_and_loads_no_submodule():
+    code = ("import json, sys, quiverflow; print(json.dumps(["
+            "sorted(m for m in sys.modules if m.startswith('quiverflow.')), "
+            "sorted(n for n in vars(quiverflow) if n[:2] != '__' or n[-2:] != '__'), "
+            "quiverflow.__version__]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    submodules, names, version = json.loads(out)
+    assert (submodules, names) == ([], [])
+    assert version

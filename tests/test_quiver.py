@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quiverflow import (
+from quiverflow.quiver import (
     CycleWord,
     GroupElement,
     LieAlgebraElement,

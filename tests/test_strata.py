@@ -3,20 +3,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quiverflow import (
-    GroupElement,
-    Representation,
-    act,
-    flow_lines,
-    integrate,
+from quiverflow.quiver import GroupElement, Representation, act
+from quiverflow.flow import integrate
+from quiverflow.critical import (
     negative_slice,
     refine_critical,
-    stratum_labels,
+    unstable_sweep,
     weight_decomposition,
 )
-from quiverflow.critical import unstable_sweep
+from quiverflow.strata import (
+    broken_line_experiment,
+    flow_lines,
+    search_critical_levels,
+    stratum_labels,
+)
 from quiverflow.presets import A2_PAIR_ALPHA, a2_pair, scalar_rep
-from quiverflow.strata import broken_line_experiment, search_critical_levels
 
 from conftest import philox
 

@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from quiverflow import (
-    CentralShift,
-    GroupElement,
-    IntegratorConfig,
-    Relation,
-    Representation,
-    act,
-    integrate,
-    negative_slice,
+from quiverflow.quiver import GroupElement, Relation, Representation, act
+from quiverflow.moment import CentralShift
+from quiverflow.flow import IntegratorConfig, integrate
+from quiverflow.critical import negative_slice, refine_critical, weight_decomposition
+from quiverflow.subvariety import (
+    SubvarietySpec,
+    _relation_jacobian,
     project_to_variety,
-    refine_critical,
     slice_variety_probe,
-    weight_decomposition,
 )
 from quiverflow.errors import ProjectionFailedError
 from quiverflow.presets import (
@@ -22,7 +18,6 @@ from quiverflow.presets import (
     jordan_two_loops,
     scalar_rep,
 )
-from quiverflow.subvariety import SubvarietySpec, _relation_jacobian
 
 
 @pytest.fixture
@@ -172,7 +167,7 @@ def test_a3_origin_index_matches_slice(tight_cfg):
     alpha = CentralShift((-1.0, 0.0, 1.0))
     rec = refine_critical(Representation.zero(q, dims), alpha, tol=1e-10)
     fib = negative_slice(rec, weight_decomposition(rec))
-    from quiverflow import morse_index_check
+    from quiverflow.critical import morse_index_check
 
     rep = morse_index_check(rec, fib, alpha)
     assert (rep.slice_dim, rep.hessian_index, rep.agree) == (4, 4, True)

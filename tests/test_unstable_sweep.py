@@ -13,22 +13,20 @@ out of the batch and keeps the result a lone run gives it.
 import numpy as np
 import pytest
 
-from quiverflow import (
-    CentralShift,
-    IntegratorConfig,
-    Representation,
-    f_value,
-    integrate,
+from quiverflow.quiver import Quiver, Representation
+from quiverflow.moment import CentralShift, f_value
+from quiverflow.flow import IntegratorConfig, integrate, tau_level
+from quiverflow.critical import (
+    fiber_directions,
     negative_slice,
     refine_critical,
-    tau_level,
+    unstable_boundedness_check,
+    unstable_sweep,
     weight_decomposition,
 )
 from quiverflow import critical, flow
-from quiverflow.critical import fiber_directions, unstable_boundedness_check, unstable_sweep
 from quiverflow.errors import ProjectionFailedError, QuiverFlowError
 from quiverflow.presets import A2_ALPHA, a2, a3_chain, scalar_rep
-from quiverflow.quiver import Quiver
 from quiverflow.subvariety import (
     SubvarietySpec,
     _snap_branches,
