@@ -14,7 +14,7 @@ import numpy as np
 
 from .critical import morse_index_check, negative_slice, refine_critical, weight_decomposition
 from .errors import QuiverFlowError
-from .flow import energy_identity_defect, integrate_many, trace_crossing
+from .flow import energy_identity_defect, integrate_many, trace_crossings
 from .moment import VelocityKernel, f_value, moment, moment_map_equation_check
 from .quiver import (
     GroupElement,
@@ -151,17 +151,17 @@ def run_checks(model, trials: int = 3) -> list:
     *trial_traces, tr_k, tr_lab = integrate_many(
         [p for p, _ in draws] + [xk, xk], alpha, cfg,
         replay_steps=[None] * len(draws) + [list(tr.steps), None])
-    worst, tried = 0.0, 0
+    crossing, ells = [], []
     for tr_i, (_, frac) in zip(trial_traces, draws):
         f0, lim = tr_i.fs[0], tr_i.fs[-1]
-        if f0 - lim < 1e-6:
-            continue
-        ell = lim + (0.2 + 0.6 * frac) * (f0 - lim)
-        y = trace_crossing(tr_i, ell, alpha)
-        if y is None:
-            continue
-        tried += 1
-        worst = max(worst, abs(f_value(y, alpha) - ell) / (1.0 + abs(ell)))
+        if not f0 - lim < 1e-6:
+            crossing.append(tr_i)
+            ells.append(lim + (0.2 + 0.6 * frac) * (f0 - lim))
+    worst, tried = 0.0, 0
+    for y, ell in zip(trace_crossings(crossing, ells, alpha), ells):
+        if y is not None:
+            tried += 1
+            worst = max(worst, abs(f_value(y, alpha) - ell) / (1.0 + abs(ell)))
     out.append(_check("level_crossing_contract", tried > 0 and worst < 1e-8,
                       f"{tried} crossings, max scaled defect {worst:.3e}"))
 

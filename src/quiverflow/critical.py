@@ -314,7 +314,7 @@ def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, 
     ProjectionFailedError gets ``start`` None and is not flowed.  The batch
     holds the starts above the level; a QuiverFlowError or LinAlgError it
     raises is the error of each of them.  A start on the level, within the
-    tolerance of ``tau_level``, is its own one-sample ``exited_level``
+    tolerance of ``trace_crossings``, is its own one-sample ``exited_level``
     trace.  A start past the level is flowed alone, so that its error, or
     its trace if it is stationary, is its own.
     """
@@ -332,7 +332,7 @@ def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, 
             out[-1].update(start=None, error=str(exc))
     flowed = [e for e in out if e["start"] is not None]
     gaps = [f_value(e["start"], alpha) - level for e in flowed]
-    tol = 1e-14 * (1.0 + abs(level))       # tau_level's "on the level"
+    tol = 1e-14 * (1.0 + abs(level))       # trace_crossings' "on the level"
     batch = [e for e, gap in zip(flowed, gaps) if gap > tol]
     try:
         traces, error = integrate_many([e["start"] for e in batch], alpha, cfg,

@@ -2,12 +2,22 @@
 
 The integrator is a hand-rolled DOP853, the 8th-order Dormand-Prince pair,
 with scipy's error norm and step-size control (exponent -1/8, factors
-clipped to [0.2, 10]).  The integrated field is ``flow_velocity`` (which
-equals -(1/2) grad f, see :mod:`quiverflow.moment`), optionally reversed for
-backward trajectories.  Alongside the state we co-integrate the dissipation
-``int ||dx/dt||^2 dt``; twice that accumulator is reported as the monitor
-column ``energy`` and makes the energy-identity defect measurable at the
-integrator's own order instead of being limited by sample quadrature.
+clipped to [0.2, 10]).  The integrated field is
+``VelocityKernel.velocity_flat`` (which equals -(1/2) grad f, see
+:mod:`quiverflow.moment`), optionally reversed for backward trajectories.
+Alongside the state we co-integrate the dissipation ``int ||dx/dt||^2 dt``;
+twice that accumulator is reported as the monitor column ``energy`` and
+makes the energy-identity defect measurable at the integrator's own order
+instead of being limited by sample quadrature.
+
+Each step also estimates the spectral radius rho of the field's Jacobian
+from two slopes it already has, as the stiffness test of Hairer's DOP853
+code does: rho ~ ||k13 - k12|| / ||y8 - Y12||, the FSAL slope at the new
+state y8 against the twelfth stage and its argument Y12, which sits at the
+same time.  After an accepted step a row's next step is at most
+``STABILITY_CAP / rho``, inside the method's stability region; without the
+cap the controller grows the step past that boundary where the flow
+settles, and rejects and shrinks it over and over.
 
 ``integrate_many`` runs a list of points as the rows of one state array,
 one batched field call per stage; f at each new state comes from the
@@ -23,13 +33,16 @@ of +-1 multiplies exactly.
 
 Traces store flat real states and build a ``Representation`` only on
 demand.  Level crossings f(x(t)) = level are located inside the bracketing
-accepted step by a safeguarded Newton iteration in time, whose trial
-states are shorter steps of the same tableau from the bracket base; f is
+accepted step on DOP853's 7th-order dense output (Hairer, Norsett &
+Wanner, Solving ODEs I, II.6): three extra stages build the interpolant
+once, and a safeguarded Newton iteration in time then costs one
+contraction per iterate, the field and f at the interpolated state.  f is
 strictly monotone along nonconstant trajectories, so the bracket always
-contains exactly one root.  Up to a crossing, integration accepts the
-same steps with or without a stop level, so ``trace_crossing`` on a
-recorded trace gives the same state as ``tau_level``, which integrates
-again.
+contains exactly one root.  Crossings are solved as a stack, each row on
+its own, so a row's crossing is bitwise the same alone or in a stack.  Up
+to a crossing, integration accepts the same steps with or without a stop
+level, so ``trace_crossings`` on recorded traces gives the same states as
+``integrate`` with ``stop_level``, which integrates again.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelNotReachedError, QuiverFlowError
-from .moment import VelocityKernel, f_value
+from .moment import VelocityKernel
 from .quiver import Quiver, Representation, path_product, unflatten_blocks
 
 __all__ = [
@@ -51,8 +64,7 @@ __all__ = [
     "FlowTrace",
     "integrate",
     "integrate_many",
-    "tau_level",
-    "trace_crossing",
+    "trace_crossings",
     "energy_identity_defect",
 ]
 
@@ -93,7 +105,43 @@ _E3 = np.array((-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
                 1.8915178993145003, -5.801203960010585, -0.4226823213237919,
                 -0.1521609496625161, 0.20136540080403034, 0.02265179219836082))
 
+# DOP853's dense output: the three extra stages, rows 13-15 of the extended tableau
+# (slot 12 holds the FSAL slope), and the 4 x 16 matrix D of the interpolant's upper rows
+_A_EXTRA = tuple(np.array(row) for row in (
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
+))
+_D = np.array((
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
+))
+
 BLOWUP_FACTOR = 1e6
+# The largest h * rho a row's next step may take, rho the step's stiffness estimate:
+# DOP853's stability region meets the negative real axis at -6.39, and the field's
+# Jacobian, minus half the Hessian, has a real spectrum.
+STABILITY_CAP = 5.0
 
 
 @dataclass(frozen=True)
@@ -212,10 +260,10 @@ class _Stepper:
         self.dim = quiver.rep_real_dim(dims)
         self.kernel = VelocityKernel(quiver, dims, alpha)
 
-    def row(self, j):
-        """This stepper for row j of its stack alone, with that row's direction."""
+    def rows(self, sel):
+        """This stepper for the rows ``sel`` of its stack alone, with their directions."""
         out = copy.copy(self)
-        out.direction = int(self.direction[j, 0])
+        out.direction = self.direction[sel]
         return out
 
     def field(self, y, out=None):
@@ -235,19 +283,23 @@ class _Stepper:
         return out
 
     def slopes(self, y, k1, h):
-        """One step from y: (y8, ks), with the twelve stage slopes in ks[:12] of the
-        13-slot buffer ks, of shape (13,) + y.shape; ks[12] is left for the FSAL slope."""
-        ks = np.empty((13,) + y.shape)
+        """One step from y: (y8, ks, y12), with the twelve stage slopes in ks[:12] of
+        the 16-slot buffer ks, of shape (16,) + y.shape, and y12 the twelfth stage's
+        argument; ks[12] is left for the FSAL slope and ks[13:] for the dense
+        output's extra stages."""
+        ks = np.empty((16,) + y.shape)
         ks[0] = k1
         for i in range(1, 12):
-            self.field(y + h * _combine(_A[i], ks), out=ks[i])
-        return y + h * _combine(_B, ks), ks
+            y_i = y + h * _combine(_A[i], ks)
+            self.field(y_i, out=ks[i])
+        return y + h * _combine(_B, ks), ks, y_i
 
     def step(self, y, k1, h, cfg):
-        """One embedded step of each row, its step in the column h: y_new, k_new,
-        f at y_new and the lists of error norms and of norms of y_new (inf if
-        not finite)."""
-        y8, ks = self.slopes(y, k1, h)
+        """One embedded step of each row, its step in the column h: y_new, the slot
+        buffer ks with the FSAL slope at y_new in ks[12], f at y_new and the lists of
+        error norms, of norms of y_new (inf if not finite) and of stiffness
+        estimates rho (0 where y_new or the estimate is not finite)."""
+        y8, ks, y12 = self.slopes(y, k1, h)
         k13, f13 = self.field_f(y8, out=ks[12])
         e5, e3 = _combine(_E5, ks), _combine(_E3, ks)
         ok = np.isfinite(y8).all(axis=1)
@@ -256,7 +308,10 @@ class _Stepper:
         err, size = np.full(len(y), math.inf), np.full(len(y), math.inf)
         err[rows] = _error_norms(e5[rows] / scale, e3[rows] / scale, h[rows, 0])
         size[rows] = _norms(y8[rows, :self.dim])
-        return y8, k13, f13, err.tolist(), size.tolist()
+        rho = np.zeros(len(y))
+        d = self.dim
+        rho[rows] = _stiffness(k13[rows, :d] - ks[11, rows, :d], y8[rows, :d] - y12[rows, :d])
+        return y8, ks, f13, err.tolist(), size.tolist(), rho.tolist()
 
 
 def _combine(coefs, ks):
@@ -280,6 +335,13 @@ def _error_norms(e5, e3, h):
 
 def _norms(a):
     return np.sqrt(np.vecdot(a, a))
+
+
+def _stiffness(dk, dy):
+    """Per row ||dk|| / ||dy||, and 0 where that is not finite (dy zero or not finite)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = _norms(dk) / _norms(dy)
+    return np.where(np.isfinite(rho), rho, 0.0)
 
 
 def _initial_steps(stepper, y0, k0, cfg):
@@ -380,7 +442,8 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
             st.direction = st.direction[keep]
         if not rows:
             return traces
-        y_new, k_new, f_step, err, size = st.step(y, k, np.array([[h[r]] for r in rows]), cfg)
+        y_new, ks, f_step, err, size, rho = st.step(y, k, np.array([[h[r]] for r in rows]), cfg)
+        k_new = ks[12]
 
         acc = []
         for j, r in enumerate(rows):
@@ -405,16 +468,13 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
         gn_new = dict(zip(good, (2.0 * _norms(k_new[sel, :dim])).tolist()))
 
         stay = [j for j in range(len(rows)) if j not in f_new]
+        crossed = []
         for j in acc:
             r = rows[j]
             if j not in f_new:
                 finish(r, "blow_up")
             elif stop_level is not None and (f_new[j] - stop_level) * signs[r] <= 0.0:
-                tau, y_evt, k_evt, f_evt = _locate_level(st.row(j), y[j], k[j], samples[r][-2],
-                                                         t[r], h[r], stop_level)
-                steps[r].append(tau - t[r])
-                record(r, tau, y_evt, f_evt, 2.0 * float(np.linalg.norm(k_evt[:dim])))
-                finish(r, "exited_level")
+                crossed.append(j)
             else:
                 steps[r].append(h[r])
                 t[r] += h[r]
@@ -425,6 +485,23 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
                 elif replay[r] is None:
                     fac = min(10.0, 0.9 * max(err[j], 1e-12) ** -0.125)
                     h[r] = min(cfg.max_step, max(cfg.min_step, h[r] * fac))
+                    if rho[j] > 0.0:
+                        h[r] = min(h[r], STABILITY_CAP / rho[j])
+        if crossed:
+            events = _locate_level(st.rows(crossed), y[crossed], y_new[crossed], ks[:, crossed],
+                                   [samples[rows[j]][-2] for j in crossed],
+                                   [h[rows[j]] for j in crossed], [stop_level] * len(crossed))
+            for j, event in zip(crossed, events):
+                if event is None:
+                    raise LevelNotReachedError("event location failed to converge",
+                                               limit_value=None)
+                r, (tau, y_evt, k_evt, f_evt) = rows[j], event
+                # a crossing within one float spacing of t (a blow-up at min_step) takes the
+                # next float
+                t_evt = max(t[r] + tau, math.nextafter(t[r], math.inf))
+                steps[r].append(t_evt - t[r])
+                record(r, t_evt, y_evt, f_evt, 2.0 * float(np.linalg.norm(k_evt[:dim])))
+                finish(r, "exited_level")
         if stay:        # a row without an accepted step stays where it was
             y_new[stay], k_new[stay] = y[stay], k[stay]
         y, k = y_new, k_new
@@ -433,102 +510,129 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
     return traces
 
 
-def _locate_level(st, y_base, k_base, f_base, t_base, h, level):
-    """Solve f(x(t)) = level inside the accepted step [t_base, t_base + h].
+def _locate_level(st, y, y8, ks, f_base, h, levels):
+    """Solve f(x(t)) = level inside each row's accepted step [t, t + h], as one stack.
 
-    ``k_base`` and ``f_base`` are the field and f at ``y_base``.  Safeguarded
-    Newton in time on the monotone function f along the flow; each trial
-    state is one DOP853 step of length tau <= h from the bracket base, so its
-    local error is within the tolerance h was accepted at, and an iterate
-    costs twelve contractions.  Returns (t, y, field, f) at the crossing, the
-    last two from ``field_f``.
+    Row i of the stack is the step of length ``h[i]`` from ``y[i]`` to
+    ``y8[i]``, whose slots 0-12 of ``ks[:, i]`` (the buffer of
+    ``_Stepper.slopes``, the FSAL slope in slot 12) are filled; ``f_base[i]``
+    is f at ``y[i]`` and ``levels[i]`` its level.  Three extra stages, one
+    contraction each for the whole stack, fill ks[13:] and build DOP853's
+    7th-order dense output, in scipy's form: seven rows F and a Horner
+    evaluation at the step fraction.  Each row then runs a safeguarded
+    Newton iteration in time on the monotone function f along the
+    interpolant, which costs one ``field_f`` contraction per iterate: the
+    field, whose last column gives df/dt = -2 dir ||v||^2, and f at the
+    interpolated state.  A row leaves the stack when it converges, and its
+    result does not depend on the other rows.
+
+    Returns, per row, (tau, y, field, f) at the crossing, tau measured from
+    the step's start, or None where the iteration did not converge.
     """
-    tol = 1e-9 * (1.0 + abs(level))
-    lo, hi = 0.0, h
-    g_lo = f_base - level
+    m, dim = len(h), st.dim
+    hcol = np.array(h)[:, None]
+    for s, a in enumerate(_A_EXTRA, start=13):
+        st.field(y + hcol * _combine(a, ks), out=ks[s])
+    dy = y8 - y
+    dense = np.stack([dy, hcol * ks[0] - dy, 2.0 * dy - hcol * (ks[12] + ks[0])]
+                     + [hcol * _combine(d, ks) for d in _D])
+    signs = st.direction[:, 0].tolist()
+    tols = [1e-9 * (1.0 + abs(level)) for level in levels]
+    lo, hi = [0.0] * m, list(h)
+    g_lo = [f - level for f, level in zip(f_base, levels)]
+    # first guess: the line through f at the base with df/dt = -2 dir ||v||^2 (field[dim])
+    tau = []
+    for i in range(m):
+        fdot_lo = -2.0 * signs[i] * float(ks[0, i, dim])
+        guess = -g_lo[i] / fdot_lo if fdot_lo != 0.0 else 0.5 * h[i]
+        tau.append(min(max(guess, 1e-3 * h[i]), h[i]))
 
-    # cubic-Hermite initial guess on f(t) using df/dt = -2 dir ||v||^2 (field[dim])
-    fdot_lo = -2.0 * st.direction * k_base[st.dim]
-    tau = lo - g_lo / fdot_lo if fdot_lo != 0.0 else 0.5 * h
-    tau = min(max(tau, 1e-3 * h), h)
-
-    y_tau = st.slopes(y_base, k_base, tau)[0]
+    out, active = [None] * m, list(range(m))
     for _ in range(60):
-        k_tau, f_tau = st.field_f(y_tau)
-        g = f_tau - level
-        if abs(g) <= 0.25 * tol:
+        y_tau = _interpolate(dense[:, active], y[active],
+                             np.array([[tau[i] / h[i]] for i in active]))
+        k_tau, f_tau = st.rows(active).field_f(y_tau)
+        still = []
+        for j, (i, f_i) in enumerate(zip(active, f_tau.tolist())):
+            g = f_i - levels[i]
+            if abs(g) <= 0.25 * tols[i]:
+                out[i] = (tau[i], y_tau[j], k_tau[j], f_i)
+                continue
+            still.append(i)
+            if (g > 0.0) == (g_lo[i] > 0.0):
+                lo[i] = tau[i]
+            else:
+                hi[i] = tau[i]
+            # d f / d tau along the integrated field is -2 * direction * ||v||^2
+            fdot = -2.0 * signs[i] * float(k_tau[j, dim])
+            tau_newton = tau[i] - g / fdot if fdot != 0.0 else None
+            if tau_newton is not None and lo[i] < tau_newton < hi[i]:
+                tau[i] = tau_newton
+            else:
+                tau[i] = 0.5 * (lo[i] + hi[i])
+        active = still
+        if not active:
             break
-        if (g > 0.0) == (g_lo > 0.0):
-            lo = tau
-        else:
-            hi = tau
-        # d f / d tau along the integrated field is -2 * direction * ||v||^2
-        fdot = -2.0 * st.direction * k_tau[st.dim]
-        tau_newton = tau - g / fdot if fdot != 0.0 else None
-        if tau_newton is not None and lo < tau_newton < hi:
-            tau = tau_newton
-        else:
-            tau = 0.5 * (lo + hi)
-        y_tau = st.slopes(y_base, k_base, tau)[0]
-    else:
-        raise LevelNotReachedError("event location failed to converge", limit_value=None)
-    # a crossing within one float spacing of t_base (a blow-up at min_step) takes the next float
-    return max(t_base + tau, math.nextafter(t_base, math.inf)), y_tau, k_tau, f_tau
+    return out
 
 
-def tau_level(x: Representation, alpha, ell: float, cfg: IntegratorConfig,
-              direction: int = 1):
-    """First time t with f(x(t)) = ell, and the state there.
+def _interpolate(dense, y, x):
+    """The dense output with rows ``dense`` from the states y at the step
+    fractions in the column x, by scipy's Horner scheme."""
+    out = np.zeros_like(y)
+    for i, row in enumerate(dense[::-1]):
+        out += row
+        out *= x if i % 2 == 0 else 1.0 - x
+    return out + y
 
-    Raises LevelNotReachedError, carrying the limiting critical value, when
-    the flow converges before crossing, or with limit_value None on a time
-    cap.  Forward to a and backward to b, the two calls give the dichotomy
-    of the paper's Condition 2: each direction from a < f(x) < b either
-    leaves the window [a, b] or converges to a critical value inside it.
+
+def trace_crossings(traces, levels, alpha) -> list:
+    """The state where each recorded trajectory first reaches its level, as one stack.
+
+    ``levels`` holds one level per trace; the traces share one quiver and
+    dimension vector.  Each trace's first accepted step whose f passes
+    its level is rebuilt from the stored state at its start, and the
+    crossings of all of them are solved as one stack: the field at the
+    bases, eleven stages, the FSAL slope, three dense-output stages and one
+    contraction per Newton iterate, 16 + m contractions for the stack
+    where m is its largest iterate count.  Before that step ``integrate``
+    accepts the same steps with or without ``stop_level``, so a result
+    equals the final state of ``integrate`` with that stop level bit for
+    bit.  A trace whose start lies on its level gives the start; a level
+    on the wrong side raises ValueError.  The entry is None where the level
+    is not reached, or where that row's own solve fails.
     """
-    f0 = f_value(x, alpha)
-    if abs(f0 - ell) <= 1e-14 * (1.0 + abs(ell)):
-        return 0.0, x
-    if (f0 - ell) * direction < 0.0:
-        raise ValueError("level is on the wrong side of f(x) for this flow direction")
-    trace = integrate(x, alpha, cfg, direction=direction, stop_level=ell)
-    if trace.status == "exited_level":
-        return float(trace.ts[-1]), trace.final
-    if trace.status == "converged":
-        raise LevelNotReachedError(
-            f"flow converged at critical value {trace.fs[-1]:.12g} before reaching {ell:.12g}",
-            limit_value=float(trace.fs[-1]))
-    raise LevelNotReachedError(
-        f"flow stopped with status {trace.status} before reaching {ell:.12g}",
-        limit_value=None)
-
-
-def trace_crossing(trace: FlowTrace, level: float, alpha):
-    """The state where a recorded trajectory first reaches f = level.
-
-    Solves the first accepted step whose f passes the level, from the
-    stored state at its start.  Before that step ``integrate`` accepts the
-    same steps with or without ``stop_level``, so the result equals
-    ``tau_level``'s state bit for bit.  Returns the start when it lies on
-    the level, raises ValueError for a level on the wrong side, and returns
-    None where ``tau_level`` raises LevelNotReachedError.
-    """
-    f0, direction = trace.fs[0], trace.direction
-    if abs(f0 - level) <= 1e-14 * (1.0 + abs(level)):
-        return trace.point(0)
-    if (f0 - level) * direction < 0.0:
-        raise ValueError("level is on the wrong side of f(x) for this flow direction")
-    passed = np.flatnonzero((trace.fs[1:] - level) * direction <= 0.0)
-    if passed.size == 0:
-        return None
-    j = int(passed[0])
-    st = _Stepper(trace.quiver, trace.dims, alpha, direction)
-    y_base = np.append(trace.states[j], 0.5 * trace.monitors["energy"][j])
-    try:
-        y = _locate_level(st, y_base, *st.field_f(y_base), trace.ts[j], trace.steps[j], level)[1]
-    except LevelNotReachedError:
-        return None
-    return Representation.unflatten(trace.quiver, trace.dims, y[:st.dim])
+    levels = [float(level) for level in levels]
+    if len(levels) != len(traces):
+        raise ValueError("trace_crossings needs one level per trace")
+    out, jobs = [None] * len(traces), []       # jobs: (trace, index of its bracketing step)
+    for i, (tr, level) in enumerate(zip(traces, levels)):
+        f0, direction = tr.fs[0], tr.direction
+        if abs(f0 - level) <= 1e-14 * (1.0 + abs(level)):
+            out[i] = tr.point(0)
+        elif (f0 - level) * direction < 0.0:
+            raise ValueError("level is on the wrong side of f(x) for this flow direction")
+        else:
+            passed = np.flatnonzero((tr.fs[1:] - level) * direction <= 0.0)
+            if passed.size:
+                jobs.append((i, int(passed[0])))
+    if not jobs:
+        return out
+    q, dims = traces[jobs[0][0]].quiver, traces[jobs[0][0]].dims
+    if any(traces[i].quiver != q or traces[i].dims != dims for i, _ in jobs):
+        raise ValueError("a stack of crossings needs one quiver and one dimension vector")
+    st = _Stepper(q, dims, alpha, np.array([[float(traces[i].direction)] for i, _ in jobs]))
+    y = np.array([np.append(traces[i].states[j], 0.5 * traces[i].monitors["energy"][j])
+                  for i, j in jobs])
+    h = [traces[i].steps[j] for i, j in jobs]
+    k, f = st.field_f(y)
+    y8, ks, _ = st.slopes(y, k, np.array(h)[:, None])
+    st.field(y8, out=ks[12])
+    events = _locate_level(st, y, y8, ks, f.tolist(), h, [levels[i] for i, _ in jobs])
+    for (i, _), event in zip(jobs, events):
+        if event is not None:
+            out[i] = Representation.unflatten(q, dims, event[1][:st.dim])
+    return out
 
 
 def energy_identity_defect(trace: FlowTrace) -> float:

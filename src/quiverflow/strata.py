@@ -18,7 +18,7 @@ import numpy as np
 
 from .critical import CriticalRecord, refine_critical
 from .errors import QuiverFlowError
-from .flow import IntegratorConfig, integrate_many, trace_crossing
+from .flow import IntegratorConfig, integrate_many, trace_crossings
 from .moment import CentralShift
 from .quiver import Representation
 
@@ -179,7 +179,8 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
     upper = refine_critical(members[0][2].final, alpha, tol=CHAIN_REFINE_TOL, cfg=cfg)
     lower = refine_critical(members[0][3].final, alpha, tol=CHAIN_REFINE_TOL, cfg=cfg)
 
-    checkpoints = [[trace_crossing(fwd, r, alpha) for *_, fwd in members] for r in levels]
+    fwds = [fwd for *_, fwd in members]
+    checkpoints = [trace_crossings(fwds, [r] * len(fwds), alpha) for r in levels]
 
     successive = [tuple(None if y0 is None or y1 is None else float(y0.distance(y1))
                         for y0, y1 in zip(col, col[1:])) for col in checkpoints]

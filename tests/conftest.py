@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from quiverflow.moment import CentralShift
-from quiverflow.flow import IntegratorConfig
+from quiverflow.moment import CentralShift, f_value
+from quiverflow.flow import IntegratorConfig, integrate, trace_crossings
+from quiverflow.errors import LevelNotReachedError
 from quiverflow.archive import csv_float
 from quiverflow.presets import A2_PAIR_ALPHA, a2, a2_pair, a3_chain, jordan_one_loop, jordan_two_loops
 from quiverflow.quiver import (
@@ -96,6 +97,39 @@ def rho_matrix(x):
         u = LieAlgebraElement(q, dims, unflatten_blocks(e, [(d, d) for d in dims]))
         mat[:, k] = infinitesimal_action(u, x).flatten()
     return mat
+
+
+def tau_level(x, alpha, ell, cfg, direction=1):
+    """First time t with f(x(t)) = ell, and the state there: the crossing
+    oracle, which integrates again with ``stop_level`` where the package reads
+    crossings off recorded traces.
+
+    Raises LevelNotReachedError, carrying the limiting critical value, when
+    the flow converges before crossing, or with limit_value None on a time
+    cap.  Forward to a and backward to b, the two calls give the dichotomy
+    of the paper's Condition 2: each direction from a < f(x) < b either
+    leaves the window [a, b] or converges to a critical value inside it.
+    """
+    f0 = f_value(x, alpha)
+    if abs(f0 - ell) <= 1e-14 * (1.0 + abs(ell)):
+        return 0.0, x
+    if (f0 - ell) * direction < 0.0:
+        raise ValueError("level is on the wrong side of f(x) for this flow direction")
+    trace = integrate(x, alpha, cfg, direction=direction, stop_level=ell)
+    if trace.status == "exited_level":
+        return float(trace.ts[-1]), trace.final
+    if trace.status == "converged":
+        raise LevelNotReachedError(
+            f"flow converged at critical value {trace.fs[-1]:.12g} before reaching {ell:.12g}",
+            limit_value=float(trace.fs[-1]))
+    raise LevelNotReachedError(
+        f"flow stopped with status {trace.status} before reaching {ell:.12g}",
+        limit_value=None)
+
+
+def trace_crossing(trace, level, alpha):
+    """``trace_crossings`` on a stack of one trace."""
+    return trace_crossings([trace], [level], alpha)[0]
 
 
 @pytest.fixture

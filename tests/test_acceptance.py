@@ -15,7 +15,7 @@ import numpy as np
 
 from quiverflow.quiver import GroupElement, Representation, act
 from quiverflow.moment import CentralShift, f_value, flow_velocity, moment
-from quiverflow.flow import IntegratorConfig, energy_identity_defect, integrate, tau_level
+from quiverflow.flow import IntegratorConfig, energy_identity_defect, integrate
 from quiverflow.critical import (
     lojasiewicz_fit,
     morse_index_check,
@@ -37,7 +37,7 @@ from quiverflow.presets import (
 )
 from quiverflow.retract import SaddleScene, SlitScene, condition4_probe, connectivity_census
 
-from conftest import philox
+from conftest import philox, tau_level
 
 CONFIG_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
                                           "src", "quiverflow", "configs"))

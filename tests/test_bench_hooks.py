@@ -51,7 +51,7 @@ def test_tracer_hooks_see_the_kernel():
     calls = out["calls"]
     for name in ("moment.velocity_flat", "moment.f_flat", "quiver.unflatten",
                  "moment.hessian_matrix", "retract.connectivity_census",
-                 "flow.trace_crossing"):
+                 "flow.trace_crossings"):
         assert calls.get(name, 0) > 0, name
     # two sublevels on the base and the refined grid
     assert out["counters"]["retract.census_cells"] == 2 * (8 * 16 + 16 * 32)

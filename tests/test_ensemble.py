@@ -19,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate._ivp import dop853_coefficients as dop
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from quiverflow.quiver import Quiver, Representation, cycle_trace, relation_residual
 from quiverflow.moment import CentralShift, f_value
@@ -71,26 +72,62 @@ def monitor_callbacks(cycles=(), relations=()):
 def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(),
                         replay_steps=None):
     """One trajectory, one DOP853 step at a time, on flat 1-D states, with the
-    tableau read from scipy; ``monitors`` are ``monitor_callbacks``, evaluated on
-    every sample."""
+    tableau, its dense-output stages and the interpolant read from scipy;
+    ``monitors`` are ``monitor_callbacks``, evaluated on every sample."""
     st = flow._Stepper(x0.quiver, x0.dims, alpha, direction)
     dim = st.dim
 
+    def combine(coefs, ks):
+        return sum(c * kk for c, kk in zip(coefs, ks))
+
     def step(y, k, h):
+        """y8, the slopes with the FSAL slope last, the error norm and the
+        stiffness estimate ||k13 - k12|| / ||y8 - Y12|| over the state columns."""
         ks = [k]
         for i in range(1, dop.N_STAGES):
-            ks.append(st.field(y + h * sum(a * kk for a, kk in zip(dop.A[i, :i], ks))))
-        y8 = y + h * sum(b * kk for b, kk in zip(dop.B, ks))
+            y_i = y + h * combine(dop.A[i, :i], ks)
+            ks.append(st.field(y_i))
+        y8 = y + h * combine(dop.B, ks)
         # scipy's error norm; its 13th error slot, for the FSAL slope, is zero
-        e5, e3 = (sum(e * kk for e, kk in zip(row, ks)) for row in (dop.E5, dop.E3))
-        k13 = st.field(y8)
+        e5, e3 = (combine(row, ks) for row in (dop.E5, dop.E3))
+        ks.append(st.field(y8))
         if not np.all(np.isfinite(y8)):
-            return y8, k13, math.inf
+            return y8, ks, math.inf, 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = float(np.linalg.norm(ks[12][:dim] - ks[11][:dim])
+                        / np.linalg.norm(y8[:dim] - y_i[:dim]))
+        rho = rho if math.isfinite(rho) else 0.0
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y8))
         n5, n3 = np.linalg.norm(e5 / scale) ** 2, np.linalg.norm(e3 / scale) ** 2
         if n5 == 0.0 and n3 == 0.0:
-            return y8, k13, 0.0
-        return y8, k13, float(h * n5 / np.sqrt((n5 + 0.01 * n3) * len(scale)))
+            return y8, ks, 0.0, rho
+        return y8, ks, float(h * n5 / np.sqrt((n5 + 0.01 * n3) * len(scale))), rho
+
+    def locate(y, y8, ks, f_base, h, level):
+        """scipy's dense output of the step from y to y8, and the safeguarded
+        Newton iteration in time on f along it: (tau, state) at the crossing."""
+        ks = list(ks)
+        for s in range(dop.N_STAGES + 1, dop.N_STAGES_EXTENDED):
+            ks.append(st.field(y + h * combine(dop.A[s, :s], ks)))
+        dy = y8 - y
+        rows = [dy, h * ks[0] - dy, 2 * dy - h * (ks[12] + ks[0])]
+        dense = Dop853DenseOutput(0.0, h, y, np.array(rows + [h * combine(d, ks) for d in dop.D]))
+        tol, lo, hi, g_lo = 1e-9 * (1.0 + abs(level)), 0.0, h, f_base - level
+        fdot = -2.0 * direction * ks[0][dim]
+        tau = min(max(-g_lo / fdot if fdot != 0.0 else 0.5 * h, 1e-3 * h), h)
+        for _ in range(60):
+            y_tau = dense(tau)
+            g = st.kernel.f_flat(y_tau[:dim]) - level
+            if abs(g) <= 0.25 * tol:
+                return tau, y_tau
+            if (g > 0.0) == (g_lo > 0.0):
+                lo = tau
+            else:
+                hi = tau
+            fdot = -2.0 * direction * st.field(y_tau)[dim]
+            tau_newton = tau - g / fdot if fdot != 0.0 else None
+            tau = tau_newton if tau_newton is not None and lo < tau_newton < hi else 0.5 * (lo + hi)
+        raise LevelNotReachedError("event location failed to converge")
 
     def initial_step(y0, k0):
         scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
@@ -132,7 +169,7 @@ def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(
         h = min(h, cfg.max_time - t, cfg.max_step)
         if h < 1e-15 * max(1.0, t):
             return finish("step_underflow")
-        y_new, k_new, err = step(y, k, h)
+        y_new, ks, err, rho = step(y, k, h)
         if replay is None and not err <= 1.0:
             if not math.isfinite(err):
                 if h <= 4.0 * cfg.min_step:
@@ -150,11 +187,13 @@ def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(
             return finish("blow_up")
         f_new = st.kernel.f_flat(y_new[:dim])
         if stop_level is not None and (f_new - stop_level) * direction <= 0.0:
-            tau, y_evt = flow._locate_level(st, y, k, samples[-1][2], t, h, stop_level)[:2]
-            steps.append(tau - t)
-            samples.append((tau, y_evt, st.kernel.f_flat(y_evt[:dim]),
+            tau, y_evt = locate(y, y_new, ks, samples[-1][2], h, stop_level)
+            t_evt = max(t + tau, math.nextafter(t, math.inf))
+            steps.append(t_evt - t)
+            samples.append((t_evt, y_evt, st.kernel.f_flat(y_evt[:dim]),
                             2.0 * float(np.linalg.norm(st.field(y_evt)[:dim]))))
             return finish("exited_level")
+        k_new = ks[12]
         gradnorm = 2.0 * float(np.linalg.norm(k_new[:dim]))
         steps.append(h)
         samples.append((t + h, y_new, f_new, gradnorm))
@@ -164,6 +203,8 @@ def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(
             return finish("converged")
         if replay is None:
             h = min(cfg.max_step, max(cfg.min_step, h * min(10.0, 0.9 * max(err, 1e-12) ** -0.125)))
+            if rho > 0.0:       # the stability cap
+                h = min(h, flow.STABILITY_CAP / rho)
     return finish("max_steps")
 
 

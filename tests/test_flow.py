@@ -9,8 +9,6 @@ from quiverflow.flow import (
     IntegratorConfig,
     energy_identity_defect,
     integrate,
-    tau_level,
-    trace_crossing,
 )
 from quiverflow.errors import LevelNotReachedError
 from quiverflow.presets import (
@@ -20,7 +18,7 @@ from quiverflow.presets import (
     scalar_rep,
 )
 
-from conftest import a2_f, a2_logistic
+from conftest import a2_f, a2_logistic, tau_level, trace_crossing
 
 
 def test_integrator_config_validation():
@@ -335,25 +333,32 @@ def _crossing_traces(a2_model, tight_cfg):
 
 
 def test_trace_crossing_cost(a2_model, tight_cfg, monkeypatch):
-    # a crossing is a few Newton iterates of one step each, not a re-integration:
-    # the slope at the stored base state, then twelve contractions per iterate
-    # (eleven stages and the field at the trial state, which also gives f)
+    # a crossing rebuilds its bracketing step and then iterates on the dense output:
+    # the slope at the stored base state, eleven stages, the FSAL slope and three
+    # dense-output stages, then one contraction per Newton iterate (the field and f
+    # at the interpolated state); the iterates are counted as interpolant evaluations
+    from quiverflow import flow
     from quiverflow.moment import VelocityKernel
 
-    calls, beta = [0], VelocityKernel._beta
+    calls, iterates, beta, interpolate = [0], [0], VelocityKernel._beta, flow._interpolate
 
     def counted(self, y):
         calls[0] += 1
         return beta(self, y)
 
+    def counted_interpolate(*args):
+        iterates[0] += 1
+        return interpolate(*args)
+
     monkeypatch.setattr(VelocityKernel, "_beta", counted)
-    iterates = []
+    monkeypatch.setattr(flow, "_interpolate", counted_interpolate)
+    seen = []
     for _, alpha, tr, ell in _crossing_traces(a2_model, tight_cfg):
-        calls[0] = 0
+        calls[0] = iterates[0] = 0
         assert trace_crossing(tr, ell, alpha) is not None
-        assert (calls[0] - 1) % 12 == 0, calls[0]
-        iterates.append((calls[0] - 1) // 12)
-    assert len(iterates) == 24 and 1 <= min(iterates) and max(iterates) <= 5, iterates
+        assert calls[0] == 16 + iterates[0], (calls[0], iterates[0])
+        seen.append(iterates[0])
+    assert len(seen) == 24 and 1 <= min(seen) and max(seen) <= 5, seen
 
 
 def test_an_accepted_step_costs_twelve_contractions(a2_model, tight_cfg, monkeypatch):
@@ -416,6 +421,72 @@ def test_trace_crossing_edge_cases(a2_model, tight_cfg):
         trace_crossing(bwd, 0.5, alpha)
 
 
+def test_batched_crossings_equal_one_row_calls():
+    # a stack of forward and backward traces, each with its own level, beside a
+    # row whose level is never reached and a row that starts on its level; every
+    # entry, in the stack and in a permuted stack, is the one-row call's state
+    from quiverflow.flow import integrate_many, trace_crossings
+
+    q, dims, alpha = _star()
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=200.0)
+    rng = np.random.default_rng(4)
+    p = [Representation.random(q, dims, rng, scale=s) for s in (0.2, 0.35, 0.5, 0.8)]
+    points, directions = [p[2], p[0], p[3], p[1], p[1], p[0]], [1, -1, 1, -1, -1, 1]
+    traces = integrate_many(points, alpha, cfg, directions)
+    assert all(tr.status == "converged" for tr in traces)
+    fracs = [0.3, 0.6, 0.8, 0.45]
+    levels = [tr.fs[0] + u * (tr.fs[-1] - tr.fs[0]) for tr, u in zip(traces, fracs)]
+    levels.append(traces[4].fs[-1] + 1.0)       # past the backward limit: never reached
+    levels.append(traces[5].fs[0])              # the start's own level
+    stack = trace_crossings(traces, levels, alpha)
+    assert [y is None for y in stack] == [False] * 4 + [True, False]
+    assert stack[5].distance(p[0]) == 0.0
+    singles = [trace_crossing(tr, level, alpha) for tr, level in zip(traces, levels)]
+    for i, (y, y1) in enumerate(zip(stack, singles)):
+        assert (y is None) == (y1 is None), i
+        if y is not None:
+            assert np.array_equal(y.flatten(), y1.flatten()), i
+    for i, (y, level) in enumerate(zip(stack[:4], levels)):
+        assert abs(f_value(y, alpha) - level) < 1e-8 * (1.0 + abs(level)), i
+    perm = np.random.default_rng(1).permutation(len(traces))
+    permuted = trace_crossings([traces[i] for i in perm], [levels[i] for i in perm], alpha)
+    for i, y in zip(perm, permuted):
+        assert (y is None) == (stack[i] is None), i
+        if y is not None:
+            assert np.array_equal(y.flatten(), stack[i].flatten()), i
+    assert trace_crossings([], [], alpha) == []
+    with pytest.raises(ValueError, match="one level per trace"):
+        trace_crossings(traces, levels[:-1], alpha)
+
+
+def test_the_stability_cap_halves_rejected_steps(monkeypatch):
+    # oracle independent of the stiffness estimate: a lone converged run costs the
+    # field and f at its start, the initial-step probe and twelve contractions per
+    # attempted step, so its rejections are read off the contraction count; the
+    # parent controller, without the cap, rejected 220 star and 27 a2_pair steps here
+    from quiverflow.moment import VelocityKernel
+    from quiverflow.presets import A2_PAIR_ALPHA, a2_pair
+
+    calls, beta = [0], VelocityKernel._beta
+
+    def counted(self, y):
+        calls[0] += 1
+        return beta(self, y)
+
+    monkeypatch.setattr(VelocityKernel, "_beta", counted)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=300.0)
+    for (q, dims, alpha), n, at_most in ((_star(), 6, 110), ((*a2_pair(), A2_PAIR_ALPHA), 12, 13)):
+        rng = np.random.default_rng(0)
+        rejected = 0
+        for _ in range(n):
+            x = Representation.random(q, dims, rng)
+            calls[0] = 0
+            tr = integrate(x, alpha, cfg)
+            assert tr.status == "converged" and (calls[0] - 2) % 12 == 0, calls[0]
+            rejected += (calls[0] - 2) // 12 - (tr.n_samples - 1)
+        assert rejected <= at_most, (q.edges, rejected)
+
+
 def test_integrate_builds_no_representation_per_step(a2_model, tight_cfg, monkeypatch):
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [1e-4])        # near the unstable origin: a long way down
@@ -448,6 +519,12 @@ def test_tableau_equals_the_published_dop853_coefficients():
     # scipy's error rows carry a 13th slot, for the FSAL slope, which is zero
     for ours, theirs in ((flow._E5, dop.E5), (flow._E3, dop.E3)):
         assert ours.tobytes() == theirs[:n].tobytes() and theirs[n] == 0.0
+    # the dense output: scipy's row n is B (the FSAL stage), then the three extra stages
+    assert dop.A[n, :n].tobytes() == dop.B.tobytes()
+    assert len(flow._A_EXTRA) == dop.N_STAGES_EXTENDED - n - 1
+    for i, row in enumerate(flow._A_EXTRA, start=n + 1):
+        assert row.tobytes() == dop.A[i, :i].tobytes(), i
+    assert flow._D.shape == dop.D.shape and flow._D.tobytes() == dop.D.tobytes()
 
 
 def test_each_cap_has_its_own_status(a2_model, tight_cfg):

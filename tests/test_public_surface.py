@@ -28,7 +28,6 @@ EXEMPT_MODULES = {
     "presets": "models and seeds that tests and users build from",
 }
 EXEMPT_NAMES = {
-    "tau_level": "oracle the tests compare trace crossings against",
     "flow_velocity": "oracle the tests compare the flat velocity kernel against",
     "search_critical_levels": "exploratory scan that the HN-type enumeration will replace",
 }

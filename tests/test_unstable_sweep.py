@@ -15,7 +15,7 @@ import pytest
 
 from quiverflow.quiver import Quiver, Representation
 from quiverflow.moment import CentralShift, f_value
-from quiverflow.flow import IntegratorConfig, integrate, tau_level
+from quiverflow.flow import IntegratorConfig, integrate
 from quiverflow.critical import (
     fiber_directions,
     negative_slice,
@@ -33,6 +33,8 @@ from quiverflow.subvariety import (
     project_to_variety,
     slice_variety_probe,
 )
+
+from conftest import tau_level
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=200.0)
 A3_ALPHA = CentralShift((-1.0, 0.0, 1.0))
