@@ -35,7 +35,6 @@ from .moment import (
     HermitianCollection,
     VelocityKernel,
     beta_of,
-    f_value,
     hessian_fd,
     hessian_matrix,
     moment_tensor,
@@ -182,7 +181,10 @@ class SliceFiber:
     """Orthonormal real basis of the decaying directions orthogonal to the orbit."""
 
     basis: np.ndarray = field(repr=False)    # shape (rep_real_dim, dim)
-    dim: int = 0
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
 
 
 def negative_slice(rec: CriticalRecord, wd: WeightDecomposition) -> SliceFiber:
@@ -210,13 +212,13 @@ def negative_slice(rec: CriticalRecord, wd: WeightDecomposition) -> SliceFiber:
         blocks[a] = wd.vertex_frames[q.head[a]] @ e_frame @ wd.vertex_frames[q.tail[a]].conj().T
         cols.append(flatten_blocks(blocks))
     if not cols:
-        return SliceFiber(basis=np.zeros((q.rep_real_dim(dims), 0)), dim=0)
+        return SliceFiber(basis=np.zeros((q.rep_real_dim(dims), 0)))
     b = np.concatenate(cols).T
     orbit = orbit_basis(x)
     proj = b - orbit @ (orbit.T @ b) if orbit.shape[1] else b
     u, s, _ = np.linalg.svd(proj, full_matrices=False)
     keep = int(np.sum(s > 0.5))
-    return SliceFiber(basis=u[:, :keep], dim=keep)
+    return SliceFiber(basis=u[:, :keep])
 
 
 @dataclass(frozen=True)
@@ -311,14 +313,11 @@ def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, 
     and ``notes`` that ``project(seed)`` returns, and its ``trace`` or its
     ``error``; a caller that checks conserved quantities reads them off the
     trace with ``FlowTrace.with_monitors``.  A seed whose projection raises
-    ProjectionFailedError gets ``start`` None and is not flowed.  The batch
-    holds the starts above the level; a QuiverFlowError or LinAlgError it
-    raises is the error of each of them.  A start on the level, within the
-    tolerance of ``trace_crossings``, is its own one-sample ``exited_level``
-    trace.  A start past the level is flowed alone, so that its error, or
-    its trace if it is stationary, is its own.
+    ProjectionFailedError gets ``start`` None and is not flowed.  Every
+    other start is a row of one ``integrate_many`` call, which ends a start
+    on the level or past it at once (``exited_level``, ``past_level``); a
+    QuiverFlowError or LinAlgError the call raises is the error of each row.
     """
-    level = rec.f_crit - eps
     x0_flat = rec.x.flatten()
     out = []
     for d in fiber_directions(basis.shape[1], n):
@@ -331,25 +330,13 @@ def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, 
         except ProjectionFailedError as exc:
             out[-1].update(start=None, error=str(exc))
     flowed = [e for e in out if e["start"] is not None]
-    gaps = [f_value(e["start"], alpha) - level for e in flowed]
-    tol = 1e-14 * (1.0 + abs(level))       # trace_crossings' "on the level"
-    batch = [e for e, gap in zip(flowed, gaps) if gap > tol]
     try:
-        traces, error = integrate_many([e["start"] for e in batch], alpha, cfg,
-                                       stop_level=level), None
+        traces, error = integrate_many([e["start"] for e in flowed], alpha, cfg,
+                                       stop_level=rec.f_crit - eps), None
     except (QuiverFlowError, np.linalg.LinAlgError) as exc:
-        traces, error = [None] * len(batch), str(exc)
-    for e, trace in zip(batch, traces):
+        traces, error = [None] * len(flowed), str(exc)
+    for e, trace in zip(flowed, traces):
         e.update(trace=trace, error=error)
-    for e, gap in zip(flowed, gaps):
-        if abs(gap) <= tol:         # an empty replay records the start and takes no step
-            e["trace"] = replace(integrate(e["start"], alpha, cfg, replay_steps=()),
-                                 status="exited_level")
-        elif gap < -tol:
-            try:
-                e["trace"] = integrate(e["start"], alpha, cfg, stop_level=level)
-            except (QuiverFlowError, np.linalg.LinAlgError) as exc:
-                e["error"] = str(exc)
     return out
 
 

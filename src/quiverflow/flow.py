@@ -41,8 +41,8 @@ strictly monotone along nonconstant trajectories, so the bracket always
 contains exactly one root.  Crossings are solved as a stack, each row on
 its own, so a row's crossing is bitwise the same alone or in a stack.  Up
 to a crossing, integration accepts the same steps with or without a stop
-level, so ``trace_crossings`` on recorded traces gives the same states as
-``integrate`` with ``stop_level``, which integrates again.
+level, so ``trace_crossings`` replays a recorded trace's bracketing step
+through ``integrate_many``, the one place that decides where a row stops.
 """
 
 from __future__ import annotations
@@ -173,6 +173,11 @@ class IntegratorConfig:
             raise ValueError("max_time, grad_stop, stall_window, max_steps must be positive")
 
 
+# the replay of a recorded step, whose trace does not keep the config it ran under: no
+# cap ends it, and no row counts as stationary, since 1e-3 * grad_stop is 0.0
+_REPLAY = IntegratorConfig(max_step=math.inf, max_time=math.inf, grad_stop=math.ulp(0.0))
+
+
 @dataclass(frozen=True)
 class FlowTrace:
     """Accepted-step samples of one trajectory.
@@ -192,8 +197,8 @@ class FlowTrace:
     fs: np.ndarray
     gradnorms: np.ndarray
     monitors: dict
-    # converged | exited_level | blow_up | max_time | max_steps | replay_exhausted |
-    # step_underflow; README's Conventions say when each is given
+    # converged | exited_level | past_level | blow_up | max_time | max_steps |
+    # replay_exhausted | step_underflow; README's Conventions say when each is given
     status: str
     direction: int = 1
     steps: tuple = ()
@@ -282,24 +287,19 @@ class _Stepper:
         out[..., self.dim] = np.vecdot(v, v)
         return out
 
-    def slopes(self, y, k1, h):
-        """One step from y: (y8, ks, y12), with the twelve stage slopes in ks[:12] of
-        the 16-slot buffer ks, of shape (16,) + y.shape, and y12 the twelfth stage's
-        argument; ks[12] is left for the FSAL slope and ks[13:] for the dense
-        output's extra stages."""
+    def step(self, y, k1, h, cfg):
+        """One embedded step of each row, its step in the column h: y_new, the slot
+        buffer ks of shape (16,) + y.shape, f at y_new and the lists of error norms,
+        of norms of y_new (inf if not finite) and of stiffness estimates rho (0 where
+        y_new or the estimate is not finite).  ks[:12] holds the twelve stage slopes
+        and ks[12] the FSAL slope at y_new; ks[13:] is left for the dense output's
+        extra stages."""
         ks = np.empty((16,) + y.shape)
         ks[0] = k1
         for i in range(1, 12):
-            y_i = y + h * _combine(_A[i], ks)
-            self.field(y_i, out=ks[i])
-        return y + h * _combine(_B, ks), ks, y_i
-
-    def step(self, y, k1, h, cfg):
-        """One embedded step of each row, its step in the column h: y_new, the slot
-        buffer ks with the FSAL slope at y_new in ks[12], f at y_new and the lists of
-        error norms, of norms of y_new (inf if not finite) and of stiffness
-        estimates rho (0 where y_new or the estimate is not finite)."""
-        y8, ks, y12 = self.slopes(y, k1, h)
+            y12 = y + h * _combine(_A[i], ks)       # the stage's argument, the twelfth's last
+            self.field(y12, out=ks[i])
+        y8 = y + h * _combine(_B, ks)
         k13, f13 = self.field_f(y8, out=ks[12])
         e5, e3 = _combine(_E5, ks), _combine(_E3, ks)
         ok = np.isfinite(y8).all(axis=1)
@@ -356,6 +356,11 @@ def _initial_steps(stepper, y0, k0, cfg):
             for b, c, h in zip(d1, d2, h0)]
 
 
+def _on_level(f, level):
+    """Whether f is on the level, as a start that ends at once as ``exited_level``."""
+    return abs(f - level) <= 1e-14 * (1.0 + abs(level))
+
+
 def integrate(x0: Representation, alpha, cfg: IntegratorConfig,
               direction: int = 1, stop_level: float = None,
               replay_steps=None) -> FlowTrace:
@@ -363,7 +368,8 @@ def integrate(x0: Representation, alpha, cfg: IntegratorConfig,
 
     direction=+1 follows the downward flow; -1 reverses it (f increases).
     When ``stop_level`` is set, the run ends exactly on the level crossing
-    with status ``exited_level``.  ``replay_steps`` disables step control
+    with status ``exited_level``; a start on the level or past it ends at
+    once (see ``integrate_many``).  ``replay_steps`` disables step control
     and replays a recorded accepted-step sequence, so two group-related
     initial conditions can be compared on an identical time grid.
     """
@@ -372,14 +378,23 @@ def integrate(x0: Representation, alpha, cfg: IntegratorConfig,
 
 
 def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
-                   stop_level: float = None, replay_steps=None) -> list:
+                   stop_level=None, replay_steps=None) -> list:
     """``integrate`` of each point in a list on one quiver and dimension vector, as
     one batch.  ``direction`` is +1 or -1 for every row, or a sequence with one
-    +1 or -1 per row, so forward and backward flows share a batch;
-    ``replay_steps`` holds a recorded step sequence or None per row."""
+    +1 or -1 per row, so forward and backward flows share a batch; ``stop_level``
+    is one level (or None) for every row, or a sequence with one per row;
+    ``replay_steps`` holds a recorded step sequence or None per row.
+
+    Each row's start is judged on its own, and ends the row at once as a
+    one-sample trace: within ``1e-14 (1 + |level|)`` of its level, with
+    ``exited_level``; else if stationary, with ``converged``; else if past its
+    level (on the side the flow moves to), with ``past_level``."""
     signs = [direction] * len(x0s) if np.ndim(direction) == 0 else list(direction)
     if len(signs) != len(x0s) or any(d not in (1, -1) for d in signs):
         raise ValueError("direction must be +1 or -1, or one of them per point")
+    levels = [stop_level] * len(x0s) if np.ndim(stop_level) == 0 else list(stop_level)
+    if len(levels) != len(x0s):
+        raise ValueError("stop_level must be one level, or one level per point")
     replays = [None] * len(x0s) if replay_steps is None else list(replay_steps)
     if len(replays) != len(x0s) or any(s is not None and np.ndim(s) != 1 for s in replays):
         raise ValueError("replay_steps must hold one step sequence or None per point")
@@ -412,16 +427,18 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
 
     for r in range(n):
         record(r, 0.0, y[r], f0[r], gn0[r])
+        if levels[r] is not None and _on_level(f0[r], levels[r]):
+            finish(r, "exited_level")
         # immediate convergence only well inside the threshold (a stationary
         # start); marginal starts must sustain the stall window like everyone
-        if gn0[r] < 1e-3 * cfg.grad_stop:
+        elif gn0[r] < 1e-3 * cfg.grad_stop:
             finish(r, "converged")
-        elif stop_level is not None and (f0[r] - stop_level) * signs[r] <= 0.0:
-            raise LevelNotReachedError(
-                "initial point is already past the requested level", limit_value=f0[r])
+        elif levels[r] is not None and (f0[r] - levels[r]) * signs[r] < 0.0:
+            finish(r, "past_level")
     rows = list(range(n))           # the rows in the batch, in order; y, k and st follow them
     t, streak = [0.0] * n, [0] * n
-    h = _initial_steps(st, y, k, cfg)       # a replayed row takes its recorded steps instead
+    # a replayed row takes its recorded steps instead, so a batch of replays probes none
+    h = _initial_steps(st, y, k, cfg) if any(s is None for s in replays) else [None] * n
 
     for _ in range(cfg.max_steps):
         for r in [r for r in rows if traces[r] is None]:
@@ -473,7 +490,7 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
             r = rows[j]
             if j not in f_new:
                 finish(r, "blow_up")
-            elif stop_level is not None and (f_new[j] - stop_level) * signs[r] <= 0.0:
+            elif levels[r] is not None and (f_new[j] - levels[r]) * signs[r] <= 0.0:
                 crossed.append(j)
             else:
                 steps[r].append(h[r])
@@ -490,7 +507,7 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
         if crossed:
             events = _locate_level(st.rows(crossed), y[crossed], y_new[crossed], ks[:, crossed],
                                    [samples[rows[j]][-2] for j in crossed],
-                                   [h[rows[j]] for j in crossed], [stop_level] * len(crossed))
+                                   [h[rows[j]] for j in crossed], [levels[rows[j]] for j in crossed])
             for j, event in zip(crossed, events):
                 if event is None:
                     raise LevelNotReachedError("event location failed to converge",
@@ -515,7 +532,7 @@ def _locate_level(st, y, y8, ks, f_base, h, levels):
 
     Row i of the stack is the step of length ``h[i]`` from ``y[i]`` to
     ``y8[i]``, whose slots 0-12 of ``ks[:, i]`` (the buffer of
-    ``_Stepper.slopes``, the FSAL slope in slot 12) are filled; ``f_base[i]``
+    ``_Stepper.step``, the FSAL slope in slot 12) are filled; ``f_base[i]``
     is f at ``y[i]`` and ``levels[i]`` its level.  Three extra stages, one
     contraction each for the whole stack, fill ks[13:] and build DOP853's
     7th-order dense output, in scipy's form: seven rows F and a Horner
@@ -590,49 +607,32 @@ def trace_crossings(traces, levels, alpha) -> list:
     """The state where each recorded trajectory first reaches its level, as one stack.
 
     ``levels`` holds one level per trace; the traces share one quiver and
-    dimension vector.  Each trace's first accepted step whose f passes
-    its level is rebuilt from the stored state at its start, and the
-    crossings of all of them are solved as one stack: the field at the
-    bases, eleven stages, the FSAL slope, three dense-output stages and one
-    contraction per Newton iterate, 16 + m contractions for the stack
-    where m is its largest iterate count.  Before that step ``integrate``
-    accepts the same steps with or without ``stop_level``, so a result
-    equals the final state of ``integrate`` with that stop level bit for
-    bit.  A trace whose start lies on its level gives the start; a level
-    on the wrong side raises ValueError.  The entry is None where the level
-    is not reached, or where that row's own solve fails.
+    dimension vector.  Each trace replays, from the stored state at its
+    start, its first accepted step whose f passes the level, all of them in
+    one ``integrate_many`` call with one level per row: 16 + m contractions
+    for the stack (the field at the bases, eleven stages, the FSAL slope,
+    three dense-output stages and one per Newton iterate, m at most).  Up to
+    that step ``integrate`` accepts the same steps with or without
+    ``stop_level``, so a result equals the final state of ``integrate`` with
+    that stop level bit for bit.  A trace whose start is on or past its
+    level, or that never reaches it, replays no step: it gives its start,
+    raises ValueError (a level on the wrong side) or gives None.
     """
     levels = [float(level) for level in levels]
     if len(levels) != len(traces):
         raise ValueError("trace_crossings needs one level per trace")
-    out, jobs = [None] * len(traces), []       # jobs: (trace, index of its bracketing step)
-    for i, (tr, level) in enumerate(zip(traces, levels)):
-        f0, direction = tr.fs[0], tr.direction
-        if abs(f0 - level) <= 1e-14 * (1.0 + abs(level)):
-            out[i] = tr.point(0)
-        elif (f0 - level) * direction < 0.0:
-            raise ValueError("level is on the wrong side of f(x) for this flow direction")
-        else:
-            passed = np.flatnonzero((tr.fs[1:] - level) * direction <= 0.0)
-            if passed.size:
-                jobs.append((i, int(passed[0])))
-    if not jobs:
-        return out
-    q, dims = traces[jobs[0][0]].quiver, traces[jobs[0][0]].dims
-    if any(traces[i].quiver != q or traces[i].dims != dims for i, _ in jobs):
-        raise ValueError("a stack of crossings needs one quiver and one dimension vector")
-    st = _Stepper(q, dims, alpha, np.array([[float(traces[i].direction)] for i, _ in jobs]))
-    y = np.array([np.append(traces[i].states[j], 0.5 * traces[i].monitors["energy"][j])
-                  for i, j in jobs])
-    h = [traces[i].steps[j] for i, j in jobs]
-    k, f = st.field_f(y)
-    y8, ks, _ = st.slopes(y, k, np.array(h)[:, None])
-    st.field(y8, out=ks[12])
-    events = _locate_level(st, y, y8, ks, f.tolist(), h, [levels[i] for i, _ in jobs])
-    for (i, _), event in zip(jobs, events):
-        if event is not None:
-            out[i] = Representation.unflatten(q, dims, event[1][:st.dim])
-    return out
+    spans = []      # per trace: its first replayed sample, its first sample on or past the level
+    for tr, level in zip(traces, levels):
+        passed = ([0] if _on_level(tr.fs[0], level)
+                  else np.flatnonzero((tr.fs - level) * tr.direction <= 0.0))
+        p = int(passed[0]) if len(passed) else 0
+        spans.append((max(p - 1, 0), p))
+    runs = integrate_many([tr.point(j) for tr, (j, _) in zip(traces, spans)], alpha, _REPLAY,
+                          [tr.direction for tr in traces], levels,
+                          [tr.steps[j:p] for tr, (j, p) in zip(traces, spans)])
+    if any(run.status == "past_level" for run in runs):
+        raise ValueError("level is on the wrong side of f(x) for this flow direction")
+    return [run.final if run.status == "exited_level" else None for run in runs]
 
 
 def energy_identity_defect(trace: FlowTrace) -> float:

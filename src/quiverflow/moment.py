@@ -33,10 +33,9 @@ consistency test in the suite.
 On flat real states the moment map is a quadratic form, y^T T_k y per real
 coordinate of H (``moment_tensor``).  ``VelocityKernel`` is the one
 implementation of f, the flow field and the Hessian, as closed forms in T;
-``f_value``, ``flow_velocity`` (that is, -1/2 grad f), ``hessian_matrix`` and
-the inner loops call it.  The same contraction T y spans the orbit tangent: for
-Hermitian A, rho_x(A) = 2 sum_k A_k T_k y, so im rho_x is span{T_k y} plus i
-times it (``orbit_basis``; ``critical`` reads its criticality residual and
+``f_value``, ``hessian_matrix`` and the inner loops call it.  The same
+contraction T y spans the orbit tangent: for Hermitian A, rho_x(A) =
+2 sum_k A_k T_k y, so im rho_x is span{T_k y} plus i times it (``orbit_basis``; ``critical`` reads its criticality residual and
 slice off it).  ``beta_of`` gives Hermitian blocks to records and checks;
 ``hessian_fd`` and ``moment_map_equation_check`` check the derivatives by
 finite differences of values.
@@ -66,7 +65,6 @@ __all__ = [
     "moment",
     "beta_of",
     "f_value",
-    "flow_velocity",
     "mu_pairing",
     "moment_map_equation_check",
     "hessian_fd",
@@ -266,12 +264,6 @@ def _energy(beta, y):
 def f_value(x: Representation, alpha: CentralShift) -> float:
     """Energy f(x) = sum_i ||H_i(x) - alpha_i Id||_F^2 >= 0."""
     return VelocityKernel(x.quiver, x.dims, alpha).f_flat(x.flatten())
-
-
-def flow_velocity(x: Representation, alpha: CentralShift) -> Representation:
-    """Downward flow field -rho_x(H - alpha); equals -(1/2) grad f."""
-    v = VelocityKernel(x.quiver, x.dims, alpha).velocity_flat(x.flatten())
-    return Representation.unflatten(x.quiver, x.dims, v)
 
 
 def _hermitian_part(u: LieAlgebraElement):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quiverflow.moment import CentralShift, f_value
+from quiverflow.moment import CentralShift, VelocityKernel, f_value
 from quiverflow.flow import IntegratorConfig, integrate, trace_crossings
 from quiverflow.errors import LevelNotReachedError
 from quiverflow.archive import csv_float
@@ -97,6 +97,13 @@ def rho_matrix(x):
         u = LieAlgebraElement(q, dims, unflatten_blocks(e, [(d, d) for d in dims]))
         mat[:, k] = infinitesimal_action(u, x).flatten()
     return mat
+
+
+def flow_velocity(x, alpha):
+    """Downward flow field -rho_x(H - alpha), which equals -(1/2) grad f, as a
+    ``Representation``: the oracle the flat velocity kernel is compared against."""
+    v = VelocityKernel(x.quiver, x.dims, alpha).velocity_flat(x.flatten())
+    return Representation.unflatten(x.quiver, x.dims, v)
 
 
 def tau_level(x, alpha, ell, cfg, direction=1):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from quiverflow.quiver import GroupElement, Representation, act
-from quiverflow.moment import CentralShift, f_value, flow_velocity, moment
+from quiverflow.moment import CentralShift, f_value, moment
 from quiverflow.flow import IntegratorConfig, energy_identity_defect, integrate
 from quiverflow.critical import (
     lojasiewicz_fit,
@@ -37,7 +37,7 @@ from quiverflow.presets import (
 )
 from quiverflow.retract import SaddleScene, SlitScene, condition4_probe, connectivity_census
 
-from conftest import philox, tau_level
+from conftest import flow_velocity, philox, tau_level
 
 CONFIG_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
                                           "src", "quiverflow", "configs"))

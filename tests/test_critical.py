@@ -291,7 +291,7 @@ def test_unstable_boundedness_saddle(a2_model, tight_cfg):
 def test_velocity_lies_in_orbit_tangent(a2_model, rng):
     # the integrated field is by construction the infinitesimal action of
     # minus the shifted moment value, hence tangent to the complex orbit
-    from quiverflow.moment import flow_velocity
+    from conftest import flow_velocity
     from quiverflow.quiver import Representation as Rep
 
     q, dims, alpha = a2_model

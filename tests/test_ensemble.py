@@ -152,10 +152,14 @@ def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(
         return flow.FlowTrace(ts, ys[:, :dim], fs, gns, mons, status, direction, tuple(steps),
                               x0.quiver, x0.dims)
 
+    # the start's own verdict: on the level, then stationary, then past the level
+    f0, level = samples[0][2], stop_level
+    if level is not None and abs(f0 - level) <= 1e-14 * (1.0 + abs(level)):
+        return finish("exited_level")
     if samples[0][3] < 1e-3 * cfg.grad_stop:
         return finish("converged")
-    if stop_level is not None and (samples[0][2] - stop_level) * direction <= 0.0:
-        raise LevelNotReachedError("initial point is already past the requested level")
+    if level is not None and (f0 - level) * direction < 0.0:
+        return finish("past_level")
     t, streak = 0.0, 0
     replay = iter(replay_steps) if replay_steps is not None else None
     h = initial_step(y, k) if replay is None else None
@@ -431,14 +435,42 @@ def test_batch_rejects_a_bad_replay_list(replays):
         integrate_many(rows, A2_ALPHA, CFG, replay_steps=replays)
 
 
-def test_batch_rejects_mixed_shapes_and_a_start_past_the_level():
+def test_batch_rejects_mixed_shapes_and_ends_a_start_past_the_level():
     q, dims = a2()
     with pytest.raises(ValueError):
         integrate_many([Representation.zero(q, dims), Representation.zero(q, (0, 1))],
                        A2_ALPHA, CFG)
-    rows = [scalar_rep(q, dims, [0.5]), scalar_rep(q, dims, [1.2])]   # f = 1.53, 0.18
-    with pytest.raises(LevelNotReachedError):
-        integrate_many(rows, A2_ALPHA, CFG, stop_level=1.0)
+    # a start past the level ends its own row, and the other rows flow on
+    rows = [scalar_rep(q, dims, [0.5]), scalar_rep(q, dims, [1.2])]   # f = 1.53, 0.16
+    crossed, past = integrate_many(rows, A2_ALPHA, CFG, stop_level=1.0)
+    assert crossed.status == "exited_level"
+    assert past.status == "past_level" and past.n_samples == 1 and past.steps == ()
+    with pytest.raises(ValueError, match="stop_level"):
+        integrate_many(rows, A2_ALPHA, CFG, stop_level=[1.0])
+
+
+def test_rows_with_their_own_levels_equal_lone_runs():
+    # forward and backward rows, each with its own level, that start above it, on it
+    # and past it, beside a stationary row whose start is also past its level
+    q, dims = a2()
+    x = {s: scalar_rep(q, dims, [s]) for s in (0.0, 0.5, 0.8, 1.2)}     # f = 2, 1.53, 0.67, 0.16
+    rows = [(x[0.5], 1, 1.0, "exited_level"), (x[1.2], 1, 1.0, "past_level"),
+            (x[0.8], 1, f_value(x[0.8], A2_ALPHA), "exited_level"),
+            (x[1.2], -1, 1.0, "exited_level"), (x[0.5], -1, 1.0, "past_level"),
+            (x[0.5], -1, f_value(x[0.5], A2_ALPHA), "exited_level"),
+            (x[0.0], 1, 3.0, "converged")]
+    points, directions, levels, statuses = (list(col) for col in zip(*rows))
+    batch = integrate_many(points, A2_ALPHA, CFG, directions, levels)
+    assert [tr.status for tr in batch] == statuses
+    assert [tr.n_samples == 1 for tr in batch] == [False, True, True, False, True, True, True]
+    for x0, d, level, tr in zip(points, directions, levels, batch):
+        assert_same_trace(tr, integrate(x0, A2_ALPHA, CFG, d, level))
+        assert_same_trace(tr, reference_integrate(x0, A2_ALPHA, CFG, d, level))
+    perm = np.random.default_rng(2).permutation(len(rows))
+    permuted = integrate_many([points[i] for i in perm], A2_ALPHA, CFG,
+                              [directions[i] for i in perm], [levels[i] for i in perm])
+    for i, tr in zip(perm, permuted):
+        assert_same_trace(tr, batch[i])
 
 
 @pytest.mark.parametrize("name", ["jordan2_flow", "a2_strata", "a2_lines"])
@@ -490,19 +522,24 @@ def test_check_battery_with_zero_trials_still_checks_flow_equivariance():
 
 
 def count_flows(monkeypatch):
-    """Count ``integrate_many`` calls (a lone run's included) and lone ``integrate`` calls."""
+    """Count flow batches (``integrate_many`` calls, a lone run's included), crossing
+    stacks (``integrate_many`` calls that replay every row, as ``trace_crossings``
+    makes) and lone ``integrate`` calls."""
     from quiverflow import checks, critical, strata, subvariety
 
-    calls = {"integrate_many": 0, "integrate": 0}
+    calls = {"integrate_many": 0, "crossing_stack": 0, "integrate": 0}
+    many, lone = flow.integrate_many, flow.integrate
 
-    def counting(name, inner):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        return wrapped
+    def counted_many(x0s, alpha, cfg, direction=1, stop_level=None, replay_steps=None):
+        replayed = replay_steps is not None and all(s is not None for s in replay_steps)
+        calls["crossing_stack" if replayed else "integrate_many"] += 1
+        return many(x0s, alpha, cfg, direction, stop_level, replay_steps)
 
-    for name in calls:
-        wrapped = counting(name, getattr(flow, name))
+    def counted_lone(*args, **kwargs):
+        calls["integrate"] += 1
+        return lone(*args, **kwargs)
+
+    for name, wrapped in (("integrate_many", counted_many), ("integrate", counted_lone)):
         for module in (flow, checks, critical, strata, subvariety):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapped)
@@ -516,8 +553,9 @@ def test_check_battery_flows_in_two_batches(monkeypatch):
     model = build_model(load_config(os.path.join(CONFIGS, "a2_check.json")))
     results = run_checks(model, trials=int(model.params["trials"]))
     assert all(r["passed"] for r in results)
-    # the trace contracts, then the crossing trials with both flows of act(k, x)
-    assert calls == {"integrate_many": 2, "integrate": 0}
+    # the trace contracts, then the crossing trials with both flows of act(k, x),
+    # then the crossings of all the trials
+    assert calls == {"integrate_many": 2, "crossing_stack": 1, "integrate": 0}
 
 
 def test_broken_family_flows_its_limit_member_in_the_forward_batch(monkeypatch):
@@ -530,8 +568,9 @@ def test_broken_family_flows_its_limit_member_in_the_forward_batch(monkeypatch):
                                  levels=[1.0], cfg=CFG, limit_param=0.0)
     assert rep.single_line and rep.strictly_decreasing
     # the members forward (the limit member last) with the members backward, then
-    # the checkpoints forward with the checkpoints backward
-    assert calls == {"integrate_many": 2, "integrate": 0}
+    # the checkpoints forward with the checkpoints backward, then the crossings at
+    # the one level
+    assert calls == {"integrate_many": 2, "crossing_stack": 1, "integrate": 0}
 
 
 def test_flow_lines_flow_both_directions_in_one_batch(monkeypatch):
@@ -543,4 +582,4 @@ def test_flow_lines_flow_both_directions_in_one_batch(monkeypatch):
     lines = flow_lines([inner, outer], 1.0, A2_ALPHA, CFG)
     assert lines[0].upper.f_crit == pytest.approx(2.0, abs=1e-9)
     assert lines[1].upper is None and lines[1].backward_status == "blow_up"
-    assert calls == {"integrate_many": 1, "integrate": 0}
+    assert calls == {"integrate_many": 1, "crossing_stack": 0, "integrate": 0}

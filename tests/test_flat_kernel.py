@@ -16,12 +16,12 @@ import pytest
 
 import quiverflow
 from quiverflow.quiver import LieAlgebraElement, Quiver, Representation, infinitesimal_action
-from quiverflow.moment import CentralShift, beta_of, f_value, flow_velocity, hessian_fd
+from quiverflow.moment import CentralShift, beta_of, f_value, hessian_fd
 from quiverflow.critical import refine_critical
 from quiverflow.errors import ShapeError
 from quiverflow.presets import a2, jordan_two_loops, scalar_rep
 
-from conftest import ORACLE_MODELS, a2_pair_model, philox, star, two_loops
+from conftest import ORACLE_MODELS, a2_pair_model, flow_velocity, philox, star, two_loops
 
 
 EPS = np.finfo(float).eps

@@ -3,11 +3,11 @@
 import numpy as np
 
 from quiverflow.quiver import GroupElement, Quiver, Representation, act
-from quiverflow.moment import CentralShift, f_value, flow_velocity
+from quiverflow.moment import CentralShift, f_value
 from quiverflow.flow import IntegratorConfig, energy_identity_defect, integrate
 from quiverflow.errors import QuiverFlowError
 
-from conftest import philox, tau_level
+from conftest import flow_velocity, philox, tau_level
 
 
 def random_quiver(rng):

@@ -8,7 +8,6 @@ from quiverflow.moment import (
     VelocityKernel,
     beta_of,
     f_value,
-    flow_velocity,
     hessian_fd,
     hessian_matrix,
     moment,
@@ -17,7 +16,7 @@ from quiverflow.moment import (
 from quiverflow.errors import ShapeError
 from quiverflow.presets import a2, jordan_one_loop, jordan_two_loops, scalar_rep
 
-from conftest import ORACLE_MODELS, a2_f, philox
+from conftest import ORACLE_MODELS, a2_f, flow_velocity, philox
 
 
 def fd_gradient(x, alpha, h=None):

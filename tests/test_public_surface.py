@@ -28,7 +28,6 @@ EXEMPT_MODULES = {
     "presets": "models and seeds that tests and users build from",
 }
 EXEMPT_NAMES = {
-    "flow_velocity": "oracle the tests compare the flat velocity kernel against",
     "search_critical_levels": "exploratory scan that the HN-type enumeration will replace",
 }
 _SCENE_CONSTRUCTION = "the paper's region Y and collapse map, which acceptance 9 checks"

@@ -6,8 +6,8 @@ f_crit - eps.  Each row must be bitwise the lone run from its seed, the
 seeds must be the per-row formula ``x0 + seed_radius * (basis @ dirs[i])``,
 and ``unstable_boundedness_check`` and ``slice_variety_probe`` must each
 flow their seeds in one batch.  A seed
-that starts on the level is its own sample there; one past the level stays
-out of the batch and keeps the result a lone run gives it.
+that starts on the level is its own sample there, and one past the level is
+its own one-sample ``past_level`` trace, as a lone run gives it.
 """
 
 import numpy as np
@@ -198,9 +198,6 @@ def test_each_report_flows_its_seeds_in_one_batch(monkeypatch):
     assert calls == [(6, rec3.f_crit - 0.4)]
 
 
-PAST = "initial point is already past the requested level"
-
-
 def star_drops(n):
     rec, fib, alpha = star_origin()
     x0_flat = rec.x.flatten()
@@ -220,17 +217,19 @@ def test_seeds_past_the_level_keep_their_own_results():
 
     sweep = unstable_sweep(rec, fib.basis, alpha, eps, 6, CFG)
     for s, p in zip(sweep, past):
-        assert (s["trace"] is None, s["error"]) == ((True, PAST) if p else (False, None))
-        if not p:
-            assert_same_trace(s["trace"], integrate(s["start"], alpha, CFG, stop_level=level))
+        assert s["error"] is None
+        assert s["trace"].status == ("past_level" if p else "exited_level")
+        assert_same_trace(s["trace"], integrate(s["start"], alpha, CFG, stop_level=level))
 
     rep = unstable_boundedness_check(rec, fib, alpha, eps=eps, seeds=6, cfg=CFG)
     assert rep["reached"] == [True, False, True, False, False, True]
-    assert rep["failures"] == [{"seed": i, "error": PAST} for i in (1, 3, 4)]
+    assert rep["failures"] == [{"seed": i, "error": "seed stopped with status past_level"}
+                               for i in (1, 3, 4)]
 
     probe = slice_variety_probe(rec, fib, SubvarietySpec(()), alpha, eps=eps, cfg=CFG,
                                 n_seeds=6)
-    assert [e["error"] for e in probe["seeds"]] == [PAST if p else None for p in past]
+    assert [e["error"] for e in probe["seeds"]] == [
+        "flow stopped with status past_level" if p else None for p in past]
     assert [e["residual_ok"] for e in probe["seeds"]] == [None if p else True for p in past]
 
 
@@ -239,7 +238,7 @@ def test_a_seed_on_the_level_is_its_own_sample():
     level = rec.f_crit - drops[0]
     assert abs(f_value(seeds[0], alpha) - level) <= 1e-14 * (1.0 + abs(level))
     # the level map leaves the seed where it is, and so does the sweep: seed 0 is
-    # its own one-sample trace on the level, the five seeds past it are not flowed
+    # its own one-sample trace on the level, and so is each of the five past it
     t, y = tau_level(seeds[0], alpha, level, CFG)
     assert t == 0.0 and y is seeds[0]
     sweep = unstable_sweep(rec, fib.basis, alpha, drops[0], 6, CFG)
@@ -247,7 +246,9 @@ def test_a_seed_on_the_level_is_its_own_sample():
     assert sweep[0]["error"] is None and tr.status == "exited_level"
     assert tr.n_samples == 1 and tr.ts[0] == 0.0 and tr.steps == ()
     assert np.array_equal(tr.states[0], seeds[0].flatten()) and tr.fs[0] == f_value(seeds[0], alpha)
-    assert [(s["trace"], s["error"]) for s in sweep[1:]] == [(None, PAST)] * 5
+    for s in sweep[1:]:
+        assert s["error"] is None and s["trace"].status == "past_level"
+        assert s["trace"].n_samples == 1 and s["trace"].steps == ()
     rep = unstable_boundedness_check(rec, fib, alpha, eps=drops[0], seeds=6, cfg=CFG)
     assert rep["reached"] == [True] + [False] * 5
     assert rep["endpoint_distances"][0] == seeds[0].distance(rec.x)
