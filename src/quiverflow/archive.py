@@ -32,7 +32,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import QuiverFlowError
-from .quiver import unflatten_blocks
 
 __all__ = [
     "write_text",
@@ -174,6 +173,8 @@ def csv_float(x) -> str:
 
 
 def trace_jsonable(trace, state_stride: int = 1):
+    from .quiver import unflatten_blocks     # here, so that a census run loads no quiver code
+
     idx = list(range(0, trace.n_samples, max(1, state_stride)))
     if idx and idx[-1] != trace.n_samples - 1:
         idx.append(trace.n_samples - 1)

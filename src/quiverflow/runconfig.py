@@ -7,10 +7,19 @@ checks the whole document against one rule table and the experiment's
 cross-references between fields.  Every randomized quantity derives from
 the config's seed through a counter-based generator keyed by (seed, item
 index), so batch execution order cannot change any output.
+
+At import this module loads only `errors`.  `EXPERIMENTS` maps each
+experiment to the package modules its runner calls, and `build_model`
+imports them before it builds anything, so that their code is compiled
+during set-up and never inside a run; the quiver, moment and flow types
+are imported by the functions that build them.  A retract model loads
+none of these: it has no quiver, and an integrator only when the config
+has an `integrator` section.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 from contextlib import contextmanager
@@ -18,9 +27,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import ConfigError, QuiverFlowError
-from .flow import IntegratorConfig
-from .moment import CentralShift, check_tensor_size
-from .quiver import CycleWord, Quiver, Relation, Representation
 
 __all__ = [
     "load_config",
@@ -30,8 +36,18 @@ __all__ = [
     "EXPERIMENTS",
 ]
 
-EXPERIMENTS = ("flow", "critical", "slice", "strata", "lines", "broken",
-               "retract", "variety", "check")
+# experiment -> the package modules its runner calls, which build_model loads
+EXPERIMENTS = {
+    "flow": ("flow",),
+    "critical": ("flow", "critical", "strata"),
+    "slice": ("quiver", "critical", "strata"),
+    "strata": ("strata",),
+    "lines": ("strata",),
+    "broken": ("quiver", "strata"),
+    "retract": ("retract",),
+    "variety": ("quiver", "critical", "strata", "subvariety"),
+    "check": ("checks",),
+}
 
 
 def _number(v):
@@ -59,7 +75,8 @@ _PATH = [_STRING, 1, None]
 
 _DOC = {
     "schema": ((lambda v: v == "quiverflow/1", "'quiverflow/1'"), True),
-    "experiment": ((lambda v: v in EXPERIMENTS, f"one of {list(EXPERIMENTS)}"), True),
+    "experiment": ((lambda v: isinstance(v, str) and v in EXPERIMENTS,
+                    f"one of {list(EXPERIMENTS)}"), True),
     "seed": ((lambda v: type(v) is int and 0 <= v < 2 ** 64, "an integer in [0, 2**64)"),
              False),
     "quiver": ({"vertices": ([_STRING, 1, None], True),
@@ -161,6 +178,8 @@ def validate_config(doc):
             for key in ("dims", "alpha"):
                 if v not in doc[key]:
                     raise _fail(f"{key}.{v}", "missing entry")
+        from .moment import check_tensor_size
+
         with _rejected("dims"):
             check_tensor_size(_quiver_of(doc), [doc["dims"][v] for v in vertices])
         for kind in ("relations", "cycles"):
@@ -268,12 +287,24 @@ class Model:
 
 
 def build_model(doc) -> Model:
-    """Materialize quiver, shifts, relations, integrator, and points; a value
-    that their constructors reject is a ConfigError naming its field."""
-    with _rejected("integrator"):
-        integrator = IntegratorConfig(**doc.get("integrator", {}))
-    if doc["experiment"] == "retract":
+    """Load the experiment's modules, then materialize quiver, shifts,
+    relations, integrator, and points; a value that their constructors
+    reject is a ConfigError naming its field.  A retract model has no
+    integrator unless the config has an ``integrator`` section."""
+    exp = doc["experiment"]
+    for name in EXPERIMENTS[exp]:
+        importlib.import_module(f"{__package__}.{name}")
+    integrator = None
+    if exp != "retract" or "integrator" in doc:
+        from .flow import IntegratorConfig
+
+        with _rejected("integrator"):
+            integrator = IntegratorConfig(**doc.get("integrator", {}))
+    if exp == "retract":
         return Model(None, None, None, (), (), integrator, [], doc)
+    from .moment import CentralShift
+    from .quiver import CycleWord, Relation
+
     vertices = doc["quiver"]["vertices"]
     quiver = _quiver_of(doc)
     dims = tuple(doc["dims"][v] for v in vertices)
@@ -295,13 +326,17 @@ def build_model(doc) -> Model:
     return Model(quiver, dims, alpha, tuple(relations), tuple(cycles), integrator, points, doc)
 
 
-def _quiver_of(doc) -> Quiver:
+def _quiver_of(doc):
+    from .quiver import Quiver
+
     qd = doc["quiver"]
     return Quiver.from_lists(qd["vertices"], [(e["name"], e["tail"], e["head"])
                                               for e in qd["edges"]])
 
 
 def _points_of(doc, quiver, dims):
+    from .quiver import Representation
+
     pts = doc.get("points")
     if pts is None:
         return []

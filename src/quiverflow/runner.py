@@ -1,4 +1,12 @@
-"""Experiment runners: resolve a config into artifacts under an archive dir."""
+"""Experiment runners: resolve a config into artifacts under an archive dir.
+
+At import this module loads only the archive writers and renderers.  Each
+``_run_*`` imports what it calls from the modules that
+``runconfig.EXPERIMENTS`` lists for its experiment, which ``build_model``
+has already loaded, so a run compiles no package code and a retract run
+never loads the flow code.  The imports sit inside the functions, so they
+read each module's attribute at call time, as re-bound by a tracer or a
+test patch."""
 
 from __future__ import annotations
 
@@ -20,24 +28,6 @@ from .archive import (
     write_json,
     write_text,
 )
-from .checks import run_checks
-from .critical import (
-    morse_index_check,
-    negative_slice,
-    refine_critical,
-    unstable_boundedness_check,
-    weight_decomposition,
-)
-from .flow import integrate_many
-from .quiver import Representation
-from .retract import (
-    SaddleScene,
-    SlitScene,
-    condition4_probe,
-    connectivity_census,
-)
-from .strata import LABEL_REFINE_TOL, broken_line_experiment, flow_lines, stratum_labels
-from .subvariety import SubvarietySpec, slice_variety_probe
 
 __all__ = ["run_experiment"]
 
@@ -65,6 +55,8 @@ def _out(out_dir, name):
 
 
 def _run_flow(model, out_dir):
+    from .flow import integrate_many
+
     stride = int(model.params.get("state_stride", 1))
     traces = [tr.with_monitors(model.cycles, model.relations)
               for tr in integrate_many(model.points, model.alpha, model.integrator)]
@@ -77,6 +69,10 @@ def _run_flow(model, out_dir):
 
 
 def _run_critical(model, out_dir):
+    from .critical import morse_index_check, negative_slice, refine_critical, weight_decomposition
+    from .flow import integrate_many
+    from .strata import LABEL_REFINE_TOL
+
     tol = float(model.params.get("refine_tol", LABEL_REFINE_TOL))
 
     def one(tr):
@@ -103,6 +99,10 @@ def _run_critical(model, out_dir):
 
 
 def _slice_data(model):
+    from .critical import negative_slice, refine_critical, weight_decomposition
+    from .quiver import Representation
+    from .strata import LABEL_REFINE_TOL
+
     x0 = model.points[0] if model.points else Representation.zero(model.quiver, model.dims)
     rec = refine_critical(x0, model.alpha,
                           tol=float(model.params.get("refine_tol", LABEL_REFINE_TOL)),
@@ -113,6 +113,8 @@ def _slice_data(model):
 
 
 def _run_slice(model, out_dir):
+    from .critical import morse_index_check, unstable_boundedness_check
+
     rec, wd, fib = _slice_data(model)
     idx = morse_index_check(rec, fib, model.alpha)
     doc = {
@@ -137,6 +139,8 @@ def _run_slice(model, out_dir):
 
 
 def _run_strata(model, out_dir):
+    from .strata import stratum_labels
+
     labels = [{"status": lab.status, "spectra": lab.spectra,
                "f_limit": lab.f_limit if lab.status == "converged" else None}
               for lab in stratum_labels(model.points, model.alpha, model.integrator)]
@@ -145,6 +149,8 @@ def _run_strata(model, out_dir):
 
 
 def _run_lines(model, out_dir):
+    from .strata import flow_lines
+
     z = float(model.params["z"])
 
     def one(fl):
@@ -164,6 +170,9 @@ def _run_lines(model, out_dir):
 
 
 def _run_broken(model, out_dir):
+    from .quiver import Representation
+    from .strata import broken_line_experiment
+
     p = model.params
     fixed = {k: v for k, v in p["fixed"].items()}
     edge = p["varying_edge"]
@@ -205,6 +214,8 @@ def _run_broken(model, out_dir):
 
 
 def _run_retract(model, out_dir):
+    from .retract import SaddleScene, SlitScene, condition4_probe, connectivity_census
+
     p = model.params
     eps = float(p.get("eps", 0.1))
     delta = float(p.get("delta", 0.5))
@@ -264,6 +275,8 @@ def _run_retract(model, out_dir):
 
 
 def _run_variety(model, out_dir):
+    from .subvariety import SubvarietySpec, slice_variety_probe
+
     spec = SubvarietySpec(model.relations,
                           residual_tol=float(model.params.get("residual_tol", 1e-10)))
     rec, wd, fib = _slice_data(model)
@@ -279,6 +292,8 @@ def _run_variety(model, out_dir):
 
 
 def _run_check(model, out_dir):
+    from .checks import run_checks
+
     results = run_checks(model, trials=int(model.params.get("trials", 3)))
     write_json(_out(out_dir, "checks.json"), {"checks": results})
     failed = [r["name"] for r in results if not r["passed"]]

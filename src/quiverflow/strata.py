@@ -160,10 +160,10 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
     when given, is flowed forward after the members to expose the
     intermediate critical point the family breaks through.  Every member is
     flowed backward to the common upper record and forward to its lower
-    record, all in one batch; its checkpoints are read off the forward
-    trace.  If the limiting member converges straight to the
-    bottom value, the family does not break and a single-line report
-    (empty intermediate chain) is returned.
+    record, all in one batch; the checkpoints of all members at all levels
+    are read off the forward traces as one crossing stack.  If the limiting
+    member converges straight to the bottom value, the family does not
+    break and a single-line report (empty intermediate chain) is returned.
     """
     levels = tuple(float(r) for r in levels)
     seeds = [seed_family(s) for s in params]
@@ -179,8 +179,10 @@ def broken_line_experiment(seed_family, params, alpha: CentralShift, levels,
     upper = refine_critical(members[0][2].final, alpha, tol=CHAIN_REFINE_TOL, cfg=cfg)
     lower = refine_critical(members[0][3].final, alpha, tol=CHAIN_REFINE_TOL, cfg=cfg)
 
-    fwds = [fwd for *_, fwd in members]
-    checkpoints = [trace_crossings(fwds, [r] * len(fwds), alpha) for r in levels]
+    n = len(members)
+    found = trace_crossings([fwd for *_, fwd in members] * len(levels),
+                            [r for r in levels for _ in range(n)], alpha)
+    checkpoints = [found[k * n:(k + 1) * n] for k in range(len(levels))]
 
     successive = [tuple(None if y0 is None or y1 is None else float(y0.distance(y1))
                         for y0, y1 in zip(col, col[1:])) for col in checkpoints]

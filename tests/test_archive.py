@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from quiverflow import runner
+from quiverflow import retract, runner
 from quiverflow.archive import canonical_json, census_csv, export_csv, write_json
 from quiverflow.quiver import Representation
 from quiverflow.retract import connectivity_census
@@ -267,7 +267,7 @@ def test_retract_archive_stores_the_census_labels_as_runs(monkeypatch, tmp_path)
         labels.append(out[1] if len(labels) < 2 else None)     # the two base grids
         return out
 
-    monkeypatch.setattr(runner, "connectivity_census", census)
+    monkeypatch.setattr(retract, "connectivity_census", census)
     runner.run_experiment(bundled_model("slit_retract.json"), str(tmp_path))
     path = tmp_path / "outputs" / "retract.json"
     with open(path) as fh:

@@ -341,12 +341,14 @@ def _set(path, value):
      "points.values.0.x"),
     ("a2_check", _set(["alpha", "2"], float("inf")), "alpha.2"),
     ("a2_check", _set(["integrator", "min_step"], 1e7), "integrator"),
+    ("slit_retract", _set(["integrator"], {"min_step": 1.0, "max_step": 0.5}), "integrator"),
     ("a2_check", _set(["points", "scale"], float("inf")), "points.scale"),
 ], ids=["tensor_size", "relation_path", "relation_coef", "open_cycle", "block_shape", "ragged_block",
-        "alpha", "step_bounds", "point_scale"])
+        "alpha", "step_bounds", "retract_step_bounds", "point_scale"])
 def test_constructor_rejections_are_config_errors(tmp_path, name, edit, field):
     # each passed validation and then failed inside the run (exit 1): the oversize
-    # moment tensor wrote failure.json, the others raised from build_model
+    # moment tensor wrote failure.json, the others raised from build_model; a
+    # retract model builds its integrator only from a section that is present
     doc = json.load(open(config_path(f"{name}.json")))
     edit(doc)
     bad = tmp_path / "bad.json"

@@ -573,6 +573,24 @@ def test_broken_family_flows_its_limit_member_in_the_forward_batch(monkeypatch):
     assert calls == {"integrate_many": 2, "crossing_stack": 1, "integrate": 0}
 
 
+def test_broken_family_finds_the_checkpoints_of_all_levels_in_one_crossing_stack(monkeypatch):
+    from quiverflow.strata import broken_line_experiment
+
+    q, dims = a2()
+    params, levels = [0.1 * 2.0 ** (-n) for n in range(4)], [1.5, 0.5]
+    calls = count_flows(monkeypatch)
+    rep = broken_line_experiment(lambda s: scalar_rep(q, dims, [0.3 + s]), params, A2_ALPHA,
+                                 levels=levels, cfg=CFG)
+    assert calls == {"integrate_many": 2, "crossing_stack": 1, "integrate": 0}
+    monkeypatch.undo()
+    # one trace_crossings call per level, as before the levels shared a stack
+    fwds = integrate_many([scalar_rep(q, dims, [0.3 + s]) for s in params], A2_ALPHA, CFG)
+    for level, col in zip(levels, rep.checkpoints):
+        lone = flow.trace_crossings(fwds, [level] * len(fwds), A2_ALPHA)
+        assert all(y is not None for y in col)
+        assert [y.flatten().tobytes() for y in col] == [y.flatten().tobytes() for y in lone]
+
+
 def test_flow_lines_flow_both_directions_in_one_batch(monkeypatch):
     from quiverflow.strata import flow_lines
 

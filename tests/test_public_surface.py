@@ -10,7 +10,10 @@ goes by name, not by type.  Re-exports, ``__all__`` entries, docstrings and
 comments do not count, so the scan reads the syntax tree, not the text.
 
 Each public name has one home, its module: the package itself re-exports
-nothing, so importing it loads no submodule.
+nothing, so importing it loads no submodule.  An experiment's modules are
+loaded by ``runconfig.build_model``, from the ``runconfig.EXPERIMENTS``
+table, and by nothing at import: a retract setup loads no flow code, and
+``run_experiment`` loads no module that the build did not.
 """
 
 import ast
@@ -20,6 +23,8 @@ import pathlib
 import subprocess
 import sys
 from collections import Counter
+
+import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "quiverflow"
 
@@ -121,15 +126,48 @@ def test_each_exempt_member_has_no_reader():
     assert unread == set(EXEMPT_MEMBERS)
 
 
-def test_the_package_defines_only_its_version_and_loads_no_submodule():
-    code = ("import json, sys, quiverflow; print(json.dumps(["
-            "sorted(m for m in sys.modules if m.startswith('quiverflow.')), "
-            "sorted(n for n in vars(quiverflow) if n[:2] != '__' or n[-2:] != '__'), "
-            "quiverflow.__version__]))")
+_LOADED = "sorted(m for m in sys.modules if m.startswith('quiverflow.'))"
+
+
+def _fresh_python(code):
+    """The JSON that ``code`` prints last, run in a fresh interpreter on the source tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent),
                                                        os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout
-    submodules, names, version = json.loads(out)
+    return json.loads(out.splitlines()[-1])
+
+
+def test_the_package_defines_only_its_version_and_loads_no_submodule():
+    submodules, names, version = _fresh_python(
+        "import json, sys, quiverflow; print(json.dumps(["
+        f"{_LOADED}, "
+        "sorted(n for n in vars(quiverflow) if n[:2] != '__' or n[-2:] != '__'), "
+        "quiverflow.__version__]))")
     assert (submodules, names) == ([], [])
     assert version
+
+
+def test_a_retract_setup_loads_only_the_census_modules():
+    # runconfig imported flow, moment and quiver, and runner every experiment module
+    path = str(PACKAGE / "configs" / "slit_retract.json")
+    loaded = _fresh_python(
+        "import json, sys\n"
+        "from quiverflow import runconfig, runner\n"
+        f"runconfig.build_model(runconfig.load_config({path!r}))\n"
+        f"print(json.dumps({_LOADED}))")
+    assert loaded == [f"quiverflow.{m}"
+                      for m in ("archive", "errors", "retract", "runconfig", "runner")]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (PACKAGE / "configs").glob("*.json")))
+def test_a_run_loads_no_module_that_the_build_did_not(tmp_path, name):
+    path = str(PACKAGE / "configs" / name)
+    built, ran = _fresh_python(
+        "import json, sys\n"
+        "from quiverflow import runconfig, runner\n"
+        f"model = runconfig.build_model(runconfig.load_config({path!r}))\n"
+        f"built = {_LOADED}\n"
+        f"runner.run_experiment(model, {str(tmp_path)!r})\n"
+        f"print(json.dumps([built, {_LOADED}]))")
+    assert ran == built
