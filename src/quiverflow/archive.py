@@ -3,17 +3,10 @@
 An archive directory holds the effective config snapshot (config.json),
 deterministic artifacts under outputs/, and volatile wall-clock metadata in
 meta.json.  Everything under outputs/ plus config.json is byte-reproducible
-from the snapshot: JSON is indented by 2 with sorted keys, floats go through
+from the snapshot: JSON is compact with sorted keys, one line per file
+(``python -m json.tool FILE`` pretty-prints one), floats go through
 Python's shortest round-trip repr, CSV floats are printed with 17
 significant digits, and writes are atomic (temp file then rename).
-
-``canonical_json`` renders the JSON itself, byte-identical to
-``json.dumps(indent=2, sort_keys=True)`` (NaN and Infinity included) once
-keys become ``str(k)``, tuples lists, numpy scalars Python scalars and
-complex values [re, im] pairs.  With an indent, ``json.dumps`` runs its
-pure-Python encoder element by element.  The renderer appends pieces to one
-list and joins it once, and formats each innermost row of a numeric array
-in one join.
 
 A census grid in retract.json holds its labels as runs over the row-major
 cells of the rho x theta grid: ``np.repeat(label_values, label_lengths)``
@@ -27,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -49,92 +41,28 @@ __all__ = [
 ]
 
 
-_INF = float("inf")
-_BOOL_STR = ("false", "true")
-
-
-def _float_str(x) -> str:
-    """json's spelling of a float: shortest round-trip repr, NaN, +-Infinity."""
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _emit_nested(shape, pad, bodies, out):
-    """Nested lists of ``shape`` (no dim 0); ``bodies`` yields each innermost row, joined."""
-    inner = pad + "  "
-    if len(shape) == 1:
-        out += ("[\n", inner, next(bodies), "\n", pad, "]")
-        return
-    for i in range(shape[0]):
-        out.append((",\n" if i else "[\n") + inner)
-        _emit_nested(shape[1:], inner, bodies, out)
-    out.append("\n" + pad + "]")
-
-
-def _emit_array(a, pad, out):
-    if np.iscomplexobj(a):
-        a = np.stack([a.real, a.imag], axis=-1)
-    kind = a.dtype.kind
-    if a.ndim == 0 or kind not in "biuf" or not a.size:
-        _emit(a.tolist(), pad, out)
-        return
-    if kind == "f":
-        fmt = float.__repr__ if np.isfinite(a).all() else _float_str
-    else:
-        fmt = _BOOL_STR.__getitem__ if kind == "b" else int.__repr__
-    sep = ",\n" + pad + "  " * a.ndim
-    bodies = (sep.join(map(fmt, row)) for row in a.reshape(-1, a.shape[-1]).tolist())
-    _emit_nested(a.shape, pad, bodies, out)
-
-
-def _emit(obj, pad, out):
-    """Append ``obj`` in canonical JSON at indentation ``pad`` to the piece list ``out``."""
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, float):
-        out.append(_float_str(obj))
-    elif isinstance(obj, (dict, list, tuple)) and not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-    elif isinstance(obj, dict):
-        inner = pad + "  "
-        for i, (k, v) in enumerate(sorted({str(k): v for k, v in obj.items()}.items())):
-            out.append((",\n" if i else "{\n") + inner + encode_basestring_ascii(k) + ": ")
-            _emit(v, inner, out)
-        out.append("\n" + pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        inner = pad + "  "
-        for i, v in enumerate(obj):
-            out.append((",\n" if i else "[\n") + inner)
-            _emit(v, inner, out)
-        out.append("\n" + pad + "]")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append(_BOOL_STR[bool(obj)])
-    elif isinstance(obj, (int, np.integer)):
-        out.append(int.__repr__(int(obj)))
-    elif isinstance(obj, np.floating):
-        out.append(_float_str(float(obj)))
-    elif isinstance(obj, np.ndarray):
-        _emit_array(obj, pad, out)
-    elif isinstance(obj, complex):
-        _emit([float(obj.real), float(obj.imag)], pad, out)
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def _plain(obj):
+    """``obj`` with str keys, tuples and arrays as lists, complex values as
+    [re, im] and numpy scalars as Python scalars, ready for ``json.dumps``."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            obj = np.stack([obj.real, obj.imag], axis=-1)
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    return obj
 
 
 def canonical_json(obj) -> str:
-    """Indent-2, sorted-key JSON, byte-identical to
-    ``json.dumps(obj, indent=2, sort_keys=True)`` on the converted document."""
-    out = []
-    _emit(obj, "", out)
-    out.append("\n")
-    return "".join(out)
+    """Compact, sorted-key JSON of ``obj`` on one line, from json's C encoder
+    (non-finite floats spelled NaN, Infinity and -Infinity)."""
+    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_text(path, text):

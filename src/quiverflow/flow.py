@@ -70,10 +70,7 @@ __all__ = [
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10), 12 stages and FSAL, as
 # float64 literals: B gives the 8th-order step, E5 and E3 its 5th- and 3rd-order
-# error estimates; C, the stage times, is unused by the autonomous field.
-_C = np.array((0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-               0.6512820512820513, 0.6, 0.8571428571428571, 1.0))
+# error estimates.  The stage times C are left out: the field is autonomous.
 _A = tuple(np.array(row) for row in (
     (),
     (0.05260015195876773,),

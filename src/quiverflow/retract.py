@@ -53,9 +53,9 @@ __all__ = [
     "condition4_probe",
 ]
 
-# Condition-4 probe: samples per circle, on radii 0.1 down to 1e-4 (descending)
+# Condition-4 probe: samples on one circle of this radius around the critical point
 PROBE_SAMPLES = 64
-PROBE_RADII = tuple(1e-1 * 10.0 ** -k for k in range(4))
+PROBE_RADIUS = 1e-4
 
 # Cells per block of the census grid passes: bounds their scratch beside the grid
 _BLOCK_CELLS = 1 << 16
@@ -359,12 +359,11 @@ def condition4_probe(scene, u_width: float) -> dict:
     For the saddle, U is the tube |y| < u_width on the bottom level; for
     the slit quotient, U is the union of non-wrapping arcs of half-width
     u_width around theta in {0, pi} (so the sector theta in (3 pi / 2,
-    2 pi) is outside U for u_width < pi / 2).  Samples at each radius are
-    spread over directions off the stable set and flowed to the bottom
-    level; holds is True when some radius (and every smaller one) funnels
-    all samples into U, and a violating sample is returned as witness
-    otherwise.  ``PROBE_SAMPLES`` samples are taken on each of the
-    ``PROBE_RADII``.
+    2 pi) is outside U for u_width < pi / 2).  ``PROBE_SAMPLES`` samples
+    on the circle of ``PROBE_RADIUS`` are spread over directions off the
+    stable set and flowed to the bottom level; holds is True when they all
+    land in U, and the last violating sample is returned as witness
+    otherwise.
     """
     level = -scene.eps
     if math.isinf(u_width):
@@ -378,22 +377,17 @@ def condition4_probe(scene, u_width: float) -> dict:
         return scene.theta_distance_to_unstable(q.v) < u_width, q
 
     witness = None
-    for radius in PROBE_RADII:
-        bad = None
-        for k in range(PROBE_SAMPLES):
-            ang = 2.0 * math.pi * (k + 0.5) / PROBE_SAMPLES
-            if isinstance(scene, SaddleScene):
-                p = ScenePoint(radius * math.cos(ang), radius * math.sin(ang))
-            else:
-                p = SlitScene.canonical(radius, ang)
-            if scene.on_stable_set(p):
-                continue
-            ok, q = lands_in_U(p)
-            if not ok:
-                bad = {"sample": p, "landing": q, "radius": radius}
-        if bad is not None:
-            witness = bad
-        if radius == PROBE_RADII[-1] and bad is None:
-            # the shrinking neighborhoods end up funneling into U
-            return {"holds": True, "witness": None, "radius": radius, "vacuous": False}
+    for k in range(PROBE_SAMPLES):
+        ang = 2.0 * math.pi * (k + 0.5) / PROBE_SAMPLES
+        if isinstance(scene, SaddleScene):
+            p = ScenePoint(PROBE_RADIUS * math.cos(ang), PROBE_RADIUS * math.sin(ang))
+        else:
+            p = SlitScene.canonical(PROBE_RADIUS, ang)
+        if scene.on_stable_set(p):
+            continue
+        ok, q = lands_in_U(p)
+        if not ok:
+            witness = {"sample": p, "landing": q, "radius": PROBE_RADIUS}
+    if witness is None:
+        return {"holds": True, "witness": None, "radius": PROBE_RADIUS, "vacuous": False}
     return {"holds": False, "witness": witness, "radius": None, "vacuous": False}

@@ -1,8 +1,8 @@
-"""The archive writers against the formatters they replaced.
+"""The archive writers against straightforward oracles, and the on-disk format.
 
 ``old_canonical_json`` and ``conftest.per_cell_census_csv`` are the
-straightforward routes, kept as oracles: a conversion pass followed by
-``json.dumps(indent=2, sort_keys=True)``, and one f-string per grid cell.
+straightforward routes: a conversion pass written out case by case followed
+by compact, sorted-key ``json.dumps``, and one f-string per grid cell.
 """
 
 import itertools
@@ -44,7 +44,7 @@ def old_to_jsonable(obj):
 
 
 def old_canonical_json(obj):
-    return json.dumps(old_to_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(old_to_jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 FLOATS = [0.0, -0.0, 1.0, -2.5, 0.1, 1e300, -1e-300, 5e-324, 2.2250738585072014e-308 / 3,
@@ -215,6 +215,21 @@ def test_canonical_json_matches_json_dumps_on_archive_documents(monkeypatch, tmp
     assert len(docs) == 2          # config.json and the experiment's output
     for doc in docs:
         assert canonical_json(doc) == old_canonical_json(doc)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("slit_retract.json", lambda p: p.update(grid=[12, 16], refine=[24, 32])),
+    ("a2_critical.json", lambda p: None),
+], ids=["slit_retract", "a2_critical"])
+def test_archive_json_files_are_one_canonical_line(tmp_path, name, edit):
+    runner.run_experiment(bundled_model(name, edit), str(tmp_path))
+    paths = sorted(tmp_path.glob("*.json")) + sorted(tmp_path.glob("outputs/*.json"))
+    assert len(paths) == 3         # config.json, meta.json and the experiment's output
+    for path in paths:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        assert text.endswith("\n") and text.count("\n") == 1, path.name
+        assert text == canonical_json(json.loads(text)), path.name
 
 
 def test_unsupported_objects_raise_and_leave_no_file(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from quiverflow.errors import LevelNotReachedError, UndefinedDomainError
 from quiverflow.retract import (
+    PROBE_SAMPLES,
     SaddleScene,
     ScenePoint,
     SlitScene,
@@ -454,6 +455,23 @@ def test_condition4_slit_fails_with_witness(slit):
     assert 1.5 * math.pi < w["sample"].v < 2.0 * math.pi
     # the landing point is far from both unstable rays in the slit metric
     assert slit.theta_distance_to_unstable(w["landing"].v) >= math.pi / 3.0
+
+
+@pytest.mark.parametrize("scene, u_width", [
+    (SaddleScene(eps=EPS, delta=DELTA), DELTA),
+    (SlitScene(eps=EPS), math.pi / 3.0),
+], ids=["saddle", "slit"])
+def test_condition4_probe_flows_one_circle_of_samples(monkeypatch, scene, u_width):
+    calls = []
+    flow = type(scene).flow
+
+    def counted(self, p, t):
+        calls.append(p)
+        return flow(self, p, t)
+
+    monkeypatch.setattr(type(scene), "flow", counted)
+    condition4_probe(scene, u_width=u_width)
+    assert 0 < len(calls) <= PROBE_SAMPLES
 
 
 def test_condition4_vacuous_full_level(slit):
