@@ -11,9 +11,9 @@ into weight spaces: in per-vertex eigenframes of beta the coordinate
 The slice fiber at x is the intersection of the span of the strictly
 negative-weight coordinate directions with the orthocomplement of the
 orbit tangent space im rho_x.  Its dimension reproduces the count of
-negative Hessian eigenvalues; the finite-difference Hessian is kept as the
-independent check of that identity (also pinning down the weight-sign
-convention, which a bare symbol chase would leave ambiguous).
+negative Hessian eigenvalues; ``morse_index_check`` tests that identity on
+the exact Hessian (``hessian_matrix``), and it pins down the weight-sign
+convention, which a bare symbol chase would leave ambiguous.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .moment import (
     HermitianCollection,
     VelocityKernel,
     beta_of,
-    hessian_fd,
     hessian_matrix,
     moment_tensor,
     orbit_basis,
@@ -232,15 +231,17 @@ class MorseIndexReport:
 
 def morse_index_check(rec: CriticalRecord, fiber: SliceFiber,
                       alpha: CentralShift) -> MorseIndexReport:
-    """Compare the slice dimension against the finite-difference Hessian index.
+    """Compare the slice dimension against the index of the exact Hessian.
 
+    The Hessian is ``hessian_matrix`` at rec.x; its eigenvalues, ascending,
+    are the report's ``eigenvalues`` and the archive's ``hessian_spectrum``.
     Eigenvalues below -band count as negative, with band
     1e-6 * (1 + max |eig|).  Zero modes inside the band are expected (orbit
     directions at minima) and do not block agreement; a disagreement in the
     presence of in-band eigenvalues is reported as indeterminate rather
     than as a clean verdict, since band calls could flip it either way.
     """
-    hess = hessian_fd(rec.x, alpha)
+    hess = hessian_matrix(rec.x, alpha)
     lam = np.linalg.eigvalsh(hess) if hess.size else np.zeros(0)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
     band = 1e-6 * (1.0 + scale)

@@ -33,17 +33,19 @@ consistency test in the suite.
 On flat real states the moment map is a quadratic form, y^T T_k y per real
 coordinate of H (``moment_tensor``).  ``VelocityKernel`` is the one
 implementation of f, the flow field and the Hessian, as closed forms in T;
-``f_value``, ``hessian_matrix`` and the inner loops call it.  The same
-contraction T y spans the orbit tangent: for Hermitian A, rho_x(A) =
-2 sum_k A_k T_k y, so im rho_x is span{T_k y} plus i times it (``orbit_basis``; ``critical`` reads its criticality residual and
-slice off it).  ``beta_of`` gives Hermitian blocks to records and checks;
-``hessian_fd`` and ``moment_map_equation_check`` check the derivatives by
-finite differences of values.
+``f_value``, ``hessian_matrix`` and the inner loops call it; its exact
+Hessian is the one ``refine_critical`` and ``morse_index_check`` use (the
+archive's ``hessian_spectrum``), and the tests hold it to a
+finite-difference oracle.  The same contraction T y spans the orbit
+tangent: for Hermitian A, rho_x(A) = 2 sum_k A_k T_k y, so im rho_x is
+span{T_k y} plus i times it (``orbit_basis``; ``critical`` reads its
+criticality residual and slice off it).  ``beta_of`` gives Hermitian
+blocks to records and checks; ``moment_map_equation_check`` checks the
+moment map's defining equation by a finite difference of values.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -67,7 +69,6 @@ __all__ = [
     "f_value",
     "mu_pairing",
     "moment_map_equation_check",
-    "hessian_fd",
     "hessian_matrix",
 ]
 
@@ -298,52 +299,10 @@ def moment_map_equation_check(x: Representation, tangent: Representation,
     return abs(lhs - rhs)
 
 
-def _fd_hessian(fun, y0, h):
-    """Central-difference Hessian of a scalar function of a real vector.
-
-    fun takes the stack of every stencil point in one call; each entry is
-    the per-entry formula on those values (the same points, the same order
-    of operations).
-    """
-    n = y0.size
-    i, j = np.triu_indices(n, 1)
-    e = h * np.eye(n)
-    ei, ej = e[i], e[j]
-    vals = fun(np.concatenate([y0[None], y0 + 2 * e, y0 - 2 * e, y0 + ei + ej,
-                               y0 + ei - ej, y0 - ei + ej, y0 - ei - ej]))
-    f0, fpp, fmm, pp, pm, mp, mm = np.split(vals, np.cumsum([1, n, n] + [i.size] * 3))
-    out = np.diag((fpp - 2.0 * f0 + fmm) / (4.0 * h * h))
-    out[i, j] = out[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
-    return out
-
-
-def hessian_fd(x: Representation, alpha: CentralShift, step: float = 1e-4) -> np.ndarray:
-    """Finite-difference Hessian of f in the flattened real coordinates.
-
-    Uses central differences of the values of f only (independent of the
-    analytic gradient), with one Richardson extrapolation step at 2*step.
-    A large extrapolation correction signals cancellation from a too-small
-    step and raises a warning rather than failing.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    y0 = x.flatten()
-    fun = VelocityKernel(x.quiver, x.dims, alpha).f_flat
-    h1 = _fd_hessian(fun, y0, step)
-    h2 = _fd_hessian(fun, y0, 2.0 * step)
-    out = (4.0 * h1 - h2) / 3.0
-    scale = max(np.linalg.norm(h1), 1.0)
-    if np.linalg.norm(h1 - h2) > 1e-2 * scale + 1e-6:
-        warnings.warn(
-            "hessian_fd: step-size sensitivity detected (possible cancellation); "
-            "consider a larger step", stacklevel=2)
-    return 0.5 * (out + out.T)
-
-
 def hessian_matrix(x: Representation, alpha: CentralShift) -> np.ndarray:
     """Analytic Hessian of f (the Jacobian of grad f), as a real matrix.
 
-    Used as the Gauss-Newton Jacobian in critical-point refinement; the
-    finite-difference route above stays the independent cross-check.
+    Used as the Gauss-Newton Jacobian in critical-point refinement and by
+    the Morse check; the tests hold it to a finite-difference oracle.
     """
     return VelocityKernel(x.quiver, x.dims, alpha).hessian(x.flatten())

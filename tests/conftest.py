@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,49 @@ def flow_velocity(x, alpha):
     ``Representation``: the oracle the flat velocity kernel is compared against."""
     v = VelocityKernel(x.quiver, x.dims, alpha).velocity_flat(x.flatten())
     return Representation.unflatten(x.quiver, x.dims, v)
+
+
+def _fd_hessian(fun, y0, h):
+    """Central-difference Hessian of a scalar function of a real vector.
+
+    fun takes the stack of every stencil point in one call; each entry is
+    the per-entry formula on those values (the same points, the same order
+    of operations).
+    """
+    n = y0.size
+    i, j = np.triu_indices(n, 1)
+    e = h * np.eye(n)
+    ei, ej = e[i], e[j]
+    vals = fun(np.concatenate([y0[None], y0 + 2 * e, y0 - 2 * e, y0 + ei + ej,
+                               y0 + ei - ej, y0 - ei + ej, y0 - ei - ej]))
+    f0, fpp, fmm, pp, pm, mp, mm = np.split(vals, np.cumsum([1, n, n] + [i.size] * 3))
+    out = np.diag((fpp - 2.0 * f0 + fmm) / (4.0 * h * h))
+    out[i, j] = out[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
+    return out
+
+
+def hessian_fd(x: Representation, alpha: CentralShift, step: float = 1e-4) -> np.ndarray:
+    """Finite-difference Hessian of f in the flattened real coordinates: the
+    oracle the exact Hessian ``hessian_matrix`` is compared against.
+
+    Uses central differences of the values of f only (independent of the
+    analytic gradient), with one Richardson extrapolation step at 2*step.
+    A large extrapolation correction signals cancellation from a too-small
+    step and raises a warning rather than failing.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    y0 = x.flatten()
+    fun = VelocityKernel(x.quiver, x.dims, alpha).f_flat
+    h1 = _fd_hessian(fun, y0, step)
+    h2 = _fd_hessian(fun, y0, 2.0 * step)
+    out = (4.0 * h1 - h2) / 3.0
+    scale = max(np.linalg.norm(h1), 1.0)
+    if np.linalg.norm(h1 - h2) > 1e-2 * scale + 1e-6:
+        warnings.warn(
+            "hessian_fd: step-size sensitivity detected (possible cancellation); "
+            "consider a larger step", stacklevel=2)
+    return 0.5 * (out + out.T)
 
 
 def tau_level(x, alpha, ell, cfg, direction=1):

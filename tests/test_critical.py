@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from quiverflow.quiver import LieAlgebraElement, Representation, infinitesimal_action
-from quiverflow.moment import CentralShift, HermitianCollection, beta_of, f_value
+from quiverflow.quiver import LieAlgebraElement, Quiver, Representation, infinitesimal_action
+from quiverflow.moment import CentralShift, HermitianCollection, VelocityKernel, beta_of, f_value
 from quiverflow.flow import FlowTrace, IntegratorConfig, integrate
 from quiverflow.critical import (
     CriticalRecord,
@@ -18,7 +18,7 @@ from quiverflow.critical import (
 from quiverflow.errors import InsufficientDataError, RefinementFailedError
 from quiverflow.presets import jordan_two_loops, scalar_rep
 
-from conftest import ORBIT_MODELS, orbit_states, philox, rho_matrix
+from conftest import ORBIT_MODELS, hessian_fd, orbit_states, philox, rho_matrix
 
 
 def test_refine_exact_critical_point(a2_model):
@@ -187,6 +187,49 @@ def test_morse_index_on_flat_quiver(jordan1_model):
     fib = negative_slice(rec, weight_decomposition(rec))
     rep = morse_index_check(rec, fib, alpha)
     assert (rep.slice_dim, rep.hessian_index, rep.agree) == (0, 0, True)
+
+
+def no_arrows():
+    # n = 0: the representation space is a point and the Hessian is 0 x 0
+    q = Quiver.from_lists(["1", "2"], [])
+    return q, (2, 1), CentralShift((0.3, -0.6))
+
+
+def band_counts(lam):
+    """Eigenvalues below and inside morse_index_check's zero band."""
+    band = 1e-6 * (1.0 + np.max(np.abs(lam), initial=0.0))
+    return int(np.sum(lam < -band)), int(np.sum(np.abs(lam) < band))
+
+
+@pytest.mark.parametrize("maker", ORBIT_MODELS + [no_arrows])
+def test_morse_index_check_reads_the_exact_hessian(maker, monkeypatch):
+    # the index, the zero band and the spectrum match the finite-difference
+    # oracle, and the check evaluates f nowhere
+    q, dims, alpha = maker()
+    calls = []
+    f_flat = VelocityKernel.f_flat
+
+    def counting(self, y):
+        calls.append(1)
+        return f_flat(self, y)
+
+    monkeypatch.setattr(VelocityKernel, "f_flat", counting)
+    checked = 0
+    for x in orbit_states(q, dims, philox(5)):
+        try:
+            rec = refine_critical(x, alpha)
+        except RefinementFailedError:
+            continue                  # a flow that stops short of the critical set
+        fiber = negative_slice(rec, weight_decomposition(rec))
+        before = len(calls)
+        rep = morse_index_check(rec, fiber, alpha)
+        assert len(calls) == before
+        lam = np.linalg.eigvalsh(hessian_fd(rec.x, alpha))
+        assert (rep.hessian_index, band_counts(rep.eigenvalues)[1]) == band_counts(lam)
+        tol = 1e-6 * (1.0 + np.max(np.abs(lam), initial=0.0))
+        assert np.all(np.abs(rep.eigenvalues - lam) <= tol)
+        checked += 1
+    assert checked >= 1
 
 
 def test_criticality_residual_invariant(a2_model, tight_cfg, rng):

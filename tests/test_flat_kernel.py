@@ -3,8 +3,10 @@ closed forms in the moment tensor T.
 
 The Hermitian-block route (``beta_of`` and ``infinitesimal_action``) stays
 here as the reference the kernel is checked against on every preset, and
-the inner loops of ``hessian_fd`` and ``refine_critical`` are checked to run
-on flat vectors rather than on validated ``Representation`` values.
+the inner loops of ``refine_critical`` and of the finite-difference Hessian
+oracle ``hessian_fd`` (in ``conftest``, which the exact Hessian is held to)
+are checked to run on flat vectors rather than on validated
+``Representation`` values.
 """
 
 import os
@@ -16,12 +18,13 @@ import pytest
 
 import quiverflow
 from quiverflow.quiver import LieAlgebraElement, Quiver, Representation, infinitesimal_action
-from quiverflow.moment import CentralShift, beta_of, f_value, hessian_fd
+from quiverflow.moment import CentralShift, beta_of, f_value, hessian_matrix
 from quiverflow.critical import refine_critical
 from quiverflow.errors import ShapeError
 from quiverflow.presets import a2, jordan_two_loops, scalar_rep
 
-from conftest import ORACLE_MODELS, a2_pair_model, flow_velocity, philox, star, two_loops
+from conftest import (ORACLE_MODELS, _fd_hessian, a2_pair_model, flow_velocity, hessian_fd, philox,
+                      star, two_loops)
 
 
 EPS = np.finfo(float).eps
@@ -122,6 +125,7 @@ def test_f_is_exactly_constant_where_the_moment_vanishes():
     assert values == {0.37 ** 2}
     x = Representation.random(q, dims, rng)
     assert not np.any(hessian_fd(x, alpha))
+    assert not np.any(hessian_matrix(x, alpha))
 
 
 def test_hessian_fd_builds_no_representation_per_evaluation(monkeypatch):
@@ -169,7 +173,7 @@ def fd_hessian_loop(fun, y0, h):
 
 @pytest.mark.parametrize("maker", [star, a2_pair_model, two_loops])
 def test_batched_fd_hessian_equals_the_per_entry_loop(maker):
-    from quiverflow.moment import VelocityKernel, _fd_hessian
+    from quiverflow.moment import VelocityKernel
 
     q, dims, alpha = maker()
     fun = VelocityKernel(q, dims, alpha).f_flat

@@ -3,11 +3,11 @@
 import numpy as np
 
 from quiverflow.quiver import GroupElement, Quiver, Representation, act
-from quiverflow.moment import CentralShift, f_value
+from quiverflow.moment import CentralShift, f_value, hessian_matrix
 from quiverflow.flow import IntegratorConfig, energy_identity_defect, integrate
 from quiverflow.errors import QuiverFlowError
 
-from conftest import flow_velocity, philox, tau_level
+from conftest import flow_velocity, hessian_fd, philox, tau_level
 
 
 def random_quiver(rng):
@@ -45,6 +45,10 @@ def test_identities_on_random_topologies():
         fd = fd_grad(x, alpha, 1e-6 * (1.0 + x.norm()))
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(g - fd) / denom < 1e-5, (trial, q)
+
+        exact = hessian_matrix(x, alpha)
+        defect = np.linalg.norm(exact - hessian_fd(x, alpha))
+        assert defect < 1e-6 * (1.0 + np.linalg.norm(exact)), (trial, q)
 
         k = GroupElement.random_unitary(q, dims, rng)
         assert abs(f_value(act(k, x), alpha) - f_value(x, alpha)) < 1e-10 * (1 + f_value(x, alpha))

@@ -8,7 +8,6 @@ from quiverflow.moment import (
     VelocityKernel,
     beta_of,
     f_value,
-    hessian_fd,
     hessian_matrix,
     moment,
     moment_map_equation_check,
@@ -16,7 +15,7 @@ from quiverflow.moment import (
 from quiverflow.errors import ShapeError
 from quiverflow.presets import a2, jordan_one_loop, jordan_two_loops, scalar_rep
 
-from conftest import ORACLE_MODELS, a2_f, flow_velocity, philox
+from conftest import ORACLE_MODELS, ORBIT_MODELS, a2_f, flow_velocity, hessian_fd, philox
 
 
 def fd_gradient(x, alpha, h=None):
@@ -159,7 +158,7 @@ def test_hessian_fd_warns_on_tiny_step(a2_model):
         hessian_fd(scalar_rep(q, dims, [0.77]), alpha, step=2e-9)
 
 
-@pytest.mark.parametrize("maker", ORACLE_MODELS)
+@pytest.mark.parametrize("maker", ORBIT_MODELS)
 def test_hessian_matrix_matches_fd(rng, maker):
     q, dims, alpha = maker()
     x = Representation.random(q, dims, rng, scale=0.6)
