@@ -29,7 +29,7 @@ from .errors import (
     QuiverFlowError,
     RefinementFailedError,
 )
-from .flow import FlowTrace, IntegratorConfig, integrate, integrate_many
+from .flow import FlowTrace, IntegratorConfig, integrate_many
 from .moment import (
     CentralShift,
     HermitianCollection,
@@ -104,12 +104,11 @@ def refine_critical(x_approx: Representation, alpha: CentralShift, tol: float = 
         # flow continuation toward the critical set; keep the closest
         # approach, since the flow escapes saddle-type points again
         flow_cfg = replace(cfg or IntegratorConfig(), grad_stop=tol, max_time=50.0)
-        trace = integrate(x_approx, alpha, flow_cfg)
+        trace = integrate_many([x_approx], alpha, flow_cfg)[0]
         y = trace.states[int(np.argmin(trace.gradnorms))]
         g = -2.0 * kernel.velocity_flat(y)
         gn = float(np.linalg.norm(g))
 
-    best_y, best_gn = y, gn
     for _ in range(max_newton):
         if gn < tol:
             break
@@ -126,16 +125,14 @@ def refine_critical(x_approx: Representation, alpha: CentralShift, tol: float = 
             scale *= 0.5
         else:
             break
-        if gn < best_gn:
-            best_y, best_gn = y, gn
-    if best_gn >= tol:
+    if gn >= tol:
         raise RefinementFailedError(
-            f"refinement stalled at ||grad f|| = {best_gn:.3e} (tol {tol:.3e})",
-            best_residual=best_gn)
-    x = Representation.unflatten(q, dims, best_y)
+            f"refinement stalled at ||grad f|| = {gn:.3e} (tol {tol:.3e})",
+            best_residual=gn)
+    x = Representation.unflatten(q, dims, y)
     beta = beta_of(x, alpha)
-    return CriticalRecord(x=x, f_crit=kernel.f_flat(best_y), beta=beta,
-                          beta_spectra=beta.spectra(), grad_residual=best_gn)
+    return CriticalRecord(x=x, f_crit=kernel.f_flat(y), beta=beta,
+                          beta_spectra=beta.spectra(), grad_residual=gn)
 
 
 @dataclass(frozen=True)
@@ -381,7 +378,7 @@ def unstable_boundedness_check(rec: CriticalRecord, fiber: SliceFiber,
         grads = trace.gradnorms
         if theta is None:
             # backward trace into the record pins the decay exponent
-            back = integrate(trace.final, alpha, replace(cfg, max_time=200.0), direction=-1)
+            back = integrate_many([trace.final], alpha, replace(cfg, max_time=200.0), direction=-1)[0]
             if back.status == "converged":
                 try:
                     theta, c_tail, _ = lojasiewicz_fit(back, rec.f_crit)

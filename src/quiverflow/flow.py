@@ -24,7 +24,7 @@ one batched field call per stage; f at each new state comes from the
 contraction of the FSAL stage (the field at the step's end, which is the
 next step's first slope), so a step costs twelve contractions.  Each row
 keeps its own flow direction, time, step, stall streak and status, and
-leaves the batch when it finishes (``integrate`` is its batch of one).
+leaves the batch when it finishes; a lone flow is a batch of one.
 A row is bitwise its lone run: each reduction is taken per row as a lone
 run takes it (``np.vecdot``, per-state matmuls, row sums, and Python's
 ``pow`` for step control, where numpy's array powers round otherwise),
@@ -42,7 +42,7 @@ contains exactly one root.  Crossings are solved as a stack, each row on
 its own, so a row's crossing is bitwise the same alone or in a stack.  Up
 to a crossing, integration accepts the same steps with or without a stop
 level, so ``trace_crossings`` replays a recorded trace's bracketing step
-through ``integrate_many``, the one place that decides where a row stops.
+from its flat state, and the integrator alone decides where a row stops.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .quiver import Quiver, Representation, path_product, unflatten_blocks
 __all__ = [
     "IntegratorConfig",
     "FlowTrace",
-    "integrate",
     "integrate_many",
     "trace_crossings",
     "energy_identity_defect",
@@ -358,29 +357,14 @@ def _on_level(f, level):
     return abs(f - level) <= 1e-14 * (1.0 + abs(level))
 
 
-def integrate(x0: Representation, alpha, cfg: IntegratorConfig,
-              direction: int = 1, stop_level: float = None,
-              replay_steps=None) -> FlowTrace:
-    """Adaptive integration of the flow from x0: ``integrate_many`` on one row.
-
-    direction=+1 follows the downward flow; -1 reverses it (f increases).
-    When ``stop_level`` is set, the run ends exactly on the level crossing
-    with status ``exited_level``; a start on the level or past it ends at
-    once (see ``integrate_many``).  ``replay_steps`` disables step control
-    and replays a recorded accepted-step sequence, so two group-related
-    initial conditions can be compared on an identical time grid.
-    """
-    replays = None if replay_steps is None else [replay_steps]
-    return integrate_many([x0], alpha, cfg, direction, stop_level, replays)[0]
-
-
 def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
                    stop_level=None, replay_steps=None) -> list:
-    """``integrate`` of each point in a list on one quiver and dimension vector, as
-    one batch.  ``direction`` is +1 or -1 for every row, or a sequence with one
-    +1 or -1 per row, so forward and backward flows share a batch; ``stop_level``
-    is one level (or None) for every row, or a sequence with one per row;
-    ``replay_steps`` holds a recorded step sequence or None per row.
+    """The flow's trace from each point in a list on one quiver and dimension
+    vector, as one batch.  ``direction`` is +1 (downward) or -1 (f increases),
+    and ``stop_level`` a level or None, for every row or one per row; a row
+    ends exactly on its level's crossing as ``exited_level``.  ``replay_steps``
+    holds a recorded step sequence or None per row: a replayed row takes those
+    steps without step control, so group-related starts share one time grid.
 
     Each row's start is judged on its own, and ends the row at once as a
     one-sample trace: within ``1e-14 (1 + |level|)`` of its level, with
@@ -400,11 +384,18 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
     q, dims = x0s[0].quiver, x0s[0].dims
     if any(x.quiver != q or x.dims != dims for x in x0s):
         raise ValueError("a batch needs one quiver and one dimension vector")
-    signs, n = [int(d) for d in signs], len(x0s)
-    st = _Stepper(q, dims, alpha, np.array(signs, dtype=float)[:, None])
+    return _integrate_rows(q, dims, [x.flatten() for x in x0s], alpha, cfg,
+                           [int(d) for d in signs], levels, replays)
+
+
+def _integrate_rows(quiver, dims, y0s, alpha, cfg, signs, levels, replays) -> list:
+    """``integrate_many`` from the flat states ``y0s`` (a nonempty list), with
+    one int sign, level (or None) and step sequence (or None) per row."""
+    n = len(y0s)
+    st = _Stepper(quiver, dims, alpha, np.array(signs, dtype=float)[:, None])
     dim, replay = st.dim, [None if s is None else iter(s) for s in replays]
 
-    y = np.array([np.concatenate([x.flatten(), [0.0]]) for x in x0s])
+    y = np.column_stack([y0s, np.zeros(n)])
     k, f0 = st.field_f(y)
     f0, gn0 = f0.tolist(), (2.0 * _norms(k[:, :dim])).tolist()
     blow_bound = (BLOWUP_FACTOR * (1.0 + _norms(y[:, :dim]))).tolist()
@@ -420,7 +411,7 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
         rec = np.frombuffer(samples[r]).reshape(-1, dim + 4)
         traces[r] = FlowTrace(rec[:, 0], rec[:, 1:dim + 1], rec[:, dim + 2], rec[:, dim + 3],
                               {"energy": 2.0 * rec[:, dim + 1]}, status, signs[r],
-                              tuple(steps[r]), q, dims)
+                              tuple(steps[r]), quiver, dims)
 
     for r in range(n):
         record(r, 0.0, y[r], f0[r], gn0[r])
@@ -472,7 +463,7 @@ def integrate_many(x0s, alpha, cfg: IntegratorConfig, direction=1,
                 h_new = max(cfg.min_step, h[r] * max(0.2, 0.9 * e ** -0.125))
                 if h_new >= h[r] and h[r] <= cfg.min_step:
                     if not np.linalg.norm(y[j, :dim]) > 5e-3 * blow_bound[r]:
-                        raise QuiverFlowError("step size underflow in integrate")
+                        raise QuiverFlowError("step size underflow in integrate_many")
                     finish(r, "blow_up")    # escaping trajectory outran the resolvable step range
                 h[r] = h_new
         # accepted rows that stay finite and bounded keep f and |grad f|
@@ -604,29 +595,33 @@ def trace_crossings(traces, levels, alpha) -> list:
     """The state where each recorded trajectory first reaches its level, as one stack.
 
     ``levels`` holds one level per trace; the traces share one quiver and
-    dimension vector.  Each trace replays, from the stored state at its
-    start, its first accepted step whose f passes the level, all of them in
-    one ``integrate_many`` call with one level per row: 16 + m contractions
-    for the stack (the field at the bases, eleven stages, the FSAL slope,
-    three dense-output stages and one per Newton iterate, m at most).  Up to
-    that step ``integrate`` accepts the same steps with or without
-    ``stop_level``, so a result equals the final state of ``integrate`` with
-    that stop level bit for bit.  A trace whose start is on or past its
-    level, or that never reaches it, replays no step: it gives its start,
+    dimension vector.  Each trace replays, from the stored flat state at its
+    start, its first accepted step whose f passes the level, all as rows of one
+    ``integrate_many`` run: 16 + m contractions for the stack (the field at the
+    bases, eleven stages, the FSAL slope, three dense-output stages and one per
+    Newton iterate, m at most).  Up to that step a flow accepts the same steps
+    with or without ``stop_level``, so a result is bitwise the final state of
+    ``integrate_many`` with that stop level.  A trace whose start is on or past
+    its level, or that never reaches it, replays no step: it gives its start,
     raises ValueError (a level on the wrong side) or gives None.
     """
     levels = [float(level) for level in levels]
     if len(levels) != len(traces):
         raise ValueError("trace_crossings needs one level per trace")
+    if not traces:
+        return []
+    q, dims = traces[0].quiver, traces[0].dims
+    if any(tr.quiver != q or tr.dims != dims for tr in traces):
+        raise ValueError("trace_crossings needs one quiver and one dimension vector")
     spans = []      # per trace: its first replayed sample, its first sample on or past the level
     for tr, level in zip(traces, levels):
         passed = ([0] if _on_level(tr.fs[0], level)
                   else np.flatnonzero((tr.fs - level) * tr.direction <= 0.0))
         p = int(passed[0]) if len(passed) else 0
         spans.append((max(p - 1, 0), p))
-    runs = integrate_many([tr.point(j) for tr, (j, _) in zip(traces, spans)], alpha, _REPLAY,
-                          [tr.direction for tr in traces], levels,
-                          [tr.steps[j:p] for tr, (j, p) in zip(traces, spans)])
+    runs = _integrate_rows(q, dims, [tr.states[j] for tr, (j, _) in zip(traces, spans)], alpha,
+                           _REPLAY, [tr.direction for tr in traces], levels,
+                           [tr.steps[j:p] for tr, (j, p) in zip(traces, spans)])
     if any(run.status == "past_level" for run in runs):
         raise ValueError("level is on the wrong side of f(x) for this flow direction")
     return [run.final if run.status == "exited_level" else None for run in runs]

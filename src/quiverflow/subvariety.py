@@ -82,7 +82,6 @@ def project_to_variety(x: Representation, spec: SubvarietySpec,
     y = x.flatten()
     cur = x
     res = spec.residuals(cur)
-    best = float(np.linalg.norm(res))
     if spec.max_residual(cur) < spec.residual_tol:
         return cur, 0.0
     for _ in range(max_iter):
@@ -102,7 +101,7 @@ def project_to_variety(x: Representation, spec: SubvarietySpec,
                 f"projection stalled at residual {norm0:.3e}", best_residual=norm0)
         if spec.max_residual(cur) < spec.residual_tol:
             return cur, float(np.linalg.norm(cur.flatten() - y))
-        best = min(best, float(np.linalg.norm(res)))
+    best = float(np.linalg.norm(res))       # each accepted step lowers the residual
     raise ProjectionFailedError(
         f"projection did not converge (best residual {best:.3e})", best_residual=best)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quiverflow.moment import CentralShift, VelocityKernel, f_value
-from quiverflow.flow import IntegratorConfig, integrate, trace_crossings
+from quiverflow.flow import IntegratorConfig, integrate_many, trace_crossings
 from quiverflow.errors import LevelNotReachedError
 from quiverflow.archive import csv_float
 from quiverflow.presets import A2_PAIR_ALPHA, a2, a2_pair, a3_chain, jordan_one_loop, jordan_two_loops
@@ -151,6 +151,12 @@ def hessian_fd(x: Representation, alpha: CentralShift, step: float = 1e-4) -> np
     return 0.5 * (out + out.T)
 
 
+def lone_flow(x, alpha, cfg, direction=1, stop_level=None, replay_steps=None):
+    """``integrate_many`` on a batch of one point: its trace."""
+    replays = None if replay_steps is None else [replay_steps]
+    return integrate_many([x], alpha, cfg, direction, stop_level, replays)[0]
+
+
 def tau_level(x, alpha, ell, cfg, direction=1):
     """First time t with f(x(t)) = ell, and the state there: the crossing
     oracle, which integrates again with ``stop_level`` where the package reads
@@ -167,7 +173,7 @@ def tau_level(x, alpha, ell, cfg, direction=1):
         return 0.0, x
     if (f0 - ell) * direction < 0.0:
         raise ValueError("level is on the wrong side of f(x) for this flow direction")
-    trace = integrate(x, alpha, cfg, direction=direction, stop_level=ell)
+    trace = lone_flow(x, alpha, cfg, direction=direction, stop_level=ell)
     if trace.status == "exited_level":
         return float(trace.ts[-1]), trace.final
     if trace.status == "converged":

@@ -15,7 +15,7 @@ import numpy as np
 
 from quiverflow.quiver import GroupElement, Representation, act
 from quiverflow.moment import CentralShift, f_value, moment
-from quiverflow.flow import IntegratorConfig, energy_identity_defect, integrate
+from quiverflow.flow import IntegratorConfig, energy_identity_defect
 from quiverflow.critical import (
     lojasiewicz_fit,
     morse_index_check,
@@ -37,7 +37,7 @@ from quiverflow.presets import (
 )
 from quiverflow.retract import SaddleScene, SlitScene, condition4_probe, connectivity_census
 
-from conftest import flow_velocity, philox, tau_level
+from conftest import flow_velocity, lone_flow, philox, tau_level
 
 CONFIG_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
                                           "src", "quiverflow", "configs"))
@@ -98,7 +98,7 @@ def test_02_energy_identity():
         runs = [(q2, d2, A2_ALPHA)] * 30 + [(qj, dj, CentralShift((0.5,)))] * 20
         for q, dims, alpha in runs:
             x0 = Representation.random(q, dims, rng)
-            tr = integrate(x0, alpha, cfg)
+            tr = lone_flow(x0, alpha, cfg)
             assert energy_identity_defect(tr) < 1e-6 * (1.0 + tr.fs[0])
 
 
@@ -114,7 +114,7 @@ def test_03_index_equals_slice_dimension():
         rng = philox(303)
         minima = 0
         for _ in range(4):
-            tr = integrate(Representation.random(q, dims, rng), A2_ALPHA, cfg)
+            tr = lone_flow(Representation.random(q, dims, rng), A2_ALPHA, cfg)
             rec = refine_critical(tr.final, A2_ALPHA, tol=1e-10, cfg=cfg)
             if rec.f_crit < 1e-8:
                 minima += 1
@@ -135,7 +135,7 @@ def test_04_conservation():
         starts = [Representation(q, dims, (x, x @ x)),
                   Representation(q, dims, (x, 0.5 * x @ x - 0.3 * x))]
         for rep in starts:
-            tr = integrate(rep, alpha, cfg).with_monitors(jordan_cycles(q), (rel,))
+            tr = lone_flow(rep, alpha, cfg).with_monitors(jordan_cycles(q), (rel,))
             for name, vals in tr.monitors.items():
                 if name.startswith("cyc:") or name.startswith("rel:"):
                     assert np.max(np.abs(vals - vals[0])) < 1e-8, name
@@ -157,8 +157,8 @@ def test_05_equivariance():
             # f invariance
             assert abs(f_value(act(k, x), alpha) - f_value(x, alpha)) < 1e-8
             # trace equivariance on a shared time grid
-            tr = integrate(x, alpha, cfg)
-            tr_k = integrate(act(k, x), alpha, cfg, replay_steps=list(tr.steps))
+            tr = lone_flow(x, alpha, cfg)
+            tr_k = lone_flow(act(k, x), alpha, cfg, replay_steps=list(tr.steps))
             n = min(tr.n_samples, tr_k.n_samples)
             assert max(act(k, tr.point(i)).distance(tr_k.point(i)) for i in range(n)) < 1e-8
             # stratum labels
@@ -170,12 +170,12 @@ def test_06_lojasiewicz_exponents():
     with Budget("6 decay exponents", 30):
         q, dims = a2()
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=200.0)
-        tr = integrate(scalar_rep(q, dims, [1.0]), A2_ALPHA, cfg)
+        tr = lone_flow(scalar_rep(q, dims, [1.0]), A2_ALPHA, cfg)
         theta, _, _ = lojasiewicz_fit(tr, 0.0)
         assert abs(theta - 0.50) < 0.05
 
         cfg_q = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14, max_time=1e6)
-        tr_q = integrate(scalar_rep(q, dims, [1.0]), CentralShift((0.0, 0.0)), cfg_q)
+        tr_q = lone_flow(scalar_rep(q, dims, [1.0]), CentralShift((0.0, 0.0)), cfg_q)
         theta_q, _, _ = lojasiewicz_fit(tr_q, 0.0)
         assert abs(theta_q - 0.25) < 0.05
 

@@ -3,7 +3,7 @@ import pytest
 
 from quiverflow.quiver import LieAlgebraElement, Quiver, Representation, infinitesimal_action
 from quiverflow.moment import CentralShift, HermitianCollection, VelocityKernel, beta_of, f_value
-from quiverflow.flow import FlowTrace, IntegratorConfig, integrate
+from quiverflow.flow import FlowTrace, IntegratorConfig
 from quiverflow.critical import (
     CriticalRecord,
     criticality_residual,
@@ -18,7 +18,7 @@ from quiverflow.critical import (
 from quiverflow.errors import InsufficientDataError, RefinementFailedError
 from quiverflow.presets import jordan_two_loops, scalar_rep
 
-from conftest import ORBIT_MODELS, hessian_fd, orbit_states, philox, rho_matrix
+from conftest import ORBIT_MODELS, hessian_fd, lone_flow, orbit_states, philox, rho_matrix
 
 
 def test_refine_exact_critical_point(a2_model):
@@ -238,7 +238,7 @@ def test_criticality_residual_invariant(a2_model, tight_cfg, rng):
     q, dims, alpha = a2_model
     for _ in range(4):
         x0 = Representation.random(q, dims, rng)
-        tr = integrate(x0, alpha, tight_cfg)
+        tr = lone_flow(x0, alpha, tight_cfg)
         rec = refine_critical(tr.final, alpha, tol=1e-10, cfg=tight_cfg)
         bound = 1e-9 * (1.0 + rec.x.norm()) * (1.0 + np.sqrt(rec.beta.norm_sq()))
         assert criticality_residual(rec.x, rec.beta) < bound
@@ -273,7 +273,7 @@ def test_lojasiewicz_insufficient_data():
 
 def test_lojasiewicz_quadratic_minimum(a2_model, tight_cfg):
     q, dims, alpha = a2_model
-    tr = integrate(scalar_rep(q, dims, [1.0]), alpha, tight_cfg)
+    tr = lone_flow(scalar_rep(q, dims, [1.0]), alpha, tight_cfg)
     theta, _, r2 = lojasiewicz_fit(tr, 0.0)
     assert abs(theta - 0.5) < 0.05
     assert r2 > 0.999
@@ -283,7 +283,7 @@ def test_lojasiewicz_quartic_minimum(a2_model):
     q, dims, _ = a2_model
     alpha0 = CentralShift((0.0, 0.0))
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-14, max_time=1e6)
-    tr = integrate(scalar_rep(q, dims, [1.0]), alpha0, cfg)
+    tr = lone_flow(scalar_rep(q, dims, [1.0]), alpha0, cfg)
     assert tr.status == "converged"
     theta, _, r2 = lojasiewicz_fit(tr, 0.0)
     assert abs(theta - 0.25) < 0.05
@@ -406,9 +406,15 @@ def test_unstable_boundedness_propagates_programming_errors(a2_model, tight_cfg,
     saddle = refine_critical(scalar_rep(q, dims, [0.0]), alpha, tol=1e-10)
     fib = negative_slice(saddle, weight_decomposition(saddle))
 
-    def broken(*args, **kwargs):
-        raise TypeError("bug in the integrator")
+    from quiverflow import critical
 
-    monkeypatch.setattr("quiverflow.critical.integrate", broken)
+    many = critical.integrate_many
+
+    def broken(x0s, alpha, cfg, direction=1, **kwargs):
+        if direction == -1:         # the backward flow of the theta fit, not the sweep
+            raise TypeError("bug in the integrator")
+        return many(x0s, alpha, cfg, direction, **kwargs)
+
+    monkeypatch.setattr(critical, "integrate_many", broken)
     with pytest.raises(TypeError, match="bug in the integrator"):
         unstable_boundedness_check(saddle, fib, alpha, eps=1.0, seeds=2, cfg=tight_cfg)

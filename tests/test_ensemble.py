@@ -1,14 +1,14 @@
 """A batch of rows gives, row by row, the traces of lone runs, bit for bit.
 
-``integrate_many`` flows every point of a list as one batch; ``integrate``
-is its batch of one, which evaluates that row unbatched.  Both are checked
-against ``reference_integrate``, the per-trajectory loop the batch
-replaced, kept here as the oracle; it evaluates the monitor columns per
-sample with ``monitor_callbacks``, the oracle of the batched columns of
-``FlowTrace.with_monitors``.  The rows below differ in length and in how
-they stop, so rows leave the batch at different steps while the others go
-on, and the loose tolerance makes rows reject steps beside rows that accept
-theirs.
+``integrate_many`` flows every point of a list as one batch; a lone run
+(``conftest.lone_flow``) is its batch of one, which evaluates that row
+unbatched.  Both are checked against ``reference_integrate``, the
+per-trajectory loop the batch replaced, kept here as the oracle; it
+evaluates the monitor columns per sample with ``monitor_callbacks``, the
+oracle of the batched columns of ``FlowTrace.with_monitors``.  The rows
+below differ in length and in how they stop, so rows leave the batch at
+different steps while the others go on, and the loose tolerance makes rows
+reject steps beside rows that accept theirs.
 """
 
 import math
@@ -23,7 +23,7 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from quiverflow.quiver import Quiver, Representation, cycle_trace, relation_residual
 from quiverflow.moment import CentralShift, f_value
-from quiverflow.flow import IntegratorConfig, integrate, integrate_many
+from quiverflow.flow import IntegratorConfig, integrate_many
 from quiverflow import flow
 from quiverflow.errors import LevelNotReachedError, QuiverFlowError
 from quiverflow.presets import (
@@ -39,6 +39,8 @@ from quiverflow.presets import (
 )
 from quiverflow.runconfig import build_model, load_config
 from quiverflow.runner import run_experiment
+
+from conftest import lone_flow
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=200.0)
 LOOSE = IntegratorConfig(rel_tol=1e-5, abs_tol=1e-8, max_time=200.0, grad_stop=1e-4)
@@ -184,7 +186,7 @@ def reference_integrate(x0, alpha, cfg, direction=1, stop_level=None, monitors=(
             if h_new >= h and h <= cfg.min_step:
                 if np.linalg.norm(y[:dim]) > 5e-3 * blow_bound:
                     return finish("blow_up")
-                raise QuiverFlowError("step size underflow in integrate")
+                raise QuiverFlowError("step size underflow in integrate_many")
             h = h_new
             continue
         if not np.all(np.isfinite(y_new)) or np.linalg.norm(y_new[:dim]) > blow_bound:
@@ -232,7 +234,7 @@ def check_rows(points, alpha, cfg=CFG, seed=0, cycles=(), relations=(), **kw):
     mons = monitor_callbacks(cycles, relations)
     assert len(batch) == len(points)
     for x, tr in zip(points, batch):
-        assert_same_trace(tr, integrate(x, alpha, cfg, **kw).with_monitors(cycles, relations))
+        assert_same_trace(tr, lone_flow(x, alpha, cfg, **kw).with_monitors(cycles, relations))
         assert_same_trace(tr, reference_integrate(x, alpha, cfg, monitors=mons, **kw))
     perm = np.random.default_rng(seed).permutation(len(points))
     for i, tr in zip(perm, many([points[i] for i in perm])):
@@ -290,7 +292,7 @@ def test_monitor_columns_and_replayed_rows():
     replayed = [tr.with_monitors(cycles, relations)
                 for tr in integrate_many(points, alpha, CFG, replay_steps=replays)]
     for x, steps, tr in zip(points, replays, replayed):
-        lone = integrate(x, alpha, CFG, replay_steps=steps)
+        lone = lone_flow(x, alpha, CFG, replay_steps=steps)
         assert_same_trace(tr, lone.with_monitors(cycles, relations))
         assert_same_trace(tr, reference_integrate(x, alpha, CFG, monitors=mons, replay_steps=steps))
     assert_same_trace(replayed[0], batch[0])
@@ -383,7 +385,7 @@ def check_mixed_rows(points, directions, alpha, seed=0, **kw):
     batch = integrate_many(points, alpha, CFG, directions, replay_steps=replays, **kw)
     for x, d, steps, tr in zip(points, directions, replays, batch):
         assert tr.direction == d
-        assert_same_trace(tr, integrate(x, alpha, CFG, d, replay_steps=steps, **kw))
+        assert_same_trace(tr, lone_flow(x, alpha, CFG, d, replay_steps=steps, **kw))
         assert_same_trace(tr, reference_integrate(x, alpha, CFG, d, replay_steps=steps, **kw))
     perm = np.random.default_rng(seed).permutation(len(points))
     permuted = integrate_many([points[i] for i in perm], alpha, CFG, [directions[i] for i in perm],
@@ -464,7 +466,7 @@ def test_rows_with_their_own_levels_equal_lone_runs():
     assert [tr.status for tr in batch] == statuses
     assert [tr.n_samples == 1 for tr in batch] == [False, True, True, False, True, True, True]
     for x0, d, level, tr in zip(points, directions, levels, batch):
-        assert_same_trace(tr, integrate(x0, A2_ALPHA, CFG, d, level))
+        assert_same_trace(tr, lone_flow(x0, A2_ALPHA, CFG, d, level))
         assert_same_trace(tr, reference_integrate(x0, A2_ALPHA, CFG, d, level))
     perm = np.random.default_rng(2).permutation(len(rows))
     permuted = integrate_many([points[i] for i in perm], A2_ALPHA, CFG,
@@ -522,27 +524,32 @@ def test_check_battery_with_zero_trials_still_checks_flow_equivariance():
 
 
 def count_flows(monkeypatch):
-    """Count flow batches (``integrate_many`` calls, a lone run's included), crossing
-    stacks (``integrate_many`` calls that replay every row, as ``trace_crossings``
-    makes) and lone ``integrate`` calls."""
+    """Count flow batches (``integrate_many`` calls, a lone run's included) and crossing
+    stacks (runs of ``flow._integrate_rows`` that replay every row, as
+    ``trace_crossings`` makes; an ``integrate_many`` call that replays every row
+    counts as one too, and not as a batch)."""
     from quiverflow import checks, critical, strata, subvariety
 
-    calls = {"integrate_many": 0, "crossing_stack": 0, "integrate": 0}
-    many, lone = flow.integrate_many, flow.integrate
+    calls = {"integrate_many": 0, "crossing_stack": 0}
+    many, rows = flow.integrate_many, flow._integrate_rows
+
+    def replayed(replays):
+        return replays is not None and all(s is not None for s in replays)
 
     def counted_many(x0s, alpha, cfg, direction=1, stop_level=None, replay_steps=None):
-        replayed = replay_steps is not None and all(s is not None for s in replay_steps)
-        calls["crossing_stack" if replayed else "integrate_many"] += 1
+        if not replayed(replay_steps):
+            calls["integrate_many"] += 1
         return many(x0s, alpha, cfg, direction, stop_level, replay_steps)
 
-    def counted_lone(*args, **kwargs):
-        calls["integrate"] += 1
-        return lone(*args, **kwargs)
+    def counted_rows(quiver, dims, y0s, alpha, cfg, signs, levels, replays):
+        if replayed(replays):
+            calls["crossing_stack"] += 1
+        return rows(quiver, dims, y0s, alpha, cfg, signs, levels, replays)
 
-    for name, wrapped in (("integrate_many", counted_many), ("integrate", counted_lone)):
-        for module in (flow, checks, critical, strata, subvariety):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapped)
+    for module in (flow, checks, critical, strata, subvariety):
+        if hasattr(module, "integrate_many"):
+            monkeypatch.setattr(module, "integrate_many", counted_many)
+    monkeypatch.setattr(flow, "_integrate_rows", counted_rows)
     return calls
 
 
@@ -555,7 +562,7 @@ def test_check_battery_flows_in_two_batches(monkeypatch):
     assert all(r["passed"] for r in results)
     # the trace contracts, then the crossing trials with both flows of act(k, x),
     # then the crossings of all the trials
-    assert calls == {"integrate_many": 2, "crossing_stack": 1, "integrate": 0}
+    assert calls == {"integrate_many": 2, "crossing_stack": 1}
 
 
 def test_broken_family_flows_its_limit_member_in_the_forward_batch(monkeypatch):
@@ -570,7 +577,7 @@ def test_broken_family_flows_its_limit_member_in_the_forward_batch(monkeypatch):
     # the members forward (the limit member last) with the members backward, then
     # the checkpoints forward with the checkpoints backward, then the crossings at
     # the one level
-    assert calls == {"integrate_many": 2, "crossing_stack": 1, "integrate": 0}
+    assert calls == {"integrate_many": 2, "crossing_stack": 1}
 
 
 def test_broken_family_finds_the_checkpoints_of_all_levels_in_one_crossing_stack(monkeypatch):
@@ -581,7 +588,7 @@ def test_broken_family_finds_the_checkpoints_of_all_levels_in_one_crossing_stack
     calls = count_flows(monkeypatch)
     rep = broken_line_experiment(lambda s: scalar_rep(q, dims, [0.3 + s]), params, A2_ALPHA,
                                  levels=levels, cfg=CFG)
-    assert calls == {"integrate_many": 2, "crossing_stack": 1, "integrate": 0}
+    assert calls == {"integrate_many": 2, "crossing_stack": 1}
     monkeypatch.undo()
     # one trace_crossings call per level, as before the levels shared a stack
     fwds = integrate_many([scalar_rep(q, dims, [0.3 + s]) for s in params], A2_ALPHA, CFG)
@@ -600,4 +607,4 @@ def test_flow_lines_flow_both_directions_in_one_batch(monkeypatch):
     lines = flow_lines([inner, outer], 1.0, A2_ALPHA, CFG)
     assert lines[0].upper.f_crit == pytest.approx(2.0, abs=1e-9)
     assert lines[1].upper is None and lines[1].backward_status == "blow_up"
-    assert calls == {"integrate_many": 1, "crossing_stack": 0, "integrate": 0}
+    assert calls == {"integrate_many": 1, "crossing_stack": 0}

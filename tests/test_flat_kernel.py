@@ -23,8 +23,8 @@ from quiverflow.critical import refine_critical
 from quiverflow.errors import ShapeError
 from quiverflow.presets import a2, jordan_two_loops, scalar_rep
 
-from conftest import (ORACLE_MODELS, _fd_hessian, a2_pair_model, flow_velocity, hessian_fd, philox,
-                      star, two_loops)
+from conftest import (ORACLE_MODELS, _fd_hessian, a2_pair_model, flow_velocity, hessian_fd,
+                      lone_flow, philox, star, two_loops)
 
 
 EPS = np.finfo(float).eps
@@ -108,10 +108,10 @@ def test_moment_tensor_size_limit():
 
 
 def integrate_to_limit(q, dims, alpha, rng):
-    from quiverflow.flow import IntegratorConfig, integrate
+    from quiverflow.flow import IntegratorConfig
 
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15, max_time=300.0, grad_stop=1e-10)
-    tr = integrate(Representation.random(q, dims, rng), alpha, cfg)
+    tr = lone_flow(Representation.random(q, dims, rng), alpha, cfg)
     assert tr.status == "converged"
     return tr.states[-1]
 

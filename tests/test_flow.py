@@ -5,11 +5,7 @@ import pytest
 
 from quiverflow.quiver import GroupElement, Representation, act
 from quiverflow.moment import CentralShift, f_value
-from quiverflow.flow import (
-    IntegratorConfig,
-    energy_identity_defect,
-    integrate,
-)
+from quiverflow.flow import IntegratorConfig, energy_identity_defect
 from quiverflow.errors import LevelNotReachedError
 from quiverflow.presets import (
     commutator_relation,
@@ -18,7 +14,7 @@ from quiverflow.presets import (
     scalar_rep,
 )
 
-from conftest import a2_f, a2_logistic, tau_level, trace_crossing
+from conftest import a2_f, a2_logistic, lone_flow, tau_level, trace_crossing
 
 
 def test_integrator_config_validation():
@@ -38,16 +34,16 @@ def test_integrator_config_validation():
 
 def test_critical_start_gives_single_sample(a2_model, tight_cfg):
     q, dims, alpha = a2_model
-    tr = integrate(scalar_rep(q, dims, [0.0]), alpha, tight_cfg)
+    tr = lone_flow(scalar_rep(q, dims, [0.0]), alpha, tight_cfg)
     assert tr.status == "converged"
     assert tr.n_samples == 1
-    tr2 = integrate(scalar_rep(q, dims, [np.sqrt(2.0)]), alpha, tight_cfg)
+    tr2 = lone_flow(scalar_rep(q, dims, [np.sqrt(2.0)]), alpha, tight_cfg)
     assert tr2.status == "converged" and tr2.n_samples == 1
 
 
 def test_trace_matches_scalar_ode_oracle(a2_model, tight_cfg):
     q, dims, alpha = a2_model
-    tr = integrate(scalar_rep(q, dims, [1.0]), alpha, tight_cfg)
+    tr = lone_flow(scalar_rep(q, dims, [1.0]), alpha, tight_cfg)
     assert tr.status == "converged"
     for i in range(tr.n_samples):
         s_num = abs(tr.point(i).blocks[0][0, 0]) ** 2
@@ -58,7 +54,7 @@ def test_trace_matches_scalar_ode_oracle(a2_model, tight_cfg):
 def test_f_monotone_and_time_increasing(a2_model, tight_cfg, rng):
     q, dims, alpha = a2_model
     for _ in range(5):
-        tr = integrate(Representation.random(q, dims, rng), alpha, tight_cfg)
+        tr = lone_flow(Representation.random(q, dims, rng), alpha, tight_cfg)
         assert np.all(np.diff(tr.ts) > 0)
         assert np.all(np.diff(tr.fs) <= 1e-10 * (1.0 + np.abs(tr.fs[:-1])))
 
@@ -67,7 +63,7 @@ def test_phase_is_conserved_along_flow(a2_model, tight_cfg):
     # velocity is a real multiple of x, so arg(x) is constant
     q, dims, alpha = a2_model
     c0 = 0.4 + 0.9j
-    tr = integrate(scalar_rep(q, dims, [c0]), alpha, tight_cfg)
+    tr = lone_flow(scalar_rep(q, dims, [c0]), alpha, tight_cfg)
     angles = [np.angle(tr.point(i).blocks[0][0, 0]) for i in range(tr.n_samples)]
     assert max(abs(a - np.angle(c0)) for a in angles) < 1e-9
 
@@ -108,7 +104,7 @@ def test_level_set_map_identity_composition_and_limit(a2_model, tight_cfg):
     with pytest.raises(LevelNotReachedError) as exc:
         tau_level(x0, alpha, 0.0, tight_cfg)
     assert exc.value.limit_value == pytest.approx(0.0, abs=1e-9)
-    lim = integrate(x0, alpha, tight_cfg, stop_level=0.0).final
+    lim = lone_flow(x0, alpha, tight_cfg, stop_level=0.0).final
     assert abs(abs(lim.blocks[0][0, 0]) ** 2 - 2.0) < 1e-6
     assert abs(np.angle(lim.blocks[0][0, 0])) < 1e-8
 
@@ -122,8 +118,8 @@ def test_level_set_map_reads_the_limit_off_one_run(a2_model, tight_cfg):
     # the map into a critical value ends on the limit point of one stop-level run
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [1.0])
-    plain = integrate(x0, alpha, tight_cfg)           # no stop level: the limit trace
-    lim = integrate(x0, alpha, tight_cfg, stop_level=0.0)
+    plain = lone_flow(x0, alpha, tight_cfg)           # no stop level: the limit trace
+    lim = lone_flow(x0, alpha, tight_cfg, stop_level=0.0)
     assert plain.status == lim.status == "converged"
     # with no crossing the stop-level run takes the plain run's steps
     assert np.array_equal(lim.final.flatten(), plain.final.flatten())
@@ -133,10 +129,10 @@ def test_level_set_map_reads_the_limit_off_one_run(a2_model, tight_cfg):
 def test_energy_identity(a2_model, tight_cfg, rng):
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [0.0])
-    single = integrate(x0, alpha, tight_cfg)
+    single = lone_flow(x0, alpha, tight_cfg)
     assert energy_identity_defect(single) == 0.0
 
-    tr = integrate(scalar_rep(q, dims, [1.0]), alpha, tight_cfg)
+    tr = lone_flow(scalar_rep(q, dims, [1.0]), alpha, tight_cfg)
     assert energy_identity_defect(tr) < 1e-6 * (1.0 + tr.fs[0])
     # closed-form cross-check of the co-integrated dissipation column at every
     # sample: the energy dissipated by time t is f(s0) - f(s(t))
@@ -151,7 +147,7 @@ def test_conservation_monitors_to_time_cap():
     x = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
     rep = Representation(q, dims, (x, x @ x))
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=100.0, grad_stop=1e-13)
-    tr = integrate(rep, alpha, cfg).with_monitors(jordan_cycles(q), (commutator_relation(q),))
+    tr = lone_flow(rep, alpha, cfg).with_monitors(jordan_cycles(q), (commutator_relation(q),))
     assert tr.ts[-1] >= 100.0 - 1e-9 or tr.status == "converged"
     for name, vals in tr.monitors.items():
         if name.startswith(("cyc:", "rel:")):
@@ -162,8 +158,8 @@ def test_flow_equivariance_replay(a2_model, tight_cfg, rng):
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [0.7 + 0.4j])
     k = GroupElement.random_unitary(q, dims, rng)
-    tr = integrate(x0, alpha, tight_cfg)
-    tr_k = integrate(act(k, x0), alpha, tight_cfg, replay_steps=list(tr.steps))
+    tr = lone_flow(x0, alpha, tight_cfg)
+    tr_k = lone_flow(act(k, x0), alpha, tight_cfg, replay_steps=list(tr.steps))
     assert tr_k.n_samples == tr.n_samples
     worst = max(act(k, tr.point(i)).distance(tr_k.point(i)) for i in range(tr.n_samples))
     assert worst < 1e-8
@@ -172,7 +168,7 @@ def test_flow_equivariance_replay(a2_model, tight_cfg, rng):
 def test_backward_flow_blow_up(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     outer = scalar_rep(q, dims, [2.0])        # |x|^2 = 4 > 2: backward escapes
-    tr = integrate(outer, alpha, tight_cfg, direction=-1)
+    tr = lone_flow(outer, alpha, tight_cfg, direction=-1)
     assert tr.status == "blow_up"
     assert np.all(np.isfinite(tr.fs))          # last valid sample retained
 
@@ -204,7 +200,7 @@ def test_condition2_probe_cases(a2_model, tight_cfg):
 def test_monotone_f_for_backward_traces(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     x = scalar_rep(q, dims, [0.5])
-    tr = integrate(x, alpha, tight_cfg, direction=-1)
+    tr = lone_flow(x, alpha, tight_cfg, direction=-1)
     assert tr.status == "converged"            # backward into the unstable point
     assert np.all(np.diff(tr.fs) >= -1e-10 * (1.0 + np.abs(tr.fs[:-1])))
     assert tr.fs[-1] == pytest.approx(2.0, abs=1e-8)
@@ -215,9 +211,9 @@ def test_stall_window_requires_sustained_smallness(a2_model):
     # steps, so a wider window stops strictly later (lower f) than window 1
     q, dims, alpha = a2_model
     base = dict(rel_tol=1e-10, abs_tol=1e-13, max_time=50.0, grad_stop=1e-6)
-    tr1 = integrate(scalar_rep(q, dims, [1.0]), alpha,
+    tr1 = lone_flow(scalar_rep(q, dims, [1.0]), alpha,
                     IntegratorConfig(stall_window=1, **base))
-    tr5 = integrate(scalar_rep(q, dims, [1.0]), alpha,
+    tr5 = lone_flow(scalar_rep(q, dims, [1.0]), alpha,
                     IntegratorConfig(stall_window=5, **base))
     assert tr1.status == tr5.status == "converged"
     assert np.all(tr5.gradnorms[-5:] < 1e-6)
@@ -229,7 +225,7 @@ def test_exact_critical_start_short_circuits(a2_model):
     q, dims, alpha = a2_model
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=50.0,
                            grad_stop=2e-2, stall_window=5)
-    tr = integrate(scalar_rep(q, dims, [0.0]), alpha, cfg)
+    tr = lone_flow(scalar_rep(q, dims, [0.0]), alpha, cfg)
     assert tr.status == "converged" and tr.n_samples == 1
 
 
@@ -248,7 +244,7 @@ def test_integrator_cross_check_against_library_solver():
 
     cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13, max_time=horizon,
                            grad_stop=1e-14)
-    tr = integrate(rep, alpha, cfg)
+    tr = lone_flow(rep, alpha, cfg)
     assert tr.status == "max_time" and abs(tr.ts[-1] - horizon) < 1e-12
 
     kern = VelocityKernel(q, dims, alpha)
@@ -263,7 +259,7 @@ def test_energy_identity_on_crossing_segments(a2_model, tight_cfg):
     # truncated trace ending exactly at the crossing
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [1.0])
-    tr = integrate(x0, alpha, tight_cfg, stop_level=0.2)
+    tr = lone_flow(x0, alpha, tight_cfg, stop_level=0.2)
     assert tr.status == "exited_level"
     assert abs(tr.fs[0] - tr.monitors["energy"][-1] - 0.2) < 1e-8
 
@@ -281,7 +277,7 @@ def test_conftest_oracle_satisfies_its_ode():
 def test_empty_replay_returns_the_start(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [1.0])
-    tr = integrate(x0, alpha, tight_cfg, replay_steps=[])
+    tr = lone_flow(x0, alpha, tight_cfg, replay_steps=[])
     assert tr.status == "replay_exhausted"
     assert tr.n_samples == 1 and tr.steps == ()
     assert tr.final.distance(x0) == 0.0
@@ -307,7 +303,7 @@ def test_trace_crossing_equals_tau_level(a2_model, tight_cfg):
         for _ in range(2):
             x = Representation.random(q, dims, rng, scale=0.8)
             for direction in (1, -1):
-                tr = integrate(x, alpha, tight_cfg, direction=direction)
+                tr = lone_flow(x, alpha, tight_cfg, direction=direction)
                 assert tr.n_samples > 2
                 for u in (0.3, 0.7):
                     ell = tr.fs[0] + u * (tr.fs[-1] - tr.fs[0])
@@ -327,7 +323,7 @@ def _crossing_traces(a2_model, tight_cfg):
         for _ in range(2):
             x = Representation.random(q, dims, rng, scale=0.8)
             for direction in (1, -1):
-                tr = integrate(x, alpha, tight_cfg, direction=direction)
+                tr = lone_flow(x, alpha, tight_cfg, direction=direction)
                 for u in (0.3, 0.7):
                     yield x, alpha, tr, tr.fs[0] + u * (tr.fs[-1] - tr.fs[0])
 
@@ -368,7 +364,7 @@ def test_an_accepted_step_costs_twelve_contractions(a2_model, tight_cfg, monkeyp
 
     q, dims, alpha = a2_model
     x = scalar_rep(q, dims, [0.5])
-    steps = list(integrate(x, alpha, tight_cfg).steps)
+    steps = list(lone_flow(x, alpha, tight_cfg).steps)
     calls, beta = [0], VelocityKernel._beta
 
     def counted(self, y):
@@ -379,7 +375,7 @@ def test_an_accepted_step_costs_twelve_contractions(a2_model, tight_cfg, monkeyp
     cost = {}
     for m in (4, 12):
         calls[0] = 0
-        assert integrate(x, alpha, tight_cfg, replay_steps=steps[:m]).n_samples == m + 1
+        assert lone_flow(x, alpha, tight_cfg, replay_steps=steps[:m]).n_samples == m + 1
         cost[m] = calls[0]
     assert cost[12] - cost[4] == 12 * 8, cost
 
@@ -402,15 +398,15 @@ def test_trace_crossing_accuracy(a2_model, tight_cfg):
 def test_trace_crossing_edge_cases(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [0.5])              # f = 1.53125, backward limit f = 2
-    fwd = integrate(x0, alpha, tight_cfg)
-    bwd = integrate(x0, alpha, tight_cfg, direction=-1)
+    fwd = lone_flow(x0, alpha, tight_cfg)
+    bwd = lone_flow(x0, alpha, tight_cfg, direction=-1)
     assert bwd.status == "converged"
     # a level past the backward limit is never reached
     assert trace_crossing(bwd, 2.5, alpha) is None
     with pytest.raises(LevelNotReachedError):
         tau_level(x0, alpha, 2.5, tight_cfg, direction=-1)
     # a stationary start reaches no other level
-    still = integrate(scalar_rep(q, dims, [0.0]), alpha, tight_cfg)
+    still = lone_flow(scalar_rep(q, dims, [0.0]), alpha, tight_cfg)
     assert trace_crossing(still, 1.0, alpha) is None
     # the start's own level gives the start
     assert trace_crossing(fwd, f_value(x0, alpha), alpha).distance(x0) == 0.0
@@ -457,6 +453,33 @@ def test_batched_crossings_equal_one_row_calls():
     assert trace_crossings([], [], alpha) == []
     with pytest.raises(ValueError, match="one level per trace"):
         trace_crossings(traces, levels[:-1], alpha)
+    other = integrate_many([Representation.random(q, (1, 1, 1, 1), rng)], alpha, cfg)
+    with pytest.raises(ValueError, match="one quiver and one dimension vector"):
+        trace_crossings(traces[:1] + other, levels[:2], alpha)
+
+
+def test_crossings_build_a_representation_only_for_each_state_returned(monkeypatch):
+    # the replays start from the stored flat states, so the one Representation per
+    # entry is the returned crossing's: none for a level never reached
+    from quiverflow.flow import integrate_many, trace_crossings
+
+    q, dims, alpha = _star()
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=200.0)
+    rng = np.random.default_rng(4)
+    points = [Representation.random(q, dims, rng, scale=s) for s in (0.5, 0.2, 0.8)]
+    traces = integrate_many(points, alpha, cfg, [1, -1, 1])
+    assert all(tr.status == "converged" for tr in traces)
+    levels = [0.5 * (traces[0].fs[0] + traces[0].fs[-1]), traces[1].fs[-1] + 1.0, traces[2].fs[0]]
+    calls, unflatten = [0], Representation.unflatten
+
+    def counted(*args):
+        calls[0] += 1
+        return unflatten(*args)
+
+    monkeypatch.setattr(Representation, "unflatten", staticmethod(counted))
+    stack = trace_crossings(traces, levels, alpha)
+    assert [y is None for y in stack] == [False, True, False]
+    assert calls[0] == 2
 
 
 def test_the_stability_cap_halves_rejected_steps(monkeypatch):
@@ -481,7 +504,7 @@ def test_the_stability_cap_halves_rejected_steps(monkeypatch):
         for _ in range(n):
             x = Representation.random(q, dims, rng)
             calls[0] = 0
-            tr = integrate(x, alpha, cfg)
+            tr = lone_flow(x, alpha, cfg)
             assert tr.status == "converged" and (calls[0] - 2) % 12 == 0, calls[0]
             rejected += (calls[0] - 2) // 12 - (tr.n_samples - 1)
         assert rejected <= at_most, (q.edges, rejected)
@@ -498,7 +521,7 @@ def test_integrate_builds_no_representation_per_step(a2_model, tight_cfg, monkey
         return unflatten(*args)
 
     monkeypatch.setattr(Representation, "unflatten", staticmethod(counted))
-    tr = integrate(x0, alpha, tight_cfg)
+    tr = lone_flow(x0, alpha, tight_cfg)
     assert tr.n_samples > 50
     tr.final
     assert len(calls) <= 1
@@ -529,14 +552,14 @@ def test_tableau_equals_the_published_dop853_coefficients():
 def test_each_cap_has_its_own_status(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     x0 = scalar_rep(q, dims, [1.0])
-    full = integrate(x0, alpha, tight_cfg)
+    full = lone_flow(x0, alpha, tight_cfg)
     assert full.status == "converged" and full.n_samples > 6
 
     def run(**kw):
-        return integrate(x0, alpha, replace(tight_cfg, **{"grad_stop": 1e-14, **kw}))
+        return lone_flow(x0, alpha, replace(tight_cfg, **{"grad_stop": 1e-14, **kw}))
 
     # a replay that runs out before the flow stops
-    cut = integrate(x0, alpha, tight_cfg, replay_steps=full.steps[:5])
+    cut = lone_flow(x0, alpha, tight_cfg, replay_steps=full.steps[:5])
     assert cut.status == "replay_exhausted" and cut.n_samples == 6
     # the time cap, reached exactly
     capped = run(max_time=0.25)

@@ -4,10 +4,10 @@ import numpy as np
 
 from quiverflow.quiver import GroupElement, Quiver, Representation, act
 from quiverflow.moment import CentralShift, f_value, hessian_matrix
-from quiverflow.flow import IntegratorConfig, energy_identity_defect, integrate
+from quiverflow.flow import IntegratorConfig, energy_identity_defect
 from quiverflow.errors import QuiverFlowError
 
-from conftest import flow_velocity, hessian_fd, philox, tau_level
+from conftest import flow_velocity, hessian_fd, lone_flow, philox, tau_level
 
 
 def random_quiver(rng):
@@ -53,7 +53,7 @@ def test_identities_on_random_topologies():
         k = GroupElement.random_unitary(q, dims, rng)
         assert abs(f_value(act(k, x), alpha) - f_value(x, alpha)) < 1e-10 * (1 + f_value(x, alpha))
 
-        tr = integrate(x, alpha, cfg)
+        tr = lone_flow(x, alpha, cfg)
         assert tr.status in ("converged", "max_time")
         assert np.all(np.diff(tr.fs) <= 1e-9 * (1.0 + np.abs(tr.fs[:-1])))
         assert energy_identity_defect(tr) < 1e-6 * (1.0 + tr.fs[0])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from quiverflow.quiver import GroupElement, Representation, act
-from quiverflow.flow import integrate
 from quiverflow.critical import (
     negative_slice,
     refine_critical,
@@ -19,7 +18,7 @@ from quiverflow.strata import (
 )
 from quiverflow.presets import A2_PAIR_ALPHA, a2_pair, scalar_rep
 
-from conftest import philox
+from conftest import lone_flow, philox
 
 
 def test_stratum_label_minimum(a2_model, tight_cfg):
@@ -83,7 +82,7 @@ def test_unstable_membership_by_backward_flow(a2_model, tight_cfg):
     samples = unstable_sweep(saddle, fib.basis, alpha, eps=1.0, n=4, cfg=tight_cfg)
 
     for s in samples:
-        back = integrate(s["trace"].final, alpha, tight_cfg, direction=-1)
+        back = lone_flow(s["trace"].final, alpha, tight_cfg, direction=-1)
         assert back.status == "converged"
         assert back.final.distance(saddle.x) < 1e-4 * (1.0 + saddle.x.norm())
 

@@ -3,7 +3,7 @@ import pytest
 
 from quiverflow.quiver import GroupElement, Relation, Representation, act
 from quiverflow.moment import CentralShift
-from quiverflow.flow import IntegratorConfig, integrate
+from quiverflow.flow import IntegratorConfig
 from quiverflow.critical import negative_slice, refine_critical, weight_decomposition
 from quiverflow.subvariety import (
     SubvarietySpec,
@@ -18,6 +18,8 @@ from quiverflow.presets import (
     jordan_two_loops,
     scalar_rep,
 )
+
+from conftest import lone_flow
 
 
 @pytest.fixture
@@ -94,7 +96,7 @@ def test_flow_preserves_variety(commuting):
     assert spec.max_residual(rep) < 1e-12
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=100.0,
                            grad_stop=1e-13)
-    tr = integrate(rep, alpha, cfg).with_monitors(relations=spec.relations)
+    tr = lone_flow(rep, alpha, cfg).with_monitors(relations=spec.relations)
     assert np.max(tr.monitors["rel:comm"]) < 1e-8
 
 
@@ -156,7 +158,7 @@ def test_a3_non_minimal_is_above_on_variety_minima(tight_cfg):
     alpha = CentralShift((-1.0, 0.0, 1.0))
     seed = scalar_rep(q, dims, [0.3, 0.0])
     assert spec.max_residual(seed) < spec.residual_tol
-    tr = integrate(seed, alpha, tight_cfg)
+    tr = lone_flow(seed, alpha, tight_cfg)
     assert tr.status == "converged"
     assert tr.fs[-1] == pytest.approx(1.5, abs=1e-8)
     assert spec.max_residual(tr.final) < 1e-10

@@ -15,7 +15,7 @@ import pytest
 
 from quiverflow.quiver import Quiver, Representation
 from quiverflow.moment import CentralShift, f_value
-from quiverflow.flow import IntegratorConfig, integrate
+from quiverflow.flow import IntegratorConfig
 from quiverflow.critical import (
     fiber_directions,
     negative_slice,
@@ -34,7 +34,7 @@ from quiverflow.subvariety import (
     slice_variety_probe,
 )
 
-from conftest import tau_level
+from conftest import lone_flow, tau_level
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13, max_time=200.0)
 A3_ALPHA = CentralShift((-1.0, 0.0, 1.0))
@@ -109,7 +109,7 @@ def test_rows_equal_lone_runs_from_the_parent_seeds(case):
             assert s["notes"] == notes
         assert s["error"] is None
         assert s["trace"].status == "exited_level"
-        lone = integrate(s["start"], alpha, CFG, stop_level=rec.f_crit - eps)
+        lone = lone_flow(s["start"], alpha, CFG, stop_level=rec.f_crit - eps)
         assert_same_trace(s["trace"].with_monitors(relations=relations),
                           lone.with_monitors(relations=relations))
 
@@ -131,12 +131,12 @@ def test_a_failed_projection_sits_beside_seeds_that_flow():
         assert s["trace"] is None and s["start"] is None and s["notes"] == {}
     for s in flowed:
         assert s["notes"] == {"kept": True}
-        assert_same_trace(s["trace"], integrate(s["start"], alpha, CFG, stop_level=1.0))
+        assert_same_trace(s["trace"], lone_flow(s["start"], alpha, CFG, stop_level=1.0))
 
 
 def test_a_batch_error_is_recorded_on_every_flowed_seed(monkeypatch):
     def broken(*args, **kwargs):
-        raise QuiverFlowError("step size underflow in integrate")
+        raise QuiverFlowError("step size underflow in integrate_many")
 
     monkeypatch.setattr(critical, "integrate_many", broken)
     rec, fib, alpha = a2_saddle()
@@ -149,8 +149,8 @@ def test_a_batch_error_is_recorded_on_every_flowed_seed(monkeypatch):
     sweep = unstable_sweep(rec, fib.basis, alpha, 1.0, 8, CFG, project=project)
     assert all(s["trace"] is None for s in sweep)
     assert {s["error"] for s in sweep} == {"no projection for this seed",
-                                           "step size underflow in integrate"}
-    assert all(s["error"] == "step size underflow in integrate"
+                                           "step size underflow in integrate_many"}
+    assert all(s["error"] == "step size underflow in integrate_many"
                for s in sweep if s["start"] is not None)
 
     # the reports stay well-formed
@@ -161,7 +161,7 @@ def test_a_batch_error_is_recorded_on_every_flowed_seed(monkeypatch):
                                 n_seeds=4)
     assert probe["flagged"] and len(probe["seeds"]) == 4
     for e in probe["seeds"]:
-        assert e["error"] == "step size underflow in integrate"
+        assert e["error"] == "step size underflow in integrate_many"
         assert e["time"] is None and e["residual_ok"] is None
         assert e["projection_moved"] == 0.0
 
@@ -219,7 +219,7 @@ def test_seeds_past_the_level_keep_their_own_results():
     for s, p in zip(sweep, past):
         assert s["error"] is None
         assert s["trace"].status == ("past_level" if p else "exited_level")
-        assert_same_trace(s["trace"], integrate(s["start"], alpha, CFG, stop_level=level))
+        assert_same_trace(s["trace"], lone_flow(s["start"], alpha, CFG, stop_level=level))
 
     rep = unstable_boundedness_check(rec, fib, alpha, eps=eps, seeds=6, cfg=CFG)
     assert rep["reached"] == [True, False, True, False, False, True]
