@@ -9,10 +9,11 @@ Python's shortest round-trip repr, CSV floats are printed with 17
 significant digits, and writes are atomic (temp file then rename).
 
 A census grid in retract.json holds its labels as runs over the row-major
-cells of the rho x theta grid: ``np.repeat(label_values, label_lengths)``
-reshaped to (len(rho), len(theta)) is the label grid, so the archive grows
-with the number of runs, not of cells.  ``_label_runs`` encodes a grid;
-``census_csv`` decodes it and renders one CSV row per cell.
+cells of the rho x theta grid, as the census returns them:
+``np.repeat(label_values, label_lengths)`` reshaped to (len(rho),
+len(theta)) is the label grid, so the archive grows with the number of
+runs, not of cells.  ``census_csv`` decodes the runs and renders one CSV
+row per cell.
 """
 
 from __future__ import annotations
@@ -130,14 +131,6 @@ def record_jsonable(rec):
 
 def fiber_jsonable(fiber):
     return {"dim": fiber.dim, "basis": fiber.basis.T}
-
-
-def _label_runs(labels):
-    """The runs of equal labels over the row-major cells of a census grid:
-    ``np.repeat(label_values, label_lengths)`` is the flattened grid."""
-    flat = labels.ravel()
-    starts = np.flatnonzero(np.concatenate(([flat.size > 0], flat[1:] != flat[:-1])))
-    return {"label_values": flat[starts], "label_lengths": np.diff(starts, append=flat.size)}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ Two scenes share one critical value c = 0:
   funneling property at the origin and flips the sublevel-set component
   count, which is exactly what the census and probe below measure.  All
   slit topology is handled combinatorially on the (rho, theta) grid; the
-  plane embedding is never used for adjacency.
+  plane embedding is never used for adjacency.  The census joins row
+  stretches and returns its labels as runs, never as a per-cell grid.
 
 Saddle scene constructions
 --------------------------
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +51,7 @@ __all__ = [
     "SaddleScene",
     "SlitScene",
     "ScenePoint",
+    "CensusRuns",
     "connectivity_census",
     "condition4_probe",
 ]
@@ -57,8 +60,18 @@ __all__ = [
 PROBE_SAMPLES = 64
 PROBE_RADIUS = 1e-4
 
-# Cells per block of the census grid passes: bounds their scratch beside the grid
+# Cells per block of the census mask's f evaluation: bounds its scratch beside the mask
 _BLOCK_CELLS = 1 << 16
+
+
+class CensusRuns(NamedTuple):
+    """Census labels as runs over the row-major grid cells:
+    ``np.repeat(values, lengths)`` is the flattened label grid, and size is
+    its cell count."""
+
+    values: np.ndarray
+    lengths: np.ndarray
+    size: int
 
 
 @dataclass(frozen=True)
@@ -285,50 +298,52 @@ def connectivity_census(scene: SlitScene, sublevel: float, include_unstable: boo
 
     Adjacency is purely combinatorial: radial and angular grid neighbors,
     never wrapping theta across 2 pi <-> 0, and all rho = 0 nodes identified
-    to one point.  Returns (component_count, labels, grid) with labels -1
-    outside the set and components numbered in row-major order of their
-    first in-set cell.  The labels have the grid's index dtype: int32 below
-    2**31 cells, int64 above.  grid is (rho, theta, mask).  The census runs
-    at one resolution; comparing it with a refined grid is the caller's
-    policy.
+    to one point.  Returns (component_count, labels, grid): labels is a
+    ``CensusRuns`` of maximal runs of equal labels, -1 outside the set and
+    components numbered in row-major order of their first in-set cell.  The
+    label values have the grid's index dtype: int32 below 2**31 cells,
+    int64 above.  grid is (rho, theta, mask).  The census runs at one
+    resolution; comparing it with a refined grid is the caller's policy.
     """
     rho, theta, mask = _slit_grid_masks(scene, sublevel, include_unstable,
                                         n_rho, n_theta, rho_max)
-    count, labels = _census_count(mask)
+    count, labels = _census_runs(mask)
     return count, labels, (rho, theta, mask)
 
 
-def _census_count(mask: np.ndarray):
+def _census_runs(mask: np.ndarray):
     """Label the components of the grid mask with glued origin row, slit preserved.
 
-    Union-find on row runs (He, Chao & Suzuki, IEEE TIP 2008): maximal runs
-    of in-set cells in a row, never wrapping from theta = 2 pi to 0 (the
-    slit), except that row 0 is one run, the glued origin, from its first
-    in-set cell.  Runs are numbered in row-major order and joined across
-    shared columns of adjacent rows.  Min-label hooking with pointer jumping
-    leaves each component's smallest run, holding its first in-set cell, as
-    root, so sorted roots number components in row-major order of that cell.
-
-    The run ids become the labels in place, so the peak beside the mask is
-    one index per cell plus two bool grids: 6 bytes per cell below 2**31
-    cells, where the index is int32, and 10 above.
+    Union-find on row stretches (He, Chao & Suzuki, IEEE TIP 2008): maximal
+    runs of in-set cells in a row, never wrapping from theta = 2 pi to 0
+    (the slit).  Stretches are numbered in row-major order, those of row 0,
+    the glued origin, start as one tree, and each stretch of columns in-set
+    in two adjacent rows joins their stretches.  Min-label hooking with
+    pointer jumping leaves each component's smallest stretch, holding its
+    first in-set cell, as root, so sorted roots number components in
+    row-major order of that cell.  The labels are built as runs straight
+    from the stretches; two bool grids are the only per-cell scratch.
     """
     itype = np.int32 if mask.size < 2 ** 31 else np.int64
-    starts = mask.copy()
-    starts[:, 1:] &= ~mask[:, :-1]
-    starts[:1] = mask[:1] & (mask[:1].cumsum(axis=1) == 1)    # the origin row is one point
-    run = starts.astype(itype)
-    del starts
-    flat = run.reshape(-1)
-    np.cumsum(flat, dtype=itype, out=flat)
-    flat -= 1
-    n_runs = int(flat[-1]) + 1 if flat.size else 0
+    n_theta = mask.shape[1]
+    cut = np.empty_like(mask)
+    cut[:, :1] = mask[:, :1]
+    np.greater(mask[:, 1:], mask[:, :-1], out=cut[:, 1:])
+    starts = np.flatnonzero(cut)
+    cut[:, -1:] = mask[:, -1:]
+    np.greater(mask[:, :-1], mask[:, 1:], out=cut[:, :-1])
+    ends = np.flatnonzero(cut) + 1
     # one edge per stretch of columns in-set in both rows: the rest repeat it
     both = mask[:-1] & mask[1:]
-    both[:, 1:] &= ~both[:, :-1]
-    u, v = run[:-1][both], run[1:][both]
+    cut[:-1, :1] = both[:, :1]
+    np.greater(both[:, 1:], both[:, :-1], out=cut[:-1, 1:])
     del both
-    parent = np.arange(n_runs, dtype=itype)
+    edge = np.flatnonzero(cut[:-1])
+    del cut
+    u = (np.searchsorted(starts, edge, "right") - 1).astype(itype)
+    v = (np.searchsorted(starts, edge + n_theta, "right") - 1).astype(itype)
+    parent = np.arange(starts.size, dtype=itype)
+    parent[:np.searchsorted(starts, n_theta)] = 0      # the origin row is one point
     while True:
         ru, rv = parent[u], parent[v]
         cross = ru != rv
@@ -342,14 +357,14 @@ def _census_count(mask: np.ndarray):
                 break
             parent = jumped
     roots, inverse = np.unique(parent, return_inverse=True)
-    # run id -> label; the trailing -1 serves id -1, the out-of-set cells before the first run
-    lookup = np.append(inverse, -1).astype(itype)
-    cells = mask.reshape(-1)
-    for i in range(0, flat.size, _BLOCK_CELLS):
-        block = flat[i:i + _BLOCK_CELLS]
-        block[:] = lookup[block]
-        np.putmask(block, ~cells[i:i + _BLOCK_CELLS], -1)
-    return len(roots), run
+    # a -1 gap before each stretch, then the stretch; empty gaps go, equal neighbours merge
+    values = np.full(2 * starts.size + 1, -1, dtype=itype)
+    values[1::2] = inverse
+    lengths = np.diff(np.stack([starts, ends], axis=1).ravel(), prepend=0, append=mask.size)
+    keep = lengths > 0
+    values, lengths = values[keep], lengths[keep]
+    first = np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
+    return len(roots), CensusRuns(values[first], np.add.reduceat(lengths, first), mask.size)
 
 
 def condition4_probe(scene, u_width: float) -> dict:

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .archive import (
-    _label_runs,
     checkpoints_csv,
     fiber_jsonable,
     record_jsonable,
@@ -237,8 +236,8 @@ def _run_retract(model, out_dir):
             # only the base grids are archived, as runs; the refined ones give counts
             if tag == "base":
                 grids[name] = {"count": count, "rho": rho, "theta": theta,
-                               **_label_runs(labels)}
-            del labels, rho, theta, mask    # free them before the next, finer census
+                               "label_values": labels.values, "label_lengths": labels.lengths}
+            del mask    # the one per-cell array: free it before the next, finer census
         counts[tag]["grid"] = [nr, nt]
 
     probe_slit = condition4_probe(slit, u_width=float(p.get("probe_width", np.pi / 3)))

@@ -18,7 +18,7 @@ from quiverflow.quiver import Representation
 from quiverflow.retract import connectivity_census
 from quiverflow.runconfig import build_model, validate_config
 
-from conftest import decoded_census_grid, one_edge, per_cell_census_csv, philox
+from conftest import cell_census, decoded_census_grid, one_edge, per_cell_census_csv, philox
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "quiverflow", "configs")
 
@@ -275,11 +275,11 @@ def test_census_csv_matches_per_cell_formatter(tmp_path):
 
 def test_retract_archive_stores_the_census_labels_as_runs(monkeypatch, tmp_path):
     # per-cell labels made retract.json 4.38 MB: 2 x 400^2 lines for 1,936 and 1,361 runs
-    labels = []
+    censuses = []
 
     def census(*args, **kwargs):
         out = connectivity_census(*args, **kwargs)
-        labels.append(out[1] if len(labels) < 2 else None)     # the two base grids
+        censuses.append((out[1], out[2][2]) if len(censuses) < 2 else None)  # the base grids
         return out
 
     monkeypatch.setattr(retract, "connectivity_census", census)
@@ -287,8 +287,10 @@ def test_retract_archive_stores_the_census_labels_as_runs(monkeypatch, tmp_path)
     path = tmp_path / "outputs" / "retract.json"
     with open(path) as fh:
         grids = json.load(fh)["census_grids"]
-    for name, want in zip(("low_with_unstable", "high"), labels):
+    for name, (runs, mask) in zip(("low_with_unstable", "high"), censuses):
+        assert grids[name]["label_values"] == runs.values.tolist(), name
+        assert grids[name]["label_lengths"] == runs.lengths.tolist(), name
         got = decoded_census_grid(grids[name])["labels"]
-        assert np.array_equal(got, want), name
+        assert np.array_equal(got, cell_census(mask)[1]), name
         assert all(np.diff(grids[name]["label_values"]) != 0)     # maximal runs
     assert os.path.getsize(path) < 0.25e6

@@ -11,13 +11,13 @@ from quiverflow.retract import (
     SaddleScene,
     ScenePoint,
     SlitScene,
-    _census_count,
+    _census_runs,
     _slit_grid_masks,
     condition4_probe,
     connectivity_census,
 )
 
-from conftest import philox
+from conftest import cell_census, index_dtype, label_runs, philox
 
 EPS, DELTA = 0.1, 0.5
 
@@ -210,11 +210,6 @@ def test_census_full_space_and_sublevels(slit):
     assert high == 1
 
 
-def index_dtype(mask):
-    """The census label dtype: the grid's index dtype."""
-    return np.int32 if mask.size < 2 ** 31 else np.int64
-
-
 def bfs_components(mask, glue_origin):
     """Reference labelling by breadth-first search from cells in row-major order.
 
@@ -268,10 +263,16 @@ def test_slit_grid_masks_match_meshgrid_oracle(slit, n_rho, n_theta, sublevel,
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def decoded_labels(mask):
+    """The census count and its label runs decoded into a per-cell grid."""
+    count, runs = _census_runs(mask)
+    return count, np.repeat(runs.values, runs.lengths).reshape(mask.shape)
+
+
 def test_census_count_matches_breadth_first_oracle(slit):
     # the glued origin joins the two columns; the slit keeps them apart
-    assert _census_count(np.array([[1, 0, 0, 1], [1, 0, 0, 1]], dtype=bool))[0] == 1
-    assert _census_count(np.array([[0, 0, 0, 0], [1, 0, 0, 1]], dtype=bool))[0] == 2
+    assert _census_runs(np.array([[1, 0, 0, 1], [1, 0, 0, 1]], dtype=bool))[0] == 1
+    assert _census_runs(np.array([[0, 0, 0, 0], [1, 0, 0, 1]], dtype=bool))[0] == 2
     rng = philox(2024)
     masks = [np.zeros((5, 6), dtype=bool), np.ones((5, 6), dtype=bool),
              np.ones((1, 7), dtype=bool), np.ones((7, 1), dtype=bool)]
@@ -282,50 +283,15 @@ def test_census_count_matches_breadth_first_oracle(slit):
     for sublevel, include_unstable in ((-EPS, True), (EPS, False)):
         masks.append(connectivity_census(slit, sublevel, include_unstable)[2][2])
     for mask in masks:
-        count, labels = _census_count(mask)
+        count, labels = decoded_labels(mask)
         ref_count, ref_labels = bfs_components(mask, glue_origin=True)
         assert count == ref_count
         assert labels.dtype == ref_labels.dtype
         assert np.array_equal(labels, ref_labels)
 
 
-def cell_census(mask):
-    """Reference labelling by union-find on cells, fast enough for 800^2 grids.
-
-    Radial and angular edges between in-set cells, none from theta = 2 pi
-    back to 0, the whole origin row started as one tree; min-label hooking
-    with pointer jumping, then the sorted roots number the components.
-    """
-    n_theta = mask.shape[1]
-    itype = index_dtype(mask)
-    radial = np.flatnonzero(mask[:-1] & mask[1:]).astype(itype)
-    right = np.zeros_like(mask)
-    right[1:, :-1] = mask[1:, :-1] & mask[1:, 1:]
-    angular = np.flatnonzero(right).astype(itype)
-    u = np.concatenate([radial, angular])
-    v = np.concatenate([radial + n_theta, angular + 1])
-    parent = np.arange(mask.size, dtype=itype)
-    parent[:n_theta] = 0
-    while True:
-        ru, rv = parent[u], parent[v]
-        cross = ru != rv
-        if not cross.any():
-            break
-        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
-        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-    roots, inverse = np.unique(parent[mask.ravel()], return_inverse=True)
-    labels = np.full(mask.shape, -1, dtype=itype)
-    labels[mask] = inverse
-    return len(roots), labels
-
-
 def assert_census_matches_cells(mask):
-    count, labels = _census_count(mask)
+    count, labels = decoded_labels(mask)
     ref_count, ref_labels = cell_census(mask)
     assert count == ref_count
     assert labels.dtype == ref_labels.dtype
@@ -382,18 +348,30 @@ def test_census_count_matches_cell_oracle_on_adversarial_masks():
     assert counts[5:11] == [2, 1, 1, 0, 1, 1]
 
 
+def census_peak_bytes(mask):
+    """Peak traced allocation of one run census of the mask."""
+    tracemalloc.start()
+    try:
+        _census_runs(mask)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("sublevel, include_unstable", [(-EPS, True), (EPS, False)])
 def test_census_count_peak_memory_per_cell(slit, sublevel, include_unstable):
     # the cell-level union-find peaked at 33.2 and 57.7 bytes per cell here,
     # int64 labels beside the run ids at 18.8 and 21.6
     mask = _slit_grid_masks(slit, sublevel, include_unstable, 800, 800, 3.0)[2]
-    tracemalloc.start()
-    try:
-        _census_count(mask)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * mask.size
+    assert census_peak_bytes(mask) <= 8 * mask.size
+
+
+@pytest.mark.parametrize("sublevel, include_unstable", [(-EPS, True), (EPS, False)])
+def test_census_runs_hold_no_per_cell_index(slit, sublevel, include_unstable):
+    # an int32 label grid beside the run ids peaked at 6.0 bytes per cell here,
+    # and one int32 index per cell alone is 4
+    mask = _slit_grid_masks(slit, sublevel, include_unstable, 800, 800, 3.0)[2]
+    assert census_peak_bytes(mask) <= 3 * mask.size
 
 
 @pytest.mark.parametrize("sublevel, include_unstable", [(-EPS, True), (EPS, False)])
@@ -417,13 +395,49 @@ def test_slit_grid_masks_peak_memory_per_cell(slit, sublevel, include_unstable):
     (np.zeros((3, 4), dtype=bool), 0, np.full((3, 4), -1)),
 ], ids=["0x4", "3x0", "1x1-in", "1x2-in", "3x4-out"])
 def test_census_count_on_degenerate_grids(mask, count, labels):
-    # the run count is read from the last cumulative cell: empty grids have none
-    got_count, got_labels = _census_count(mask)
+    got_count, got_labels = decoded_labels(mask)
     assert got_count == count
     assert got_labels.dtype == index_dtype(mask)
     assert np.array_equal(got_labels, labels)
     if mask.shape[0]:       # the breadth-first oracle reads row 0
         assert bfs_components(mask, glue_origin=True)[0] == count
+
+
+def grid(*rows):
+    """A mask drawn row by row, '#' in the set."""
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+@pytest.mark.parametrize("mask, values, lengths", [
+    # a stretch to the last column and one from column 0 of the next row, one component
+    (grid("....", "..##", "###."), [-1, 0, -1], [6, 5, 1]),
+    # the same layout with the slit between two components
+    (grid("....", "...#", "#..."), [-1, 0, 1, -1], [7, 1, 1, 3]),
+    # three stretches of the glued origin row: one component, -1 gaps between them
+    (grid("##.#..##", "........"), [0, -1, 0, -1, 0, -1], [2, 1, 1, 2, 2, 8]),
+    (np.zeros((0, 4), dtype=bool), [], []),
+    (np.zeros((3, 0), dtype=bool), [], []),
+    (np.ones((3, 5), dtype=bool), [0], [15]),
+    (np.zeros((3, 5), dtype=bool), [-1], [15]),
+], ids=["merge-across-rows", "no-merge-across-slit", "origin-row-gaps", "0x4", "3x0",
+        "all-in", "all-out"])
+def test_census_runs_are_the_maximal_runs_of_the_oracle_grid(mask, values, lengths):
+    runs = _census_runs(mask)[1]
+    want = label_runs(cell_census(mask)[1])
+    assert runs.values.dtype == want["label_values"].dtype
+    assert np.array_equal(runs.values, want["label_values"])
+    assert runs.lengths.dtype == want["label_lengths"].dtype
+    assert np.array_equal(runs.lengths, want["label_lengths"])
+    assert runs.values.tolist() == values and runs.lengths.tolist() == lengths
+    assert np.all(runs.lengths > 0) and np.all(np.diff(runs.values) != 0)
+    assert runs.lengths.sum() == mask.size == runs.size
+
+
+@pytest.mark.parametrize("n_rho, n_theta", [(400, 400), (8, 16), (1, 2)])
+def test_census_labels_size_is_the_cell_count(slit, n_rho, n_theta):
+    # the benchmark's tracer counts census cells as ``result[1].size``
+    labels = connectivity_census(slit, EPS, False, n_rho=n_rho, n_theta=n_theta)[1]
+    assert labels.size == n_rho * n_theta
 
 
 def test_saddle_sublevel_components_match_across_the_level(saddle):
