@@ -14,7 +14,7 @@ import numpy as np
 
 from .critical import morse_index_check, negative_slice, refine_critical, weight_decomposition
 from .errors import QuiverFlowError
-from .flow import energy_identity_defect, integrate_many, trace_crossings
+from .flow import MONOTONE_SLACK, energy_identity_defect, integrate_many, trace_crossings
 from .moment import VelocityKernel, f_value, moment, moment_map_equation_check
 from .quiver import (
     GroupElement,
@@ -123,7 +123,7 @@ def run_checks(model, trials: int = 3) -> list:
     traces = integrate_many(points[:max(trials, 1)], alpha, cfg)
     for tr in (tr.with_monitors(model.cycles, model.relations) for tr in traces[:trials]):
         df = np.diff(tr.fs)
-        slack = 1e-10 * (1.0 + np.abs(tr.fs[:-1]))
+        slack = MONOTONE_SLACK * (1.0 + np.abs(tr.fs[:-1]))
         worst_mono = max(worst_mono, float(np.max(df - slack, initial=-np.inf)))
         worst_energy = max(worst_energy,
                            energy_identity_defect(tr) / (1.0 + tr.fs[0]))

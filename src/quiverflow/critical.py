@@ -58,6 +58,8 @@ __all__ = [
 
 CRITICALITY_FACTOR = 1e-9      # rho_x(beta) residual bound, relative
 SEED_RADIUS = 1e-4             # distance of unstable-sweep seeds from the record
+MAX_NEWTON = 60                # Gauss-Newton iterations of refine_critical
+TAIL_FRACTION = 0.05           # lojasiewicz_fit's tail: gaps below this share of the first
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,14 @@ def criticality_residual(x: Representation, beta: HermitianCollection) -> float:
 
 
 def refine_critical(x_approx: Representation, alpha: CentralShift, tol: float = 1e-10,
-                    cfg: IntegratorConfig = None, max_newton: int = 60) -> CriticalRecord:
+                    cfg: IntegratorConfig = None) -> CriticalRecord:
     """Polish an approximate critical point until ||grad f|| < tol.
 
     Strategy: continue the flow while it still makes fast progress, then
-    switch to Gauss-Newton on grad f in flat coordinates, solved with an
-    SVD pseudo-inverse because grad f is degenerate along the compact
-    group orbit through x; the least-norm step moves transversally to it.
+    switch to at most ``MAX_NEWTON`` Gauss-Newton steps on grad f in flat
+    coordinates, solved with an SVD pseudo-inverse because grad f is
+    degenerate along the compact group orbit through x; the least-norm step
+    moves transversally to it.
     """
     q, dims = x_approx.quiver, x_approx.dims
     kernel = VelocityKernel(q, dims, alpha)
@@ -109,7 +112,7 @@ def refine_critical(x_approx: Representation, alpha: CentralShift, tol: float = 
         g = -2.0 * kernel.velocity_flat(y)
         gn = float(np.linalg.norm(g))
 
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         if gn < tol:
             break
         hess = hessian_matrix(Representation.unflatten(q, dims, y), alpha)
@@ -250,11 +253,11 @@ def morse_index_check(rec: CriticalRecord, fiber: SliceFiber,
                             agree=agree, status=status, eigenvalues=lam)
 
 
-def lojasiewicz_fit(trace: FlowTrace, f_crit: float, tail_fraction: float = 0.05):
+def lojasiewicz_fit(trace: FlowTrace, f_crit: float):
     """Fit ||grad f|| ~ C |f - f_crit|^(1-theta) on the tail of a trace.
 
     Returns (theta, C, r_squared).  Uses the samples whose value gap has
-    dropped below tail_fraction of the initial gap, discards gaps at the
+    dropped below ``TAIL_FRACTION`` of the initial gap, discards gaps at the
     floating-point floor, and fits the log-log line by least squares to
     at least 10 samples.
     """
@@ -262,7 +265,7 @@ def lojasiewicz_fit(trace: FlowTrace, f_crit: float, tail_fraction: float = 0.05
     grads = np.asarray(trace.gradnorms)
     gap0 = gaps[0]
     floor = 1e-13 * (1.0 + abs(f_crit)) + 1e-15 * gap0
-    mask = (gaps < tail_fraction * gap0) & (gaps > floor) & (grads > 0.0)
+    mask = (gaps < TAIL_FRACTION * gap0) & (gaps > floor) & (grads > 0.0)
     if int(np.sum(mask)) < 10:
         raise InsufficientDataError(f"only {int(np.sum(mask))} usable tail samples (need 10)")
     lx = np.log(gaps[mask])

@@ -138,6 +138,8 @@ BLOWUP_FACTOR = 1e6
 # DOP853's stability region meets the negative real axis at -6.39, and the field's
 # Jacobian, minus half the Hessian, has a real spectrum.
 STABILITY_CAP = 5.0
+# f may rise by this much, relative to 1 + |f|, between samples of a monotone trace
+MONOTONE_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,7 @@ class FlowTrace:
         if np.any(np.diff(self.ts) <= 0):
             raise QuiverFlowError("trace times must be strictly increasing")
         dfs = np.diff(self.fs) * self.direction
-        slack = 1e-10 * (1.0 + np.abs(self.fs[:-1]))
+        slack = MONOTONE_SLACK * (1.0 + np.abs(self.fs[:-1]))
         if np.any(dfs > slack):
             warnings.warn("flow trace is not monotone within integrator slack", stacklevel=2)
 

@@ -121,10 +121,6 @@ class CentralShift:
             raise ShapeError("central shift entries must be finite")
         object.__setattr__(self, "alpha", vals)
 
-    @staticmethod
-    def zero(n):
-        return CentralShift((0.0,) * n)
-
 
 def _adjoint(a):
     return a.conj().swapaxes(-1, -2)
@@ -267,33 +263,30 @@ def f_value(x: Representation, alpha: CentralShift) -> float:
     return VelocityKernel(x.quiver, x.dims, alpha).f_flat(x.flatten())
 
 
-def _hermitian_part(u: LieAlgebraElement):
-    return [0.5 * (b + b.conj().T) for b in u.blocks]
-
-
-def mu_pairing(x: Representation, u: LieAlgebraElement) -> float:
-    """Pairing of the moment value with a compact-algebra direction.
-
-    The direction i*A (A Hermitian) pairs with the stored H as
-    -sum_i tr(H_i A_i); a general u contributes through its Hermitian part.
-    """
+def mu_pairing(x: Representation, a: HermitianCollection) -> float:
+    """Pairing of the moment value with the compact-algebra direction i*A:
+    with the stored H it is -sum_i tr(H_i A_i)."""
     h = moment(x)
-    a_blocks = _hermitian_part(u)
-    return -float(np.real(sum(np.trace(hb @ ab) for hb, ab in zip(h.blocks, a_blocks))))
+    return -float(np.real(sum(np.trace(hb @ ab) for hb, ab in zip(h.blocks, a.blocks))))
+
+
+# the tangent step of moment_map_equation_check's central difference
+EQUATION_STEP = 1e-5
 
 
 def moment_map_equation_check(x: Representation, tangent: Representation,
-                              u: LieAlgebraElement, step: float = 1e-5) -> float:
+                              u: LieAlgebraElement) -> float:
     """Defect of the defining equation d(mu.u)_x[X] = omega(rho_x(u), X).
 
-    The left side is a central finite difference of the pairing along the
-    tangent X; the right side uses omega = Im<.,.> for the direction i*A,
-    which evaluates to -Re<rho_x(A), X>.  Returns the absolute defect.
+    A general u acts through its Hermitian part A.  The left side is a
+    central finite difference of the pairing along the tangent X, with step
+    ``EQUATION_STEP``; the right side uses omega = Im<.,.> for the direction
+    i*A, which evaluates to -Re<rho_x(A), X>.  Returns the absolute defect.
     """
-    a = HermitianCollection(x.quiver, x.dims, tuple(_hermitian_part(u)))
-    xp = x.add_scaled(tangent, step)
-    xm = x.add_scaled(tangent, -step)
-    lhs = (mu_pairing(xp, a) - mu_pairing(xm, a)) / (2.0 * step)
+    a = HermitianCollection(x.quiver, x.dims, tuple(0.5 * (b + b.conj().T) for b in u.blocks))
+    xp = x.add_scaled(tangent, EQUATION_STEP)
+    xm = x.add_scaled(tangent, -EQUATION_STEP)
+    lhs = (mu_pairing(xp, a) - mu_pairing(xm, a)) / (2.0 * EQUATION_STEP)
     rho_a = infinitesimal_action(a, x)
     rhs = -float(np.dot(rho_a.flatten(), tangent.flatten()))
     return abs(lhs - rhs)

@@ -298,16 +298,10 @@ class LieAlgebraElement:
             self.dims, self.blocks, "algebra element"))
 
     @staticmethod
-    def zero(quiver, dims):
-        dims = quiver.check_dims(dims)
-        return LieAlgebraElement(quiver, dims, tuple(np.zeros((d, d), dtype=complex) for d in dims))
-
-    @staticmethod
-    def random(quiver, dims, rng, scale=1.0):
+    def random(quiver, dims, rng):
         dims = quiver.check_dims(dims)
         return LieAlgebraElement(quiver, dims, tuple(
-            scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-            for d in dims))
+            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims))
 
     def flatten(self):
         return flatten_blocks(self.blocks)

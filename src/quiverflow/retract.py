@@ -382,7 +382,7 @@ def condition4_probe(scene, u_width: float) -> dict:
     """
     level = -scene.eps
     if math.isinf(u_width):
-        return {"holds": True, "witness": None, "radius": None, "vacuous": True}
+        return {"holds": True, "witness": None, "vacuous": True}
 
     def lands_in_U(p):
         t = scene.tau(p, level)
@@ -402,7 +402,5 @@ def condition4_probe(scene, u_width: float) -> dict:
             continue
         ok, q = lands_in_U(p)
         if not ok:
-            witness = {"sample": p, "landing": q, "radius": PROBE_RADIUS}
-    if witness is None:
-        return {"holds": True, "witness": None, "radius": PROBE_RADIUS, "vacuous": False}
-    return {"holds": False, "witness": witness, "radius": None, "vacuous": False}
+            witness = {"sample": p, "landing": q}
+    return {"holds": witness is None, "witness": witness, "vacuous": False}

@@ -145,6 +145,8 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
                           field="") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}", field="") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", field="") from exc
     validate_config(doc)

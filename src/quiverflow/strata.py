@@ -79,13 +79,13 @@ def label_of_trace(trace, alpha: CentralShift, cfg: IntegratorConfig) -> Stratum
 
 @dataclass(frozen=True)
 class FlowLine:
-    """One trajectory normalized by its anchor on the level f = z."""
+    """The endpoints of the trajectory through an anchor on the level f = z: the
+    forward flow converges to ``lower``; the backward flow ends with
+    ``backward_status``, at ``upper`` when that is converged."""
 
-    anchor: Representation
     z: float
     lower: CriticalRecord
     upper: CriticalRecord          # None when the backward flow escapes
-    forward_status: str
     backward_status: str
 
 
@@ -117,7 +117,7 @@ def flow_lines(anchors, z: float, alpha: CentralShift, cfg: IntegratorConfig) ->
             lower = refine_critical(fwd.final, alpha, tol=LABEL_REFINE_TOL, cfg=cfg)
             upper = (refine_critical(bwd.final, alpha, tol=LABEL_REFINE_TOL, cfg=cfg)
                      if bwd.status == "converged" else None)
-            out.append(FlowLine(anchor, float(z), lower, upper, fwd.status, bwd.status))
+            out.append(FlowLine(float(z), lower, upper, bwd.status))
         except (QuiverFlowError, ValueError) as exc:
             out.append(exc)
     return out

@@ -26,6 +26,8 @@ __all__ = [
     "slice_variety_probe",
 ]
 
+MAX_PROJECTION_STEPS = 50      # Gauss-Newton steps of project_to_variety
+
 
 @dataclass(frozen=True)
 class SubvarietySpec:
@@ -70,13 +72,13 @@ def _relation_jacobian(x: Representation, spec: SubvarietySpec) -> np.ndarray:
     return flatten_blocks([_relation_derivative(r, x.blocks, ts) for r in spec.relations]).T
 
 
-def project_to_variety(x: Representation, spec: SubvarietySpec,
-                       max_iter: int = 50) -> tuple:
-    """Damped Gauss-Newton projection onto the relation zero set.
+def project_to_variety(x: Representation, spec: SubvarietySpec) -> tuple:
+    """Damped Gauss-Newton projection onto the relation zero set, in at most
+    ``MAX_PROJECTION_STEPS`` steps.
 
     Returns (projected representation, distance moved).  Raises
     ProjectionFailedError with the best residual when the iteration leaves
-    the convergence basin or stalls.
+    the convergence basin, stalls or runs out of steps.
     """
     q, dims = x.quiver, x.dims
     y = x.flatten()
@@ -84,7 +86,7 @@ def project_to_variety(x: Representation, spec: SubvarietySpec,
     res = spec.residuals(cur)
     if spec.max_residual(cur) < spec.residual_tol:
         return cur, 0.0
-    for _ in range(max_iter):
+    for _ in range(MAX_PROJECTION_STEPS):
         jac = _relation_jacobian(cur, spec)
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         scale = 1.0

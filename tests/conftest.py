@@ -21,6 +21,10 @@ def philox(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def zero_algebra(quiver, dims):
+    return LieAlgebraElement(quiver, dims, tuple(np.zeros((d, d), dtype=complex) for d in dims))
+
+
 def star():
     q = Quiver.from_lists(["c", "1", "2", "3"],
                           [("a", "1", "c"), ("b", "2", "c"), ("d", "3", "c")])

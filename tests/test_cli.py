@@ -81,6 +81,16 @@ def test_malformed_config_names_field(tmp_path):
     assert "dims.2" in res.stderr
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path):
+    # a UTF-16 byte-order mark: the CLI printed a traceback and exited 1
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + json.dumps({"experiment": "flow"}).encode("utf-16-le"))
+    res = run_cli("flow", "--config", str(bad), "--out", str(tmp_path / "arch"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error:") and "Traceback" not in res.stderr
+    assert not (tmp_path / "arch").exists()
+
+
 def test_wrong_subcommand_for_config(tmp_path):
     res = run_cli("flow", "--config", config_path("a2_check.json"),
                   "--out", str(tmp_path / "arch"))

@@ -22,7 +22,7 @@ from quiverflow.errors import (
 from quiverflow.moment import ORBIT_RANK_TOL, HermitianCollection, orbit_basis
 from quiverflow.presets import a2, commutator_relation, jordan_two_loops, scalar_rep
 
-from conftest import ORBIT_MODELS, orbit_states, philox, rho_matrix
+from conftest import ORBIT_MODELS, orbit_states, philox, rho_matrix, zero_algebra
 
 
 def test_quiver_construction_and_indexing():
@@ -82,7 +82,7 @@ def test_singular_group_element_rejected():
 def test_infinitesimal_action_zero_and_scalar(rng):
     q, dims = jordan_two_loops(2)
     x = Representation.random(q, dims, rng)
-    zero = LieAlgebraElement.zero(q, dims)
+    zero = zero_algebra(q, dims)
     assert infinitesimal_action(zero, x).norm() == 0.0
     # scalars commute on the rank-one loop
     q1 = Quiver.from_lists(["v"], [("x", "v", "v")])
@@ -92,7 +92,7 @@ def test_infinitesimal_action_zero_and_scalar(rng):
 
 
 @pytest.mark.parametrize("apply,make", [(act, GroupElement.identity),
-                                        (infinitesimal_action, LieAlgebraElement.zero)],
+                                        (infinitesimal_action, zero_algebra)],
                          ids=["act", "infinitesimal_action"])
 @pytest.mark.parametrize("mismatch", ["dims", "quiver"])
 def test_action_rejects_a_value_on_other_dims_or_quiver(apply, make, mismatch):
@@ -137,7 +137,7 @@ def test_rho_rank_cases(rng):
     eps = 1e-7
     disp = []
     for _ in range(40):
-        u = LieAlgebraElement.random(qj, dj, rng2, scale=1.0)
+        u = LieAlgebraElement.random(qj, dj, rng2)
         moved = act(group_exp(u, eps), x).add_scaled(x, -1.0)
         disp.append(moved.flatten() / eps)
     s = np.linalg.svd(np.stack(disp, axis=1), compute_uv=False)

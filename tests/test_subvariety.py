@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quiverflow import subvariety
 from quiverflow.quiver import GroupElement, Relation, Representation, act
 from quiverflow.moment import CentralShift
 from quiverflow.flow import IntegratorConfig
@@ -70,11 +71,12 @@ def test_projection_basic(commuting):
     assert moved2 < 1e-12
 
 
-def test_projection_failure_reports_residual(commuting, rng):
+def test_projection_failure_reports_residual(commuting, rng, monkeypatch):
     q, dims, spec = commuting
     far = Representation.random(q, dims, rng, scale=2.0)
+    monkeypatch.setattr(subvariety, "MAX_PROJECTION_STEPS", 1)
     with pytest.raises(ProjectionFailedError) as exc:
-        project_to_variety(far, spec, max_iter=1)
+        project_to_variety(far, spec)
     assert exc.value.best_residual is not None and exc.value.best_residual > 0
 
 
