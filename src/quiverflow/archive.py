@@ -129,8 +129,8 @@ def record_jsonable(rec):
             "beta_spectra": rec.beta_spectra, "x": dict(zip(rec.x.quiver.edges, rec.x.blocks))}
 
 
-def fiber_jsonable(fiber):
-    return {"dim": fiber.dim, "basis": fiber.basis.T}
+def fiber_jsonable(basis):
+    return {"dim": basis.shape[1], "basis": basis.T}
 
 
 # ---------------------------------------------------------------------------

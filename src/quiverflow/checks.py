@@ -96,8 +96,8 @@ def run_checks(model, trials: int = 3) -> list:
         for i in range(q.n_vertices):
             conj = k.blocks[i] @ h0.blocks[i] @ k.blocks[i].conj().T
             worst_mu = max(worst_mu, float(np.linalg.norm(h1.blocks[i] - conj)))
-        worst_f = max(worst_f, abs(f_value(act(k, p), alpha) - f_value(p, alpha))
-                      / (1.0 + abs(f_value(p, alpha))))
+        f0 = f_value(p, alpha)
+        worst_f = max(worst_f, abs(f_value(act(k, p), alpha) - f0) / (1.0 + abs(f0)))
     out.append(_check("moment_equivariance", worst_mu <= 1e-12 * (1 + x.norm() ** 2),
                       f"max defect {worst_mu:.3e}"))
     out.append(_check("f_invariance", worst_f <= 1e-12, f"max relative drift {worst_f:.3e}"))
@@ -175,8 +175,7 @@ def run_checks(model, trials: int = 3) -> list:
     try:
         rec = refine_critical(tr.final, alpha, tol=1e-9, cfg=cfg)
         wd = weight_decomposition(rec)
-        fib = negative_slice(rec, wd)
-        rep = morse_index_check(rec, fib, alpha)
+        rep = morse_index_check(rec, negative_slice(rec, wd), alpha)
         ok = rep.status == "indeterminate" or rep.agree
         out.append(_check("criticality_and_index", ok,
                           f"slice {rep.slice_dim}, hessian {rep.hessian_index}, "
@@ -185,9 +184,12 @@ def run_checks(model, trials: int = 3) -> list:
         out.append(_check("criticality_and_index", False, f"refinement failed: {exc}"))
 
     # stratum labels are invariant under the compact group
-    lab, lab_k = label_of_trace(tr, alpha, cfg), label_of_trace(tr_lab, alpha, cfg)
-    out.append(_check("stratum_label_invariance", lab.matches(lab_k),
-                      f"f_limit {lab.f_limit:.6g} vs {lab_k.f_limit:.6g}"))
+    try:
+        lab, lab_k = label_of_trace(tr, alpha, cfg), label_of_trace(tr_lab, alpha, cfg)
+        out.append(_check("stratum_label_invariance", lab.matches(lab_k),
+                          f"f_limit {lab.f_limit:.6g} vs {lab_k.f_limit:.6g}"))
+    except QuiverFlowError as exc:
+        out.append(_check("stratum_label_invariance", False, f"refinement failed: {exc}"))
     return out
 
 

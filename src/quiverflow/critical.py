@@ -44,7 +44,6 @@ from .quiver import Representation, flatten_blocks
 __all__ = [
     "CriticalRecord",
     "WeightDecomposition",
-    "SliceFiber",
     "refine_critical",
     "weight_decomposition",
     "negative_slice",
@@ -69,7 +68,6 @@ class CriticalRecord:
     x: Representation
     f_crit: float
     beta: HermitianCollection
-    beta_spectra: tuple
     grad_residual: float
 
     def __post_init__(self):
@@ -79,6 +77,11 @@ class CriticalRecord:
             raise RefinementFailedError(
                 f"criticality residual {resid:.3e} exceeds bound {bound:.3e}",
                 best_residual=resid)
+
+    @property
+    def beta_spectra(self) -> tuple:
+        """Per-vertex eigenvalues of beta, ascending (``beta.spectra()``)."""
+        return self.beta.spectra()
 
 
 def criticality_residual(x: Representation, beta: HermitianCollection) -> float:
@@ -133,9 +136,7 @@ def refine_critical(x_approx: Representation, alpha: CentralShift, tol: float = 
             f"refinement stalled at ||grad f|| = {gn:.3e} (tol {tol:.3e})",
             best_residual=gn)
     x = Representation.unflatten(q, dims, y)
-    beta = beta_of(x, alpha)
-    return CriticalRecord(x=x, f_crit=kernel.f_flat(y), beta=beta,
-                          beta_spectra=beta.spectra(), grad_residual=gn)
+    return CriticalRecord(x=x, f_crit=kernel.f_flat(y), beta=beta_of(x, alpha), grad_residual=gn)
 
 
 @dataclass(frozen=True)
@@ -175,19 +176,9 @@ def weight_decomposition(rec: CriticalRecord) -> WeightDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class SliceFiber:
-    """Orthonormal real basis of the decaying directions orthogonal to the orbit."""
-
-    basis: np.ndarray = field(repr=False)    # shape (rep_real_dim, dim)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
-def negative_slice(rec: CriticalRecord, wd: WeightDecomposition) -> SliceFiber:
-    """Fiber of decaying directions orthogonal to the orbit at rec.x.
+def negative_slice(rec: CriticalRecord, wd: WeightDecomposition) -> np.ndarray:
+    """Orthonormal real basis of the fiber of decaying directions orthogonal
+    to the orbit at rec.x, shape (rep_real_dim, dim); dim is ``shape[1]``.
 
     Builds the orthonormal coordinate directions of strictly negative
     weight, projects them against ``orbit_basis`` (im rho_x, spanned by T y
@@ -211,13 +202,13 @@ def negative_slice(rec: CriticalRecord, wd: WeightDecomposition) -> SliceFiber:
         blocks[a] = wd.vertex_frames[q.head[a]] @ e_frame @ wd.vertex_frames[q.tail[a]].conj().T
         cols.append(flatten_blocks(blocks))
     if not cols:
-        return SliceFiber(basis=np.zeros((q.rep_real_dim(dims), 0)))
+        return np.zeros((q.rep_real_dim(dims), 0))
     b = np.concatenate(cols).T
     orbit = orbit_basis(x)
     proj = b - orbit @ (orbit.T @ b) if orbit.shape[1] else b
     u, s, _ = np.linalg.svd(proj, full_matrices=False)
     keep = int(np.sum(s > 0.5))
-    return SliceFiber(basis=u[:, :keep])
+    return u[:, :keep]
 
 
 @dataclass(frozen=True)
@@ -229,9 +220,10 @@ class MorseIndexReport:
     eigenvalues: np.ndarray = field(repr=False, default=None)
 
 
-def morse_index_check(rec: CriticalRecord, fiber: SliceFiber,
+def morse_index_check(rec: CriticalRecord, basis: np.ndarray,
                       alpha: CentralShift) -> MorseIndexReport:
-    """Compare the slice dimension against the index of the exact Hessian.
+    """Compare the slice dimension, the column count of the fiber basis,
+    against the index of the exact Hessian.
 
     The Hessian is ``hessian_matrix`` at rec.x; its eigenvalues, ascending,
     are the report's ``eigenvalues`` and the archive's ``hessian_spectrum``.
@@ -247,9 +239,9 @@ def morse_index_check(rec: CriticalRecord, fiber: SliceFiber,
     band = 1e-6 * (1.0 + scale)
     index = int(np.sum(lam < -band))
     in_band = bool(np.any(np.abs(lam) < band))
-    agree = fiber.dim == index
+    agree = basis.shape[1] == index
     status = "indeterminate" if (not agree and in_band) else "ok"
-    return MorseIndexReport(slice_dim=fiber.dim, hessian_index=index,
+    return MorseIndexReport(slice_dim=basis.shape[1], hessian_index=index,
                             agree=agree, status=status, eigenvalues=lam)
 
 
@@ -341,32 +333,30 @@ def unstable_sweep(rec: CriticalRecord, basis: np.ndarray, alpha: CentralShift, 
     return out
 
 
-def unstable_boundedness_check(rec: CriticalRecord, fiber: SliceFiber,
+def unstable_boundedness_check(rec: CriticalRecord, basis: np.ndarray,
                                alpha: CentralShift, eps: float, seeds: int,
                                cfg: IntegratorConfig) -> dict:
     """Probe compactness of the unstable cone one level below the record.
 
-    Reads the seeds of one ``unstable_sweep`` to the level f_crit - eps and
-    measures the farthest endpoint from the critical point.  The
+    Reads the seeds of one ``unstable_sweep`` along the fiber basis to the
+    level f_crit - eps and measures the farthest endpoint from the critical
+    point.  With an empty fiber or no seeds the sweep is empty and the
+    report is ``vacuous`` and bounded, with no fit and no bound.  The
     gradient-inequality bound length <= eps^theta / (C theta) is evaluated
     twice: with the tail-fitted constant, and with the conservative
     constant min ||grad f|| / gap^(1-theta) taken along the sampled
     trajectories (the inequality must hold along the whole segment for the
     length bound to apply, and the tail constant alone need not).
     """
+    vacuous = basis.shape[1] == 0 or seeds == 0
     report = {
-        "n_seeds": int(seeds), "fiber_dim": int(fiber.dim), "eps": float(eps),
+        "n_seeds": int(seeds), "fiber_dim": int(basis.shape[1]), "eps": float(eps),
         "seed_radius": SEED_RADIUS, "reached": [], "endpoint_distances": [],
-        "failures": [],
+        "failures": [], "vacuous": vacuous,
     }
-    if fiber.dim == 0 or seeds == 0:
-        report.update(max_distance=0.0, vacuous=True, bounded=True,
-                      theta=None, c_tail=None, c_segment=None,
-                      bound_tail=None, bound_segment=None)
-        return report
     c_seg = np.inf
     theta = c_tail = None
-    for i, s in enumerate(unstable_sweep(rec, fiber.basis, alpha, eps, seeds, cfg)):
+    for i, s in enumerate(unstable_sweep(rec, basis, alpha, eps, seeds, cfg)):
         trace, error = s["trace"], s["error"]
         if trace is not None and trace.status != "exited_level":
             error = f"seed stopped with status {trace.status}"
@@ -391,15 +381,13 @@ def unstable_boundedness_check(rec: CriticalRecord, fiber: SliceFiber,
             ok = (gaps > 1e-12 * (1.0 + eps)) & (grads > 0)
             if np.any(ok):
                 c_seg = min(c_seg, float(np.min(grads[ok] / gaps[ok] ** (1.0 - theta))))
-    dists = [d for d in report["endpoint_distances"] if d is not None]
-    max_dist = max(dists) if dists else 0.0
+    max_dist = max((d for d in report["endpoint_distances"] if d is not None), default=0.0)
     report["max_distance"] = float(max_dist)
-    report["vacuous"] = False
     report["theta"] = theta
     report["c_tail"] = c_tail
     report["c_segment"] = None if not np.isfinite(c_seg) else float(c_seg)
     report["bound_tail"] = (eps ** theta / (c_tail * theta)) if theta else None
     report["bound_segment"] = (eps ** theta / (c_seg * theta)) if (theta and np.isfinite(c_seg)) else None
-    report["bounded"] = bool(report["bound_segment"] is not None
-                             and max_dist <= report["bound_segment"])
+    report["bounded"] = bool(vacuous or (report["bound_segment"] is not None
+                                         and max_dist <= report["bound_segment"]))
     return report

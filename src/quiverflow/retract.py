@@ -219,8 +219,12 @@ class SaddleScene:
     def on_stable_set(self, p: ScenePoint) -> bool:
         return p.u == 0.0
 
-    def bottom_in_U(self, p: ScenePoint, width: float) -> bool:
-        """Neighborhood of the unstable bottom points parameterized by |y|."""
+    def circle_point(self, radius: float, angle: float) -> ScenePoint:
+        """The point (radius cos angle, radius sin angle)."""
+        return ScenePoint(radius * math.cos(angle), radius * math.sin(angle))
+
+    def in_U(self, p: ScenePoint, width: float) -> bool:
+        """Membership of a bottom-level point in the tube |y| < width."""
         return abs(p.v) < width
 
 
@@ -265,6 +269,14 @@ class SlitScene:
     def theta_distance_to_unstable(self, theta: float) -> float:
         """Arc distance to {0, pi} without wrapping across 2 pi <-> 0."""
         return min(abs(theta - 0.0), abs(theta - math.pi))
+
+    def circle_point(self, radius: float, angle: float) -> ScenePoint:
+        """The canonical point at (rho, theta) = (radius, angle)."""
+        return SlitScene.canonical(radius, angle)
+
+    def in_U(self, p: ScenePoint, width: float) -> bool:
+        """Membership in the non-wrapping arcs of half-width width around {0, pi}."""
+        return self.theta_distance_to_unstable(p.v) < width
 
 
 def _slit_grid_masks(scene: SlitScene, sublevel: float, include_unstable: bool,
@@ -378,29 +390,17 @@ def condition4_probe(scene, u_width: float) -> dict:
     on the circle of ``PROBE_RADIUS`` are spread over directions off the
     stable set and flowed to the bottom level; holds is True when they all
     land in U, and the last violating sample is returned as witness
-    otherwise.
+    otherwise.  Each scene supplies its own ``circle_point`` and ``in_U``.
     """
     level = -scene.eps
     if math.isinf(u_width):
         return {"holds": True, "witness": None, "vacuous": True}
-
-    def lands_in_U(p):
-        t = scene.tau(p, level)
-        q = scene.flow(p, t)
-        if isinstance(scene, SaddleScene):
-            return scene.bottom_in_U(q, u_width), q
-        return scene.theta_distance_to_unstable(q.v) < u_width, q
-
     witness = None
     for k in range(PROBE_SAMPLES):
-        ang = 2.0 * math.pi * (k + 0.5) / PROBE_SAMPLES
-        if isinstance(scene, SaddleScene):
-            p = ScenePoint(PROBE_RADIUS * math.cos(ang), PROBE_RADIUS * math.sin(ang))
-        else:
-            p = SlitScene.canonical(PROBE_RADIUS, ang)
+        p = scene.circle_point(PROBE_RADIUS, 2.0 * math.pi * (k + 0.5) / PROBE_SAMPLES)
         if scene.on_stable_set(p):
             continue
-        ok, q = lands_in_U(p)
-        if not ok:
+        q = scene.flow(p, scene.tau(p, level))
+        if not scene.in_U(q, u_width):
             witness = {"sample": p, "landing": q}
     return {"holds": witness is None, "witness": witness, "vacuous": False}

@@ -79,12 +79,12 @@ def _run_critical(model, out_dir):
             return {"status": tr.status}
         rec = refine_critical(tr.final, model.alpha, tol=tol, cfg=model.integrator)
         wd = weight_decomposition(rec)
-        fib = negative_slice(rec, wd)
-        idx = morse_index_check(rec, fib, model.alpha)
+        basis = negative_slice(rec, wd)
+        idx = morse_index_check(rec, basis, model.alpha)
         return {
             "status": "converged",
             "record": record_jsonable(rec),
-            "slice_dim": fib.dim,
+            "slice_dim": basis.shape[1],
             "hessian_index": idx.hessian_index,
             "hessian_spectrum": idx.eigenvalues,
             "index_agree": idx.agree,
@@ -107,33 +107,32 @@ def _slice_data(model):
                           tol=float(model.params.get("refine_tol", LABEL_REFINE_TOL)),
                           cfg=model.integrator)
     wd = weight_decomposition(rec)
-    fib = negative_slice(rec, wd)
-    return rec, wd, fib
+    return rec, wd, negative_slice(rec, wd)
 
 
 def _run_slice(model, out_dir):
     from .critical import morse_index_check, unstable_boundedness_check
 
-    rec, wd, fib = _slice_data(model)
-    idx = morse_index_check(rec, fib, model.alpha)
+    rec, wd, basis = _slice_data(model)
+    idx = morse_index_check(rec, basis, model.alpha)
     doc = {
         "record": record_jsonable(rec),
         "weights": wd.edge_weights,
         "offband_mass": wd.offband_mass,
-        "fiber": fiber_jsonable(fib),
+        "fiber": fiber_jsonable(basis),
         "index": {"slice_dim": idx.slice_dim, "hessian_index": idx.hessian_index,
                   "agree": idx.agree, "status": idx.status,
                   "hessian_spectrum": idx.eigenvalues},
     }
-    if model.params.get("boundedness", True) and fib.dim > 0:
+    if model.params.get("boundedness", True) and basis.shape[1] > 0:
         doc["boundedness"] = unstable_boundedness_check(
-            rec, fib, model.alpha,
+            rec, basis, model.alpha,
             eps=float(model.params.get("eps", 1.0)),
             seeds=int(model.params.get("seeds", 8)),
             cfg=model.integrator)
     write_json(_out(out_dir, "slice.json"), doc)
     write_text(_out(out_dir, "slice.csv"), slice_csv(doc))
-    return {"experiment": "slice", "slice_dim": fib.dim,
+    return {"experiment": "slice", "slice_dim": basis.shape[1],
             "hessian_index": idx.hessian_index, "agree": idx.agree}
 
 
@@ -278,13 +277,13 @@ def _run_variety(model, out_dir):
 
     spec = SubvarietySpec(model.relations,
                           residual_tol=float(model.params.get("residual_tol", 1e-10)))
-    rec, wd, fib = _slice_data(model)
+    rec, wd, basis = _slice_data(model)
     probe = slice_variety_probe(
-        rec, fib, spec, model.alpha,
+        rec, basis, spec, model.alpha,
         eps=float(model.params.get("eps", 0.4)),
         cfg=model.integrator,
         n_seeds=int(model.params.get("seeds", 6)))
-    doc = {"record": record_jsonable(rec), "fiber_dim": fib.dim, "probe": probe}
+    doc = {"record": record_jsonable(rec), "fiber_dim": basis.shape[1], "probe": probe}
     write_json(_out(out_dir, "variety.json"), doc)
     return {"experiment": "variety", "fiber_dim": probe["fiber_dim"],
             "linear_dim": probe["linear_dim"], "flagged": probe["flagged"]}

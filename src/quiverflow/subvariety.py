@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import CriticalRecord, SliceFiber, unstable_sweep
+from .critical import CriticalRecord, unstable_sweep
 from .errors import ProjectionFailedError
 from .flow import IntegratorConfig
 from .moment import CentralShift
-from .quiver import Representation, flatten_blocks, relation_residual, unflatten_blocks
+from .quiver import Representation, flatten_blocks, unflatten_blocks
 
 __all__ = [
     "SubvarietySpec",
@@ -41,12 +41,16 @@ class SubvarietySpec:
             raise ValueError("residual_tol must be positive")
         object.__setattr__(self, "relations", tuple(self.relations))
 
-    def residuals(self, x: Representation) -> np.ndarray:
-        """All relation values stacked into one real vector."""
-        return flatten_blocks([r.evaluate(x.blocks) for r in self.relations])
+    def residuals(self, x: Representation) -> tuple:
+        """(relation values stacked into one real vector, largest relation norm as
+        ``relation_residual`` gives it, 0.0 with none), evaluating each once."""
+        values = [r.evaluate(x.blocks) for r in self.relations]
+        return (flatten_blocks(values),
+                max((float(np.linalg.norm(v)) for v in values), default=0.0))
 
     def max_residual(self, x: Representation) -> float:
-        return max((relation_residual(x, r) for r in self.relations), default=0.0)
+        """Largest relation norm at x; x is on the variety below ``residual_tol``."""
+        return self.residuals(x)[1]
 
 
 def _relation_derivative(rel, xs, ts):
@@ -83,8 +87,8 @@ def project_to_variety(x: Representation, spec: SubvarietySpec) -> tuple:
     q, dims = x.quiver, x.dims
     y = x.flatten()
     cur = x
-    res = spec.residuals(cur)
-    if spec.max_residual(cur) < spec.residual_tol:
+    res, worst = spec.residuals(cur)
+    if worst < spec.residual_tol:
         return cur, 0.0
     for _ in range(MAX_PROJECTION_STEPS):
         jac = _relation_jacobian(cur, spec)
@@ -93,22 +97,22 @@ def project_to_variety(x: Representation, spec: SubvarietySpec) -> tuple:
         norm0 = float(np.linalg.norm(res))
         for _ in range(30):
             cand = Representation.unflatten(q, dims, cur.flatten() + scale * step)
-            res_c = spec.residuals(cand)
+            res_c, worst_c = spec.residuals(cand)
             if float(np.linalg.norm(res_c)) < norm0:
-                cur, res = cand, res_c
+                cur, res, worst = cand, res_c, worst_c
                 break
             scale *= 0.5
         else:
             raise ProjectionFailedError(
                 f"projection stalled at residual {norm0:.3e}", best_residual=norm0)
-        if spec.max_residual(cur) < spec.residual_tol:
+        if worst < spec.residual_tol:
             return cur, float(np.linalg.norm(cur.flatten() - y))
     best = float(np.linalg.norm(res))       # each accepted step lowers the residual
     raise ProjectionFailedError(
         f"projection did not converge (best residual {best:.3e})", best_residual=best)
 
 
-def slice_variety_probe(rec: CriticalRecord, fiber: SliceFiber, spec: SubvarietySpec,
+def slice_variety_probe(rec: CriticalRecord, basis: np.ndarray, spec: SubvarietySpec,
                         alpha: CentralShift, eps: float, cfg: IntegratorConfig,
                         n_seeds: int) -> dict:
     """Compare the linearized in-variety slice with sampled unstable flow.
@@ -122,17 +126,15 @@ def slice_variety_probe(rec: CriticalRecord, fiber: SliceFiber, spec: Subvariety
     whether they stay below ten times the membership tolerance.  The two
     dimensions are reported side by side; disagreement is flagged for
     investigation, not asserted away, since the linear count can overshoot
-    at singular points of the variety.
+    at singular points of the variety.  An empty fiber gives linear_dim 0,
+    no seeds and flagged False.
     """
-    report = {"fiber_dim": int(fiber.dim), "eps": float(eps), "seeds": []}
-    if fiber.dim == 0:
-        report.update(linear_dim=0, flagged=False)
-        return report
+    report = {"fiber_dim": int(basis.shape[1]), "eps": float(eps), "seeds": []}
     jac = _relation_jacobian(rec.x, spec)
-    in_cone = fiber.basis
+    in_cone = basis
     if jac.shape[0]:        # keep the fiber's null space of the linearized relations
-        _, s, vt = np.linalg.svd(jac @ fiber.basis)
-        in_cone = fiber.basis @ vt[int(np.sum(s > 1e-9 * max(s[0], 1.0))):].T
+        _, s, vt = np.linalg.svd(jac @ basis)
+        in_cone = basis @ vt[int(np.sum(s > 1e-9 * np.max(s, initial=1.0))):].T
     report["linear_dim"] = int(in_cone.shape[1])
 
     drift_tol = 10.0 * spec.residual_tol

@@ -72,7 +72,7 @@ def test_weight_decomposition_with_an_empty_vertex(a2_model):
     wd = weight_decomposition(rec)
     assert [u.shape for u in wd.vertex_frames] == [(0, 0), (1, 1)]
     assert wd.edge_weights[0].shape == (1, 0) and wd.negative == ((),)
-    assert wd.offband_mass == 0.0 and negative_slice(rec, wd).dim == 0
+    assert wd.offband_mass == 0.0 and negative_slice(rec, wd).shape[1] == 0
 
 
 def test_weight_decomposition_saddle(a2_model):
@@ -92,16 +92,14 @@ def test_weight_pattern_synthetic_two_loop():
                                  np.zeros((2, 2), dtype=complex)))
     alpha = CentralShift((0.0,))
     rec = CriticalRecord(
-        x=x, f_crit=f_value(x, alpha), beta=beta_of(x, alpha),
-        beta_spectra=beta_of(x, alpha).spectra(), grad_residual=0.0)
+        x=x, f_crit=f_value(x, alpha), beta=beta_of(x, alpha), grad_residual=0.0)
     # beta of a diagonal pair is zero; build the synthetic spectra case by
     # shifting the record's beta through alpha = -lambda
     alpha2 = CentralShift((-0.5,))
     x2 = Representation(q, dims, (np.diag([0.3, -0.2]).astype(complex),
                                   np.zeros((2, 2), dtype=complex)))
     rec2 = CriticalRecord(
-        x=x2, f_crit=f_value(x2, alpha2), beta=beta_of(x2, alpha2),
-        beta_spectra=beta_of(x2, alpha2).spectra(), grad_residual=0.0)
+        x=x2, f_crit=f_value(x2, alpha2), beta=beta_of(x2, alpha2), grad_residual=0.0)
     wd = weight_decomposition(rec2)
     for w in wd.edge_weights:
         assert np.allclose(np.sort(w.ravel()), [0.0, 0.0, 0.0, 0.0])
@@ -111,8 +109,7 @@ def test_weight_pattern_synthetic_two_loop():
     x3 = Representation(q, dims, (np.diag([0.4, 0.7]).astype(complex),
                                   np.zeros((2, 2), dtype=complex)))
     rec3 = CriticalRecord(x=x3, f_crit=0.0,
-                          beta=HermitianCollection(q, dims, (lam,)),
-                          beta_spectra=((0.0, 1.0),), grad_residual=0.0)
+                          beta=HermitianCollection(q, dims, (lam,)), grad_residual=0.0)
     wd3 = weight_decomposition(rec3)
     for w in wd3.edge_weights:
         assert sorted(np.round(w.ravel(), 12)) == [-1.0, 0.0, 0.0, 1.0]
@@ -141,8 +138,7 @@ def test_criticality_residual_matches_action():
     x = Representation(q, dims, (np.diag([0.4, 0.7]).astype(complex),
                                  np.zeros((2, 2), dtype=complex)))
     beta = HermitianCollection(q, dims, (np.array([[1.0, 1e-12], [1e-12, 0.0]], dtype=complex),))
-    rec = CriticalRecord(x=x, f_crit=0.0, beta=beta, beta_spectra=beta.spectra(),
-                         grad_residual=0.0)
+    rec = CriticalRecord(x=x, f_crit=0.0, beta=beta, grad_residual=0.0)
     ref = action_norm(rec.beta, x)
     assert ref > 0.0
     assert abs(criticality_residual(rec.x, rec.beta) - ref) <= 1e-13 * ref
@@ -153,17 +149,17 @@ def test_negative_slice_dims(a2_model, tight_cfg):
     saddle = refine_critical(scalar_rep(q, dims, [0.0]), alpha, tol=1e-10)
     wd = weight_decomposition(saddle)
     fib = negative_slice(saddle, wd)
-    assert fib.dim == 2
+    assert fib.shape[1] == 2
     # orthonormal basis, orthogonal to the orbit image
-    gram = fib.basis.T @ fib.basis
+    gram = fib.T @ fib
     assert np.allclose(gram, np.eye(2), atol=1e-12)
     rho = rho_matrix(saddle.x)
-    assert np.linalg.norm(rho.T @ fib.basis) < 1e-10
+    assert np.linalg.norm(rho.T @ fib) < 1e-10
 
     minimum = refine_critical(scalar_rep(q, dims, [np.sqrt(2.0)]), alpha,
                               tol=1e-10, cfg=tight_cfg)
     fib_min = negative_slice(minimum, weight_decomposition(minimum))
-    assert fib_min.dim == 0
+    assert fib_min.shape[1] == 0
 
 
 def test_morse_index_agreement(a2_model, tight_cfg):
@@ -303,13 +299,26 @@ def test_fiber_directions_shapes():
 
 
 def test_unstable_boundedness_vacuous(a2_model, tight_cfg):
+    # an empty fiber at the minimum, and no seeds at the saddle: whole reports
     q, dims, alpha = a2_model
     minimum = refine_critical(scalar_rep(q, dims, [np.sqrt(2.0)]), alpha,
                               tol=1e-10, cfg=tight_cfg)
     fib = negative_slice(minimum, weight_decomposition(minimum))
-    rep = unstable_boundedness_check(minimum, fib, alpha, eps=0.5, seeds=4,
-                                     cfg=tight_cfg)
-    assert rep["vacuous"] and rep["bounded"]
+    saddle = refine_critical(scalar_rep(q, dims, [0.0]), alpha, tol=1e-10)
+    fib_saddle = negative_slice(saddle, weight_decomposition(saddle))
+    for rep, n_seeds, fiber_dim, eps in (
+            (unstable_boundedness_check(minimum, fib, alpha, eps=0.5, seeds=4,
+                                        cfg=tight_cfg), 4, 0, 0.5),
+            (unstable_boundedness_check(saddle, fib_saddle, alpha, eps=1.0, seeds=0,
+                                        cfg=tight_cfg), 0, 2, 1.0)):
+        expect = {
+            "n_seeds": n_seeds, "fiber_dim": fiber_dim, "eps": eps, "seed_radius": 1e-4,
+            "reached": [], "endpoint_distances": [], "failures": [], "max_distance": 0.0,
+            "vacuous": True, "bounded": True, "theta": None, "c_tail": None,
+            "c_segment": None, "bound_tail": None, "bound_segment": None,
+        }
+        assert rep == expect
+        assert {k: type(v) for k, v in rep.items()} == {k: type(v) for k, v in expect.items()}
 
 
 def test_unstable_boundedness_saddle(a2_model, tight_cfg):
@@ -360,7 +369,7 @@ def test_slice_rank_constant_along_critical_circle(tight_cfg):
         rec = refine_critical(x, A2_PAIR_ALPHA, tol=1e-10, cfg=tight_cfg)
         assert rec.f_crit == pytest.approx(1.0, abs=1e-10)
         fib = negative_slice(rec, weight_decomposition(rec))
-        dims_seen.add(fib.dim)
+        dims_seen.add(fib.shape[1])
     assert dims_seen == {2}
 
 

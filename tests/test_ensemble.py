@@ -523,6 +523,25 @@ def test_check_battery_with_zero_trials_still_checks_flow_equivariance():
         assert results[name]["passed"], results[name]
 
 
+def test_check_battery_reports_a_failed_label_refinement(monkeypatch):
+    from quiverflow import strata
+    from quiverflow.checks import run_checks
+    from quiverflow.errors import RefinementFailedError
+
+    model = build_model(load_config(os.path.join(CONFIGS, "a2_check.json")))
+    base = run_checks(model, trials=0)
+
+    def failing(*args, **kwargs):
+        raise RefinementFailedError("refinement stalled", best_residual=1.0)
+
+    monkeypatch.setattr(strata, "refine_critical", failing)
+    results = run_checks(model, trials=0)
+    label = {"name": "stratum_label_invariance", "passed": False,
+             "detail": "refinement failed: refinement stalled"}
+    # the same checks with the same results, but the label entry
+    assert results == [label if r["name"] == label["name"] else r for r in base]
+
+
 def count_flows(monkeypatch):
     """Count flow batches (``integrate_many`` calls, a lone run's included) and crossing
     stacks (runs of ``flow._integrate_rows`` that replay every row, as

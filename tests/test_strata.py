@@ -59,9 +59,9 @@ def test_sample_unstable_level(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     saddle = refine_critical(scalar_rep(q, dims, [0.0]), alpha, tol=1e-10)
     fib = negative_slice(saddle, weight_decomposition(saddle))
-    assert unstable_sweep(saddle, fib.basis, alpha, eps=2.0, n=0, cfg=tight_cfg) == []
+    assert unstable_sweep(saddle, fib, alpha, eps=2.0, n=0, cfg=tight_cfg) == []
 
-    samples = unstable_sweep(saddle, fib.basis, alpha, eps=2.0, n=8, cfg=tight_cfg)
+    samples = unstable_sweep(saddle, fib, alpha, eps=2.0, n=8, cfg=tight_cfg)
     assert len(samples) == 8
     for s in samples:
         assert s["error"] is None
@@ -79,7 +79,7 @@ def test_unstable_membership_by_backward_flow(a2_model, tight_cfg):
     q, dims, alpha = a2_model
     saddle = refine_critical(scalar_rep(q, dims, [0.0]), alpha, tol=1e-10)
     fib = negative_slice(saddle, weight_decomposition(saddle))
-    samples = unstable_sweep(saddle, fib.basis, alpha, eps=1.0, n=4, cfg=tight_cfg)
+    samples = unstable_sweep(saddle, fib, alpha, eps=1.0, n=4, cfg=tight_cfg)
 
     for s in samples:
         back = lone_flow(s["trace"].final, alpha, tight_cfg, direction=-1)

@@ -109,7 +109,7 @@ def test_probe_empty_spec_reduces_to_unstable_sampling(a2_model, tight_cfg):
     fib = negative_slice(saddle, weight_decomposition(saddle))
     rep = slice_variety_probe(saddle, fib, spec, alpha, eps=1.0, cfg=tight_cfg,
                               n_seeds=4)
-    assert rep["linear_dim"] == fib.dim == 2
+    assert rep["linear_dim"] == fib.shape[1] == 2
     assert not rep["flagged"]
     assert all(e["residual_ok"] for e in rep["seeds"])
 
@@ -122,9 +122,31 @@ def test_probe_minimum_dims_zero(commuting, tight_cfg):
     rec = refine_critical(Representation(q, dims, (d1, d2)), alpha, tol=1e-9,
                           cfg=tight_cfg)
     fib = negative_slice(rec, weight_decomposition(rec))
-    assert fib.dim == 0
-    rep = slice_variety_probe(rec, fib, spec, alpha, eps=0.1, cfg=tight_cfg, n_seeds=8)
-    assert rep["linear_dim"] == 0 and not rep["flagged"]
+    assert fib.shape[1] == 0
+    expect = {"fiber_dim": 0, "eps": 0.1, "seeds": [], "linear_dim": 0, "flagged": False}
+    for cut in (spec, SubvarietySpec(())):          # with and without relations
+        rep = slice_variety_probe(rec, fib, cut, alpha, eps=0.1, cfg=tight_cfg, n_seeds=8)
+        assert rep == expect
+        assert {k: type(v) for k, v in rep.items()} == {k: type(v) for k, v in expect.items()}
+
+
+def test_projection_evaluates_each_relation_once_per_state(monkeypatch):
+    q, dims, rel = a3_chain()
+    spec = SubvarietySpec((rel,))
+    seen = []
+    evaluate = Relation.evaluate
+
+    def recording(self, blocks):
+        seen.append((self, blocks))       # held, so no id is reused during the run
+        return evaluate(self, blocks)
+
+    monkeypatch.setattr(Relation, "evaluate", recording)
+    seed = scalar_rep(q, dims, [0.7 + 0.1j, 0.05 - 0.02j])
+    proj, moved = project_to_variety(seed, spec)
+    assert moved > 0.0 and len(seen) >= 3          # the seed and at least two steps
+    assert len({(id(r), id(b)) for r, b in seen}) == len(seen)
+    monkeypatch.undo()
+    assert spec.max_residual(proj) < spec.residual_tol
 
 
 def test_probe_composition_relation_at_singular_point(tight_cfg):
@@ -138,7 +160,7 @@ def test_probe_composition_relation_at_singular_point(tight_cfg):
     assert rec.f_crit == pytest.approx(2.0, abs=1e-14)
     wd = weight_decomposition(rec)
     fib = negative_slice(rec, wd)
-    assert fib.dim == 4                      # ambient unstable directions
+    assert fib.shape[1] == 4               # ambient unstable directions
     rep = slice_variety_probe(rec, fib, spec, alpha, eps=0.4, cfg=tight_cfg,
                               n_seeds=6)
     # the relation is quadratic, so its linearization at 0 kills nothing
@@ -197,12 +219,12 @@ def test_relation_jacobian_matches_fd(case, rng):
     spec = SubvarietySpec(rels)
     x = Representation.random(q, dims, rng)
     y0, h = x.flatten(), 1e-5
-    fd = np.empty((spec.residuals(x).size, y0.size))
+    fd = np.empty((spec.residuals(x)[0].size, y0.size))
     for i in range(y0.size):
         e = np.zeros_like(y0)
         e[i] = h
-        fd[:, i] = (spec.residuals(Representation.unflatten(q, dims, y0 + e))
-                    - spec.residuals(Representation.unflatten(q, dims, y0 - e))) / (2 * h)
+        fd[:, i] = (spec.residuals(Representation.unflatten(q, dims, y0 + e))[0]
+                    - spec.residuals(Representation.unflatten(q, dims, y0 - e))[0]) / (2 * h)
     jac = _relation_jacobian(x, spec)
     assert jac.shape == fd.shape
     assert np.linalg.norm(jac - fd) < 1e-7 * (1.0 + np.linalg.norm(fd))

@@ -80,11 +80,11 @@ def assert_same_trace(tr, ref):
 
 def sweep_cases():
     rec, fib, alpha = a2_saddle()
-    yield "a2", rec, fib.basis, alpha, 1.0, 8, (), None
+    yield "a2", rec, fib, alpha, 1.0, 8, (), None
     rec, fib, spec = a3_origin()
-    yield "a3", rec, fib.basis, A3_ALPHA, 0.4, 6, spec.relations, projector(spec)
+    yield "a3", rec, fib, A3_ALPHA, 0.4, 6, spec.relations, projector(spec)
     rec, fib, alpha = star_origin()
-    yield "star", rec, fib.basis, alpha, 0.5, 5, (), None
+    yield "star", rec, fib, alpha, 0.5, 5, (), None
 
 
 @pytest.mark.parametrize("case", list(sweep_cases()), ids=lambda c: c[0])
@@ -122,7 +122,7 @@ def test_a_failed_projection_sits_beside_seeds_that_flow():
             raise ProjectionFailedError("no projection for this seed")
         return seed, {"kept": True}
 
-    sweep = unstable_sweep(rec, fib.basis, alpha, 1.0, 8, CFG, project=project)
+    sweep = unstable_sweep(rec, fib, alpha, 1.0, 8, CFG, project=project)
     failed = [s for s in sweep if s["error"] is not None]
     flowed = [s for s in sweep if s["error"] is None]
     assert failed and flowed
@@ -146,7 +146,7 @@ def test_a_batch_error_is_recorded_on_every_flowed_seed(monkeypatch):
             raise ProjectionFailedError("no projection for this seed")
         return seed, {"kept": True}
 
-    sweep = unstable_sweep(rec, fib.basis, alpha, 1.0, 8, CFG, project=project)
+    sweep = unstable_sweep(rec, fib, alpha, 1.0, 8, CFG, project=project)
     assert all(s["trace"] is None for s in sweep)
     assert {s["error"] for s in sweep} == {"no projection for this seed",
                                            "step size underflow in integrate_many"}
@@ -201,8 +201,8 @@ def test_each_report_flows_its_seeds_in_one_batch(monkeypatch):
 def star_drops(n):
     rec, fib, alpha = star_origin()
     x0_flat = rec.x.flatten()
-    seeds = [Representation.unflatten(rec.x.quiver, rec.x.dims, x0_flat + 1e-4 * (fib.basis @ d))
-             for d in fiber_directions(fib.dim, n)]
+    seeds = [Representation.unflatten(rec.x.quiver, rec.x.dims, x0_flat + 1e-4 * (fib @ d))
+             for d in fiber_directions(fib.shape[1], n)]
     return rec, fib, alpha, seeds, [rec.f_crit - f_value(x, alpha) for x in seeds]
 
 
@@ -215,7 +215,7 @@ def test_seeds_past_the_level_keep_their_own_results():
     past = [False, True, False, True, True, False]
     assert [f_value(x, alpha) <= level for x in seeds] == past
 
-    sweep = unstable_sweep(rec, fib.basis, alpha, eps, 6, CFG)
+    sweep = unstable_sweep(rec, fib, alpha, eps, 6, CFG)
     for s, p in zip(sweep, past):
         assert s["error"] is None
         assert s["trace"].status == ("past_level" if p else "exited_level")
@@ -241,7 +241,7 @@ def test_a_seed_on_the_level_is_its_own_sample():
     # its own one-sample trace on the level, and so is each of the five past it
     t, y = tau_level(seeds[0], alpha, level, CFG)
     assert t == 0.0 and y is seeds[0]
-    sweep = unstable_sweep(rec, fib.basis, alpha, drops[0], 6, CFG)
+    sweep = unstable_sweep(rec, fib, alpha, drops[0], 6, CFG)
     tr = sweep[0]["trace"]
     assert sweep[0]["error"] is None and tr.status == "exited_level"
     assert tr.n_samples == 1 and tr.ts[0] == 0.0 and tr.steps == ()
